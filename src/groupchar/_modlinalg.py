@@ -18,20 +18,6 @@ def inv_mod(a: int, q: int) -> int:
     return pow(int(a) % q, -1, q)
 
 
-def inv_mod_vec(arr: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise inverse of nonzero residues (Fermat: a^(q-2))."""
-    out = np.empty(arr.shape, dtype=np.int64)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = pow(int(flat_in[i]), q - 2, q)
-    return out
-
-
-def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return (a @ b) % q
-
-
 def rref_mod(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q; returns (rref, pivot columns).
 

@@ -206,9 +206,6 @@ class Cyclotomic:
             return self
         return self.galois(self.conductor - 1)
 
-    def norm_squared(self) -> "Cyclotomic":
-        return self * self.conjugate()
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -3,8 +3,10 @@
 A group of order n lives on ids 0..n-1 with 0 the identity.  Everything
 downstream (conjugacy classes, subgroup lattices, quotients, character
 tables) is exact integer table arithmetic, mostly vectorized with numpy.
-Groups are immutable once built; derived data is cached on the instance,
-so sharing instances across threads is safe after construction.
+Groups are immutable once built; derived data (classes, the normal lattice,
+the character table) is filled into a per-instance cache on first use.
+Filling is idempotent but unlocked, so concurrent first calls on a shared
+instance may compute the same value twice.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from ._arith import factorize, lcm, p_part, prime_power
 from .errors import BoundExceeded, ContractViolation, NotNormal
 
-SUBGROUP_BOUND = 2000  # default ceiling for subgroup-lattice operations
+SUBGROUP_BOUND = 2000  # default group-order ceiling for minimal normals, radicals, series
+NORMAL_LATTICE_BOUND = 10_000  # default ceiling on the number of normal subgroups
 
 _EXHAUSTIVE_ASSOCIATIVITY = 256
 _RANDOM_TRIPLE_FACTOR = 10
@@ -214,16 +217,14 @@ class Group:
         conj = np.unique(self.mul[self.mul[:, seed], self.inv[:, None]])
         return Subgroup(self, self._closure(conj), normal=True)
 
-    def _class_atoms(self) -> list[tuple[int, np.ndarray]]:
-        """(rep, normal closure) for each nontrivial conjugacy class."""
-        if "atoms" in self._cache:
-            return self._cache["atoms"]
-        cc = self.conjugacy_classes()
-        atoms = []
-        for rep in cc.reps[1:]:
-            atoms.append((rep, self.normal_closure([rep]).as_array()))
-        self._cache["atoms"] = atoms
-        return atoms
+    def _class_atoms(self) -> list[np.ndarray]:
+        """The normal closure of each nontrivial conjugacy class."""
+        if "atoms" not in self._cache:
+            self._cache["atoms"] = [
+                self.normal_closure([rep]).as_array()
+                for rep in self.conjugacy_classes().reps[1:]
+            ]
+        return self._cache["atoms"]
 
     def minimal_normal_subgroups(self, bound: int | None = None) -> list["Subgroup"]:
         """Inclusion-minimal nontrivial normal subgroups.
@@ -236,7 +237,7 @@ class Group:
         if "minimal_normals" in self._cache:
             return self._cache["minimal_normals"]
         seen: dict[tuple, np.ndarray] = {}
-        for _, els in self._class_atoms():
+        for els in self._class_atoms():
             seen.setdefault(tuple(els.tolist()), els)
         mins = []
         for key, els in seen.items():
@@ -249,42 +250,55 @@ class Group:
         return out
 
     def normal_subgroups(self, bound: int | None = None) -> list["Subgroup"]:
-        """All normal subgroups, via join closure of class-closure atoms.
+        """All normal subgroups, sorted by (order, elements).
 
-        The atoms are the normal closures of single classes; every normal
-        subgroup is a join of atoms, and the join of two normal subgroups is
-        their one-pass product set.
+        Every normal subgroup is an intersection of kernels of irreducible
+        characters (Isaacs, *Character Theory of Finite Groups*, ch. 2), so
+        the lattice is the closure under intersection of the kernels in the
+        character table, taken as class bitmasks.  Building the table caps
+        the group order at ``chartable.TABLE_ORDER_BOUND``; ``bound`` caps
+        the number of normal subgroups (default ``NORMAL_LATTICE_BOUND``).
         """
-        self._require_bound("normal_subgroups", bound)
-        if "normal_subgroups" in self._cache:
-            return self._cache["normal_subgroups"]
-        atoms: dict[tuple, tuple[int, np.ndarray]] = {}
-        for rep, els in self._class_atoms():
-            atoms.setdefault(tuple(els.tolist()), (rep, els))
-        atom_list = list(atoms.values())
-        trivial = np.array([0], dtype=np.int64)
-        found: dict[tuple, np.ndarray] = {(0,): trivial}
-        queue: list[np.ndarray] = [trivial]
-        for _, els in atom_list:
-            key = tuple(els.tolist())
-            if key not in found:
-                found[key] = els
-                queue.append(els)
-        while queue:
-            cur = queue.pop()
-            cur_set = set(cur.tolist())
-            for rep, els in atom_list:
-                if rep in cur_set:
-                    continue
-                join = np.unique(self.mul[np.ix_(cur, els)])
-                key = tuple(join.tolist())
-                if key not in found:
-                    found[key] = join
-                    queue.append(join)
-        subs = sorted(found.values(), key=lambda e: (len(e), tuple(e.tolist())))
-        out = [Subgroup(self, e, normal=True) for e in subs]
-        self._cache["normal_subgroups"] = out
+        cap = NORMAL_LATTICE_BOUND if bound is None else bound
+        if "normal_subgroups" not in self._cache:
+            self._cache["normal_subgroups"] = self._normal_lattice(cap)
+        out = self._cache["normal_subgroups"]
+        if len(out) > cap:
+            raise BoundExceeded("normal_subgroups", len(out), cap)
         return out
+
+    def _normal_lattice(self, cap: int) -> list["Subgroup"]:
+        from .chartable import compute_table  # chartable imports this module
+
+        # Python ints, not int64: a group may have more than 63 classes.
+        kernels = {
+            sum(1 << c for c in np.flatnonzero(row).tolist())
+            for row in compute_table(self)._kernel_mask
+        }
+        masks = set(kernels)
+        frontier = list(kernels)
+        while frontier:
+            fresh = []
+            for mask in frontier:
+                for ker in kernels:
+                    meet = mask & ker
+                    if meet not in masks:
+                        masks.add(meet)
+                        fresh.append(meet)
+                        if len(masks) > cap:
+                            raise BoundExceeded("normal_subgroups", len(masks), cap)
+            frontier = fresh
+        members = self.conjugacy_classes().members
+        subs = [
+            np.sort(np.concatenate([m for c, m in enumerate(members) if mask >> c & 1]))
+            for mask in masks
+        ]
+        subs.sort(key=lambda e: (len(e), tuple(e.tolist())))
+        if len(subs[0]) != 1 or len(subs[-1]) != self.order:
+            raise ContractViolation("normal lattice lacks the trivial or whole group")
+        if any(self.order % len(e) for e in subs):
+            raise ContractViolation("normal subgroup order does not divide |G|")
+        return [Subgroup(self, e, normal=True) for e in subs]
 
     def _require_bound(self, what: str, bound: int | None) -> None:
         b = _bound_or_default(bound)
@@ -342,7 +356,7 @@ class Group:
         """
         members: list[np.ndarray] = [np.array([0], dtype=np.int64)]
         cc = self.conjugacy_classes()
-        for (rep, els), cls in zip(self._class_atoms(), cc.members[1:]):
+        for els, cls in zip(self._class_atoms(), cc.members[1:]):
             m = len(els)
             if mode == "p":
                 ok = p_part(m, p) == m

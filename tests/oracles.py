@@ -53,6 +53,50 @@ def is_normal(mul, elems) -> bool:
     return all(mul[mul[g][x]][inv[g]] in s for g in range(n) for x in s)
 
 
+def normal_lattice(mul) -> list[tuple[int, ...]]:
+    """Every normal subgroup as a sorted element tuple, ordered by
+    (order, elements): the normal closures of single classes (the atoms),
+    joined one atom at a time until nothing new appears.  The join of two
+    normal subgroups N and A is the product set N·A, a union of cosets xN."""
+
+    def generated(seed) -> frozenset:
+        out = set(seed) | {0}
+        frontier = list(out)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for b in list(out):
+                    for c in (mul[a][b], mul[b][a]):
+                        if c not in out:
+                            out.add(c)
+                            fresh.append(c)
+            frontier = fresh
+        return frozenset(out)
+
+    def join(normal: frozenset, atom: frozenset) -> frozenset:
+        out = set(normal)
+        for x in atom:
+            if x not in out:
+                out.update(mul[x][y] for y in normal)
+        return frozenset(out)
+
+    # A class is closed under conjugation, so the subgroup it generates is
+    # its normal closure.
+    atoms = {generated(cls) for cls in conjugacy_partition(mul)[1:]}
+    found = {frozenset([0])} | atoms
+    queue = list(found)
+    while queue:
+        cur = queue.pop()
+        for atom in atoms:
+            if atom <= cur:
+                continue
+            joined = join(cur, atom)
+            if joined not in found:
+                found.add(joined)
+                queue.append(joined)
+    return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+
+
 def element_order(mul, x: int) -> int:
     k, y = 1, x
     while y != 0:

@@ -7,6 +7,7 @@ else quantifies over the corpus fixtures with zero tolerance: any failed
 invariant raises, any frozen count that drifts fails the test.
 """
 
+import hashlib
 import time
 from collections import Counter
 
@@ -230,10 +231,11 @@ def test_criterion_8_orbit_lemmas():
 
 def test_criterion_9_determinism():
     """Two complete corpus runs emit byte-identical reports with the frozen
-    totals."""
+    totals, and the report's digest matches the recorded one."""
     first = run_corpus()
     second = run_corpus()
     assert first == second
+    assert hashlib.sha256(first.encode()).hexdigest()[:16] == "27601a057b47db7d"
     assert "groups-checked = 116" in first
     assert "normal-pairs = 6912" in first
     assert "camina-pairs = 40" in first

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupchar import (
+    BoundExceeded,
     Group,
     abelian,
     alt,
@@ -182,6 +183,28 @@ def test_minimal_normal_subgroups():
     assert [s.order for s in q8.minimal_normal_subgroups()] == [2]
     assert [s.order for s in POOL["D12"].minimal_normal_subgroups()] == [2, 3]
     assert [s.order for s in alt(5).minimal_normal_subgroups()] == [60]
+
+
+def test_normal_lattice_matches_atom_join_oracle(corpus_groups):
+    checked = 0
+    for name, g in corpus_groups.items():
+        if g.order > 64:
+            continue
+        lattice = [s.elements for s in g.normal_subgroups()]
+        assert lattice == oracles.normal_lattice(g.mul.tolist()), name
+        checked += 1
+    assert checked == 108
+
+
+def test_normal_lattice_bounds():
+    g = abelian([2] * 5)  # 374 subgroups, all normal
+    with pytest.raises(BoundExceeded):
+        g.normal_subgroups(bound=100)
+    assert len(g.normal_subgroups(bound=374)) == 374
+    with pytest.raises(BoundExceeded):
+        g.normal_subgroups(bound=373)  # the cached lattice is capped too
+    with pytest.raises(BoundExceeded):
+        cyclic(520).normal_subgroups()  # beyond the character-table order cap
 
 
 def test_normal_closure():
