@@ -37,8 +37,6 @@ from .chartable import (
     Character,
     CharacterTable,
     compute_table,
-    inner_product,
-    restrict,
     restriction_multiplicities,
     verify_table,
 )

@@ -117,13 +117,18 @@ def charpoly_mod(a: np.ndarray, q: int) -> np.ndarray:
     return poly[n]
 
 
+def poly_eval_mod(coeffs_ascending: np.ndarray, xs: np.ndarray, q: int) -> np.ndarray:
+    """Values of the given polynomial at every point of ``xs`` (Horner)."""
+    acc = np.zeros(len(xs), dtype=np.int64)
+    for c in coeffs_ascending[::-1]:
+        acc = (acc * xs + int(c)) % q
+    return acc
+
+
 def poly_roots_mod(coeffs_ascending: np.ndarray, q: int) -> np.ndarray:
     """All roots in F_q of the given polynomial, ascending (scan + Horner)."""
     xs = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    for c in coeffs_ascending[::-1]:
-        acc = (acc * xs + int(c)) % q
-    return xs[acc == 0]
+    return xs[poly_eval_mod(coeffs_ascending, xs, q) == 0]
 
 
 def sqrt_mod(a: int, q: int) -> tuple[int, int] | None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._arith import is_prime
+from ._modlinalg import rref_mod
 from .errors import (
     BoundExceeded,
     EvenCharacteristic,
@@ -42,27 +43,6 @@ ORDER_BOUND = 10 ** 6
 SPACE_BOUND = 2 ** 20
 
 
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    m = a.astype(np.int64) % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        r += 1
-    return r
-
-
 class LinearAction:
     """A finite matrix group acting on GF(p)^n, with per-generator vector
     permutations and the orbit partition computed lazily."""
@@ -82,7 +62,7 @@ class LinearAction:
             m = np.asarray(g, dtype=np.int64) % p
             if m.shape != (n, n):
                 raise InvalidAction(f"generator shape {m.shape} is not ({n}, {n})")
-            if _rank_mod(m, p) != n:
+            if len(rref_mod(m, p)[1]) != n:
                 raise InvalidAction("generator matrix is singular")
             gens.append(m)
         self.generators = gens
@@ -239,7 +219,8 @@ def _is_irreducible(action: LinearAction) -> bool:
         members = ids[labels == lab]
         if len(members) == 1 and members[0] == 0:
             continue
-        if _rank_mod(vectors[members], action.p) != action.n:
+        rank = len(rref_mod(vectors[members], action.p)[1])
+        if rank != action.n:
             return False
     return True
 
@@ -295,7 +276,7 @@ def gl_elements(p: int, n: int, bound: int = 5000) -> list[np.ndarray]:
             digits.append(c % p)
             c //= p
         m = np.array(digits, dtype=np.int64).reshape(n, n)
-        if _rank_mod(m, p) == n:
+        if len(rref_mod(m, p)[1]) == n:
             out.append(m)
             if len(out) > bound:
                 raise BoundExceeded("general linear group", len(out), bound)

@@ -2,15 +2,31 @@
 
 The pipeline is the classical class-algebra method: the class-multiplication
 matrices commute and have a common eigenbasis over a prime field F_q chosen
-with q ≡ 1 (mod e) and q > 2|G| (e the group exponent), so iterative
-eigenspace splitting recovers the central characters mod q; degrees follow
-from the orthogonality relation, and each value is lifted to an exact
-cyclotomic integer by extracting root-of-unity multiplicities, which are
-genuine nonnegative integers below q and therefore unambiguous residues.
+with q ≡ 1 (mod e) and q > 2|G| (e the group exponent), whose vectors are
+the central characters mod q.  They are found by splitting (Schneider,
+"Dixon's character table algorithm revisited", 1990):
 
-Everything is deterministic: fixed prime choice, fixed splitting order
-(increasing class size, ties by representative id), canonical row order
-(trivial character first, then by degree and lexicographic coefficients).
+* the whole space is split first by one combination sum c_i * C_i of the
+  non-identity class matrices, with weights from a fixed-seed generator,
+  which usually separates every character at once;
+* in each split, the eigenvector of every simple root of the block's
+  charpoly is the projection of one seeded probe vector through its
+  Krylov rows, checked exactly; repeated roots, and projections that
+  vanish, take a nullspace instead;
+* blocks left by repeated eigenvalues are split by the single class
+  matrices in a fixed order (increasing class size, ties by
+  representative id) until every block is one-dimensional.
+
+Degrees follow from the orthogonality relation, and each value is lifted to
+an exact cyclotomic integer by extracting root-of-unity multiplicities,
+which are genuine nonnegative integers below q and therefore unambiguous
+residues.  A table stores the lifted values as one coefficient array;
+``Character.values`` turns a row into ``Cyclotomic`` objects on demand.
+
+The output does not depend on the weights or the probes: the eigenvectors
+are unique up to scale and normalized, the prime choice is fixed, and rows
+are put in canonical order (trivial character first, then by degree and
+lexicographic coefficients).
 """
 
 from __future__ import annotations
@@ -24,6 +40,7 @@ from ._modlinalg import (
     charpoly_mod,
     inv_mod,
     nullspace_mod,
+    poly_eval_mod,
     poly_roots_mod,
     rref_mod,
     sqrt_mod,
@@ -33,7 +50,6 @@ from .cyclotomic import Cyclotomic, _reduction_table
 from .errors import (
     BoundExceeded,
     ContractViolation,
-    NonIntegral,
     NoSuitablePrime,
     SplitFailure,
 )
@@ -57,15 +73,27 @@ def dixon_prime(exponent: int, order: int) -> int:
 
 
 class Character:
-    """One row of a character table: exact values per conjugacy class."""
+    """One row of a character table.
 
-    __slots__ = ("table", "index", "degree", "values")
+    ``values`` holds the exact value on each conjugacy class as a
+    ``Cyclotomic``.  It is built from the table's coefficient array on first
+    access and cached; the library's own checks read the arrays only.
+    """
 
-    def __init__(self, table: "CharacterTable", index: int, degree: int, values):
+    __slots__ = ("table", "index", "degree", "_values")
+
+    def __init__(self, table: "CharacterTable", index: int, degree: int):
         self.table = table
         self.index = index
         self.degree = degree
-        self.values = tuple(values)
+        self._values: tuple[Cyclotomic, ...] | None = None
+
+    @property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        if self._values is None:
+            e = self.table.conductor
+            self._values = tuple(Cyclotomic(e, c) for c in self.table._coeffs[self.index])
+        return self._values
 
     @property
     def parent(self) -> Group:
@@ -91,10 +119,11 @@ class CharacterTable:
 
     Public fields: ``group``, ``classes``, ``rows`` (trivial character
     first, then sorted by degree and lexicographic coefficient vectors),
-    ``conductor`` (= group exponent), ``prime`` (the working modulus).
+    ``degrees`` (an int64 array in row order), ``conductor`` (= group
+    exponent), ``prime`` (the working modulus).
     """
 
-    def __init__(self, group, classes, rows_data, conductor, prime, root,
+    def __init__(self, group, classes, degrees, conductor, prime, root,
                  coeffs, modq, kernel_mask):
         self.group = group
         self.classes = classes
@@ -105,10 +134,8 @@ class CharacterTable:
         self._modq = modq                # (rows, classes) values mod prime
         self._kernel_mask = kernel_mask  # (rows, classes) bool: class in kernel
         self._zero_mask = ~coeffs.any(axis=2)
-        self.degrees = np.array([d for d, _ in rows_data], dtype=np.int64)
-        self.rows = tuple(
-            Character(self, i, int(d), vals) for i, (d, vals) in enumerate(rows_data)
-        )
+        self.degrees = degrees
+        self.rows = tuple(Character(self, i, int(d)) for i, d in enumerate(degrees))
         self._kernels: dict[int, Subgroup] = {}
 
     def __len__(self):
@@ -233,70 +260,72 @@ def compute_table(group: Group, bound: int = TABLE_ORDER_BOUND) -> CharacterTabl
     modq = modq[order]
     kernel_mask = kernel_mask[order]
 
-    rows_data = []
-    for r in range(k):
-        vals = [Cyclotomic(e, coeffs[r, c]) for c in range(k)]
-        rows_data.append((int(degrees[r]), vals))
-
-    table = CharacterTable(group, cc, rows_data, e, q, z, coeffs, modq, kernel_mask)
+    table = CharacterTable(group, cc, degrees, e, q, z, coeffs, modq, kernel_mask)
     group._cache["table"] = table
     return table
 
 
+# Seed of the generator behind the combination weights and the probe
+# vectors.  Every seed yields the same table; a fixed one keeps the work
+# done, and so the timings, repeatable.
+_SPLIT_SEED = 0x5C4E1D
+
+
+def _combination_weights(rng: np.random.Generator, count: int, q: int) -> np.ndarray:
+    """Weights c_i of the combined class matrix sum c_i * C_i (nonzero mod q)."""
+    return rng.integers(1, q, size=count)
+
+
+def _probe_vector(rng: np.random.Generator, d: int, q: int) -> np.ndarray:
+    """Vector projected onto the simple eigenspaces of a d-dimensional block."""
+    return rng.integers(0, q, size=d)
+
+
+def _class_matrix_sum(group: Group, cc, elems: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M[j, c] = sum of weights[x] over x in elems with x^-1 * rep_c in class j.
+
+    With the members of class i and unit weights this is the class matrix
+    C_i; with every non-identity element weighted by its class's c_i it is
+    sum c_i * C_i.
+    """
+    k = len(cc.reps)
+    prod_classes = cc.class_of[group.mul[np.ix_(group.inv[elems], cc.reps)]]
+    m = np.zeros((k, k), dtype=np.int64)
+    np.add.at(
+        m,
+        (prod_classes.ravel(), np.tile(np.arange(k), elems.size)),
+        np.repeat(weights, k),
+    )
+    return m
+
+
 def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
     """Common eigenbasis of the class matrices over F_q, one row per character,
-    normalized so the identity-class coordinate is 1."""
+    normalized so the identity-class coordinate is 1.
+
+    The whole space is split first by one seeded combination sum c_i * C_i
+    of the non-identity class matrices; blocks left by repeated eigenvalues
+    are split by the class matrices one at a time (increasing class size,
+    ties by representative id) until every block is one-dimensional.
+    """
     k = len(cc.reps)
-    mul, inv = group.mul, group.inv
-    reps = cc.reps
+    rng = np.random.default_rng(_SPLIT_SEED)
+    blocks: list[tuple[np.ndarray, list[int]]] = [
+        (np.eye(k, dtype=np.int64), list(range(k)))
+    ]
+    others = np.arange(1, group.order)
+    weights = np.zeros(k, dtype=np.int64)
+    weights[1:] = _combination_weights(rng, k - 1, q)
+    combined = _class_matrix_sum(group, cc, others, weights[cc.class_of[others]])
+    blocks = _split_blocks(blocks, combined.T % q, q, rng)
 
-    matrices: dict[int, np.ndarray] = {}
-
-    def class_matrix(i: int) -> np.ndarray:
-        m = matrices.get(i)
-        if m is None:
-            members = cc.members[i]
-            prod_classes = cc.class_of[mul[np.ix_(inv[members], reps)]]
-            m = np.zeros((k, k), dtype=np.int64)
-            np.add.at(
-                m,
-                (prod_classes.ravel(), np.tile(np.arange(k), members.size)),
-                1,
-            )
-            matrices[i] = m
-        return m
-
-    full, piv = rref_mod(np.eye(k, dtype=np.int64), q)
-    blocks: list[tuple[np.ndarray, list[int]]] = [(full, piv)]
-    class_order = sorted(range(1, k), key=lambda i: (int(cc.sizes[i]), int(reps[i])))
-
+    class_order = sorted(range(1, k), key=lambda i: (int(cc.sizes[i]), int(cc.reps[i])))
     for i in class_order:
         if all(b.shape[0] == 1 for b, _ in blocks):
             break
-        mat_t = class_matrix(i).T
-        new_blocks: list[tuple[np.ndarray, list[int]]] = []
-        for basis, pivots in blocks:
-            d = basis.shape[0]
-            if d == 1:
-                new_blocks.append((basis, pivots))
-                continue
-            mapped = basis @ mat_t % q
-            coords = mapped[:, pivots]              # action matrix (row form)
-            if not np.array_equal(coords @ basis % q, mapped):
-                raise SplitFailure("class matrix does not preserve the block")
-            poly = charpoly_mod(coords.T, q)
-            found = 0
-            for lam in poly_roots_mod(poly, q):
-                shifted = (coords.T - int(lam) * np.eye(d, dtype=np.int64)) % q
-                null = nullspace_mod(shifted, q)
-                if null.shape[0] == 0:
-                    continue
-                found += null.shape[0]
-                sub_basis, sub_piv = rref_mod(null @ basis % q, q)
-                new_blocks.append((sub_basis, sub_piv))
-            if found != d:
-                raise SplitFailure("eigenspaces do not fill the block")
-        blocks = new_blocks
+        members = cc.members[i]
+        mat = _class_matrix_sum(group, cc, members, np.ones(members.size, dtype=np.int64))
+        blocks = _split_blocks(blocks, mat.T, q, rng)
 
     if any(b.shape[0] != 1 for b, _ in blocks):
         raise SplitFailure("classes exhausted before one-dimensional split")
@@ -309,46 +338,82 @@ def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
     return omegas
 
 
-def inner_product(chi: Character, psi: Character) -> int:
-    """⟨χ, ψ⟩ = (1/|G|) Σ_g χ(g) conj(ψ(g)); must be a rational integer."""
-    if chi.table.group is not psi.table.group:
-        raise ValueError("inner product needs characters of the same group")
-    sizes = chi.table.classes.sizes
-    total = Cyclotomic.zero(chi.table.conductor)
-    for c in range(len(sizes)):
-        total = total + int(sizes[c]) * (chi.values[c] * psi.values[c].conjugate())
-    n = chi.table.group.order
-    if not total.is_integer() or total.as_int() % n:
-        raise NonIntegral(f"inner product {total} is not divisible by |G| = {n}")
-    return total.as_int() // n
+def _split_blocks(blocks, mat_t: np.ndarray, q: int, rng: np.random.Generator):
+    """Split every block of dimension above one into eigenspaces of mat_t."""
+    out: list[tuple[np.ndarray, list[int]]] = []
+    for basis, pivots in blocks:
+        if basis.shape[0] == 1:
+            out.append((basis, pivots))
+        else:
+            out.extend(_split_block(basis, pivots, mat_t, q, rng))
+    return out
 
 
-def restrict(chi: Character, sub: Subgroup, table_n: CharacterTable) -> list[int]:
-    """Multiplicity vector of χ|_N over the rows of N's table (exact)."""
-    if sub.parent is not chi.table.group:
-        raise ValueError("subgroup does not belong to the character's group")
-    if table_n.group is not sub.as_group():
-        raise ValueError("table does not match the materialized subgroup")
-    g = chi.table.group
-    ccn = table_n.classes
-    nsize = sub.order
-    # Value of chi at each class of N (via parent class lookup).
-    parent_class = g.conjugacy_classes().class_of[sub.to_parent(ccn.reps)]
-    mults: list[int] = []
-    for theta in table_n.rows:
-        total = Cyclotomic.zero(chi.table.conductor)
-        for j in range(len(ccn.reps)):
-            term = chi.values[parent_class[j]] * theta.values[j].conjugate()
-            total = total + int(ccn.sizes[j]) * term
-        if not total.is_integer() or total.as_int() % nsize:
-            raise NonIntegral(f"restriction multiplicity {total} not integral")
-        m = total.as_int() // nsize
-        if m < 0:
-            raise NonIntegral("negative restriction multiplicity")
-        mults.append(m)
-    if sum(m * t.degree for m, t in zip(mults, table_n.rows)) != chi.degree:
-        raise ContractViolation("restriction degrees do not add up")
-    return mults
+def _line(vec: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A one-dimensional block: the vector and its first nonzero column."""
+    return vec[None, :], [int(np.flatnonzero(vec)[0])]
+
+
+def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int,
+                 rng: np.random.Generator) -> list[tuple[np.ndarray, list[int]]]:
+    """Eigenspaces of x -> x @ mat_t on the row space of ``basis`` (RREF with
+    the given pivot columns), each as (basis, pivots).
+
+    The eigenvector of each simple root λ_j of the block's charpoly p is the
+    projection u * m_j(A) of one probe vector u, where m(x) is the product
+    of (x - λ) over the distinct roots and m_j(x) = m(x) / (x - λ_j).  It is
+    checked exactly.  Repeated roots, and simple roots whose projection is
+    zero, take a nullspace instead.
+    """
+    d = basis.shape[0]
+    mapped = basis @ mat_t % q
+    a = mapped[:, pivots]                       # action matrix (row form)
+    if not np.array_equal(a @ basis % q, mapped):
+        raise SplitFailure("class matrix does not preserve the block")
+    if np.array_equal(a, int(a[0, 0]) * np.eye(d, dtype=np.int64)):
+        return [(basis, pivots)]                # a scalar: nothing to split
+    poly = charpoly_mod(a.T, q)
+    roots = poly_roots_mod(poly, q)
+    deriv = poly[1:] * np.arange(1, poly.size, dtype=np.int64) % q
+    is_simple = poly_eval_mod(deriv, roots, q) != 0
+    simple = roots[is_simple]
+    rest = roots[~is_simple]                    # roots that take a nullspace
+
+    out: list[tuple[np.ndarray, list[int]]] = []
+    if simple.size:
+        s = roots.size
+        m = np.ones(1, dtype=np.int64)
+        for lam in roots:
+            m = (np.concatenate(([0], m)) - int(lam) * np.concatenate((m, [0]))) % q
+        # Quotients m(x) / (x - λ_j) by synthetic division, one row per λ_j.
+        quot = np.zeros((simple.size, s), dtype=np.int64)
+        quot[:, s - 1] = 1
+        for t in range(s - 1, 0, -1):
+            quot[:, t - 1] = (m[t] + simple * quot[:, t]) % q
+        krylov = np.empty((s, d), dtype=np.int64)
+        krylov[0] = _probe_vector(rng, d, q)
+        for t in range(1, s):
+            krylov[t] = krylov[t - 1] @ a % q
+        proj = quot @ krylov % q
+        hit = proj.any(axis=1)
+        proj = proj[hit]
+        rest = np.concatenate((rest, simple[~hit]))
+        if not np.array_equal(proj @ a % q, simple[hit, None] * proj % q):
+            raise SplitFailure("projected vector is not an eigenvector")
+        out.extend(_line(v) for v in proj @ basis % q)
+
+    found = len(out)
+    for lam in rest:
+        shifted = (a.T - int(lam) * np.eye(d, dtype=np.int64)) % q
+        null = nullspace_mod(shifted, q)
+        if null.shape[0] == 0:
+            continue
+        found += null.shape[0]
+        span = null @ basis % q
+        out.append(_line(span[0]) if null.shape[0] == 1 else rref_mod(span, q))
+    if found != d:
+        raise SplitFailure("eigenspaces do not fill the block")
+    return out
 
 
 def verify_table(table: CharacterTable) -> dict:
@@ -367,14 +432,14 @@ def verify_table(table: CharacterTable) -> dict:
     for d in degrees:
         if n % int(d):
             raise ContractViolation("degree does not divide group order")
-    if not all(v == 1 for v in (c.as_int() for c in table.rows[0].values)):
+    coeffs = table._coeffs
+    if not (np.all(coeffs[0, :, 0] == 1) and not coeffs[0, :, 1:].any()):
         raise ContractViolation("first row is not the trivial character")
 
     e = table.conductor
     phi = euler_phi(e)
     red = np.array(_reduction_table(e), dtype=np.int64)
     red2 = red[np.arange(2 * phi - 1) % e]
-    coeffs = table._coeffs
     conj = coeffs[:, table.classes.inverse_class, :]
     sizes = np.asarray(table.classes.sizes, dtype=np.int64)
 

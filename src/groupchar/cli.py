@@ -7,7 +7,9 @@ Irr(N) for a normal subgroup, ``classify`` runs the pair classifier,
 
 All reports are line-oriented ``key = value`` text with a
 ``report-version = 1`` first line.  Exit codes: 0 all assertions passed,
-2 a theorem or frozen-regression assertion failed, 1 usage or input error.
+2 a theorem or frozen-regression assertion failed or an internal
+consistency check (``ContractViolation``, ``SplitFailure``) did, 1 usage
+or input error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import ContractViolation, GroupCharError, TheoremViolation
+from .errors import (
+    ContractViolation,
+    GroupCharError,
+    SplitFailure,
+    TheoremViolation,
+)
 from .groups import Group, Subgroup
 from .groupio import load_group
 from .chartable import compute_table, verify_table
@@ -254,7 +261,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = args.func(args)
-    except (TheoremViolation, ContractViolation) as exc:
+    except (TheoremViolation, ContractViolation, SplitFailure) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return VIOLATION
     except (GroupCharError, ValueError, OSError) as exc:

@@ -29,10 +29,6 @@ class SplitFailure(GroupCharError):
     """Simultaneous eigenspace splitting did not reach one-dimensional spaces."""
 
 
-class NonIntegral(GroupCharError):
-    """An inner product failed to be an integer; indicates corrupted table data."""
-
-
 class ContractViolation(GroupCharError):
     """Two internally equivalent computations disagreed; a library bug."""
 

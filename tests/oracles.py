@@ -171,6 +171,40 @@ def restriction_inner(chi, theta, sub) -> int:
     return total // sub.order
 
 
+def inner_product(chi, psi) -> int:
+    """[chi, psi] = (1/|G|) sum over classes of |C| chi(g) conj(psi(g)),
+    from the cyclotomic values of two rows of one table."""
+    table = chi.table
+    acc = Cyclotomic.zero(table.conductor)
+    for c, size in enumerate(table.classes.sizes):
+        acc = acc + int(size) * (chi.values[c] * psi.values[c].conjugate())
+    if not acc.is_integer():
+        raise AssertionError("inner product is not a rational integer")
+    total = acc.as_int()
+    if total % table.group.order:
+        raise AssertionError("inner product sum not divisible by |G|")
+    return total // table.group.order
+
+
+def restrict(chi, sub, table_n) -> list[int]:
+    """Multiplicity of each row of N's table in chi|_N, from class sums over
+    N's classes with chi read at the parent class of each representative."""
+    parent_class = chi.table.classes.class_of
+    ccn = table_n.classes
+    mults = []
+    for theta in table_n:
+        acc = Cyclotomic.zero(chi.table.conductor)
+        for j, rep in enumerate(ccn.reps):
+            value = chi.values[parent_class[int(sub.to_parent(int(rep)))]]
+            acc = acc + int(ccn.sizes[j]) * (value * theta.values[j].conjugate())
+        if not acc.is_integer() or acc.as_int() % sub.order:
+            raise AssertionError("restriction multiplicity is not an integer")
+        mults.append(acc.as_int() // sub.order)
+    if sum(m * theta.degree for m, theta in zip(mults, table_n)) != chi.degree:
+        raise AssertionError("restriction degrees do not add up")
+    return mults
+
+
 def abelian_dual_rows(invariants: list[int]) -> list[tuple]:
     """The full character table of C_{d1} x ... x C_{dk} from the dual
     group, as coefficient signatures per element id (mixed radix, first
@@ -201,6 +235,57 @@ def abelian_dual_rows(invariants: list[int]) -> list[tuple]:
             row.append(Cyclotomic.zeta(exponent, s % exponent).coeffs)
         rows.append(tuple(row))
     return rows
+
+
+def rank_mod(rows, p: int) -> int:
+    """Rank over F_p of a list of integer rows, by Gaussian elimination."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def charpoly_laplace(a, p: int) -> list[int]:
+    """det(xI - a) over F_p by Laplace expansion along the first row, with
+    polynomial entries as ascending coefficient lists."""
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def add(f, g, sign=1):
+        n = max(len(f), len(g))
+        f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+        return [(x + sign * y) % p for x, y in zip(f, g)]
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        total = [0]
+        for j, entry in enumerate(m[0]):
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            total = add(total, mul(entry, det(minor)), -1 if j % 2 else 1)
+        return total
+
+    n = len(a)
+    entries = [[[(-a[i][j]) % p, 1] if i == j else [(-a[i][j]) % p]
+                for j in range(n)] for i in range(n)]
+    poly = det(entries) + [0] * (n + 1)
+    return poly[:n + 1]
 
 
 def orbits_brute(p: int, n: int, mats) -> list[int]:

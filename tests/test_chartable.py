@@ -21,13 +21,12 @@ from groupchar import (
     extraspecial_2,
     frobenius72_quaternion,
     generalized_quaternion,
-    inner_product,
-    restrict,
     restriction_multiplicities,
     sl23,
     sym,
     verify_table,
 )
+import groupchar.chartable as chartable
 from groupchar.chartable import dixon_prime
 
 import oracles
@@ -118,7 +117,7 @@ def test_inner_product_orthonormality():
     table = compute_table(sym(4))
     for a in table:
         for b in table:
-            assert inner_product(a, b) == (1 if a.index == b.index else 0)
+            assert oracles.inner_product(a, b) == (1 if a.index == b.index else 0)
 
 
 @pytest.mark.parametrize("name", ["S3", "D10"])
@@ -204,7 +203,7 @@ def test_restrict_agrees_with_bulk_path():
     table_n = compute_table(sub.as_group())
     mults = restriction_multiplicities(table_g, sub, table_n)
     for chi in table_g:
-        assert restrict(chi, sub, table_n) == list(mults[chi.index])
+        assert oracles.restrict(chi, sub, table_n) == list(mults[chi.index])
 
 
 def test_restriction_degree_bookkeeping():
@@ -214,6 +213,51 @@ def test_restriction_degree_bookkeeping():
     table_n = compute_table(sub.as_group())
     mults = restriction_multiplicities(table_g, sub, table_n)
     assert list(mults @ table_n.degrees) == [int(d) for d in table_g.degrees]
+
+
+SPLIT_CASES = {
+    "C2^5": lambda: abelian([2] * 5),
+    **{name: BUILDERS[name] for name in ("ES32+", "ES32-", "SL23", "F72", "C7:C3")},
+}
+
+
+def _split_calls(monkeypatch):
+    """Record the matrix size of every charpoly and nullspace the split takes."""
+    sizes = {"charpoly": [], "nullspace": []}
+    for key, name in (("charpoly", "charpoly_mod"), ("nullspace", "nullspace_mod")):
+        def counted(a, q, _fn=getattr(chartable, name), _key=key):
+            sizes[_key].append(a.shape[0])
+            return _fn(a, q)
+        monkeypatch.setattr(chartable, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_split_does_not_depend_on_the_combination(name, monkeypatch):
+    build = SPLIT_CASES[name]
+
+    def table_bytes():
+        table = compute_table(build())
+        return table._coeffs.tobytes(), table._kernel_mask.tobytes(), len(table)
+
+    seeded = table_bytes()
+    k = seeded[2]
+    with monkeypatch.context() as m:
+        # all-zero weights: the combined matrix splits nothing, so the
+        # per-class loop starts from the whole space
+        m.setattr(chartable, "_combination_weights",
+                  lambda rng, count, q: np.zeros(count, dtype=np.int64))
+        calls = _split_calls(m)
+        assert table_bytes() == seeded
+        assert calls["charpoly"][0] == k
+    with monkeypatch.context() as m:
+        # an all-zero probe projects to zero: every eigenvector comes from
+        # a nullspace
+        m.setattr(chartable, "_probe_vector",
+                  lambda rng, d, q: np.zeros(d, dtype=np.int64))
+        calls = _split_calls(m)
+        assert table_bytes() == seeded
+        assert calls["nullspace"][:1] == [k]
 
 
 def test_table_order_bound():

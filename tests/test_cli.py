@@ -9,6 +9,7 @@ import pytest
 
 import groupchar.cli as cli
 from groupchar import (
+    SplitFailure,
     TheoremViolation,
     dihedral,
     generalized_quaternion,
@@ -257,3 +258,16 @@ def test_violation_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "violation:" in err
+
+
+def test_split_failure_exits_2(capsys, monkeypatch, q8_file):
+    import groupchar.chartable as chartable
+
+    def broken_split(group, cc, q):
+        raise SplitFailure("forced failure of the eigenspace split")
+
+    monkeypatch.setattr(chartable, "_split_central_characters", broken_split)
+    code, out, err = run(capsys, ["table", q8_file])
+    assert code == 2
+    assert out == ""
+    assert "violation:" in err and "eigenspace split" in err
