@@ -131,17 +131,6 @@ def poly_roots_mod(coeffs_ascending: np.ndarray, q: int) -> np.ndarray:
     return xs[poly_eval_mod(coeffs_ascending, xs, q) == 0]
 
 
-def sqrt_mod(a: int, q: int) -> tuple[int, int] | None:
-    """Both square roots of ``a`` mod prime ``q`` (scan; q is small here)."""
-    a %= q
-    xs = np.arange(q, dtype=np.int64)
-    roots = xs[(xs * xs) % q == a]
-    if roots.size == 0:
-        return None
-    r = int(roots[0])
-    return (r, (q - r) % q)
-
-
 def element_of_order(e: int, q: int) -> int:
     """A fixed element of multiplicative order ``e`` in F_q (requires e | q-1).
 

@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-import math
-
-from ._arith import euler_phi, is_prime
+from ._arith import euler_phi, is_prime, isqrt_exact
 from ._modlinalg import (
     charpoly_mod,
     inv_mod,
@@ -43,7 +41,6 @@ from ._modlinalg import (
     poly_eval_mod,
     poly_roots_mod,
     rref_mod,
-    sqrt_mod,
     element_of_order,
 )
 from .cyclotomic import Cyclotomic, _reduction_table
@@ -187,22 +184,19 @@ def compute_table(group: Group, bound: int = TABLE_ORDER_BOUND) -> CharacterTabl
     omegas = _split_central_characters(group, cc, q)
 
     # Degrees from first orthogonality: d^2 = |G| / sum_k w_k w_{k*} / |C_k|.
+    # Since q > 2|G| >= 2d^2, the residue of d^2 mod q is d^2 itself.
     invcls = cc.inverse_class
     t_sums = (omegas * omegas[:, invcls] % q * inv_sizes[None, :] % q).sum(axis=1) % q
-    sqrt_cap = math.isqrt(n)
     degrees = np.empty(k, dtype=np.int64)
     for r in range(k):
         ts = int(t_sums[r])
         if ts == 0:
             raise ContractViolation("degenerate degree sum in table recovery")
         dsq = n * inv_mod(ts, q) % q
-        roots = sqrt_mod(dsq, q)
-        if roots is None:
-            raise ContractViolation("degree square has no modular root")
-        cands = [c for c in roots if 1 <= c <= sqrt_cap]
-        if len(cands) != 1:
-            raise ContractViolation("ambiguous degree recovery")
-        degrees[r] = cands[0]
+        d = isqrt_exact(dsq)
+        if d is None or not 1 <= dsq <= n:
+            raise ContractViolation("degree square is not a square in [1, |G|]")
+        degrees[r] = d
     if int((degrees * degrees).sum()) != n:
         raise ContractViolation("degree squares do not sum to group order")
     for d in degrees:

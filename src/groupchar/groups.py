@@ -19,15 +19,8 @@ import numpy as np
 from ._arith import factorize, lcm, p_part, prime_power
 from .errors import BoundExceeded, ContractViolation, NotNormal
 
-SUBGROUP_BOUND = 2000  # default group-order ceiling for minimal normals, radicals, series
+SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series uses
 NORMAL_LATTICE_BOUND = 10_000  # default ceiling on the number of normal subgroups
-
-_EXHAUSTIVE_ASSOCIATIVITY = 256
-_RANDOM_TRIPLE_FACTOR = 10
-
-
-def _bound_or_default(bound: int | None) -> int:
-    return SUBGROUP_BOUND if bound is None else bound
 
 
 class Group:
@@ -85,21 +78,20 @@ class Group:
         return orders
 
     def _check_associativity(self) -> None:
-        n, mul = self.order, self.mul
-        if n <= _EXHAUSTIVE_ASSOCIATIVITY:
-            for a in range(n):
-                left = mul[mul[a], :]
-                right = mul[a][mul]
-                if not np.array_equal(left, right):
-                    raise ValueError(f"associativity fails at element {a}")
-        else:
-            rng = np.random.default_rng(0)
-            m = _RANDOM_TRIPLE_FACTOR * n * n
-            a = rng.integers(0, n, m)
-            b = rng.integers(0, n, m)
-            c = rng.integers(0, n, m)
-            if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-                raise ValueError("associativity fails on sampled triples")
+        """Light's test over a greedily chosen generating set S.
+
+        The elements s with (x·s)·y = x·(s·y) for all x, y are closed under
+        the product, so checking every s in a set that generates the table
+        proves it associative, at |S|·n² cost instead of n³.
+        """
+        mul = self.mul
+        span = np.zeros(self.order, dtype=bool)  # closure of the checked elements
+        span[0] = True
+        while not span.all():
+            s = int(span.argmin())
+            if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
+                raise ValueError(f"associativity fails at element {s}")
+            span[self._closure(np.append(np.flatnonzero(span), s))] = True
 
     # -- elementary queries ---------------------------------------------------
 
@@ -183,12 +175,16 @@ class Group:
 
     def _closure(self, seed, cap: int | None = None) -> np.ndarray | None:
         """Multiplicative closure of seed (plus identity); None if cap exceeded."""
-        cur = np.unique(np.append(np.asarray(seed, dtype=np.int64), 0))
+        inside = np.zeros(self.order, dtype=bool)
+        inside[0] = True
+        inside[np.asarray(seed, dtype=np.int64)] = True
+        cur = np.flatnonzero(inside)
         while True:
-            nxt = np.unique(self.mul[np.ix_(cur, cur)])
+            inside[self.mul[cur[:, None], cur]] = True
+            nxt = np.flatnonzero(inside)
             if cap is not None and len(nxt) > cap:
                 return None
-            if len(nxt) == len(cur):
+            if len(nxt) in (len(cur), self.order):
                 return nxt
             cur = nxt
 
@@ -218,22 +214,44 @@ class Group:
         return Subgroup(self, self._closure(conj), normal=True)
 
     def _class_atoms(self) -> list[np.ndarray]:
-        """The normal closure of each nontrivial conjugacy class."""
+        """The normal closure of each nontrivial conjugacy class.
+
+        Minimal normal subgroups, radicals and every series go through
+        here, so this is where ``SUBGROUP_BOUND`` caps the group order.
+        """
         if "atoms" not in self._cache:
+            if self.order > SUBGROUP_BOUND:
+                raise BoundExceeded("class atoms", self.order, SUBGROUP_BOUND)
             self._cache["atoms"] = [
                 self.normal_closure([rep]).as_array()
                 for rep in self.conjugacy_classes().reps[1:]
             ]
         return self._cache["atoms"]
 
-    def minimal_normal_subgroups(self, bound: int | None = None) -> list["Subgroup"]:
+    def _joins(self, base: np.ndarray) -> list[np.ndarray]:
+        """B·atom(c) for each nontrivial class c: the normal closure of c
+        modulo the normal subgroup B, given as sorted ids ``base``."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[base] = True
+        seen: dict[bytes, np.ndarray] = {}
+        out = []
+        for atom in self._class_atoms():
+            key = atom.tobytes()
+            if key not in seen:
+                seen[key] = (
+                    base if inside[atom].all()
+                    else np.unique(self.mul[np.ix_(base, atom)])
+                )
+            out.append(seen[key])
+        return out
+
+    def minimal_normal_subgroups(self) -> list["Subgroup"]:
         """Inclusion-minimal nontrivial normal subgroups.
 
         Every minimal normal subgroup is the normal closure of any of its
         nontrivial classes, so the inclusion-minimal class closures are
         exactly the minimal normal subgroups.
         """
-        self._require_bound("minimal_normal_subgroups", bound)
         if "minimal_normals" in self._cache:
             return self._cache["minimal_normals"]
         seen: dict[tuple, np.ndarray] = {}
@@ -300,11 +318,6 @@ class Group:
             raise ContractViolation("normal subgroup order does not divide |G|")
         return [Subgroup(self, e, normal=True) for e in subs]
 
-    def _require_bound(self, what: str, bound: int | None) -> None:
-        b = _bound_or_default(bound)
-        if self.order > b:
-            raise BoundExceeded(what, self.order, b)
-
     # -- quotients -------------------------------------------------------------
 
     def quotient(self, normal: "Subgroup") -> "QuotientMap":
@@ -333,9 +346,8 @@ class Group:
 
     # -- radicals and series ------------------------------------------------------
 
-    def radicals(self, p: int, bound: int | None = None) -> "PRadicals":
+    def radicals(self, p: int) -> "PRadicals":
         """O_p, O_{p'}, the p-residual O^{p'}, and the Fitting subgroup."""
-        self._require_bound("radicals", bound)
         key = ("radicals", p)
         if key in self._cache:
             return self._cache[key]
@@ -347,17 +359,20 @@ class Group:
         self._cache[key] = out
         return out
 
-    def _class_radical(self, p: int, mode: str) -> "Subgroup":
-        """Union of classes whose normal closure is a p-group (or p'-group).
+    def _class_radical(self, p: int, mode: str,
+                       base: Subgroup | None = None) -> "Subgroup":
+        """The preimage of O_p(G/B) (mode "p") or O_{p'}(G/B) (mode "p'").
 
-        An element lies in O_p(G) exactly when its normal closure is a
-        p-group, and similarly for O_{p'}; the union of those classes is the
-        radical itself, which we re-verify to be closed.
+        An element x lies in that preimage exactly when its normal closure
+        modulo B, the join B·atom(x), has p-power (or p'-) index over B.  The
+        union of those classes is the preimage itself, which we re-verify to
+        be closed.  B is the trivial subgroup unless ``base`` says otherwise.
         """
+        below = np.array([0], dtype=np.int64) if base is None else base.as_array()
         members: list[np.ndarray] = [np.array([0], dtype=np.int64)]
         cc = self.conjugacy_classes()
-        for els, cls in zip(self._class_atoms(), cc.members[1:]):
-            m = len(els)
+        for join, cls in zip(self._joins(below), cc.members[1:]):
+            m = len(join) // len(below)
             if mode == "p":
                 ok = p_part(m, p) == m
             else:
@@ -392,59 +407,59 @@ class Group:
         self._cache["fitting"] = sub
         return sub
 
-    def iterated_series(self, p: int, bound: int | None = None) -> "IteratedSeries":
-        """O_p(G) <= O_{p,p'}(G) <= O_{p,p',p}(G), built through quotients."""
-        self._require_bound("iterated_series", bound)
-        o1 = self.radicals(p, bound).o_p
-        q1 = self.quotient(o1)
-        x = q1.image.radicals(p).o_p_prime
-        o2 = q1.preimage(x)
-        q2 = self.quotient(o2)
-        y = q2.image.radicals(p).o_p
-        o3 = q2.preimage(y)
-        for sub in (o2, o3):
-            if not sub.is_normal:
-                raise ContractViolation("iterated series member not normal")
+    def iterated_series(self, p: int) -> "IteratedSeries":
+        """O_p(G) <= O_{p,p'}(G) <= O_{p,p',p}(G), each step a class radical
+        over the one before, computed inside G."""
+        o1 = self.radicals(p).o_p
+        o2 = self._class_radical(p, mode="p'", base=o1)
+        o3 = self._class_radical(p, mode="p", base=o2)
         return IteratedSeries(p=p, o_p=o1, o_p_pprime=o2, o_p_pprime_p=o3)
 
-    def chief_series(self, bound: int | None = None) -> list["ChiefFactor"]:
-        """A chief series, one minimal normal step of the quotient at a time."""
-        self._require_bound("chief_series", bound)
+    def chief_series(self) -> list["ChiefFactor"]:
+        """A chief series, built inside G from the class atoms.
+
+        Each step from B takes the smallest join B·atom(c) larger than B,
+        ordered by (order, elements).  It is minimal normal over B: any
+        normal M > B contains a class c outside B, hence B·atom(c).
+        """
         if "chief_series" in self._cache:
             return self._cache["chief_series"]
         out: list[ChiefFactor] = []
-        current = self.trivial_subgroup()
-        while current.order < self.order:
-            q = self.quotient(current)
-            m = q.image.minimal_normal_subgroups()[0]
-            above = q.preimage(m)
+        below = np.array([0], dtype=np.int64)
+        while len(below) < self.order:
+            above = min(
+                (j for j in self._joins(below) if len(j) > len(below)),
+                key=lambda e: (len(e), e.tolist()),
+            )
             out.append(
                 ChiefFactor(
-                    below=current, above=above, section=m.as_group(), order=m.order
+                    below=Subgroup(self, below, normal=True),
+                    above=Subgroup(self, above, normal=True),
+                    order=len(above) // len(below),
                 )
             )
-            current = above
+            below = above
         self._cache["chief_series"] = out
         return out
 
-    def is_solvable(self, bound: int | None = None) -> bool:
-        if "solvable" not in self._cache:
-            self._cache["solvable"] = all(
-                f.section.is_abelian for f in self.chief_series(bound)
-            )
-        return self._cache["solvable"]
+    def is_solvable(self) -> bool:
+        """Every chief factor T^k (T simple) has prime-power order.
 
-    def is_nilpotent(self, bound: int | None = None) -> bool:
-        self._require_bound("is_nilpotent", bound)
+        A nonabelian simple T has at least three prime divisors (Burnside's
+        p^a q^b theorem), so this holds exactly when every T is cyclic.
+        """
+        return all(prime_power(f.order) is not None for f in self.chief_series())
+
+    def is_nilpotent(self) -> bool:
         return self._fitting().order == self.order
 
-    def is_supersolvable(self, bound: int | None = None) -> bool:
+    def is_supersolvable(self) -> bool:
         # p-groups: every chief factor is central of order p.
         if prime_power(self.order) is not None or self.order == 1:
             return True
         return all(
             prime_power(f.order) is not None and prime_power(f.order)[1] == 1
-            for f in self.chief_series(bound)
+            for f in self.chief_series()
         )
 
 
@@ -572,13 +587,6 @@ class QuotientMap:
     def __call__(self, g: int) -> int:
         return int(self.projection[g])
 
-    def preimage(self, sub: Subgroup) -> Subgroup:
-        """Pull an (often normal) subgroup of the image back to the source."""
-        if sub.parent is not self.image:
-            raise ValueError("subgroup does not live in the quotient image")
-        mask = np.isin(self.projection, sub.as_array())
-        return Subgroup(self.source, np.nonzero(mask)[0], normal=None)
-
 
 @dataclass(frozen=True)
 class PRadicals:
@@ -601,8 +609,7 @@ class IteratedSeries:
 class ChiefFactor:
     below: Subgroup
     above: Subgroup
-    section: Group  # isomorphic copy of above/below
-    order: int
+    order: int  # |above / below|
 
 
 # -- Frobenius structure -------------------------------------------------------

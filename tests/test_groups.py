@@ -14,6 +14,7 @@ from groupchar import (
     all_subgroups,
     cyclic,
     dihedral,
+    direct_product,
     frobenius72_quaternion,
     frobenius_complement,
     generalized_quaternion,
@@ -23,6 +24,8 @@ from groupchar import (
     sl23,
     sym,
 )
+from groupchar._arith import prime_factors, prime_power
+from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
 
@@ -207,6 +210,46 @@ def test_normal_lattice_bounds():
         cyclic(520).normal_subgroups()  # beyond the character-table order cap
 
 
+def _largest(members):
+    best = max(members, key=len)
+    assert all(m <= best for m in members)  # the largest contains the rest
+    return best
+
+
+def test_normal_structure_matches_kernel_lattice(corpus_groups):
+    """Chief series, radicals, iterated series and minimal normal subgroups,
+    all built from class atoms, against the character-kernel lattice."""
+    for name, g in corpus_groups.items():
+        lattice = [frozenset(s.elements) for s in g.normal_subgroups()]
+        for f in g.chief_series():
+            below, above = frozenset(f.below.elements), frozenset(f.above.elements)
+            assert above in lattice and f.order == len(above) // len(below), name
+            assert not any(below < m < above for m in lattice), name
+        minimal = [m for m in lattice[1:] if not any(1 < len(x) and x < m for x in lattice)]
+        assert [frozenset(s.elements) for s in g.minimal_normal_subgroups()] == minimal, name
+        for p in prime_factors(g.order):
+            def p_power(k):
+                return k == 1 or (prime_power(k) or (0,))[0] == p
+
+            rad, ser = g.radicals(p), g.iterated_series(p)
+            o_p = _largest([m for m in lattice if p_power(len(m))])
+            assert set(rad.o_p.elements) == o_p == set(ser.o_p.elements), name
+            o_pp = _largest([m for m in lattice if len(m) % p])
+            assert set(rad.o_p_prime.elements) == o_pp, name
+            o_pq = _largest([m for m in lattice if o_p <= m and len(m) // len(o_p) % p])
+            assert set(ser.o_p_pprime.elements) == o_pq, name
+            o_pqp = _largest([m for m in lattice if o_pq <= m and p_power(len(m) // len(o_pq))])
+            assert set(ser.o_p_pprime_p.elements) == o_pqp, name
+
+
+def test_class_atoms_bound():
+    g = cyclic(SUBGROUP_BOUND + 1)
+    with pytest.raises(BoundExceeded):
+        g.minimal_normal_subgroups()
+    with pytest.raises(BoundExceeded):
+        g.chief_series()
+
+
 def test_normal_closure():
     s4 = POOL["S4"]
     transposition = min(
@@ -260,3 +303,23 @@ def test_group_constructor_validation():
         Group(np.array([[1, 0], [0, 1]]))  # identity not id 0
     mul = np.zeros((1, 1), dtype=np.int64)
     assert Group(mul).order == 1
+
+
+def test_associativity_is_checked_exactly_above_order_256():
+    g = direct_product(alt(5), sym(3))  # order 360
+    mul = g.mul
+    # Rows r, r·t and columns c, t·c (t an involution) hold an intercalate, a
+    # 2x2 Latin subsquare; swapping its entries keeps a Latin square.
+    t = next(x for x in range(1, g.order) if g.elt_order[x] == 2)
+    r, c = next(
+        (r, c) for r in range(1, g.order) for c in range(1, g.order)
+        if 0 not in (mul[r, t], mul[t, c], mul[r, c], mul[mul[r, t], c])
+        and mul[t, c] != c
+    )
+    r2, c2 = mul[r, t], mul[t, c]
+    bad = mul.copy()
+    bad[[r, r2], [c, c2]] = mul[r2, c]
+    bad[[r, r2], [c2, c]] = mul[r, c]
+    assert Group(bad, validate=False).order == 360  # identity and inverses hold
+    with pytest.raises(ValueError, match="associativity"):
+        Group(bad)

@@ -10,6 +10,7 @@ from groupchar import (
     agl1,
     alt,
     abelian,
+    ContractViolation,
     camina_pair,
     classify_pair,
     cyclic,
@@ -27,6 +28,7 @@ from groupchar import (
     sl23,
     sym,
 )
+from groupchar import pairs
 from groupchar.constructors import c7_c3, direct_product
 
 import oracles
@@ -135,6 +137,15 @@ def test_classify_type2_families():
     assert pr.type == "Type2"
     assert pr.evidence["faithful_degree"] == 8
     assert pr.evidence["complement_order"] == 8
+
+
+def test_classify_pair_raises_when_camina_deciders_disagree(monkeypatch):
+    s4 = sym(4)
+    v4 = s4.minimal_normal_subgroups()[0]  # a NotD pair: no later Camina check
+    verdict = is_camina_vanishing(s4, v4)
+    monkeypatch.setattr(pairs, "is_camina_vanishing", lambda group, sub: not verdict)
+    with pytest.raises(ContractViolation):
+        classify_pair(s4, v4)
 
 
 def test_classify_notd_and_notapplicable():
