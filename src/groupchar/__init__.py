@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     SplitFailure,
     TheoremViolation,
+    UsageError,
 )
 from .cyclotomic import Cyclotomic
 from .groups import (
@@ -28,6 +29,7 @@ from .groups import (
     Group,
     QuotientMap,
     Subgroup,
+    acts_fixed_point_freely,
     all_subgroups,
     frobenius_complement,
     is_frobenius_with_kernel,

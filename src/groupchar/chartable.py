@@ -96,10 +96,6 @@ class Character:
     def parent(self) -> Group:
         return self.table.group
 
-    @property
-    def is_linear(self) -> bool:
-        return self.degree == 1
-
     def kernel(self) -> Subgroup:
         """{g : χ(g) = χ(1)}, decided via the trivial-root multiplicities."""
         return self.table._kernel_subgroup(self.index)

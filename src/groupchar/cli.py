@@ -7,9 +7,10 @@ Irr(N) for a normal subgroup, ``classify`` runs the pair classifier,
 
 All reports are line-oriented ``key = value`` text with a
 ``report-version = 1`` first line.  Exit codes: 0 all assertions passed,
-2 a theorem or frozen-regression assertion failed or an internal
-consistency check (``ContractViolation``, ``SplitFailure``) did, 1 usage
-or input error.
+1 a usage or input error (a bad argument, a missing or malformed file), 2
+a theorem or frozen-regression assertion failed, an internal consistency
+check (``ContractViolation``, ``SplitFailure``) did, or the library raised
+any other ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from pathlib import Path
 from .errors import (
     ContractViolation,
     GroupCharError,
+    ParseError,
     SplitFailure,
     TheoremViolation,
+    UsageError,
 )
 from .groups import Group, Subgroup
 from .groupio import load_group
@@ -57,10 +60,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _parse_ids(spec: str) -> list[int]:
+def _parse_ids(spec: str, order: int) -> list[int]:
     tokens = [t for t in re.split(r"[,\s]+", spec.strip()) if t]
-    if not tokens:
-        raise ValueError("empty element-id list")
+    if not tokens or not all(re.fullmatch("[0-9]+", t) and int(t) < order for t in tokens):
+        raise UsageError(f"--normal {spec!r} is not a list of element ids 0..{order - 1}")
     return [int(t) for t in tokens]
 
 
@@ -69,9 +72,13 @@ def _resolve_normals(group: Group, spec: str) -> list[Subgroup]:
     if spec == "auto-minimal":
         subs = group.minimal_normal_subgroups()
         return sorted(subs, key=lambda s: (s.order, s.elements))
-    sub = group.subgroup(_parse_ids(spec))
+    ids = _parse_ids(spec, group.order)
+    try:
+        sub = group.subgroup(ids)
+    except ValueError as exc:
+        raise UsageError(f"--normal: {exc}") from None
     if not sub.is_normal:
-        raise ValueError("the given elements generate a non-normal subgroup")
+        raise UsageError("the given elements generate a non-normal subgroup")
     return [sub]
 
 
@@ -119,22 +126,20 @@ def _cmd_analyze(args) -> str:
     rep.add("group", group.label)
     rep.add("order", group.order)
     for sub in _resolve_normals(group, args.normal):
-        table_n = compute_table(sub.as_group())
         rep.blank()
         rep.add("normal", list(sub.elements))
         rep.add("normal-order", sub.order)
-        for theta in table_n:
-            out = ramification_report(group, sub, theta)
+        for rec in ramification_report(group, sub):
             rep.blank()
-            rep.add("theta", theta.index)
-            rep.add("theta-degree", theta.degree)
-            rep.add("invariant", out["invariant"])
-            rep.add("distinct-degrees", out["distinct_degrees"])
-            rep.add("count-above", out["count_above"])
-            rep.add("degrees-above", out["degrees_above"])
-            rep.add("fully-ramified", out["fully_ramified"])
-            rep.add("e", out["e"])
-            rep.add("quotient-class", out["quotient_class"])
+            rep.add("theta", rec["theta"])
+            rep.add("theta-degree", rec["theta_degree"])
+            rep.add("invariant", rec["invariant"])
+            rep.add("distinct-degrees", rec["distinct_degrees"])
+            rep.add("count-above", rec["count_above"])
+            rep.add("degrees-above", rec["degrees_above"])
+            rep.add("fully-ramified", rec["fully_ramified"])
+            rep.add("e", rec["e"])
+            rep.add("quotient-class", rec["quotient_class"])
     return rep.render()
 
 
@@ -173,12 +178,13 @@ def _read_matrices(path: str, n: int) -> list[list[list[int]]]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        entries = [int(t) for t in stripped.split()]
+        try:
+            entries = [int(t) for t in stripped.split()]
+        except ValueError:
+            raise ParseError(f"non-integer matrix entry in {stripped!r}", lineno) from None
         if len(entries) != n * n:
-            raise ValueError(
-                f"line {lineno}: expected {n * n} entries for a "
-                f"{n}x{n} matrix, got {len(entries)}"
-            )
+            raise ParseError(f"expected {n * n} entries for a {n}x{n} matrix, "
+                             f"got {len(entries)}", lineno)
         mats.append([entries[i * n:(i + 1) * n] for i in range(n)])
     return mats
 
@@ -264,9 +270,12 @@ def main(argv=None) -> int:
     except (TheoremViolation, ContractViolation, SplitFailure) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return VIOLATION
-    except (GroupCharError, ValueError, OSError) as exc:
+    except (GroupCharError, OSError, UnicodeDecodeError) as exc:  # input files are ASCII
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return VIOLATION
     sys.stdout.write(text)
     return 0
 

@@ -5,13 +5,17 @@ always live on its materialized standalone group (`Subgroup.as_group()`),
 whose local ids are the parent ids in sorted order; the id maps travel with
 the Subgroup object.
 
-The per-pair scan (`ramification_scan_pair`) asserts, for every invariant
-character θ of N with pairwise distinct degrees above it and a supersolvable
-or odd-order quotient G/N, that exactly one character of G lies above θ and
-that its ramification index e satisfies e² = |G:N|; it also asserts the
-two-characters-above fact (equal degrees) and, for fully ramified θ with
-abelian quotient, the A × A invariant-factor shape of G/N.  Violations are
-raised as TheoremViolation, never swallowed.
+One pass per pair (G, N) gives a record for every θ ∈ Irr(N)
+(`ramification_report`) or for the invariant θ only
+(`ramification_scan_pair`).  It asserts Clifford's theorem on every θ it
+reports and, for every invariant θ with pairwise distinct degrees above it
+and a supersolvable or odd-order quotient G/N, that exactly one character
+of G lies above θ and that its ramification index e satisfies e² = |G:N|;
+it also asserts the two-characters-above fact (equal degrees) and, for
+fully ramified θ with abelian quotient, the A × A invariant-factor shape of
+G/N.  Violations are raised as TheoremViolation, never swallowed.
+`build_triple`, `orbit_of`, `stabilizer_of` and `is_fully_ramified` reach
+the same facts through the stabilizer group, as an independent route.
 """
 
 from __future__ import annotations
@@ -95,21 +99,10 @@ def _row_lookup(table: CharacterTable) -> dict[bytes, int]:
     return lut
 
 
-def _conjugation_class_map(group: Group, sub: Subgroup, table_n: CharacterTable,
-                           g: int) -> np.ndarray:
-    """sigma with sigma[j] = N-class of g x_j g^{-1} for N-class reps x_j."""
-    mul, inv = group.mul, group.inv
-    rank = _local_rank(sub)
-    reps_parent = sub.to_parent(np.asarray(table_n.classes.reps))
-    conj = mul[mul[g, reps_parent], inv[g]]
-    return table_n.classes.class_of[rank[conj]]
-
-
 def conjugate_character(theta: Character, g: int, sub: Subgroup) -> Character:
     """θ^g with θ^g(x) = θ(g x g^{-1}); again a row of N's table."""
     table_n = theta.table
-    group = sub.parent
-    sigma = _conjugation_class_map(group, sub, table_n, g)
+    sigma = _conjugation_profile(sub.parent, sub, table_n, [g])[0]
     new_coeffs = table_n._coeffs[theta.index][sigma]
     idx = _row_lookup(table_n).get(np.ascontiguousarray(new_coeffs).tobytes())
     if idx is None:
@@ -117,13 +110,14 @@ def conjugate_character(theta: Character, g: int, sub: Subgroup) -> Character:
     return table_n.rows[idx]
 
 
-def _conjugation_profile(group: Group, sub: Subgroup, table_n: CharacterTable):
-    """For every g: the induced permutation of N's classes (|G| x k_N)."""
+def _conjugation_profile(group: Group, sub: Subgroup, table_n: CharacterTable,
+                         elements=slice(None)) -> np.ndarray:
+    """For each g in ``elements`` (default all of G), the induced permutation
+    σ_g of N's classes: σ_g[j] is the N-class of g x_j g^{-1}."""
     mul, inv = group.mul, group.inv
-    rank = _local_rank(sub)
     reps_parent = sub.to_parent(np.asarray(table_n.classes.reps))
-    conj = mul[mul[:, reps_parent], inv[:, None]]
-    return table_n.classes.class_of[rank[conj]]
+    conj = mul[mul[elements][:, reps_parent], inv[elements][:, None]]
+    return table_n.classes.class_of[_local_rank(sub)[conj]]
 
 
 def stabilizer_of(theta: Character, group: Group, sub: Subgroup) -> Subgroup:
@@ -206,27 +200,22 @@ def build_triple(group: Group, sub: Subgroup, theta: Character) -> CharacterTrip
     return CharacterTriple(group, sub, theta, stab, above)
 
 
-def _transfer_into(sub_outer: Subgroup, sub_inner: Subgroup, theta: Character):
-    """Re-express θ (a character of sub_inner ≤ parent) inside sub_outer.
+def _transfer_into(sub_outer: Subgroup, sub_inner: Subgroup):
+    """(M, N inside M) for N = sub_inner ≤ M = sub_outer, both in one parent.
 
-    Returns (outer group, inner-as-subgroup-of-outer, θ on the new copy).
-    Local ids sort by parent id on both routes, so the materialized tables
-    coincide row for row; this is asserted, not assumed.
+    Local ids sort by parent id, so N's local ids inside M map back, in
+    order, to N's parent ids: N inside M materializes to the same table as
+    ``sub_inner.as_group()``, and a character θ of N is used as it stands.
     """
     outer = sub_outer.as_group()
-    rank = _local_rank(sub_outer)
-    inner_local = rank[sub_inner.as_array()]
+    inner_local = _local_rank(sub_outer)[sub_inner.as_array()]
     if inner_local.min() < 0:
         raise ValueError("inner subgroup is not contained in the outer one")
     inner_in_outer = Subgroup(outer, inner_local)
-    regrown = inner_in_outer.as_group()
-    if not np.array_equal(regrown.mul, sub_inner.as_group().mul):
-        raise ContractViolation("subgroup materialization is not id-stable")
-    table_new = compute_table(regrown)
-    if not np.array_equal(table_new._coeffs, theta.table._coeffs):
-        raise ContractViolation("re-materialized table rows differ")
-    theta_new = table_new.rows[theta.index]
-    return outer, inner_in_outer, theta_new
+    if not np.array_equal(sub_outer.to_parent(inner_in_outer.as_array()),
+                          sub_inner.as_array()):
+        raise ContractViolation("local ids of the inner subgroup are out of order")
+    return outer, inner_in_outer
 
 
 def is_fully_ramified(triple: CharacterTriple):
@@ -241,8 +230,8 @@ def is_fully_ramified(triple: CharacterTriple):
     if stab.order == group.order:
         verdict = _fully_ramified_at_top(triple)
     else:
-        stab_group, sub_in_stab, theta_s = _transfer_into(stab, sub, theta)
-        verdict = is_fully_ramified(build_triple(stab_group, sub_in_stab, theta_s))
+        stab_group, sub_in_stab = _transfer_into(stab, sub)
+        verdict = is_fully_ramified(build_triple(stab_group, sub_in_stab, theta))
     if verdict[0]:
         e = verdict[1]
         if len(triple.above) != 1:
@@ -277,16 +266,16 @@ def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):
     """
     if not sub_n.is_subset_of(sub_m):
         raise ValueError("need N ≤ M to extend characters")
-    m_group, n_in_m, theta_m = _transfer_into(sub_m, sub_n, theta)
+    m_group, n_in_m = _transfer_into(sub_m, sub_n)
     table_m = compute_table(m_group)
-    table_n = theta_m.table
-    if not bool(invariant_rows(m_group, n_in_m, table_n)[theta_m.index]):
+    table_n = theta.table
+    if not bool(invariant_rows(m_group, n_in_m, table_n)[theta.index]):
         raise ValueError("character is not invariant in M")
     mults = restriction_multiplicities(table_m, n_in_m, table_n)
     exts = [
         table_m.rows[r]
-        for r in np.nonzero(mults[:, theta_m.index])[0]
-        if table_m.rows[r].degree == theta_m.degree
+        for r in np.nonzero(mults[:, theta.index])[0]
+        if table_m.rows[r].degree == theta.degree
     ]
     qm = m_group.quotient(n_in_m)
     if qm.image.is_abelian and theta.degree == 1 and exts:
@@ -399,114 +388,136 @@ def quotient_class(image: Group) -> str:
     return "other"
 
 
-def _assert_pair_theorems(group: Group, sub: Subgroup, table_g, table_n,
-                          inv_mask, mults, qclass, quotient_image, records):
-    """Shared assertion core for one pair (G, N): iterate the invariant θ."""
-    index = group.order // sub.order
-    theta_degrees = table_n.degrees
-    for t in range(len(table_n.rows)):
-        if not inv_mask[t]:
-            continue
-        col = mults[:, t]
-        above = np.nonzero(col)[0]
-        degrees_above = [int(table_g.degrees[r]) for r in above]
-        count = len(above)
-        # Homogeneity for invariant θ: χ|_N = e·θ exactly.
-        for r in above:
-            if np.count_nonzero(mults[r]) != 1:
-                raise ContractViolation("invariant θ with non-singleton support")
-            if int(col[r]) * int(theta_degrees[t]) != int(table_g.degrees[r]):
-                raise ContractViolation("invariant θ restriction degree mismatch")
-        distinct = len(set(degrees_above)) == len(degrees_above)
-        fully = False
-        e_val = None
-        if count == 1:
-            e_val = int(col[above[0]])
-            fully = e_val * e_val == index
-        if distinct and qclass in ("supersolvable", "odd"):
-            if count != 1 or not fully:
-                raise TheoremViolation(
-                    "distinct degrees above an invariant character with a "
-                    "supersolvable-or-odd quotient must be fully ramified",
-                    {"group": group.label, "n_order": sub.order, "theta": t,
-                     "count_above": count, "degrees_above": degrees_above,
-                     "quotient": qclass},
-                )
-        if count == 2 and degrees_above[0] != degrees_above[1]:
+def _orbits(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:
+    """Row masks of the G-orbits on Irr(N), closed under the row permutations
+    that the generators of G induce.  Asserts |G(θ)|·|O(θ)| = |G|, counting
+    G(θ) over the class permutations of all of G."""
+    coeffs = table_n._coeffs
+    profile = _conjugation_profile(group, sub, table_n)
+    lut = _row_lookup(table_n)
+    perms = [
+        np.array([lut.get(row.tobytes(), -1)
+                  for row in np.ascontiguousarray(coeffs[:, profile[g]])])
+        for g in group.generators()
+    ]
+    if any((perm < 0).any() for perm in perms):
+        raise ContractViolation("conjugate character left the table")
+    label, prev = np.arange(len(coeffs)), None  # label: least row of the orbit
+    while not np.array_equal(label, prev):
+        prev = label.copy()
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+    orbits = label[:, None] == label[None, :]
+    sigmas, counts = np.unique(profile, axis=0, return_counts=True)
+    stab = sum(c * np.all(coeffs[:, s] == coeffs, axis=(1, 2))
+               for s, c in zip(sigmas, counts))
+    if not np.all(stab * orbits.sum(axis=1) == group.order):
+        raise ContractViolation("orbit size does not match stabilizer index")
+    return orbits
+
+
+def _check_clifford(table_g: CharacterTable, table_n: CharacterTable,
+                    mults: np.ndarray, rows: np.ndarray, orbits: np.ndarray):
+    """Clifford's theorem on the rows θ of N's table, with ``orbits[i]`` the
+    orbit of θ = rows[i]: every χ above θ restricts to e·Σ_{θ' ∈ O(θ)} θ',
+    every θ' has degree θ(1), and χ(1) = e·|O(θ)|·θ(1)."""
+    chi, i = np.nonzero(mults[:, rows])
+    e, above = mults[chi, rows[i]], mults[chi]
+    if not np.array_equal(above > 0, orbits[i]):
+        raise ContractViolation("restriction support is not the orbit of θ")
+    if not np.all((above == e[:, None]) | (above == 0)):
+        raise ContractViolation("Clifford multiplicities are not homogeneous")
+    theta_deg = table_n.degrees[rows]
+    if np.any(orbits & (table_n.degrees != theta_deg[:, None])):
+        raise ContractViolation("orbit members have unequal degrees")
+    if not np.array_equal(table_g.degrees[chi],
+                          e * orbits.sum(axis=1)[i] * theta_deg[i]):
+        raise ContractViolation("degree bookkeeping fails for Irr(G|θ)")
+
+
+def _assert_invariant_theorems(group: Group, sub: Subgroup, rec: dict, image: Group):
+    """The theorem assertions for the record of one invariant θ."""
+    count, degs, qclass = rec["count_above"], rec["degrees_above"], rec["quotient_class"]
+    witness = {"group": group.label, "n_order": sub.order, "theta": rec["theta"]}
+    if (rec["distinct_degrees"] and qclass in ("supersolvable", "odd")
+            and not rec["fully_ramified"]):
+        raise TheoremViolation(
+            "distinct degrees above an invariant character with a "
+            "supersolvable-or-odd quotient must be fully ramified",
+            {**witness, "count_above": count, "degrees_above": degs,
+             "quotient": qclass},
+        )
+    if count == 2 and degs[0] != degs[1]:
+        raise TheoremViolation(
+            "exactly two characters above an invariant character must share a degree",
+            {**witness, "degrees_above": degs},
+        )
+    if rec["fully_ramified"] and rec["quotient_abelian"]:
+        factors = abelian_invariant_factors(image)
+        if any(v % 2 for v in Counter(factors).values()):
             raise TheoremViolation(
-                "exactly two characters above an invariant character "
-                "must share a degree",
-                {"group": group.label, "n_order": sub.order, "theta": t,
-                 "degrees_above": degrees_above},
+                "fully ramified over an abelian quotient requires the "
+                "A x A invariant-factor shape",
+                {**witness, "invariant_factors": factors},
             )
-        if fully and quotient_image.is_abelian:
-            factors = abelian_invariant_factors(quotient_image)
-            if any(v % 2 for v in Counter(factors).values()):
-                raise TheoremViolation(
-                    "fully ramified over an abelian quotient requires the "
-                    "A x A invariant-factor shape",
-                    {"group": group.label, "n_order": sub.order, "theta": t,
-                     "invariant_factors": factors},
-                )
-        records.append({
-            "theta": t,
-            "theta_degree": int(theta_degrees[t]),
-            "invariant": True,
-            "count_above": count,
-            "degrees_above": degrees_above,
-            "distinct_degrees": distinct,
-            "fully_ramified": fully,
-            "e": e_val,
-            "quotient_class": qclass,
-            "quotient_abelian": bool(quotient_image.is_abelian),
-        })
 
 
-def ramification_scan_pair(group: Group, sub: Subgroup) -> list[dict]:
-    """Run the invariant-θ assertions for one normal subgroup; see module doc."""
+def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dict]:
+    """One pass over (G, N): a record for every θ ∈ Irr(N), or with
+    ``every_row`` false for the invariant θ only, which needs no orbit work.
+
+    θ is fully ramified in its stabilizer G(θ) exactly when one χ lies above
+    it and e²·|O(θ)| = |G:N|: induction from G(θ) is a bijection
+    Irr(G(θ)|θ) → Irr(G|θ) that keeps e, and |G(θ):N| = |G:N|/|O(θ)|
+    (Isaacs, *Character Theory of Finite Groups*, 6.11)."""
     table_g = compute_table(group)
     table_n = compute_table(sub.as_group())
     inv_mask = invariant_rows(group, sub, table_n)
-    records: list[dict] = []
-    if not inv_mask.any():
-        return records
     mults = restriction_multiplicities(table_g, sub, table_n)
     qm = group.quotient(sub)
     qclass = quotient_class(qm.image)
-    _assert_pair_theorems(group, sub, table_g, table_n, inv_mask, mults,
-                          qclass, qm.image, records)
+    if every_row:
+        rows = np.arange(len(inv_mask))
+        orbits = _orbits(group, sub, table_n)
+        if not np.array_equal(orbits.sum(axis=1) == 1, inv_mask):
+            raise ContractViolation("invariant rows are not the singleton orbits")
+    else:
+        rows = np.flatnonzero(inv_mask)
+        orbits = np.eye(len(inv_mask), dtype=bool)[rows]  # O(θ) = {θ}
+    _check_clifford(table_g, table_n, mults, rows, orbits)
+    index = group.order // sub.order
+    records = []
+    for t, size in zip(rows.tolist(), orbits.sum(axis=1).tolist()):
+        above = np.flatnonzero(mults[:, t])
+        degs = table_g.degrees[above].tolist()
+        e_val = int(mults[above[0], t]) if len(above) == 1 else None
+        rec = {
+            "theta": t,
+            "theta_degree": int(table_n.degrees[t]),
+            "invariant": bool(inv_mask[t]),
+            "count_above": len(above),
+            "degrees_above": degs,
+            "distinct_degrees": len(set(degs)) == len(degs),
+            "fully_ramified": e_val is not None and e_val * e_val * size == index,
+            "e": e_val,
+            "quotient_class": qclass,
+            "quotient_abelian": bool(qm.image.is_abelian),
+        }
+        if rec["invariant"]:
+            _assert_invariant_theorems(group, sub, rec, qm.image)
+        records.append(rec)
     return records
 
 
-def ramification_report(group: Group, sub: Subgroup, theta: Character) -> dict:
-    """Report {invariant, distinct_degrees, count_above, fully_ramified,
-    quotient_class} for one triple, with the theorem assertions applied
-    when θ is invariant (violations raise TheoremViolation)."""
-    table_g = compute_table(group)
-    table_n = theta.table
-    inv_mask = invariant_rows(group, sub, table_n)
-    invariant = bool(inv_mask[theta.index])
-    qm = group.quotient(sub)
-    qclass = quotient_class(qm.image)
-    mults = restriction_multiplicities(table_g, sub, table_n)
-    above = np.nonzero(mults[:, theta.index])[0]
-    degrees_above = [int(table_g.degrees[r]) for r in above]
-    distinct = len(set(degrees_above)) == len(degrees_above)
-    triple = build_triple(group, sub, theta)
-    fully, e_val = is_fully_ramified(triple)
-    report = {
-        "invariant": invariant,
-        "distinct_degrees": distinct,
-        "count_above": len(above),
-        "degrees_above": degrees_above,
-        "fully_ramified": fully,
-        "e": e_val,
-        "quotient_class": qclass,
-    }
-    if invariant:
-        records: list[dict] = []
-        single = np.zeros(len(table_n.rows), dtype=bool)
-        single[theta.index] = True
-        _assert_pair_theorems(group, sub, table_g, table_n, single, mults,
-                              qclass, qm.image, records)
-    return report
+def ramification_scan_pair(group: Group, sub: Subgroup) -> list[dict]:
+    """The records of the invariant θ from one pass over (G, N), with the
+    theorem assertions applied; see the module doc."""
+    return _ramification_pass(group, sub, every_row=False)
+
+
+def ramification_report(group: Group, sub: Subgroup) -> list[dict]:
+    """The records of every θ ∈ Irr(N), indexed by row, from one pass over
+    (G, N); the invariant ones are ``ramification_scan_pair``'s.  Orbits
+    come from the generators of G and full ramification from the Clifford
+    correspondence, so no stabilizer group is built."""
+    return _ramification_pass(group, sub, every_row=True)

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable
 
 from ._arith import factorize
-from .errors import ContractViolation
+from .errors import ContractViolation, UsageError
 from .groups import Group
 from .chartable import compute_table, verify_table
 from .pairs import camina_pair, classify_pair, distinct_nonlinear_scan
@@ -273,7 +273,7 @@ def run_corpus(name_filter: str | None = None) -> str:
     if name_filter is not None:
         entries = [e for e in entries if name_filter in e.name]
         if not entries:
-            raise ValueError(f"no corpus entry matches {name_filter!r}")
+            raise UsageError(f"no corpus entry matches {name_filter!r}")
 
     rep = Report()
     rep.add("corpus-entries", len(entries))

@@ -49,6 +49,10 @@ class EvenOrder(GroupCharError):
     """Operation requires an odd group order."""
 
 
+class UsageError(GroupCharError, ValueError):
+    """An argument is malformed, out of range, or names nothing that exists."""
+
+
 class ParseError(GroupCharError):
     """A group or matrix file could not be parsed."""
 

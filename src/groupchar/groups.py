@@ -11,7 +11,6 @@ instance may compute the same value twice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,20 +77,30 @@ class Group:
         return orders
 
     def _check_associativity(self) -> None:
-        """Light's test over a greedily chosen generating set S.
+        """Light's test over the greedy generating set.
 
         The elements s with (x·s)·y = x·(s·y) for all x, y are closed under
         the product, so checking every s in a set that generates the table
         proves it associative, at |S|·n² cost instead of n³.
         """
         mul = self.mul
-        span = np.zeros(self.order, dtype=bool)  # closure of the checked elements
-        span[0] = True
-        while not span.all():
-            s = int(span.argmin())
+        for s in self.generators():
             if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
                 raise ValueError(f"associativity fails at element {s}")
-            span[self._closure(np.append(np.flatnonzero(span), s))] = True
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily: each next generator is the
+        least id outside the closure of those before it."""
+        if "generators" not in self._cache:
+            span = np.zeros(self.order, dtype=bool)  # closure of the chosen ids
+            span[0] = True
+            gens = []
+            while not span.all():
+                s = int(span.argmin())
+                gens.append(s)
+                span[self._closure(np.append(np.flatnonzero(span), s))] = True
+            self._cache["generators"] = tuple(gens)
+        return self._cache["generators"]
 
     # -- elementary queries ---------------------------------------------------
 
@@ -110,13 +119,6 @@ class Group:
     @property
     def is_cyclic(self) -> bool:
         return int(self.elt_order.max()) == self.order
-
-    def power(self, g: int, k: int) -> int:
-        k %= int(self.elt_order[g])
-        out = 0
-        for _ in range(k):
-            out = int(self.mul[out, g])
-        return out
 
     # -- conjugacy classes ------------------------------------------------------
 
@@ -342,7 +344,7 @@ class Group:
         fibers = np.bincount(projection, minlength=len(reps))
         if not np.all(fibers == normal.order):
             raise ContractViolation("quotient fibers have unequal sizes")
-        return QuotientMap(self, normal, image, projection, reps)
+        return QuotientMap(self, normal, image, projection)
 
     # -- radicals and series ------------------------------------------------------
 
@@ -543,10 +545,6 @@ class Subgroup:
     def is_subset_of(self, other: "Subgroup") -> bool:
         return bool(other.member_mask()[self.as_array()].all())
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        mask = self.member_mask() & other.member_mask()
-        return Subgroup(self.parent, np.nonzero(mask)[0])
-
     def as_group(self) -> Group:
         """Materialize with dense local ids (sorted by parent id)."""
         if "group" not in self._cache:
@@ -582,7 +580,6 @@ class QuotientMap:
     kernel: Subgroup
     image: Group
     projection: np.ndarray  # length |G|, values are image ids
-    coset_reps: np.ndarray  # image id -> minimal source id in the coset
 
     def __call__(self, g: int) -> int:
         return int(self.projection[g])
@@ -615,6 +612,15 @@ class ChiefFactor:
 # -- Frobenius structure -------------------------------------------------------
 
 
+def acts_fixed_point_freely(G: Group, acting: np.ndarray, N: Subgroup) -> bool:
+    """True when no element of ``acting`` (a boolean mask over G) centralizes
+    a nonidentity element of N, i.e. each acts on N by conjugation with no
+    fixed point but 1.  The mask should leave out the identity."""
+    xs = N.as_array()[1:]  # N's ids are sorted, so the identity comes first
+    gs = np.flatnonzero(acting)
+    return not np.any(G.mul[np.ix_(gs, xs)] == G.mul[np.ix_(xs, gs)].T)
+
+
 def is_frobenius_with_kernel(G: Group, N: Subgroup) -> bool:
     """True when G is a Frobenius group with kernel N.
 
@@ -627,14 +633,7 @@ def is_frobenius_with_kernel(G: Group, N: Subgroup) -> bool:
         raise ValueError("subgroup belongs to a different group")
     if N.order in (1, G.order) or not N.is_normal:
         return False
-    mask = N.member_mask()
-    for x in N.elements:
-        if x == 0:
-            continue
-        cent = G.mul[:, x] == G.mul[x, :]
-        if np.any(cent & ~mask):
-            return False
-    return True
+    return acts_fixed_point_freely(G, ~N.member_mask(), N)
 
 
 def frobenius_complement(G: Group, N: Subgroup) -> Subgroup | None:
@@ -727,14 +726,6 @@ def pprime_elements_fpf(G: Group, N: Subgroup, p: int) -> bool:
     """
     if N.parent is not G:
         raise ValueError("subgroup belongs to a different group")
-    els = N.as_array()
-    nontrivial = els[els != 0]
-    if len(nontrivial) == 0:
-        return True
-    for g in range(1, G.order):
-        if math.gcd(int(G.elt_order[g]), p) != 1:
-            continue
-        conj = G.mul[G.mul[g, nontrivial], G.inv[g]]
-        if np.any(conj == nontrivial):
-            return False
-    return True
+    pprime = np.gcd(G.elt_order, p) == 1
+    pprime[0] = False
+    return acts_fixed_point_freely(G, pprime, N)

@@ -19,6 +19,7 @@ from .errors import ContractViolation, TheoremViolation
 from .groups import (
     Group,
     Subgroup,
+    acts_fixed_point_freely,
     frobenius_complement,
     is_frobenius_with_kernel,
     pprime_elements_fpf,
@@ -373,22 +374,6 @@ def _image_subgroup(qm, sub: Subgroup) -> Subgroup:
     return Subgroup(qm.image, sorted({qm(int(x)) for x in sub.elements}))
 
 
-def _acts_fpf_on(quotient: Group, middle: Subgroup) -> bool:
-    """Does every element outside the (abelian, normal) middle act without
-    nonidentity fixed points on it by conjugation?"""
-    mul, inv = quotient.mul, quotient.inv
-    mid = middle.as_array()
-    mid = mid[mid != 0]
-    mask = middle.member_mask()
-    for g in range(1, quotient.order):
-        if mask[g]:
-            continue
-        conj = mul[mul[g, mid], inv[g]]
-        if np.any(conj == mid):
-            return False
-    return True
-
-
 def _commutator_span(quotient: Group, middle: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators [g, m], g in Q, m in middle."""
     mul, inv = quotient.mul, quotient.inv
@@ -467,7 +452,7 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
             and mid_grp.order % 2 == 1
             and top.is_abelian
             and top_p_part
-            and _acts_fpf_on(qm.image, middle)
+            and acts_fixed_point_freely(qm.image, ~middle.member_mask(), middle)
         ):
             out["case"] = "ii"
             out["middle_order"] = mid_grp.order

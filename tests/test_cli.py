@@ -138,6 +138,42 @@ def test_analyze_auto_minimal(capsys, d8_file):
     assert "theta-degree = 1" in out
 
 
+def _analyze_blocks(out):
+    """The per-theta blocks of an analyze report, as key -> value dicts."""
+    blocks = [dict(line.split(" = ", 1) for line in block.splitlines())
+              for block in out.split("\n\n")]
+    return [b for b in blocks if "theta" in b]
+
+
+def test_analyze_trivial_normal(capsys, s4_file):
+    code, out, err = run(capsys, ["analyze", "--pair", s4_file, "--normal", "0"])
+    assert code == 0 and err == ""
+    assert "normal-order = 1" in out
+    (block,) = _analyze_blocks(out)
+    # every character of S4 lies above the trivial character of N = 1
+    assert block == {
+        "theta": "0", "theta-degree": "1", "invariant": "true",
+        "distinct-degrees": "false", "count-above": "5",
+        "degrees-above": "[1, 1, 2, 3, 3]", "fully-ramified": "false",
+        "e": "none", "quotient-class": "other",
+    }
+
+
+def test_analyze_whole_group(capsys, q8_file):
+    ids = ",".join(str(g) for g in range(8))
+    code, out, err = run(capsys, ["analyze", "--pair", q8_file, "--normal", ids])
+    assert code == 0 and err == ""
+    assert "normal-order = 8" in out
+    blocks = _analyze_blocks(out)
+    assert [b["theta"] for b in blocks] == ["0", "1", "2", "3", "4"]
+    for b in blocks:
+        # N = G: each theta is invariant and is the one character above itself
+        assert b["invariant"] == "true" and b["count-above"] == "1"
+        assert b["fully-ramified"] == "true" and b["e"] == "1"
+        assert b["degrees-above"] == f"[{b['theta-degree']}]"
+        assert b["quotient-class"] == "supersolvable"
+
+
 def test_corpus_filter(capsys):
     code, out, err = run(capsys, ["corpus", "--filter", "Q8"])
     assert code == 0 and err == ""
@@ -225,6 +261,38 @@ def test_orbits_wrong_entry_count(capsys, tmp_path):
     assert "expected 4 entries" in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("0,100", "--normal '0,100' is not a list of element ids 0..23"),
+    ("0,-1", "--normal '0,-1' is not a list of element ids 0..23"),
+    ("0,x", "--normal '0,x' is not a list of element ids 0..23"),
+    ("order-3", "not multiplicatively closed"),
+])
+def test_bad_normal_ids(capsys, s4_file, spec, message):
+    if spec == "order-3":
+        s4 = sym(4)
+        spec = "0," + str(next(g for g in range(24) if s4.elt_order[g] == 3))
+    code, out, err = run(capsys, ["classify", s4_file, "--normal", spec])
+    assert code == 1 and out == ""
+    assert "error: " in err and message in err
+
+
+def test_non_ascii_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "g.grp"
+    path.write_bytes("cayley 1\n0 # é\n".encode("utf-8"))
+    code, out, err = run(capsys, ["info", str(path)])
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
+def test_orbits_non_integer_entry(capsys, tmp_path):
+    gens = tmp_path / "g.gens"
+    gens.write_text("# generators\n1 0 0 1\n1 x 0 1\n")
+    code, out, err = run(capsys, ["orbits", "--prime", "3", "--dim", "2",
+                                  "--gens", str(gens)])
+    assert code == 1 and out == ""
+    assert "error: line 3: non-integer matrix entry" in err
+
+
 # --------------------------------------------------------------------------
 # usage errors: argparse exits with 1 (overridden from its default 2)
 
@@ -271,3 +339,13 @@ def test_split_failure_exits_2(capsys, monkeypatch, q8_file):
     assert code == 2
     assert out == ""
     assert "violation:" in err and "eigenspace split" in err
+
+
+def test_internal_value_error_exits_2(capsys, monkeypatch, s4_file):
+    def broken(group, sub):
+        raise ValueError("forced ValueError from inside the library")
+
+    monkeypatch.setattr(cli, "classify_pair", broken)
+    code, out, err = run(capsys, ["classify", s4_file])
+    assert code == 2 and out == ""
+    assert "internal error: forced ValueError" in err

@@ -6,12 +6,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import groupchar.clifford as clifford
 from groupchar import (
+    ContractViolation,
     TheoremViolation,
     abelian,
     abelian_invariant_factors,
     agl1,
     alt,
+    build_corpus,
     build_triple,
     c5c5_c3,
     compute_table,
@@ -29,6 +32,7 @@ from groupchar import (
     quotient_class,
     ramification_report,
     ramification_scan_pair,
+    restriction_multiplicities,
     section_centralizer,
     stabilizer_of,
     sym,
@@ -194,8 +198,12 @@ def test_quotient_class_verdicts():
 
 def test_ramification_report_q8_center():
     q8, z, table_z = _q8_with_center()
-    rep = ramification_report(q8, z, table_z.rows[1])
-    assert rep == {
+    records = ramification_report(q8, z)
+    assert [rec["theta"] for rec in records] == [0, 1]
+    rep = records[1]
+    assert {k: rep[k] for k in ("invariant", "distinct_degrees", "count_above",
+                                "degrees_above", "fully_ramified", "e",
+                                "quotient_class")} == {
         "invariant": True,
         "distinct_degrees": True,
         "count_above": 1,
@@ -204,7 +212,7 @@ def test_ramification_report_q8_center():
         "e": 2,
         "quotient_class": "supersolvable",
     }
-    rep0 = ramification_report(q8, z, table_z.rows[0])
+    rep0 = records[0]
     assert rep0["count_above"] == 4
     assert rep0["fully_ramified"] is False
     assert rep0["distinct_degrees"] is False
@@ -234,3 +242,57 @@ def test_scan_over_dihedral_family_raises_nothing():
         for sub in g.normal_subgroups():
             if 1 < sub.order < g.order:
                 ramification_scan_pair(g, sub)
+
+
+def _small_nonabelian_pairs():
+    for entry in build_corpus():
+        g = entry.build()
+        if g.order > 24 or g.is_abelian:
+            continue
+        for sub in g.normal_subgroups():
+            if sub.order > 1:
+                yield g, sub
+
+
+def test_report_matches_the_stabilizer_route():
+    """The one pass against build_triple / is_fully_ramified, which go
+    through the stabilizer group and its own table, on every nonabelian
+    corpus group of order ≤ 24 and every nontrivial normal N (N = G too)."""
+    triples = 0
+    for g, sub in _small_nonabelian_pairs():
+        table_n = compute_table(sub.as_group())
+        records = ramification_report(g, sub)
+        orbits = clifford._orbits(g, sub, table_n)
+        mults = restriction_multiplicities(compute_table(g), sub, table_n)
+        assert [rec["theta"] for rec in records] == list(range(len(table_n)))
+        for theta, rec in zip(table_n, records):
+            triple = build_triple(g, sub, theta)
+            assert (rec["fully_ramified"], rec["e"]) == is_fully_ramified(triple)
+            assert rec["count_above"] == len(triple.above)
+            orbit = orbit_of(theta, g, sub)
+            assert tuple(np.flatnonzero(orbits[theta.index])) == orbit
+            for chi, _ in triple.above:
+                assert tuple(np.flatnonzero(mults[chi.index])) == orbit
+            triples += 1
+    assert triples == 575
+
+
+def test_pass_rejects_a_support_that_is_not_the_orbit(monkeypatch):
+    """Swap one member between two orbits of equal size and degree: only
+    the support-equals-orbit check can see it."""
+    g = dihedral(5)
+    sub = g.minimal_normal_subgroups()[0]  # C5: orbits {0}, two of size 2
+    real = clifford._orbits
+
+    def swapped(group, n, table_n):
+        orbits = real(group, n, table_n)
+        a, b = sorted({tuple(np.flatnonzero(o)) for o in orbits if o.sum() == 2})
+        bad = orbits.copy()
+        bad[list(a + b)] = False
+        for orbit in ([a[0], b[1]], [b[0], a[1]]):
+            bad[np.ix_(orbit, orbit)] = True
+        return bad
+
+    monkeypatch.setattr(clifford, "_orbits", swapped)
+    with pytest.raises(ContractViolation, match="not the orbit"):
+        ramification_report(g, sub)

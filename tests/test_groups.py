@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from groupchar import (
     BoundExceeded,
     Group,
+    acts_fixed_point_freely,
     abelian,
     alt,
     all_subgroups,
@@ -294,6 +295,28 @@ def test_pprime_elements_fixed_point_free():
     assert pprime_elements_fpf(s3, a3, 3)
     c6 = cyclic(6)
     assert not pprime_elements_fpf(c6, c6.subgroup([0, 2, 4]), 3)
+
+
+def test_fixed_point_free_helper_matches_centralizers(corpus_groups):
+    """acts_fixed_point_freely against the definition (no acting g lies in
+    C_G(x) for any x in N#), with the acting sets of its callers: the
+    elements outside N, and the nontrivial p'-elements."""
+    verdicts = set()
+    for g in corpus_groups.values():
+        if g.order > 48:
+            continue
+        for sub in g.normal_subgroups():
+            acting_sets = [~sub.member_mask()]
+            for p in prime_factors(g.order):
+                pprime = np.gcd(g.elt_order, p) == 1
+                pprime[0] = False
+                acting_sets.append(pprime)
+            for acting in acting_sets:
+                want = not any(acting[g.centralizer(x).as_array()].any()
+                               for x in sub.elements[1:])
+                assert acts_fixed_point_freely(g, acting, sub) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_group_constructor_validation():
