@@ -59,9 +59,10 @@ class LinearAction:
         self.n = n
         gens = []
         for g in generators:
-            m = np.asarray(g, dtype=np.int64) % p
+            m = np.asarray(g, dtype=object)  # exact for entries of any size
             if m.shape != (n, n):
                 raise InvalidAction(f"generator shape {m.shape} is not ({n}, {n})")
+            m = (m % p).astype(np.int64)
             if len(rref_mod(m, p)[1]) != n:
                 raise InvalidAction("generator matrix is singular")
             gens.append(m)

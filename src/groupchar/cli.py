@@ -174,7 +174,8 @@ def _cmd_corpus(args) -> str:
 
 def _read_matrices(path: str, n: int) -> list[list[list[int]]]:
     mats = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="ascii")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

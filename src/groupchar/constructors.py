@@ -69,12 +69,26 @@ def generalized_quaternion(order: int) -> Group:
 
 
 def _perm_group(perms: list[tuple[int, ...]], label: str) -> Group:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, s in enumerate(perms):
-        for j, t in enumerate(perms):
-            mul[i, j] = index[tuple(s[t[x]] for x in range(len(s)))]
+    """The Cayley table of a list of permutations closed under composition.
+
+    Element i is perms[i], and i*j is s∘t with (s∘t)[x] = s[t[x]] for
+    s = perms[i], t = perms[j].  Row i is the gather p[i][p]; each product
+    gets its id by a binary search over the byte keys of p, sorted once.
+    """
+    p = np.asarray(perms, dtype=np.int64)
+    n = len(p)
+    key = np.dtype((np.void, p.itemsize * p.shape[1]))
+    keys = p.view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    mul = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        products = p[i][p]
+        pos = np.searchsorted(sorted_keys, products.view(key).ravel())
+        ids = order[np.minimum(pos, n - 1)]
+        if not (p[ids] == products).all():
+            raise ValueError("permutations are not closed under composition")
+        mul[i] = ids
     return Group(mul, label=label)
 
 

@@ -39,7 +39,7 @@ def save_group(group: Group, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"cayley {group.order}\n")
         for row in group.mul:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+            fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def _content_lines(path):
@@ -85,31 +85,43 @@ def _load_cayley(lines, size, name, header_line) -> Group:
         raise ParseError(
             f"expected {size} table rows, found {len(lines)}", header_line
         )
-    mul = np.zeros((size, size), dtype=np.int64)
+    mul = np.empty((size, size), dtype=np.int64)
     for r, (lineno, line) in enumerate(lines):
         cells = line.split()
         if len(cells) != size:
             raise ParseError(f"row has {len(cells)} entries, expected {size}",
                              lineno)
-        for c, cell in enumerate(cells):
-            try:
-                v = int(cell)
-            except ValueError:
-                raise ParseError(f"non-integer entry {cell!r}", lineno)
-            if not 0 <= v < size:
-                raise ParseError(f"entry {v} out of range 0..{size - 1}", lineno)
-            mul[r, c] = v
+        try:
+            row = np.array(list(map(int, cells)), dtype=np.int64)
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
+            raise _first_bad_cell(cells, size, lineno) from None
+        if row.min() < 0 or row.max() >= size:
+            raise _first_bad_cell(cells, size, lineno)
+        mul[r] = row
     try:
         return Group(mul, label=name)
     except ValueError as exc:
         raise ParseError(f"not a group table: {exc}", header_line)
 
 
-def _parse_cycles(line: str, degree: int, lineno: int) -> tuple[int, ...]:
+def _first_bad_cell(cells, size, lineno) -> ParseError:
+    """The error for a row that failed the vector checks: a rescan, one cell
+    at a time, names its first bad cell."""
+    for cell in cells:
+        try:
+            v = int(cell)
+        except ValueError:
+            return ParseError(f"non-integer entry {cell!r}", lineno)
+        if not 0 <= v < size:
+            return ParseError(f"entry {v} out of range 0..{size - 1}", lineno)
+
+
+def _parse_cycles(line: str, degree: int, lineno: int) -> list[list[int]]:
+    """The cycles of one generator line, as lists of 0-based points."""
     stripped = _CYCLE.sub("", line).strip()
     if stripped:
         raise ParseError(f"unexpected text {stripped!r} outside cycles", lineno)
-    perm = list(range(degree))
+    cycles = []
     seen: set[int] = set()
     for body in _CYCLE.findall(line):
         entries = body.replace(",", " ").split()
@@ -127,21 +139,36 @@ def _parse_cycles(line: str, degree: int, lineno: int) -> tuple[int, ...]:
                 raise ParseError(f"point {v} appears twice", lineno)
             seen.add(v - 1)
             pts.append(v - 1)
+        cycles.append(pts)
+    return cycles
+
+
+def _images(cycles: list[list[int]], rank: dict[int, int]) -> tuple[int, ...]:
+    perm = list(range(len(rank)))
+    for pts in cycles:
         for i, pt in enumerate(pts):
-            perm[pt] = pts[(i + 1) % len(pts)]
+            perm[rank[pt]] = rank[pts[(i + 1) % len(pts)]]
     return tuple(perm)
 
 
 def _load_perm(lines, degree, name, bound) -> Group:
-    gens = [_parse_cycles(line, degree, lineno) for lineno, line in lines]
-    identity = tuple(range(degree))
+    parsed = [_parse_cycles(line, degree, lineno) for lineno, line in lines]
+    # Only the points that some cycle names can move.  Renumbering them in
+    # increasing order keeps the lexicographic order of the image tuples,
+    # so the ids are those over all `degree` points, and a large header
+    # degree costs no memory.
+    named = sorted({pt for cycles in parsed for pts in cycles for pt in pts}) or [0]
+    rank = {pt: i for i, pt in enumerate(named)}
+    width = len(named)
+    gens = [_images(cycles, rank) for cycles in parsed]
+    identity = tuple(range(width))
     closure = {identity, *gens}
     frontier = sorted(closure)
     while frontier:
         fresh = []
         for a in frontier:
             for g in gens:
-                c = tuple(a[g[x]] for x in range(degree))
+                c = tuple(a[g[x]] for x in range(width))
                 if c not in closure:
                     if len(closure) >= bound:
                         raise BoundExceeded("permutation closure",

@@ -105,6 +105,15 @@ def element_order(mul, x: int) -> int:
     return k
 
 
+def perm_cayley(perms) -> list[list[int]]:
+    """Cayley table of a composition-closed list of permutations, one cell
+    at a time: entry [i][j] is the index of s∘t, where (s∘t)[x] = s[t[x]]
+    for s = perms[i] and t = perms[j]."""
+    index = {tuple(p): i for i, p in enumerate(perms)}
+    return [[index[tuple(s[t[x]] for x in range(len(s)))] for t in perms]
+            for s in perms]
+
+
 def is_frobenius_kernel(group, sub) -> bool:
     """No commuting pair (x, y) with x outside N and y a nonidentity
     element of N — the definitional form of 'Frobenius with kernel N'."""

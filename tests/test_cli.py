@@ -284,6 +284,30 @@ def test_non_ascii_file_is_an_input_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_orbits_non_ascii_digit_is_an_input_error(capsys, tmp_path):
+    gens = tmp_path / "g.gens"
+    gens.write_bytes("\u0661 0 0 1\n".encode("utf-8"))  # an Arabic-Indic one
+    code, out, err = run(capsys, ["orbits", "--prime", "3", "--dim", "2",
+                                  "--gens", str(gens)])
+    assert code == 1 and out == ""
+    assert "error:" in err
+
+
+def test_orbits_entries_reduce_mod_p_at_any_size(capsys, tmp_path):
+    """Entries are integers mod p of any size: 10^20 + 2 is 0 mod 3 and
+    -(10^20) is 2 mod 3."""
+    outs = []
+    for text in ("0 1 1 1\n0 2 1 0\n",
+                 "100000000000000000002 1 1 1\n0 -100000000000000000000 1 0\n"):
+        gens = tmp_path / "g.gens"
+        gens.write_text(text)
+        code, out, err = run(capsys, ["orbits", "--prime", "3", "--dim", "2",
+                                      "--gens", str(gens)])
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_orbits_non_integer_entry(capsys, tmp_path):
     gens = tmp_path / "g.gens"
     gens.write_text("# generators\n1 0 0 1\n1 x 0 1\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 from groupchar import (
     BoundExceeded,
     ParseError,
+    alt,
     cyclic,
     generalized_quaternion,
     load_group,
     save_group,
     sym,
 )
+
+import oracles
 
 
 @pytest.mark.parametrize(
@@ -81,6 +86,20 @@ def test_perm_closure_bound(tmp_path):
         load_group(path, bound=50)
 
 
+def test_perm_ids_do_not_depend_on_unnamed_points(tmp_path):
+    """Points no cycle names are fixed, so neither they nor the header degree
+    change the table, however large the degree."""
+    tables = []
+    for text in ("perm 4\n(2 4)\n(1 3)\n",
+                 "perm 1000000\n(7 1000000)\n(3 500)\n",
+                 "perm 99999999999999999999\n(8, 99999999999999999999)\n(5 9)\n"):
+        path = tmp_path / "v4.perm"
+        path.write_text(text)
+        tables.append(load_group(path).mul)
+    assert all(np.array_equal(t, tables[0]) for t in tables)
+    assert load_group(path).order == 4
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -121,6 +140,34 @@ def test_explicit_label_override(tmp_path):
     assert load_group(path, label="C5").label == "C5"
 
 
+@pytest.mark.parametrize("text,message,line", [
+    # the first bad cell of a row decides, whichever check it fails
+    ("cayley 3\n0 1 2\n1 5 x\n2 0 1\n", "entry 5 out of range 0..2", 3),
+    ("cayley 3\n0 1 2\n1 x 5\n2 0 1\n", "non-integer entry 'x'", 3),
+    # the first bad row decides
+    ("cayley 3\n0 1 2\n1 2 9\n2 y 1\n", "entry 9 out of range 0..2", 3),
+    ("cayley 3\n0 1 2\n1 2 0\n2 y 1\n", "non-integer entry 'y'", 4),
+    # beyond int64: still the range error, not an overflow
+    ("cayley 3\n0 1 2\n1 2 99999999999999999999\n2 0 1\n",
+     "entry 99999999999999999999 out of range 0..2", 3),
+    ("cayley 3\n0 1 2\n-99999999999999999999 2 0\n2 0 1\n",
+     "entry -99999999999999999999 out of range 0..2", 3),
+])
+def test_cayley_first_error_is_exact(tmp_path, text, message, line):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_group(path)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+def test_cayley_cells_are_read_by_int(tmp_path):
+    path = tmp_path / "c3.grp"
+    path.write_text("cayley 3\n+0 01 2\n1 +2 0\n2 0 0_1\n")
+    assert np.array_equal(load_group(path).mul, cyclic(3).mul)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
@@ -129,8 +176,8 @@ def test_explicit_label_override(tmp_path):
 )
 def test_perm_loader_matches_brute_closure(perms):
     """Write random degree-5 generators in cycle notation, reload, and
-    compare the group order against a dict-based closure."""
-    import itertools
+    compare the whole table against the cell-by-cell composition over the
+    sorted closure."""
     import tempfile
     from pathlib import Path
 
@@ -164,9 +211,20 @@ def test_perm_loader_matches_brute_closure(perms):
                     closure.add(y)
                     nxt.append(y)
         frontier = nxt
+    elements = [ident] + sorted(closure - {ident})  # the loader's ids
 
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "p.perm"
         path.write_text("perm 5\n" + "\n".join(cycles(p) for p in gens) + "\n")
         g = load_group(path)
-    assert g.order == len(closure)
+    assert g.order == len(elements)
+    assert g.mul.tolist() == oracles.perm_cayley(elements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sym_and_alt_match_cell_by_cell_composition(n):
+    perms = list(itertools.permutations(range(n)))
+    even = [p for p in perms
+            if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
+    assert sym(n).mul.tolist() == oracles.perm_cayley(perms)
+    assert alt(n).mul.tolist() == oracles.perm_cayley(even)
