@@ -13,7 +13,10 @@ and a supersolvable or odd-order quotient G/N, that exactly one character
 of G lies above θ and that its ramification index e satisfies e² = |G:N|;
 it also asserts the two-characters-above fact (equal degrees) and, for
 fully ramified θ with abelian quotient, the A × A invariant-factor shape of
-G/N.  Violations are raised as TheoremViolation, never swallowed.
+G/N.  Violations are raised as TheoremViolation, never swallowed.  Facts
+about G/N are read inside G: its order |G:N|, G/N abelian as G′ ≤ N, its
+chief factors as those of G above N, and its invariant factors from orders
+modulo N, so no quotient group is built.
 `build_triple`, `orbit_of`, `stabilizer_of` and `is_fully_ramified` reach
 the same facts through the stabilizer group, as an independent route.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -277,11 +281,11 @@ def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):
         for r in np.nonzero(mults[:, theta.index])[0]
         if table_m.rows[r].degree == theta.degree
     ]
-    qm = m_group.quotient(n_in_m)
-    if qm.image.is_abelian and theta.degree == 1 and exts:
-        if len(exts) != qm.image.order:
+    index = m_group.order // n_in_m.order
+    if theta.degree == 1 and exts and _abelian_over(m_group, n_in_m):
+        if len(exts) != index:
             raise ContractViolation(
-                f"extension count {len(exts)} differs from |M:N| = {qm.image.order}"
+                f"extension count {len(exts)} differs from |M:N| = {index}"
             )
     return exts
 
@@ -330,60 +334,45 @@ def extension_alternative(group: Group, sub_n: Subgroup, sub_m: Subgroup,
     return {"extendible": True, "invariant_extension": False, "transitive": True}
 
 
-def abelian_invariant_factors(group: Group) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an abelian group, ascending."""
-    if not group.is_abelian:
-        raise ValueError("invariant factors require an abelian group")
-    n = group.order
-    if n == 1:
-        return []
-    orders = group.elt_order
-    per_prime: list[list[int]] = []
-    for p in prime_factors(n):
-        # lam: exponent partition of the p-primary part, descending,
-        # recovered from the sizes of the layers {a : a^(p^k) = 1}.
-        logs = [0]
-        k = 1
+def abelian_invariant_factors(group: Group, sub: Subgroup) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of an abelian quotient G/N, ascending."""
+    if not _abelian_over(group, sub):
+        raise ValueError("invariant factors require an abelian quotient")
+    orders = group._element_orders(sub.member_mask())  # orders in G/N
+    factors: list[int] = []  # descending
+    for p in prime_factors(group.order // sub.order):
+        # The layer {a : a^(p^k) = 1} of G/N, counted as its preimage in G
+        # divided by |N|, grows by p^r over the layer below, where r is the
+        # number of cyclic p-factors of order at least p^k.
+        below, k = 1, 1
         while True:
-            c = int(np.count_nonzero(np.isin(orders, [p ** j for j in range(k + 1)])))
-            lg = 0
-            while p ** lg < c:
-                lg += 1
-            if p ** lg != c:
+            size = int(np.count_nonzero(p ** k % orders == 0)) // sub.order
+            step, r = size // below, 0
+            while step % p == 0:
+                step, r = step // p, r + 1
+            if step != 1 or size % below:
                 raise ContractViolation("p-torsion layer is not a p-power")
-            logs.append(lg)
-            if lg == logs[-2]:
+            if r == 0:
                 break
-            k += 1
-        ranks = [logs[i + 1] - logs[i] for i in range(len(logs) - 1)]
-        lam = []
-        for k_part in range(1, len(ranks) + 1):
-            upper = ranks[k_part] if k_part < len(ranks) else 0
-            lam.extend([k_part] * (ranks[k_part - 1] - upper))
-        lam.sort(reverse=True)
-        per_prime.append([p ** a for a in lam])
-    depth = max(len(lam) for lam in per_prime)
-    factors = []
-    for j in range(depth):
-        f = 1
-        for lam in per_prime:
-            if j < len(lam):
-                f *= lam[j]
-        factors.append(f)
-    factors.reverse()
-    total = 1
-    for f in factors:
-        total *= f
-    if total != n:
+            factors += [1] * (r - len(factors))
+            for j in range(r):
+                factors[j] *= p
+            below, k = size, k + 1
+    if prod(factors) * sub.order != group.order:
         raise ContractViolation("invariant factors do not multiply to the order")
-    return factors
+    return factors[::-1]
 
 
-def quotient_class(image: Group) -> str:
-    """'supersolvable', else 'odd', else 'other' (theorem hypotheses)."""
-    if image.is_supersolvable():
+def _abelian_over(group: Group, sub: Subgroup) -> bool:
+    """Is G/N abelian, that is, G′ ≤ N?"""
+    return group.derived_subgroup().is_subset_of(sub)
+
+
+def quotient_class(group: Group, sub: Subgroup) -> str:
+    """'supersolvable', else 'odd', else 'other' for G/N (theorem hypotheses)."""
+    if group.is_supersolvable(sub):
         return "supersolvable"
-    if image.order % 2:
+    if (group.order // sub.order) % 2:
         return "odd"
     return "other"
 
@@ -435,7 +424,7 @@ def _check_clifford(table_g: CharacterTable, table_n: CharacterTable,
         raise ContractViolation("degree bookkeeping fails for Irr(G|θ)")
 
 
-def _assert_invariant_theorems(group: Group, sub: Subgroup, rec: dict, image: Group):
+def _assert_invariant_theorems(group: Group, sub: Subgroup, rec: dict):
     """The theorem assertions for the record of one invariant θ."""
     count, degs, qclass = rec["count_above"], rec["degrees_above"], rec["quotient_class"]
     witness = {"group": group.label, "n_order": sub.order, "theta": rec["theta"]}
@@ -453,7 +442,7 @@ def _assert_invariant_theorems(group: Group, sub: Subgroup, rec: dict, image: Gr
             {**witness, "degrees_above": degs},
         )
     if rec["fully_ramified"] and rec["quotient_abelian"]:
-        factors = abelian_invariant_factors(image)
+        factors = abelian_invariant_factors(group, sub)
         if any(v % 2 for v in Counter(factors).values()):
             raise TheoremViolation(
                 "fully ramified over an abelian quotient requires the "
@@ -474,8 +463,8 @@ def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dic
     table_n = compute_table(sub.as_group())
     inv_mask = invariant_rows(group, sub, table_n)
     mults = restriction_multiplicities(table_g, sub, table_n)
-    qm = group.quotient(sub)
-    qclass = quotient_class(qm.image)
+    qclass = quotient_class(group, sub)
+    q_abelian = _abelian_over(group, sub)
     if every_row:
         rows = np.arange(len(inv_mask))
         orbits = _orbits(group, sub, table_n)
@@ -501,10 +490,10 @@ def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dic
             "fully_ramified": e_val is not None and e_val * e_val * size == index,
             "e": e_val,
             "quotient_class": qclass,
-            "quotient_abelian": bool(qm.image.is_abelian),
+            "quotient_abelian": q_abelian,
         }
         if rec["invariant"]:
-            _assert_invariant_theorems(group, sub, rec, qm.image)
+            _assert_invariant_theorems(group, sub, rec)
         records.append(rec)
     return records
 

@@ -6,7 +6,8 @@ Cayley format (written by save_group, read back verbatim):
     <n rows of n space-separated ids>     # row g lists g*h for h = 0..n-1
 
 Permutation format (read-only; the group is the closure of the listed
-generators):
+generators, refused with BoundExceeded past `groups.SUBGROUP_BOUND`
+elements, the largest order any command accepts, before its table is built):
 
     perm <degree>
     (1 2 3)(4 5)        # one generator per line, 1-based disjoint cycles
@@ -26,11 +27,10 @@ import numpy as np
 
 from .constructors import _perm_group
 from .errors import BoundExceeded, ParseError
-from .groups import Group
+from .groups import SUBGROUP_BOUND, Group
 
 __all__ = ["save_group", "load_group"]
 
-CLOSURE_BOUND = 100_000
 _CYCLE = re.compile(r"\(([^()]*)\)")
 
 
@@ -50,8 +50,7 @@ def _content_lines(path):
                 yield lineno, line
 
 
-def load_group(path, *, label: str | None = None,
-               bound: int = CLOSURE_BOUND) -> Group:
+def load_group(path, *, label: str | None = None) -> Group:
     """Read a group file in either format; see the module docstring."""
     lines = list(_content_lines(path))
     if not lines:
@@ -71,7 +70,7 @@ def load_group(path, *, label: str | None = None,
     if kind == "cayley":
         return _load_cayley(lines[1:], size, name, lineno)
     if kind == "perm":
-        return _load_perm(lines[1:], size, name, bound)
+        return _load_perm(lines[1:], size, name)
     raise ParseError(f"unknown format {kind!r}", lineno)
 
 
@@ -151,7 +150,7 @@ def _images(cycles: list[list[int]], rank: dict[int, int]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _load_perm(lines, degree, name, bound) -> Group:
+def _load_perm(lines, degree, name) -> Group:
     parsed = [_parse_cycles(line, degree, lineno) for lineno, line in lines]
     # Only the points that some cycle names can move.  Renumbering them in
     # increasing order keeps the lexicographic order of the image tuples,
@@ -170,9 +169,9 @@ def _load_perm(lines, degree, name, bound) -> Group:
             for g in gens:
                 c = tuple(a[g[x]] for x in range(width))
                 if c not in closure:
-                    if len(closure) >= bound:
+                    if len(closure) >= SUBGROUP_BOUND:
                         raise BoundExceeded("permutation closure",
-                                            len(closure) + 1, bound)
+                                            len(closure) + 1, SUBGROUP_BOUND)
                     closure.add(c)
                     fresh.append(c)
         frontier = fresh

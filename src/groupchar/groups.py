@@ -1,8 +1,11 @@
 """Finite groups as explicit multiplication tables on dense element ids.
 
 A group of order n lives on ids 0..n-1 with 0 the identity.  Everything
-downstream (conjugacy classes, subgroup lattices, quotients, character
+downstream (conjugacy classes, subgroup lattices, series, character
 tables) is exact integer table arithmetic, mostly vectorized with numpy.
+Facts about a quotient G/N, such as its chief factors or element orders,
+are read inside G; `Group.quotient` builds the image group only for the
+callers that need its table.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled into a per-instance cache on first use.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arith import factorize, lcm, p_part, prime_power
+from ._arith import factorize, is_prime, lcm, p_part, prime_power
 from .errors import BoundExceeded, ContractViolation, NotNormal
 
 SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series uses
@@ -62,16 +65,20 @@ class Group:
 
     # -- construction-time checks -------------------------------------------
 
-    def _element_orders(self) -> np.ndarray:
+    def _element_orders(self, inside: np.ndarray | None = None) -> np.ndarray:
+        """The least t >= 1 with g^t in N, for every g; N is given by its
+        member mask ``inside`` and is the trivial subgroup by default."""
         n = self.order
         ids = np.arange(n)
+        if inside is None:
+            inside = ids == 0
         orders = np.zeros(n, dtype=np.int64)
         cur = ids.copy()  # g^1
         k = 1
         while (orders == 0).any():
             if k > n:
                 raise ValueError("power chains do not return to the identity")
-            orders[(orders == 0) & (cur == 0)] = k
+            orders[(orders == 0) & inside[cur]] = k
             cur = self.mul[cur, ids]
             k += 1
         return orders
@@ -163,13 +170,12 @@ class Group:
     def derived_subgroup(self) -> "Subgroup":
         if "derived" in self._cache:
             return self._cache["derived"]
-        n, mul, inv = self.order, self.mul, self.inv
-        a = np.repeat(np.arange(n), n)
-        b = np.tile(np.arange(n), n)
-        comm = np.unique(mul[mul[mul[a, b], inv[a]], inv[b]])
-        # The commutator set is closed under conjugation, so its closure is
-        # automatically normal.
-        sub = Subgroup(self, self._closure(comm), normal=True)
+        mul, inv = self.mul, self.inv
+        s = np.array(self.generators(), dtype=np.int64)
+        comm = mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]
+        # G′ is the normal closure of the commutators of a generating set:
+        # modulo that normal subgroup the generators, hence all of G, commute.
+        sub = self.normal_closure(comm.ravel())
         self._cache["derived"] = sub
         return sub
 
@@ -417,32 +423,34 @@ class Group:
         o3 = self._class_radical(p, mode="p", base=o2)
         return IteratedSeries(p=p, o_p=o1, o_p_pprime=o2, o_p_pprime_p=o3)
 
-    def chief_series(self) -> list["ChiefFactor"]:
-        """A chief series, built inside G from the class atoms.
+    def _chief_steps(self, below: np.ndarray):
+        """(B, M) for each step of a chief series of G from the normal
+        subgroup B = ``below`` (sorted ids) up to G.
 
         Each step from B takes the smallest join B·atom(c) larger than B,
         ordered by (order, elements).  It is minimal normal over B: any
         normal M > B contains a class c outside B, hence B·atom(c).
         """
-        if "chief_series" in self._cache:
-            return self._cache["chief_series"]
-        out: list[ChiefFactor] = []
-        below = np.array([0], dtype=np.int64)
         while len(below) < self.order:
             above = min(
                 (j for j in self._joins(below) if len(j) > len(below)),
                 key=lambda e: (len(e), e.tolist()),
             )
-            out.append(
+            yield below, above
+            below = above
+
+    def chief_series(self) -> list["ChiefFactor"]:
+        """A chief series, built inside G from the class atoms."""
+        if "chief_series" not in self._cache:
+            self._cache["chief_series"] = [
                 ChiefFactor(
                     below=Subgroup(self, below, normal=True),
                     above=Subgroup(self, above, normal=True),
                     order=len(above) // len(below),
                 )
-            )
-            below = above
-        self._cache["chief_series"] = out
-        return out
+                for below, above in self._chief_steps(np.array([0], dtype=np.int64))
+            ]
+        return self._cache["chief_series"]
 
     def is_solvable(self) -> bool:
         """Every chief factor T^k (T simple) has prime-power order.
@@ -455,14 +463,16 @@ class Group:
     def is_nilpotent(self) -> bool:
         return self._fitting().order == self.order
 
-    def is_supersolvable(self) -> bool:
+    def is_supersolvable(self, base: "Subgroup | None" = None) -> bool:
+        """Is G/B supersolvable, B the trivial subgroup unless ``base`` says
+        otherwise?  That is, has every chief factor of G above B prime
+        order?  By Jordan–Hölder any chief series gives the same orders."""
+        below = np.array([0], dtype=np.int64) if base is None else base.as_array()
+        index = self.order // len(below)
         # p-groups: every chief factor is central of order p.
-        if prime_power(self.order) is not None or self.order == 1:
+        if index == 1 or prime_power(index) is not None:
             return True
-        return all(
-            prime_power(f.order) is not None and prime_power(f.order)[1] == 1
-            for f in self.chief_series()
-        )
+        return all(is_prime(len(above) // len(b)) for b, above in self._chief_steps(below))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,19 @@ def normal_lattice(mul) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
 
 
+def derived_subgroup(mul) -> tuple[int, ...]:
+    """G′ as a sorted element tuple: every commutator x·y·x⁻¹·y⁻¹ over all
+    pairs, closed under products."""
+    n = len(mul)
+    inv = [mul[x].index(0) for x in range(n)]
+    span = {mul[mul[mul[x][y]][inv[x]]][inv[y]] for x in range(n) for y in range(n)}
+    while True:
+        grown = {mul[a][b] for a in span for b in span}
+        if grown <= span:
+            return tuple(sorted(span))
+        span |= grown
+
+
 def element_order(mul, x: int) -> int:
     k, y = 1, x
     while y != 0:

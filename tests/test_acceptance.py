@@ -198,7 +198,7 @@ def test_criterion_7_fully_ramified_abelian(triple_records):
             continue
         witnesses += 1
         quotient = group.quotient(sub).image
-        factors = abelian_invariant_factors(quotient)
+        factors = abelian_invariant_factors(quotient, quotient.trivial_subgroup())
         multiplicities = Counter(factors)
         assert all(v % 2 == 0 for v in multiplicities.values()), (
             name, sub.order, factors,

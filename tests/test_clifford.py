@@ -9,6 +9,7 @@ import pytest
 import groupchar.clifford as clifford
 from groupchar import (
     ContractViolation,
+    Group,
     TheoremViolation,
     abelian,
     abelian_invariant_factors,
@@ -21,6 +22,8 @@ from groupchar import (
     conjugate_character,
     cyclic,
     dihedral,
+    direct_product,
+    distinct_nonlinear_scan,
     extension_alternative,
     extensions_of,
     extraspecial_2,
@@ -142,6 +145,11 @@ def test_extensions_frozen_counts():
     # Gallagher bookkeeping: the trivial character has |M:N| extensions
     # when M/N is abelian
     assert len(extensions_of(table_z.rows[0], z, full)) == 4
+    # M/N = S3 is not abelian: the trivial θ of 1 has two extensions, not 6
+    s3 = sym(3)
+    one = s3.trivial_subgroup()
+    trivial = compute_table(one.as_group()).rows[0]
+    assert len(extensions_of(trivial, one, s3.full_subgroup())) == 2
 
 
 def test_extension_alternative_q8_chain():
@@ -180,20 +188,114 @@ def test_section_centralizer():
     ],
 )
 def test_abelian_invariant_factors_round_trip(invariants, expected):
-    assert abelian_invariant_factors(abelian(invariants)) == expected
+    g = abelian(invariants)
+    assert abelian_invariant_factors(g, g.trivial_subgroup()) == expected
+
+
+def _squares(g):
+    """{x²}, a subgroup of an abelian group."""
+    ids = np.arange(g.order)
+    return g.subgroup(g.mul[ids, ids])
+
+
+@pytest.mark.parametrize(
+    "build,normal,expected",
+    [
+        (lambda: abelian([4, 8]), _squares, [2, 2]),  # C4×C8 / C2×C4
+        (lambda: abelian([6, 6]), _squares, [2, 2]),
+        (lambda: generalized_quaternion(8), lambda g: g.center(), [2, 2]),
+        (lambda: extraspecial_2(2, "+"), lambda g: g.center(), [2, 2, 2, 2]),
+        (lambda: agl1(5), lambda g: g.minimal_normal_subgroups()[0], [4]),
+        (lambda: direct_product(sym(3), cyclic(4)),
+         lambda g: g.derived_subgroup(), [2, 4]),
+    ],
+    ids=["C4xC8/squares", "C6xC6/squares", "Q8/Z", "ES32+/Z", "AGL1(5)/C5", "S3xC4/A3"],
+)
+def test_abelian_invariant_factors_over_a_normal_subgroup(build, normal, expected):
+    g = build()
+    assert abelian_invariant_factors(g, normal(g)) == expected
 
 
 def test_abelian_invariant_factors_trivial_and_errors():
-    assert abelian_invariant_factors(cyclic(1)) == []
+    c1 = cyclic(1)
+    assert abelian_invariant_factors(c1, c1.trivial_subgroup()) == []
+    q8 = generalized_quaternion(8)
+    assert abelian_invariant_factors(q8, q8.full_subgroup()) == []
+    s3 = sym(3)
     with pytest.raises(ValueError):
-        abelian_invariant_factors(sym(3))
+        abelian_invariant_factors(s3, s3.trivial_subgroup())
+    s4 = sym(4)
+    with pytest.raises(ValueError):  # S4/V4 is S3
+        abelian_invariant_factors(s4, s4.subgroup([0, 7, 16, 23]))
 
 
 def test_quotient_class_verdicts():
-    assert quotient_class(sym(3)) == "supersolvable"
-    assert quotient_class(cyclic(15)) == "supersolvable"
-    assert quotient_class(c5c5_c3()) == "odd"
-    assert quotient_class(sym(4)) == "other"
+    for g, verdict in ((sym(3), "supersolvable"), (cyclic(15), "supersolvable"),
+                       (c5c5_c3(), "odd"), (sym(4), "other")):
+        assert quotient_class(g, g.trivial_subgroup()) == verdict
+    s4 = sym(4)
+    assert quotient_class(s4, s4.subgroup([0, 7, 16, 23])) == "supersolvable"
+    # No proper corpus pair is odd and not supersolvable; G/Z is C5²⋊C3.
+    g = direct_product(c5c5_c3(), cyclic(3))
+    assert g.center().order == 3
+    assert quotient_class(g, g.center()) == "odd"
+
+
+def _quotient_facts(group, sub):
+    """(class, abelian, odd index, invariant factors or None) of G/N, read
+    inside G."""
+    abelian_q = clifford._abelian_over(group, sub)
+    return (quotient_class(group, sub), abelian_q,
+            (group.order // sub.order) % 2 == 1,
+            abelian_invariant_factors(group, sub) if abelian_q else None)
+
+
+def _image_facts(group, sub):
+    """The same facts read from the quotient group G/N itself."""
+    image = group.quotient(sub).image
+    one = image.trivial_subgroup()
+    return (quotient_class(image, one), image.is_abelian, image.order % 2 == 1,
+            abelian_invariant_factors(image, one) if image.is_abelian else None)
+
+
+def test_quotient_facts_match_the_quotient_group(proper_normal_pairs):
+    """Two routes to the facts about G/N: inside G, and from the image group
+    that `Group.quotient` builds; every corpus pair, and N = 1 and N = G."""
+    pairs = [(g, sub) for _, g, sub in proper_normal_pairs]
+    for g in (sym(4), generalized_quaternion(8), c5c5_c3(), agl1(5),
+              direct_product(c5c5_c3(), cyclic(3))):
+        pairs += [(g, g.trivial_subgroup()), (g, g.full_subgroup())]
+    seen = set()
+    for g, sub in pairs:
+        facts = _quotient_facts(g, sub)
+        assert facts == _image_facts(g, sub), (g.label, sub.order)
+        seen.add(facts[:2])
+    assert seen >= {("supersolvable", True), ("supersolvable", False),
+                    ("odd", False), ("other", False)}
+
+
+def test_pass_builds_no_quotient_group(monkeypatch):
+    """The ramification pass, the extraspecial bucket and extensions_of read
+    every fact about G/N inside G."""
+    s4 = sym(4)
+    v4 = s4.subgroup([0, 7, 16, 23])
+    es32 = extraspecial_2(2, "+")  # a central product: built by a quotient
+    q8 = generalized_quaternion(8)
+    z = q8.center()
+    c4 = q8.generated_subgroup([min(x for x in range(8) if q8.elt_order[x] == 4)])
+    theta = compute_table(z.as_group()).rows[1]
+
+    def refuse(self, normal):
+        raise AssertionError("a quotient group was built")
+
+    monkeypatch.setattr(Group, "quotient", refuse)
+    for g, sub in ((s4, v4), (es32, es32.center())):
+        assert ramification_scan_pair(g, sub)
+        assert ramification_report(g, sub)
+    assert distinct_nonlinear_scan(es32)["bucket"] == "extraspecial-2"
+    assert len(extensions_of(theta, z, c4)) == 2
+    assert len(extensions_of(compute_table(z.as_group()).rows[0], z,
+                             q8.full_subgroup())) == 4
 
 
 def test_ramification_report_q8_center():

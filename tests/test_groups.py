@@ -138,6 +138,12 @@ def test_derived_subgroups():
     assert cyclic(15).derived_subgroup().order == 1
 
 
+def test_derived_subgroup_matches_all_commutators_oracle(corpus_groups):
+    """G′ from the generators' commutators against every commutator."""
+    for name, g in corpus_groups.items():
+        assert g.derived_subgroup().elements == oracles.derived_subgroup(g.mul.tolist()), name
+
+
 def test_chief_series_factors_are_prime_power_chief_sizes():
     for name in ("S4", "A4", "D12", "Q16", "SL23"):
         g = POOL[name]

@@ -18,6 +18,8 @@ from groupchar import (
     save_group,
     sym,
 )
+from groupchar import cli
+from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
 
@@ -80,10 +82,14 @@ def test_perm_disjoint_cycles(tmp_path):
 
 
 def test_perm_closure_bound(tmp_path):
-    path = tmp_path / "s5.perm"
-    path.write_text("perm 5\n(1 2)\n(1 2 3 4 5)\n")
-    with pytest.raises(BoundExceeded):
-        load_group(path, bound=50)
+    """S7 closes past SUBGROUP_BOUND, the largest order any command accepts,
+    so it is refused before its table is built."""
+    path = tmp_path / "s7.perm"
+    path.write_text("perm 7\n(1 2)\n(1 2 3 4 5 6 7)\n")
+    with pytest.raises(BoundExceeded) as exc:
+        load_group(path)
+    assert exc.value.size == SUBGROUP_BOUND + 1
+    assert cli.main(["info", str(path)]) == 1
 
 
 def test_perm_ids_do_not_depend_on_unnamed_points(tmp_path):
