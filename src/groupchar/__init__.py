@@ -30,7 +30,6 @@ from .groups import (
     QuotientMap,
     Subgroup,
     acts_fixed_point_freely,
-    all_subgroups,
     frobenius_complement,
     is_frobenius_with_kernel,
     pprime_elements_fpf,

@@ -4,6 +4,8 @@ A LinearAction is a list of invertible n×n generator matrices over GF(p).
 The generated matrix group is closed by breadth-first products (bounded),
 and the action on the p^n vectors is stored as one permutation per
 generator (vectors are numbered little-endian: id = Σ v_j p^j).
+`odd_order_subgroup_actions` builds GL(n, p) as a `Group` on the same
+permutations and closes its odd-order subgroups with the group's closure.
 
 The checks mirror three orbit facts: orbit sizes divide the group order
 and sum to p^n − 1 on the nonzero vectors; for odd p the orbit of −v has
@@ -19,6 +21,7 @@ import numpy as np
 
 from ._arith import is_prime
 from ._modlinalg import rref_mod
+from .constructors import _perm_group
 from .errors import (
     BoundExceeded,
     EvenCharacteristic,
@@ -41,18 +44,35 @@ __all__ = [
 
 ORDER_BOUND = 10 ** 6
 SPACE_BOUND = 2 ** 20
+GL_BOUND = 5000  # cap on |GL(n, p)| for the exhaustive subgroup scan
+
+
+def _vectors(p: int, n: int) -> np.ndarray:
+    """Every vector of GF(p)^n as a row; row id = Σ v_j p^j (little-endian)."""
+    return np.arange(p ** n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+
+
+def _vector_perms(p: int, n: int, matrices) -> list[np.ndarray]:
+    """The permutation v -> m·v of the vector ids, for each matrix m."""
+    vectors = _vectors(p, n)
+    powers = p ** np.arange(n, dtype=np.int64)
+    return [vectors @ m.T % p @ powers for m in matrices]
 
 
 class LinearAction:
     """A finite matrix group acting on GF(p)^n, with per-generator vector
     permutations and the orbit partition computed lazily."""
 
-    def __init__(self, p: int, n: int, generators, *,
-                 order_bound: int = ORDER_BOUND):
+    def __init__(self, p: int, n: int, generators):
         if not is_prime(p):
             raise InvalidAction(f"{p} is not prime")
         if n < 1:
             raise InvalidAction("dimension must be at least 1")
+        # p^n >= 2^n and p^n >= p: both are checked before p^n is built.
+        if n >= SPACE_BOUND.bit_length():
+            raise BoundExceeded("vector space dimension", n, SPACE_BOUND.bit_length() - 1)
+        if p > SPACE_BOUND:
+            raise BoundExceeded("field size", p, SPACE_BOUND)
         if p ** n > SPACE_BOUND:
             raise BoundExceeded("vector space size", p ** n, SPACE_BOUND)
         self.p = p
@@ -67,11 +87,11 @@ class LinearAction:
                 raise InvalidAction("generator matrix is singular")
             gens.append(m)
         self.generators = gens
-        self.group_order = self._close_group(order_bound)
-        self._vector_perms = self._build_perms()
+        self.group_order = self._close_group()
+        self._vector_perms = _vector_perms(p, n, gens)
         self._orbit_data: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _close_group(self, bound: int) -> int:
+    def _close_group(self) -> int:
         seen = {np.eye(self.n, dtype=np.int64).tobytes()}
         frontier = [np.eye(self.n, dtype=np.int64)]
         while frontier:
@@ -81,28 +101,13 @@ class LinearAction:
                     b = a @ g % self.p
                     key = b.tobytes()
                     if key not in seen:
-                        if len(seen) >= bound:
+                        if len(seen) >= ORDER_BOUND:
                             raise BoundExceeded("matrix group order",
-                                                len(seen) + 1, bound)
+                                                len(seen) + 1, ORDER_BOUND)
                         seen.add(key)
                         nxt.append(b)
             frontier = nxt
         return len(seen)
-
-    def _all_vectors(self) -> np.ndarray:
-        ids = np.arange(self.p ** self.n, dtype=np.int64)
-        return np.stack(
-            [(ids // self.p ** j) % self.p for j in range(self.n)], axis=1
-        )
-
-    def _build_perms(self) -> list[np.ndarray]:
-        vectors = self._all_vectors()
-        powers = self.p ** np.arange(self.n, dtype=np.int64)
-        perms = []
-        for g in self.generators:
-            w = vectors @ g.T % self.p
-            perms.append(w @ powers)
-        return perms
 
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """(orbit_label per vector id, orbit sizes indexed by label).
@@ -181,9 +186,8 @@ def negation_pairing(action: LinearAction) -> bool:
     """
     if action.p == 2:
         raise EvenCharacteristic("negation is trivial in characteristic 2")
-    vectors = action._all_vectors()
-    powers = action.p ** np.arange(action.n, dtype=np.int64)
-    neg_ids = (-vectors) % action.p @ powers
+    neg_ids = _vector_perms(action.p, action.n,
+                            [(action.p - 1) * np.eye(action.n, dtype=np.int64)])[0]
     labels, sizes = action.orbits()
     # -O must be a single orbit of the same size: the (label, label of -v)
     # pairs collapse to one image label per source label.
@@ -214,7 +218,7 @@ def _is_irreducible(action: LinearAction) -> bool:
     """No proper nonzero invariant subspace: the orbit of every nonzero
     vector (one representative per orbit suffices) spans the whole space."""
     labels, sizes = action.orbits()
-    vectors = action._all_vectors()
+    vectors = _vectors(action.p, action.n)
     ids = np.arange(action.p ** action.n, dtype=np.int64)
     for lab in range(len(sizes)):
         members = ids[labels == lab]
@@ -264,7 +268,7 @@ def distinct_sizes_scan(action: LinearAction) -> dict:
 # -- exhaustive desk-scale enumerations ------------------------------------------
 
 
-def gl_elements(p: int, n: int, bound: int = 5000) -> list[np.ndarray]:
+def gl_elements(p: int, n: int) -> list[np.ndarray]:
     """Every invertible n×n matrix over GF(p), lexicographically ordered."""
     count = p ** (n * n)
     if count > 10 ** 7:
@@ -279,67 +283,34 @@ def gl_elements(p: int, n: int, bound: int = 5000) -> list[np.ndarray]:
         m = np.array(digits, dtype=np.int64).reshape(n, n)
         if len(rref_mod(m, p)[1]) == n:
             out.append(m)
-            if len(out) > bound:
-                raise BoundExceeded("general linear group", len(out), bound)
+            if len(out) > GL_BOUND:
+                raise BoundExceeded("general linear group", len(out), GL_BOUND)
     return out
-
-
-def _subgroup_closure(elements: list[np.ndarray], seed: list[int], p: int,
-                      index: dict[bytes, int]) -> frozenset[int] | None:
-    cur = {0} | set(seed)
-    frontier = list(cur)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(cur):
-                for k_mat in (elements[i] @ elements[j] % p,
-                              elements[j] @ elements[i] % p):
-                    k = index[k_mat.tobytes()]
-                    if k not in cur:
-                        cur.add(k)
-                        nxt.append(k)
-        frontier = nxt
-    return frozenset(cur)
 
 
 def odd_order_subgroup_actions(p: int, n: int) -> list[LinearAction]:
     """All odd-order subgroups of GL(n, p) as actions, found by closing
     single elements and element pairs (complete when every odd subgroup is
     2-generated, which covers the desk-scale cases: GL(1, p) is cyclic and
-    the odd subgroups of GL(2, 3) have order 1 or 3)."""
+    the odd subgroups of GL(2, 3) have order 1 or 3).
+
+    GL(n, p) is built once as a ``Group`` on its permutations of the vector
+    ids; its ids are the positions in ``gl_elements``, with the identity
+    swapped to id 0."""
     elements = gl_elements(p, n)
-    order = len(elements)
-    ident = np.eye(n, dtype=np.int64).tobytes()
-    index = {m.tobytes(): i for i, m in enumerate(elements)}
-    id_pos = index[ident]
-    if id_pos != 0:
-        elements[0], elements[id_pos] = elements[id_pos], elements[0]
-        index = {m.tobytes(): i for i, m in enumerate(elements)}
-
-    def elt_order(i: int) -> int:
-        k, cur = 1, elements[i]
-        while cur.tobytes() != ident:
-            cur = cur @ elements[i] % p
-            k += 1
-        return k
-
-    odd_elems = [i for i in range(order) if elt_order(i) % 2 == 1]
-    found: set[frozenset[int]] = set()
-    for i in odd_elems:
-        found.add(_subgroup_closure(elements, [i], p, index))
-    for a in range(len(odd_elems)):
-        for b in range(a + 1, len(odd_elems)):
-            closed = _subgroup_closure(
-                elements, [odd_elems[a], odd_elems[b]], p, index
-            )
-            if len(closed) % 2 == 1:
-                found.add(closed)
+    id_pos = next(i for i, m in enumerate(elements) if (m == np.eye(n)).all())
+    elements[0], elements[id_pos] = elements[id_pos], elements[0]
+    gl = _perm_group(_vector_perms(p, n, elements), f"GL({n},{p})")
+    odd = np.flatnonzero(gl.elt_order % 2 == 1)
+    seeds = [[i] for i in odd] + [[a, b] for k, a in enumerate(odd) for b in odd[k + 1:]]
+    found = {}
+    for seed in seeds:
+        closed = gl._closure(seed)
+        if len(closed) % 2 == 1:
+            found.setdefault(closed.tobytes(), closed)
     out = []
-    for subset in sorted(found, key=lambda s: (len(s), sorted(s))):
-        if len(subset) % 2 == 0:
-            continue
-        gens = [elements[i] for i in sorted(subset) if i != 0]
-        action = LinearAction(p, n, gens if gens else [])
+    for subset in sorted(found.values(), key=lambda s: (len(s), s.tolist())):
+        action = LinearAction(p, n, [elements[i] for i in subset[1:]])
         if action.group_order != len(subset):
             raise TheoremViolation(
                 "subgroup closure and action closure disagree",

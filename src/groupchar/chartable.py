@@ -157,14 +157,14 @@ class CharacterTable:
                 f"conductor {self.conductor}, prime {self.prime}>")
 
 
-def compute_table(group: Group, bound: int = TABLE_ORDER_BOUND) -> CharacterTable:
+def compute_table(group: Group) -> CharacterTable:
     """Exact character table of ``group`` (cached on the group)."""
     cached = group._cache.get("table")
     if cached is not None:
         return cached
     n = group.order
-    if n > bound:
-        raise BoundExceeded("character table order", n, bound)
+    if n > TABLE_ORDER_BOUND:
+        raise BoundExceeded("character table order", n, TABLE_ORDER_BOUND)
 
     cc = group.conjugacy_classes()
     k = len(cc.reps)
@@ -461,16 +461,11 @@ def _weighted_gram(a, b, weights, red2, phi, sum_axis):
     """Gram[r, s, :] = sum_k w_k * (a[r,k] ⊛ conj-side b[s,k]) in coeff space."""
     bw = b * weights[None, :, None]
     prod = np.tensordot(a, bw, axes=([sum_axis], [sum_axis]))  # (r, i, s, j)
-    r_dim, _, s_dim, _ = prod.shape
-    out = np.zeros((r_dim, s_dim, phi), dtype=np.int64)
-    for t in range(2 * phi - 1):
-        lo = max(0, t - phi + 1)
-        hi = min(phi - 1, t)
-        anti = np.zeros((r_dim, s_dim), dtype=np.int64)
-        for i in range(lo, hi + 1):
-            anti += prod[:, i, :, t - i]
-        out += anti[:, :, None] * red2[t][None, None, :]
-    return out
+    # conv[r, s, t] = sum over i + j = t of prod[r, i, s, j]
+    conv = np.zeros((prod.shape[0], prod.shape[2], 2 * phi - 1), dtype=np.int64)
+    for i in range(phi):
+        conv[:, :, i:i + phi] += prod[:, i]
+    return conv @ red2
 
 
 def _check_gram(gram, diagonal, what: str):

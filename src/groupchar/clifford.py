@@ -3,7 +3,8 @@
 All operations work on exact character tables.  Characters of a subgroup
 always live on its materialized standalone group (`Subgroup.as_group()`),
 whose local ids are the parent ids in sorted order; the id maps travel with
-the Subgroup object.
+the Subgroup object: `local_ids` and `to_parent` map ids each way, and
+`within` gives N as a subgroup of a materialized M ≥ N.
 
 One pass per pair (G, N) gives a record for every θ ∈ Irr(N)
 (`ramification_report`) or for the invariant θ only
@@ -57,21 +58,10 @@ __all__ = [
 ]
 
 
-def _local_rank(sub: Subgroup) -> np.ndarray:
-    """Parent id -> local id map (-1 outside the subgroup)."""
-    key = "local_rank"
-    arr = sub._cache.get(key)
-    if arr is None:
-        arr = np.full(sub.parent.order, -1, dtype=np.int64)
-        arr[sub.as_array()] = np.arange(sub.order)
-        sub._cache[key] = arr
-    return arr
-
-
 def class_fusion(group: Group, sub: Subgroup, table_n: CharacterTable):
     """Partition of N's classes into G-conjugation blocks (list of arrays)."""
     cc_g = group.conjugacy_classes()
-    rank = _local_rank(sub)
+    rank = sub.local_ids()
     class_of_n = table_n.classes.class_of
     mask = sub.member_mask()
     blocks = []
@@ -121,7 +111,7 @@ def _conjugation_profile(group: Group, sub: Subgroup, table_n: CharacterTable,
     mul, inv = group.mul, group.inv
     reps_parent = sub.to_parent(np.asarray(table_n.classes.reps))
     conj = mul[mul[elements][:, reps_parent], inv[elements][:, None]]
-    return table_n.classes.class_of[_local_rank(sub)[conj]]
+    return table_n.classes.class_of[sub.local_ids()[conj]]
 
 
 def stabilizer_of(theta: Character, group: Group, sub: Subgroup) -> Subgroup:
@@ -204,24 +194,6 @@ def build_triple(group: Group, sub: Subgroup, theta: Character) -> CharacterTrip
     return CharacterTriple(group, sub, theta, stab, above)
 
 
-def _transfer_into(sub_outer: Subgroup, sub_inner: Subgroup):
-    """(M, N inside M) for N = sub_inner ≤ M = sub_outer, both in one parent.
-
-    Local ids sort by parent id, so N's local ids inside M map back, in
-    order, to N's parent ids: N inside M materializes to the same table as
-    ``sub_inner.as_group()``, and a character θ of N is used as it stands.
-    """
-    outer = sub_outer.as_group()
-    inner_local = _local_rank(sub_outer)[sub_inner.as_array()]
-    if inner_local.min() < 0:
-        raise ValueError("inner subgroup is not contained in the outer one")
-    inner_in_outer = Subgroup(outer, inner_local)
-    if not np.array_equal(sub_outer.to_parent(inner_in_outer.as_array()),
-                          sub_inner.as_array()):
-        raise ContractViolation("local ids of the inner subgroup are out of order")
-    return outer, inner_in_outer
-
-
 def is_fully_ramified(triple: CharacterTriple):
     """(True, e) iff θ has a unique character above it in its stabilizer,
     of degree e·θ(1) with e² = |G(θ):N|; evaluated for the pair (G(θ), N).
@@ -234,8 +206,7 @@ def is_fully_ramified(triple: CharacterTriple):
     if stab.order == group.order:
         verdict = _fully_ramified_at_top(triple)
     else:
-        stab_group, sub_in_stab = _transfer_into(stab, sub)
-        verdict = is_fully_ramified(build_triple(stab_group, sub_in_stab, theta))
+        verdict = is_fully_ramified(build_triple(stab.as_group(), sub.within(stab), theta))
     if verdict[0]:
         e = verdict[1]
         if len(triple.above) != 1:
@@ -268,9 +239,8 @@ def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):
     When M/N is abelian and θ is linear, a nonzero count must equal |M:N|
     (Gallagher); that count is asserted.
     """
-    if not sub_n.is_subset_of(sub_m):
-        raise ValueError("need N ≤ M to extend characters")
-    m_group, n_in_m = _transfer_into(sub_m, sub_n)
+    n_in_m = sub_n.within(sub_m)  # ValueError unless N ≤ M
+    m_group = n_in_m.parent
     table_m = compute_table(m_group)
     table_n = theta.table
     if not bool(invariant_rows(m_group, n_in_m, table_n)[theta.index]):

@@ -5,7 +5,8 @@ downstream (conjugacy classes, subgroup lattices, series, character
 tables) is exact integer table arithmetic, mostly vectorized with numpy.
 Facts about a quotient G/N, such as its chief factors or element orders,
 are read inside G; `Group.quotient` builds the image group only for the
-callers that need its table.
+callers that need its table.  Subgroups are closed by `Group._closure`;
+a `Subgroup` carries the one parent-to-local id map (`local_ids`).
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled into a per-instance cache on first use.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
@@ -22,7 +23,7 @@ from ._arith import factorize, is_prime, lcm, p_part, prime_power
 from .errors import BoundExceeded, ContractViolation, NotNormal
 
 SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series uses
-NORMAL_LATTICE_BOUND = 10_000  # default ceiling on the number of normal subgroups
+NORMAL_LATTICE_BOUND = 10_000  # ceiling on the number of normal subgroups
 
 
 class Group:
@@ -275,25 +276,21 @@ class Group:
         self._cache["minimal_normals"] = out
         return out
 
-    def normal_subgroups(self, bound: int | None = None) -> list["Subgroup"]:
+    def normal_subgroups(self) -> list["Subgroup"]:
         """All normal subgroups, sorted by (order, elements).
 
         Every normal subgroup is an intersection of kernels of irreducible
         characters (Isaacs, *Character Theory of Finite Groups*, ch. 2), so
         the lattice is the closure under intersection of the kernels in the
         character table, taken as class bitmasks.  Building the table caps
-        the group order at ``chartable.TABLE_ORDER_BOUND``; ``bound`` caps
-        the number of normal subgroups (default ``NORMAL_LATTICE_BOUND``).
+        the group order at ``chartable.TABLE_ORDER_BOUND``;
+        ``NORMAL_LATTICE_BOUND`` caps the number of normal subgroups.
         """
-        cap = NORMAL_LATTICE_BOUND if bound is None else bound
         if "normal_subgroups" not in self._cache:
-            self._cache["normal_subgroups"] = self._normal_lattice(cap)
-        out = self._cache["normal_subgroups"]
-        if len(out) > cap:
-            raise BoundExceeded("normal_subgroups", len(out), cap)
-        return out
+            self._cache["normal_subgroups"] = self._normal_lattice()
+        return self._cache["normal_subgroups"]
 
-    def _normal_lattice(self, cap: int) -> list["Subgroup"]:
+    def _normal_lattice(self) -> list["Subgroup"]:
         from .chartable import compute_table  # chartable imports this module
 
         # Python ints, not int64: a group may have more than 63 classes.
@@ -311,8 +308,9 @@ class Group:
                     if meet not in masks:
                         masks.add(meet)
                         fresh.append(meet)
-                        if len(masks) > cap:
-                            raise BoundExceeded("normal_subgroups", len(masks), cap)
+                        if len(masks) > NORMAL_LATTICE_BOUND:
+                            raise BoundExceeded("normal_subgroups", len(masks),
+                                                NORMAL_LATTICE_BOUND)
             frontier = fresh
         members = self.conjugacy_classes().members
         subs = [
@@ -472,7 +470,11 @@ class Group:
         # p-groups: every chief factor is central of order p.
         if index == 1 or prime_power(index) is not None:
             return True
-        return all(is_prime(len(above) // len(b)) for b, above in self._chief_steps(below))
+        factors = (
+            (f.order for f in self.chief_series()) if base is None
+            else (len(above) // len(b) for b, above in self._chief_steps(below))
+        )
+        return all(is_prime(k) for k in factors)
 
 
 @dataclass(frozen=True)
@@ -555,13 +557,19 @@ class Subgroup:
     def is_subset_of(self, other: "Subgroup") -> bool:
         return bool(other.member_mask()[self.as_array()].all())
 
+    def local_ids(self) -> np.ndarray:
+        """Parent id -> local id of ``as_group()``; -1 outside the subgroup."""
+        if "local" not in self._cache:
+            local = np.full(self.parent.order, -1, dtype=np.int64)
+            local[self.as_array()] = np.arange(self.order)
+            self._cache["local"] = local
+        return self._cache["local"]
+
     def as_group(self) -> Group:
         """Materialize with dense local ids (sorted by parent id)."""
         if "group" not in self._cache:
             els = self.as_array()
-            rank = np.full(self.parent.order, -1, dtype=np.int64)
-            rank[els] = np.arange(len(els))
-            local = rank[self.parent.mul[np.ix_(els, els)]]
+            local = self.local_ids()[self.parent.mul[np.ix_(els, els)]]
             if local.min() < 0:
                 raise ValueError("element set is not multiplicatively closed")
             self._cache["group"] = Group(
@@ -575,11 +583,20 @@ class Subgroup:
             return self.elements[local_id]
         return self.as_array()[np.asarray(local_id, dtype=np.int64)]
 
-    def from_parent(self, parent_id: int) -> int:
-        if "rank" not in self._cache:
-            rank = {e: i for i, e in enumerate(self.elements)}
-            self._cache["rank"] = rank
-        return self._cache["rank"][parent_id]
+    def within(self, outer: "Subgroup") -> "Subgroup":
+        """This subgroup as a subgroup of ``outer.as_group()``.
+
+        Local ids sort by parent id, so the result's local ids map back, in
+        order, to this subgroup's parent ids: it materializes to the same
+        table as ``self.as_group()``, and a character of this subgroup is
+        used as it stands.
+        """
+        if outer.parent is not self.parent or not self.is_subset_of(outer):
+            raise ValueError("subgroup is not contained in the outer one")
+        inner = Subgroup(outer.as_group(), outer.local_ids()[self.as_array()])
+        if not np.array_equal(outer.to_parent(inner.as_array()), self.as_array()):
+            raise ContractViolation("local ids of the inner subgroup are out of order")
+        return inner
 
 
 @dataclass(frozen=True)
@@ -649,82 +666,29 @@ def is_frobenius_with_kernel(G: Group, N: Subgroup) -> bool:
 def frobenius_complement(G: Group, N: Subgroup) -> Subgroup | None:
     """A Frobenius complement to N, or None if G is not Frobenius over N.
 
-    Searches closures of 1, 2, then 3 generators chosen outside N with order
-    dividing |G:N|; falls back to full subgroup enumeration (never needed for
-    groups with small complements, but keeps the contract total).
+    Built, not searched for.  Let x be the least id outside N; <x> meets N
+    only in 1, as G is N together with the complements.  Starting from
+    S = <x>, each y outside N, in id order, joins S when the closure of S
+    and y meets N only in 1.  A subgroup K that contains x and meets N
+    only in 1 lies in the one complement through x: by Schur–Zassenhaus
+    inside NK it lies in some complement, and distinct complements meet
+    trivially.  So S grows inside that complement and reaches all of it.
     """
     if not is_frobenius_with_kernel(G, N):
         return None
     m = G.order // N.order
     mask = N.member_mask()
-    cands = [
-        g
-        for g in range(1, G.order)
-        if not mask[g] and m % int(G.elt_order[g]) == 0
-    ]
-
-    def check(els: np.ndarray | None) -> Subgroup | None:
-        if els is None or len(els) != m:
-            return None
-        if np.count_nonzero(mask[els]) != 1:
-            return None
-        return Subgroup(G, els)
-
-    for g in cands:
-        if int(G.elt_order[g]) == m:
-            hit = check(G._closure([g]))
-            if hit:
-                return hit
-    for i, g1 in enumerate(cands):
-        for g2 in cands[i + 1 :]:
-            hit = check(G._closure([g1, g2], cap=m))
-            if hit:
-                return hit
-    for i, g1 in enumerate(cands):
-        for j, g2 in enumerate(cands[i + 1 :], start=i + 1):
-            base = G._closure([g1, g2], cap=m)
-            if base is None:
-                continue
-            for g3 in cands[j + 1 :]:
-                hit = check(G._closure(np.append(base, g3), cap=m))
-                if hit:
-                    return hit
-    for H in all_subgroups(G):
-        hit = check(H.as_array())
-        if hit:
-            return hit
-    return None
-
-
-def all_subgroups(G: Group, max_count: int = 100_000) -> list[Subgroup]:
-    """Every subgroup, by closing known subgroups with one extra generator.
-
-    Exponential in bad cases; used only as a documented fallback and in tests
-    on small groups.
-    """
-    found: dict[tuple, np.ndarray] = {}
-    queue: list[np.ndarray] = []
-    for g in range(G.order):
-        els = G._closure([g])
-        key = tuple(els.tolist())
-        if key not in found:
-            found[key] = els
-            queue.append(els)
-    while queue:
-        cur = queue.pop()
-        cur_set = set(cur.tolist())
-        for g in range(1, G.order):
-            if g in cur_set:
-                continue
-            els = G._closure(np.append(cur, g))
-            key = tuple(els.tolist())
-            if key not in found:
-                if len(found) >= max_count:
-                    raise BoundExceeded("all_subgroups", len(found) + 1, max_count)
-                found[key] = els
-                queue.append(els)
-    subs = sorted(found.values(), key=lambda e: (len(e), tuple(e.tolist())))
-    return [Subgroup(G, e) for e in subs]
+    outside = np.flatnonzero(~mask)
+    comp = G._closure(outside[:1])
+    for y in outside:
+        if len(comp) == m:
+            break
+        grown = G._closure(np.append(comp, y), cap=m)
+        if grown is not None and np.count_nonzero(mask[grown]) == 1:
+            comp = grown
+    if len(comp) != m or np.count_nonzero(mask[comp]) != 1:
+        raise ContractViolation("the grown subgroup is not a complement to N")
+    return Subgroup(G, comp)
 
 
 def pprime_elements_fpf(G: Group, N: Subgroup, p: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from groupchar.cyclotomic import Cyclotomic
+from groupchar.groups import Subgroup
 
 
 def centralizer_order(mul, x: int) -> int:
@@ -108,6 +109,35 @@ def derived_subgroup(mul) -> tuple[int, ...]:
         if grown <= span:
             return tuple(sorted(span))
         span |= grown
+
+
+def all_subgroups(G):
+    """Every subgroup, by closing known subgroups with one extra generator.
+
+    Exponential in bad cases, so only for small groups.  It closes with the
+    library's ``Group._closure``; the enumeration is what is independent.
+    """
+    found: dict[tuple, object] = {}
+    queue = []
+    for g in range(G.order):
+        els = G._closure([g])
+        key = tuple(els.tolist())
+        if key not in found:
+            found[key] = els
+            queue.append(els)
+    while queue:
+        cur = queue.pop()
+        cur_set = set(cur.tolist())
+        for g in range(1, G.order):
+            if g in cur_set:
+                continue
+            els = G._closure(list(cur_set) + [g])
+            key = tuple(els.tolist())
+            if key not in found:
+                found[key] = els
+                queue.append(els)
+    subs = sorted(found.values(), key=lambda e: (len(e), tuple(e.tolist())))
+    return [Subgroup(G, e) for e in subs]
 
 
 def element_order(mul, x: int) -> int:

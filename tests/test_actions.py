@@ -22,6 +22,8 @@ from groupchar import (
     regular_orbit_count,
 )
 
+from groupchar import actions
+
 import oracles
 
 
@@ -98,11 +100,16 @@ def test_invalid_actions():
         LinearAction(3, 0, [])  # dimension must be positive
 
 
-def test_space_and_order_bounds():
+def test_space_and_order_bounds(monkeypatch):
     with pytest.raises(BoundExceeded):
         LinearAction(2, 21, [])  # 2^21 vectors exceeds the space bound
     with pytest.raises(BoundExceeded):
-        LinearAction(5, 1, [[[2]]], order_bound=3)
+        LinearAction(3, 10 ** 6, [])  # refused before 3^(10^6) is built
+    with pytest.raises(BoundExceeded):
+        LinearAction(2 ** 21 + 17, 1, [])  # a prime field past the space bound
+    monkeypatch.setattr(actions, "ORDER_BOUND", 3)
+    with pytest.raises(BoundExceeded):
+        LinearAction(5, 1, [[[2]]])  # order 4
 
 
 def test_negation_pairing_vs_structure():

@@ -260,9 +260,10 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         assert calls["nullspace"][:1] == [k]
 
 
-def test_table_order_bound():
+def test_table_order_bound(monkeypatch):
+    monkeypatch.setattr(chartable, "TABLE_ORDER_BOUND", 10)
     with pytest.raises(BoundExceeded):
-        compute_table(sym(4), bound=10)
+        compute_table(sym(4))
 
 
 def test_trivial_group_table():

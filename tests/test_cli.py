@@ -70,6 +70,21 @@ def test_info_s4(capsys, s4_file):
     assert "minimal-normal-orders = [4]" in lines
 
 
+def test_info_walks_the_chief_series_once(capsys, monkeypatch, s4_file):
+    from groupchar.groups import Group
+
+    walks = []
+    steps = Group._chief_steps
+
+    def counted(self, below):
+        walks.append(len(below))
+        return steps(self, below)
+
+    monkeypatch.setattr(Group, "_chief_steps", counted)
+    code, _, _ = run(capsys, ["info", s4_file])
+    assert code == 0 and walks == [1]
+
+
 def test_table_q8(capsys, q8_file):
     code, out, err = run(capsys, ["table", q8_file])
     assert code == 0 and err == ""
@@ -250,6 +265,15 @@ def test_orbits_nonprime_modulus(capsys, tmp_path):
                                   "--gens", str(gens)])
     assert code == 1
     assert "error:" in err
+
+
+def test_orbits_huge_dimension_is_an_input_error(capsys, tmp_path):
+    gens = tmp_path / "empty.gens"
+    gens.write_text("")
+    code, out, err = run(capsys, ["orbits", "--prime", "3", "--dim", "100000",
+                                  "--gens", str(gens)])
+    assert code == 1 and out == ""
+    assert "error: vector space dimension" in err
 
 
 def test_orbits_wrong_entry_count(capsys, tmp_path):

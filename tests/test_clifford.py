@@ -150,6 +150,8 @@ def test_extensions_frozen_counts():
     one = s3.trivial_subgroup()
     trivial = compute_table(one.as_group()).rows[0]
     assert len(extensions_of(trivial, one, s3.full_subgroup())) == 2
+    with pytest.raises(ValueError):
+        extensions_of(compute_table(c4.as_group()).rows[0], c4, z)  # needs N ≤ M
 
 
 def test_extension_alternative_q8_chain():

@@ -12,7 +12,6 @@ from groupchar import (
     acts_fixed_point_freely,
     abelian,
     alt,
-    all_subgroups,
     cyclic,
     dihedral,
     direct_product,
@@ -26,6 +25,7 @@ from groupchar import (
     sym,
 )
 from groupchar._arith import prime_factors, prime_power
+from groupchar import groups
 from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
@@ -104,7 +104,7 @@ def test_subgroup_validation_and_masks():
 
 def test_normality_matches_brute_force_on_full_lattice():
     g = POOL["D12"]
-    for sub in all_subgroups(g):
+    for sub in oracles.all_subgroups(g):
         assert sub.is_normal == oracles.is_normal(g.mul, sub.elements)
 
 
@@ -113,10 +113,20 @@ def test_subgroup_round_trip_local_ids():
     v4 = g.subgroup([0, 7, 16, 23])
     local = v4.as_group()
     assert local.order == 4 and local.exponent == 2
-    for i in range(4):
-        assert int(v4.from_parent(int(v4.to_parent(i)))) == i
+    assert np.array_equal(v4.local_ids()[v4.to_parent(np.arange(4))], np.arange(4))
+    assert np.count_nonzero(v4.local_ids() >= 0) == 4
     back = v4.to_parent(np.arange(4))
     assert sorted(int(b) for b in back) == [0, 7, 16, 23]
+    a4 = g.derived_subgroup()
+    assert a4.order == 12 and v4.is_subset_of(a4)
+    inner = v4.within(a4)
+    assert inner.parent is a4.as_group()
+    assert np.array_equal(a4.to_parent(inner.as_array()), v4.as_array())
+    assert np.array_equal(inner.as_group().mul, local.mul)
+    with pytest.raises(ValueError):
+        a4.within(v4)  # not contained
+    with pytest.raises(ValueError):
+        v4.within(POOL["A4"].full_subgroup())  # another parent
 
 
 def test_quotient_s4_by_v4_is_s3_shaped():
@@ -206,13 +216,16 @@ def test_normal_lattice_matches_atom_join_oracle(corpus_groups):
     assert checked == 108
 
 
-def test_normal_lattice_bounds():
-    g = abelian([2] * 5)  # 374 subgroups, all normal
+def test_normal_lattice_bounds(monkeypatch):
+    # abelian([2] * 5) has 374 subgroups, all normal
+    monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 100)
     with pytest.raises(BoundExceeded):
-        g.normal_subgroups(bound=100)
-    assert len(g.normal_subgroups(bound=374)) == 374
+        abelian([2] * 5).normal_subgroups()
+    monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 373)
     with pytest.raises(BoundExceeded):
-        g.normal_subgroups(bound=373)  # the cached lattice is capped too
+        abelian([2] * 5).normal_subgroups()
+    monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 374)
+    assert len(abelian([2] * 5).normal_subgroups()) == 374
     with pytest.raises(BoundExceeded):
         cyclic(520).normal_subgroups()  # beyond the character-table order cap
 
@@ -293,6 +306,44 @@ def test_frobenius_complement_shapes():
     local = comp.as_group()
     assert not local.is_abelian
     assert sum(1 for x in range(8) if local.elt_order[x] == 2) == 1  # quaternion
+
+
+def _frobenius_pairs(named_groups):
+    for name, g in named_groups:
+        subs = g.normal_subgroups() if g.order <= 512 else g.minimal_normal_subgroups()
+        for sub in subs:
+            if is_frobenius_with_kernel(g, sub):
+                yield name, g, sub
+
+
+def test_frobenius_complement_is_a_complement(corpus_groups):
+    """The built complement has order |G:N|, is closed and meets N in 1, on
+    every corpus Frobenius pair and on AGL1(q) for five larger q."""
+    named = list(corpus_groups.items()) + [
+        (f"AGL1({q})", agl1(q)) for q in (17, 23, 25, 27, 32)
+    ]
+    pairs = list(_frobenius_pairs(named))
+    assert len(pairs) == 35
+    for name, g, sub in pairs:
+        comp = frobenius_complement(g, sub)
+        assert comp.order == g.order // sub.order, name
+        assert oracles.is_subgroup(g.mul, comp.elements), name
+        assert set(comp.elements) & set(sub.elements) == {0}, name
+
+
+def test_frobenius_complement_is_among_all_complements(corpus_groups):
+    """Against the full subgroup enumeration, for |G| <= 80."""
+    small = [(name, g) for name, g in corpus_groups.items() if g.order <= 80]
+    checked = 0
+    for name, g, sub in _frobenius_pairs(small):
+        complements = {
+            h.elements for h in oracles.all_subgroups(g)
+            if h.order == g.order // sub.order
+            and set(h.elements) & set(sub.elements) == {0}
+        }
+        assert frobenius_complement(g, sub).elements in complements, name
+        checked += 1
+    assert checked == 27
 
 
 def test_pprime_elements_fixed_point_free():
