@@ -44,6 +44,7 @@ __all__ = [
 
 ORDER_BOUND = 10 ** 6
 SPACE_BOUND = 2 ** 20
+MATRIX_SPACE_BOUND = 10 ** 7  # cap on p^(n²), the matrices gl_elements scans
 GL_BOUND = 5000  # cap on |GL(n, p)| for the exhaustive subgroup scan
 
 
@@ -270,9 +271,15 @@ def distinct_sizes_scan(action: LinearAction) -> dict:
 
 def gl_elements(p: int, n: int) -> list[np.ndarray]:
     """Every invertible n×n matrix over GF(p), lexicographically ordered."""
+    # p^(n²) >= 2^(n²) and p^(n²) >= p: both are checked before it is built.
+    bits = MATRIX_SPACE_BOUND.bit_length()
+    if n * n >= bits:
+        raise BoundExceeded("matrix space dimension", n * n, bits - 1)
+    if p.bit_length() > bits:
+        raise BoundExceeded("field size in bits", p.bit_length(), bits)
     count = p ** (n * n)
-    if count > 10 ** 7:
-        raise BoundExceeded("matrix space", count, 10 ** 7)
+    if count > MATRIX_SPACE_BOUND:
+        raise BoundExceeded("matrix space", count, MATRIX_SPACE_BOUND)
     out = []
     for code in range(count):
         digits = []

@@ -27,9 +27,27 @@ The output does not depend on the weights or the probes: the eigenvectors
 are unique up to scale and normalized, the prime choice is fixed, and rows
 are put in canonical order (trivial character first, then by degree and
 lexicographic coefficients).
+
+Most groups a scan meets are isomorphic to one that already holds a table,
+so ``compute_table`` first looks in a pool of weak references to the live
+groups that hold one, keyed on the order and the multiset of (element
+order, class size).  An isomorphism to a pooled group is searched for by
+mapping generators to candidate images (Miller's generator-image
+technique, under a node budget) and checked exactly in full; the table is
+then read off through it as a column gather and put in canonical order.
+The rows, the prime (fixed by exponent and order) and the root are the
+ones the build would give, so both routes give the same bytes.  The pool
+holds no table that a live group does not hold, so it needs no bound, and
+nothing carries over once the groups are gone.  Like the group caches it
+is filled without a lock: concurrent first calls may build or pool the
+same type twice, which changes no result.  Only ``table_counts``, the
+number of tables built and transported, is updated under a lock.
 """
 
 from __future__ import annotations
+
+import threading
+import weakref
 
 import numpy as np
 
@@ -158,14 +176,34 @@ class CharacterTable:
 
 
 def compute_table(group: Group) -> CharacterTable:
-    """Exact character table of ``group`` (cached on the group)."""
+    """Exact character table of ``group`` (cached on the group).
+
+    The table is transported from a live isomorphic group that already
+    holds one when the pool has such a group and the isomorphism search
+    finds a map within ``ISOMORPHISM_NODE_BUDGET``; otherwise it is built.
+    Both routes give the same bytes.
+    """
     cached = group._cache.get("table")
     if cached is not None:
         return cached
     n = group.order
     if n > TABLE_ORDER_BOUND:
         raise BoundExceeded("character table order", n, TABLE_ORDER_BOUND)
+    found = _transport_from_pool(group)
+    if found is None:
+        table, kin = _build_table(group), None
+    else:
+        table, kin = found
+    with _COUNT_LOCK:
+        table_counts["built" if kin is None else "transported"] += 1
+    group._cache["table"] = table
+    _pool_add(group, kin)
+    return table
 
+
+def _build_table(group: Group) -> CharacterTable:
+    """The table by the class-algebra split; neither cached nor pooled."""
+    n = group.order
     cc = group.conjugacy_classes()
     k = len(cc.reps)
     e = group.exponent
@@ -232,8 +270,15 @@ def compute_table(group: Group) -> CharacterTable:
     if not np.array_equal(coeffs @ powz % q, modq):
         raise ContractViolation("lifted values disagree with modular table")
 
-    # Canonical row order: trivial first, then (degree, lex coefficients).
-    one = np.zeros(phi, dtype=np.int64)
+    order = _canonical_order(degrees, coeffs)
+    return CharacterTable(group, cc, degrees[order], e, q, z, coeffs[order],
+                          modq[order], kernel_mask[order])
+
+
+def _canonical_order(degrees: np.ndarray, coeffs: np.ndarray) -> list[int]:
+    """Row order: the trivial character first, then (degree, lex coefficients)
+    in the group's own class order."""
+    one = np.zeros(coeffs.shape[2], dtype=np.int64)
     one[0] = 1
     trivial_rows = np.nonzero(
         (degrees == 1) & np.all(coeffs == one[None, None, :], axis=(1, 2))
@@ -241,18 +286,227 @@ def compute_table(group: Group) -> CharacterTable:
     if trivial_rows.size != 1:
         raise ContractViolation("trivial character not uniquely identified")
     triv = int(trivial_rows[0])
-    rest = [r for r in range(k) if r != triv]
-    rest.sort(key=lambda r: (int(degrees[r]), tuple(coeffs[r].ravel().tolist())))
-    order = [triv] + rest
+    # np.lexsort takes its last key first: degree, then coefficient 0, 1, ...
+    flat = coeffs.reshape(len(degrees), -1)
+    order = np.lexsort(np.vstack([flat.T[::-1], degrees[None, :]]))
+    return [triv] + [int(r) for r in order if r != triv]
 
-    degrees = degrees[order]
-    coeffs = coeffs[order]
-    modq = modq[order]
-    kernel_mask = kernel_mask[order]
 
-    table = CharacterTable(group, cc, degrees, e, q, z, coeffs, modq, kernel_mask)
-    group._cache["table"] = table
-    return table
+# -- transport along an isomorphism ------------------------------------------
+
+# Candidate images the isomorphism search may try before it gives up and
+# the table is built instead.
+ISOMORPHISM_NODE_BUDGET = 2000
+
+# Tables built by the class-algebra split and tables transported from an
+# isomorphic group, since import.
+table_counts = {"built": 0, "transported": 0}
+_COUNT_LOCK = threading.Lock()
+
+# _isomorphism_key() -> one list per isomorphism type met, of weak
+# references to the live groups of that type that hold a table.  A
+# reference drops out when its group dies, so the pool holds no table that
+# a live group does not hold itself.
+_TABLE_POOL: dict[tuple, list[list["_Member"]]] = {}
+
+
+class _Member(weakref.ref):
+    """A weak reference to a pooled group, with the lists that hold it:
+    its isomorphic kin and the types under its key."""
+
+    __slots__ = ("kin", "types")
+
+
+def _element_key(group: Group) -> np.ndarray:
+    """(element order, class size, number of square roots) of every
+    element, coded as one int64: an isomorphism maps each element to one
+    with the same key.  The pool key keeps the first two; the root count
+    prunes the search where many elements share an order and a class size."""
+    if "element_key" not in group._cache:
+        n = group.order
+        cc = group.conjugacy_classes()
+        sizes = np.asarray(cc.sizes, dtype=np.int64)[cc.class_of]
+        ids = np.arange(n)
+        roots = np.bincount(group.mul[ids, ids], minlength=n)
+        code = group.elt_order * (n + 1) + sizes
+        group._cache["element_key"] = code * (n + 1) + roots
+    return group._cache["element_key"]
+
+
+def _isomorphism_key(group: Group) -> tuple[int, bytes]:
+    """The order and the multiset of (element order, class size): equal for
+    isomorphic groups, though equal keys do not prove an isomorphism."""
+    return group.order, np.sort(_element_key(group) // (group.order + 1)).tobytes()
+
+
+def _pool_add(group: Group, kin: list[_Member] | None) -> None:
+    """Pool ``group`` with its isomorphic ``kin``, or as a new type when
+    ``kin`` is None or has left the pool since (its groups died)."""
+    types = _TABLE_POOL.setdefault(_isomorphism_key(group), [])
+    if not any(k is kin for k in types):
+        kin = []
+        types.append(kin)
+    member = _Member(group, _forget)
+    member.kin, member.types = kin, types
+    kin.append(member)
+
+
+def _forget(member: _Member) -> None:
+    """Drop a pooled group that died, then its type once no kin is left,
+    then the key once it has no type."""
+    kin, types = member.kin, member.types
+    if member in kin:
+        kin.remove(member)
+    if not kin:
+        types[:] = [k for k in types if k is not kin]
+    if not types:
+        for key, value in list(_TABLE_POOL.items()):
+            if value is types:
+                del _TABLE_POOL[key]
+
+
+def _transport_from_pool(group: Group) -> tuple[CharacterTable, list] | None:
+    """The table of ``group`` carried over from a pooled isomorphic group,
+    with that group's kin, or None when no pooled type is found isomorphic
+    within the budget."""
+    for kin in list(_TABLE_POOL.get(_isomorphism_key(group), ())):
+        source = kin[0]() if kin else None
+        if source is None:
+            continue
+        phi = _find_isomorphism(group, source)
+        if phi is not None:
+            return _transport(group, source, phi), kin
+    return None
+
+
+def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
+    """An isomorphism h -> s as an id array, or None when none is found
+    within ``ISOMORPHISM_NODE_BUDGET`` candidate images.
+
+    The generators of h are mapped one at a time, the rarest element key
+    first, to elements of s with the same key that lie outside the image of
+    the earlier ones (Miller's generator-image technique).  Each choice
+    fixes the map on the elements the new generator adds to the span, along
+    the Cayley graph, and is kept only if it is injective, keeps every
+    element key and respects every new product by a generator.
+    """
+    n = h.order
+    if np.array_equal(h.mul, s.mul):
+        return np.arange(n)
+    key_h, key_s = _element_key(h), _element_key(s)
+    gens = sorted(h.generators(), key=lambda g: (np.count_nonzero(key_h == key_h[g]), g))
+    levels = _generator_chain(h, gens)
+    phi = np.zeros(n, dtype=np.int64)
+    phi_list = [0] * n
+    images = np.zeros(len(levels), dtype=np.int64)  # image of each generator
+    columns: list[list[int]] = [[]] * len(levels)   # x -> x * image, in s
+    budget = ISOMORPHISM_NODE_BUDGET
+    # Composed with conjugation in s an isomorphism stays one, so the
+    # first generator need only go to class representatives.
+    class_reps = np.zeros(n, dtype=bool)
+    class_reps[list(s.conjugacy_classes().reps)] = True
+
+    def search(depth: int, used: np.ndarray) -> bool | None:
+        """True when the map is complete, False when no choice fits, None
+        when the budget ran out."""
+        nonlocal budget
+        if depth == len(levels):
+            return True
+        g, fresh, parents, gen_pos, f, x, j, y = levels[depth]
+        choices = (key_s == key_h[g]) & ~used
+        if depth == 0:
+            choices &= class_reps
+        for t in np.flatnonzero(choices).tolist():
+            if budget == 0:
+                return None
+            budget -= 1
+            images[depth] = t
+            columns[depth] = s.mul[:, t].tolist()
+            for e, p, k in zip(fresh, parents, gen_pos):
+                phi_list[e] = columns[k][phi_list[p]]
+            img = np.array([phi_list[e] for e in fresh], dtype=np.int64)
+            phi[f] = img
+            now = used.copy()
+            now[img] = True
+            if (np.count_nonzero(now) == np.count_nonzero(used) + img.size
+                    and np.array_equal(key_s[img], key_h[f])
+                    and np.array_equal(s.mul[phi[x], images[j]], phi[y])):
+                found = search(depth + 1, now)
+                if found is not False:
+                    return found
+        return False
+
+    used = np.zeros(n, dtype=bool)
+    used[0] = True
+    return phi if search(0, used) else None
+
+
+def _generator_chain(h: Group, gens) -> list[tuple]:
+    """One level per generator outside the span of those before it:
+    (generator, fresh, parents, gen_pos, fresh as an array, x, j, y).
+
+    ``fresh`` lists the elements the generator adds to the span, in
+    breadth-first order along the Cayley graph: fresh[i] = parents[i] *
+    (the gen_pos[i]-th kept generator), each parent older or earlier in
+    the list.  (x, j, y) are the products y = x * (j-th kept generator)
+    that first lie inside this level's span: fresh elements by every kept
+    generator, older elements by the new one.
+    """
+    inside = bytearray(h.order)
+    inside[0] = 1
+    span = [0]
+    kept: list[int] = []
+    columns: list[list[int]] = []   # x -> x * generator, in h
+    levels = []
+    for g in gens:
+        if inside[g]:
+            continue
+        kept.append(g)
+        columns.append(h.mul[:, g].tolist())
+        new = len(kept) - 1
+        fresh, parents, gen_pos = [], [], []
+        # Older elements by the new generator, then fresh ones, as they are
+        # reached, by every kept generator.
+        work = [(a, new) for a in span]
+        for a, k in work:  # grows as it goes
+            b = columns[k][a]
+            if not inside[b]:
+                inside[b] = 1
+                fresh.append(b)
+                parents.append(a)
+                gen_pos.append(k)
+                work.extend((b, i) for i in range(len(kept)))
+        f, old = np.array(fresh, dtype=np.int64), np.array(span, dtype=np.int64)
+        m = len(kept)
+        x = np.concatenate([np.repeat(f, m), old])
+        j = np.concatenate([np.arange(f.size * m) % m, np.full(old.size, new)])
+        levels.append((g, fresh, parents, gen_pos, f, x, j, h.mul[x, np.array(kept)[j]]))
+        span += fresh
+    return levels
+
+
+def _transport(h: Group, s: Group, phi: np.ndarray) -> CharacterTable:
+    """The table of h read off the table of s through the isomorphism phi:
+    each class of h takes the column of the class of phi(rep), and the rows
+    are put in canonical order."""
+    n = h.order
+    if not np.array_equal(np.sort(phi), np.arange(n)):
+        raise ContractViolation("isomorphism search returned a non-bijection")
+    if not np.array_equal(phi[h.mul], s.mul[phi[:, None], phi[None, :]]):
+        raise ContractViolation("isomorphism search returned a non-homomorphism")
+    src = s._cache["table"]
+    cc = h.conjugacy_classes()
+    cols = _image_classes(h, s, phi)
+    coeffs = src._coeffs[:, cols]
+    order = _canonical_order(src.degrees, coeffs)
+    return CharacterTable(h, cc, src.degrees[order], src.conductor, src.prime,
+                          src.root, coeffs[order], src._modq[:, cols][order],
+                          src._kernel_mask[:, cols][order])
+
+
+def _image_classes(h: Group, s: Group, phi: np.ndarray) -> np.ndarray:
+    """The class of s that holds phi(rep), for each class of h."""
+    return s.conjugacy_classes().class_of[phi[np.asarray(h.conjugacy_classes().reps)]]
 
 
 # Seed of the generator behind the combination weights and the probe

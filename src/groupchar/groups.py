@@ -10,7 +10,11 @@ a `Subgroup` carries the one parent-to-local id map (`local_ids`).
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled into a per-instance cache on first use.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
-instance may compute the same value twice.
+instance may compute the same value twice.  A `Group` can be weakly
+referenced (``__weakref__``): `chartable` pools weak references to the
+groups that hold a table, to transport it to isomorphic groups, so a
+pooled group lives no longer than its other references and the pool, like
+the caches, is filled idempotently and without a lock.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ NORMAL_LATTICE_BOUND = 10_000  # ceiling on the number of normal subgroups
 class Group:
     """A finite group given by its full n x n multiplication table."""
 
-    __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache")
+    __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache", "__weakref__")
 
     def __init__(self, mul, label: str = "G", *, validate: bool = True):
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))

@@ -4,6 +4,11 @@ The corpus is built once; character tables cache on the group objects, so
 later fixtures are cheap.  The triple-scan fixture runs the invariant-
 character assertions over every (G, N) pair in the corpus and keeps the
 records for the acceptance criteria that quantify over triples.
+
+These groups live for the whole session, so ``compute_table`` on any
+isomorphic group a later test builds is transported from one of them, not
+built.  A test that must exercise the split calls ``chartable._build_table``
+directly or empties the pool (``chartable._TABLE_POOL``) by monkeypatch.
 """
 
 from __future__ import annotations

@@ -140,6 +140,15 @@ def test_gl_element_counts():
     assert len(gl_elements(7, 1)) == 6
 
 
+def test_gl_elements_refuses_before_building_the_count():
+    with pytest.raises(BoundExceeded, match="matrix space dimension"):
+        gl_elements(3, 100)  # refused before 3^(100²) is built
+    with pytest.raises(BoundExceeded, match="field size in bits"):
+        gl_elements(10 ** 5000 + 1, 1)  # a field too large to name in full
+    with pytest.raises(BoundExceeded, match="matrix space: size 43046721"):
+        gl_elements(3, 4)  # 3^16 is small enough to build and name
+
+
 def test_odd_subgroups_of_gl1_small():
     actions = odd_order_subgroup_actions(7, 1)
     orders = sorted(a.group_order for a in actions)

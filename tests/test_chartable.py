@@ -237,7 +237,9 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
     build = SPLIT_CASES[name]
 
     def table_bytes():
-        table = compute_table(build())
+        # _build_table, not compute_table: a live isomorphic group would
+        # hand over its table and the patched split would never run.
+        table = chartable._build_table(build())
         return table._coeffs.tobytes(), table._kernel_mask.tobytes(), len(table)
 
     seeded = table_bytes()

@@ -383,6 +383,8 @@ def test_split_failure_exits_2(capsys, monkeypatch, q8_file):
         raise SplitFailure("forced failure of the eigenspace split")
 
     monkeypatch.setattr(chartable, "_split_central_characters", broken_split)
+    # An empty pool: no live Q8 can hand over its table, so the split runs.
+    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
     code, out, err = run(capsys, ["table", q8_file])
     assert code == 2
     assert out == ""

@@ -1,0 +1,290 @@
+"""Tables transported along an isomorphism against tables built by the
+split, the isomorphism search on a key collision, the weak pool's lifetime,
+and the table counters."""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from groupchar import (
+    Group,
+    TheoremViolation,
+    build_corpus,
+    c7_c3,
+    compute_table,
+    cyclic,
+    dihedral,
+    direct_product,
+    extraspecial_2,
+    generalized_quaternion,
+    ramification_scan_pair,
+    semidirect_product,
+    sym,
+)
+import groupchar.chartable as chartable
+import groupchar.clifford as clifford
+from groupchar.chartable import _build_table
+
+import oracles
+
+
+def relabel(group: Group, seed: int) -> Group:
+    """``group`` on its ids permuted by a seeded permutation that fixes 0."""
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])
+    mul = np.empty_like(group.mul)
+    mul[sigma[:, None], sigma[None, :]] = sigma[group.mul]
+    return Group(mul, label=f"{group.label}~{seed}")
+
+
+def route_differences(group: Group) -> list[str]:
+    """The fields on which ``compute_table`` and ``_build_table`` differ."""
+    got, want = compute_table(group), _build_table(group)
+    fields = ("_coeffs", "_modq", "_kernel_mask", "degrees")
+    out = [f for f in fields if not np.array_equal(getattr(got, f), getattr(want, f))]
+    out += [f for f in ("prime", "root", "conductor")
+            if getattr(got, f) != getattr(want, f)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def type_representatives(corpus_groups, triple_records):
+    """One group per isomorphism key met among the corpus groups and their
+    proper normal subgroups, and every distinct subgroup Cayley table; all
+    of them hold a table after the triple scan."""
+    types, tables = {}, {}
+    for group in corpus_groups.values():
+        types.setdefault(chartable._isomorphism_key(group), group)
+        for sub in group.normal_subgroups():
+            if 1 < sub.order < group.order:
+                h = sub.as_group()
+                types.setdefault(chartable._isomorphism_key(h), h)
+                tables.setdefault(h.mul.tobytes(), h)
+    return list(types.values()), list(tables.values())
+
+
+def _transported_cases(groups, seed):
+    """Relabelled copies of ``groups``, each checked to take the transport."""
+    copies = [relabel(g, seed + i) for i, g in enumerate(groups)]
+    for h in copies:
+        before = chartable.table_counts["transported"]
+        compute_table(h)
+        assert chartable.table_counts["transported"] == before + 1, h.label
+    return copies
+
+
+def test_transport_matches_build_on_every_type(type_representatives):
+    types, _ = type_representatives
+    assert len(types) >= 100
+    for h in _transported_cases(types, seed=1000):
+        assert route_differences(h) == [], h.label
+
+
+def test_transport_matches_build_on_sampled_tables(type_representatives):
+    _, tables = type_representatives
+    rng = np.random.default_rng(20221)
+    sample = [tables[i] for i in sorted(rng.choice(len(tables), 60, replace=False))]
+    for h in _transported_cases(sample, seed=5000):
+        assert route_differences(h) == [], h.label
+
+
+def test_identity_gather_fails_the_two_routes(type_representatives, monkeypatch):
+    """Mutation check: columns taken in the source's own class order, not
+    through the isomorphism, must be caught by the comparison above."""
+    types, _ = type_representatives
+    monkeypatch.setattr(chartable, "_image_classes",
+                        lambda h, s, phi: np.arange(len(h.conjugacy_classes())))
+    copies = _transported_cases(types, seed=9000)
+    assert sum(bool(route_differences(h)) for h in copies) > len(copies) // 2
+
+
+def test_key_collision_is_rejected_and_both_are_built(monkeypatch):
+    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
+    c4 = cyclic(4)
+    inversion = [[0, 1, 2, 3], [0, 3, 2, 1]] * 2
+    c4_c4 = semidirect_product(c4, c4, inversion)
+    c2_q8 = direct_product(cyclic(2), generalized_quaternion(8))
+    assert chartable._isomorphism_key(c4_c4) == chartable._isomorphism_key(c2_q8)
+    # Not isomorphic: C4:C4 has three squares, C2 x Q8 two.
+    assert [_square_count(g) for g in (c4_c4, c2_q8)] == [3, 2]
+    assert chartable._find_isomorphism(c2_q8, c4_c4) is None
+    before = chartable.table_counts["built"]
+    compute_table(c4_c4)
+    compute_table(c2_q8)
+    assert chartable.table_counts["built"] - before == 2
+    assert len(chartable._TABLE_POOL[chartable._isomorphism_key(c4_c4)]) == 2
+    for g in (c4_c4, c2_q8):
+        assert route_differences(g) == []
+
+
+def _square_count(group: Group) -> int:
+    ids = np.arange(group.order)
+    return np.unique(group.mul[ids, ids]).size
+
+
+def test_zero_budget_builds_the_same_bytes(monkeypatch):
+    s4 = sym(4)
+    compute_table(s4)
+    transported = compute_table(relabel(s4, 1))
+    monkeypatch.setattr(chartable, "ISOMORPHISM_NODE_BUDGET", 0)
+    before = dict(chartable.table_counts)
+    built = compute_table(relabel(s4, 1))
+    assert chartable.table_counts["built"] == before["built"] + 1
+    assert chartable.table_counts["transported"] == before["transported"]
+    for field in ("_coeffs", "_modq", "_kernel_mask", "degrees"):
+        assert np.array_equal(getattr(built, field), getattr(transported, field))
+    assert (built.prime, built.root, built.conductor) == (
+        transported.prime, transported.root, transported.conductor)
+
+
+def test_a_map_that_fails_the_checks_is_a_contract_violation(monkeypatch):
+    s4 = sym(4)
+    compute_table(s4)
+    swapped = np.arange(24)
+    swapped[[1, 2]] = [2, 1]
+    monkeypatch.setattr(chartable, "_find_isomorphism", lambda h, s: swapped)
+    with pytest.raises(chartable.ContractViolation, match="non-homomorphism"):
+        compute_table(relabel(s4, 2))
+    monkeypatch.setattr(chartable, "_find_isomorphism",
+                        lambda h, s: np.zeros(24, dtype=np.int64))
+    with pytest.raises(chartable.ContractViolation, match="non-bijection"):
+        compute_table(relabel(s4, 3))
+
+
+def test_pool_forgets_a_dead_group():
+    g = direct_product(cyclic(7), cyclic(11))  # C77: no other test builds it
+    compute_table(g)
+    key = chartable._isomorphism_key(g)
+    assert [len(kin) for kin in chartable._TABLE_POOL[key]] == [1]
+    fresh = relabel(g, 4)
+    assert chartable._transport_from_pool(fresh) is not None
+    del g
+    gc.collect()
+    assert key not in chartable._TABLE_POOL
+    assert chartable._transport_from_pool(fresh) is None
+    before = chartable.table_counts["built"]
+    compute_table(fresh)
+    assert chartable.table_counts["built"] == before + 1
+    assert chartable._TABLE_POOL[key][0][0]() is fresh
+
+
+def test_transported_table_belongs_to_the_caller():
+    s4 = sym(4)
+    compute_table(s4)
+    h = relabel(s4, 5)
+    before = chartable.table_counts["transported"]
+    table = compute_table(h)
+    assert chartable.table_counts["transported"] == before + 1
+    assert table.group is h and table.classes.group is h
+    for chi in table:
+        kernel = chi.kernel()
+        assert kernel.parent is h
+        assert set(kernel.elements) == oracles.kernel_by_values(chi)
+
+
+def test_witness_from_a_transported_subgroup_names_the_parent(monkeypatch):
+    c2 = cyclic(2)
+    compute_table(c2)  # a live pooled source for the centre's type
+    g = Group(extraspecial_2(2, "+").mul, label="ES32+ parent")
+    center = g.center()
+    n = center.as_group()
+    compute_table(g)
+    before = chartable.table_counts["transported"]
+    assert compute_table(n).group is n
+    assert chartable.table_counts["transported"] == before + 1
+    # An odd multiplicity of invariant factors makes the fully ramified,
+    # abelian-quotient assertion fire on θ ≠ 1 of the centre.
+    monkeypatch.setattr(clifford, "abelian_invariant_factors", lambda group, sub: [2])
+    with pytest.raises(TheoremViolation) as err:
+        ramification_scan_pair(g, center)
+    assert err.value.witness["group"] == "ES32+ parent"
+    assert err.value.witness["n_order"] == 2
+
+
+def _run_threads(work, chunks):
+    """Run ``work`` on each chunk in its own thread, switching threads as
+    often as the interpreter allows; returns what the threads raised."""
+    errors = []
+
+    def guarded(chunk):
+        try:
+            work(chunk)
+        except Exception as exc:  # reported by the caller's assertion
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(c,)) for c in chunks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_concurrent_first_calls_agree(monkeypatch):
+    """Unlocked pool fills from six threads: every table equals a build,
+    and every request is counted once as built or transported."""
+    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
+    bases = [sym(4), dihedral(8), generalized_quaternion(16), c7_c3()]
+    groups = [relabel(b, seed) for seed in range(6) for b in bases]
+    before = sum(chartable.table_counts.values())
+
+    def tables(chunk):
+        for h in chunk:
+            compute_table(h)
+
+    assert _run_threads(tables, [groups[i::6] for i in range(6)]) == []
+    assert sum(chartable.table_counts.values()) - before == len(groups)
+    for h in groups:
+        assert route_differences(h) == [], h.label
+    # First calls on one shared instance may fill its cache twice, with
+    # the same bytes.
+    shared = [relabel(b, 100) for b in bases]
+    seen = []
+    assert _run_threads(lambda _: seen.extend(compute_table(h) for h in shared),
+                        range(6)) == []
+    for table in seen:
+        assert route_differences(table.group) == []
+
+
+def test_counts_over_every_corpus_pair(monkeypatch):
+    """Fresh corpus groups and all 6912 pairs, from an empty pool: every
+    table requested is built or transported, and no isomorphism type is
+    built twice."""
+    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
+    before = dict(chartable.table_counts)
+    requested = []
+    for entry in build_corpus():
+        group = entry.build()
+        requested.append(group)
+        for sub in group.normal_subgroups():
+            if 1 < sub.order < group.order:
+                compute_table(sub.as_group())
+                requested.append(sub.as_group())
+    assert len(requested) == 116 + 6912
+    built = chartable.table_counts["built"] - before["built"]
+    transported = chartable.table_counts["transported"] - before["transported"]
+    assert built + transported == len(requested)
+    # Isomorphic groups share (order, multiset of (element order, class
+    # size)), so the number of such invariants met bounds the types met
+    # from below.
+    invariants = {_order_class_size_invariant(g) for g in requested}
+    assert built <= len(invariants)
+
+
+def _order_class_size_invariant(group: Group) -> tuple[int, bytes]:
+    """(order, multiset of (element order, centralizer order)), read
+    straight off the table."""
+    centralizers = np.count_nonzero(group.mul == group.mul.T, axis=0)
+    codes = group.elt_order * (group.order + 1) + centralizers
+    return group.order, np.sort(codes).tobytes()
