@@ -2,10 +2,11 @@
 
 The library computes character tables of groups given by Cayley tables,
 with all values as exact cyclotomic integers, and builds on them: Clifford
-theory over normal subgroups (orbits, stabilizers, extensions, full
-ramification), distinct-degree and Camina-pair predicates with a
-structural classifier, orbit checks for matrix groups over prime fields,
-and a fixed verification corpus wired to a command-line tool.
+theory over normal subgroups (orbits, extensions, and full ramification
+read off G by the Clifford correspondence), distinct-degree and
+Camina-pair predicates with a structural classifier, orbit checks for
+matrix groups over prime fields, and a fixed verification corpus wired to
+a command-line tool.
 """
 
 from .errors import (
@@ -42,22 +43,16 @@ from .chartable import (
     verify_table,
 )
 from .clifford import (
-    CharacterTriple,
     abelian_invariant_factors,
-    build_triple,
     class_fusion,
     conjugate_character,
     extension_alternative,
     extensions_of,
     invariant_rows,
-    irr_above,
-    is_fully_ramified,
-    orbit_of,
     quotient_class,
     ramification_report,
     ramification_scan_pair,
     section_centralizer,
-    stabilizer_of,
 )
 from .pairs import (
     PairReport,

@@ -20,7 +20,8 @@ the central characters mod q.  They are found by splitting (Schneider,
 Degrees follow from the orthogonality relation, and each value is lifted to
 an exact cyclotomic integer by extracting root-of-unity multiplicities,
 which are genuine nonnegative integers below q and therefore unambiguous
-residues.  A table stores the lifted values as one coefficient array;
+residues.  A table stores the lifted values as one coefficient array, and
+derives its values mod q and its kernel and zero masks from it;
 ``Character.values`` turns a row into ``Cyclotomic`` objects on demand.
 
 The output does not depend on the weights or the probes: the eigenvectors
@@ -134,16 +135,21 @@ class CharacterTable:
     exponent), ``prime`` (the working modulus).
     """
 
-    def __init__(self, group, classes, degrees, conductor, prime, root,
-                 coeffs, modq, kernel_mask):
+    def __init__(self, group, classes, degrees, conductor, prime, root, coeffs):
         self.group = group
         self.classes = classes
         self.conductor = conductor
         self.prime = prime
         self.root = root
-        self._coeffs = coeffs            # (rows, classes, phi(e)) exact ints
-        self._modq = modq                # (rows, classes) values mod prime
-        self._kernel_mask = kernel_mask  # (rows, classes) bool: class in kernel
+        self._coeffs = coeffs  # (rows, classes, phi(e)) exact ints
+        # Derived from the coefficients: the values mod prime (root as the
+        # primitive e-th root of unity), the classes in each kernel
+        # (χ(g) = χ(1) exactly), and the classes where each row vanishes.
+        powers = np.array([pow(int(root), i, prime) for i in range(coeffs.shape[2])],
+                          dtype=np.int64)
+        self._modq = coeffs @ powers % prime
+        self._kernel_mask = ((coeffs[:, :, 0] == degrees[:, None])
+                             & ~coeffs[:, :, 1:].any(axis=2))
         self._zero_mask = ~coeffs.any(axis=2)
         self.degrees = degrees
         self.rows = tuple(Character(self, i, int(d)) for i, d in enumerate(degrees))
@@ -244,7 +250,6 @@ def _build_table(group: Group) -> CharacterTable:
     phi = euler_phi(e)
     red = np.array(_reduction_table(e), dtype=np.int64)
     coeffs = np.zeros((k, k, phi), dtype=np.int64)
-    kernel_mask = np.zeros((k, k), dtype=bool)
     mul = group.mul
     for c in range(k):
         rep = int(cc.reps[c])
@@ -261,18 +266,15 @@ def _build_table(group: Group) -> CharacterTable:
         mults = modq[:, pow_classes] @ w.T % q * inv_o % q
         if not np.array_equal(mults.sum(axis=1), degrees):
             raise ContractViolation("root multiplicities do not sum to degree")
-        kernel_mask[:, c] = mults[:, 0] == degrees
         exps = np.arange(o, dtype=np.int64) * step % e
         coeffs[:, c, :] = mults @ red[exps]
 
-    # Cross-check the lift against the modular table.
-    powz = zpow[:phi]
-    if not np.array_equal(coeffs @ powz % q, modq):
-        raise ContractViolation("lifted values disagree with modular table")
-
     order = _canonical_order(degrees, coeffs)
-    return CharacterTable(group, cc, degrees[order], e, q, z, coeffs[order],
-                          modq[order], kernel_mask[order])
+    table = CharacterTable(group, cc, degrees[order], e, q, z, coeffs[order])
+    # Cross-check the lift against the modular table.
+    if not np.array_equal(table._modq, modq[order]):
+        raise ContractViolation("lifted values disagree with modular table")
+    return table
 
 
 def _canonical_order(degrees: np.ndarray, coeffs: np.ndarray) -> list[int]:
@@ -500,8 +502,7 @@ def _transport(h: Group, s: Group, phi: np.ndarray) -> CharacterTable:
     coeffs = src._coeffs[:, cols]
     order = _canonical_order(src.degrees, coeffs)
     return CharacterTable(h, cc, src.degrees[order], src.conductor, src.prime,
-                          src.root, coeffs[order], src._modq[:, cols][order],
-                          src._kernel_mask[:, cols][order])
+                          src.root, coeffs[order])
 
 
 def _image_classes(h: Group, s: Group, phi: np.ndarray) -> np.ndarray:

@@ -145,11 +145,10 @@ def _cmd_analyze(args) -> str:
 
 def _cmd_classify(args) -> str:
     group = load_group(args.file)
-    spec = "auto-minimal" if args.auto_minimal or args.normal is None else args.normal
     rep = Report()
     rep.add("group", group.label)
     rep.add("order", group.order)
-    for sub in _resolve_normals(group, spec):
+    for sub in _resolve_normals(group, args.normal):
         pr = classify_pair(group, sub)
         rep.blank()
         rep.add("normal", list(sub.elements))
@@ -247,8 +246,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="run the pair classifier")
     p.add_argument("file")
-    p.add_argument("--normal", metavar="IDS")
-    p.add_argument("--auto-minimal", action="store_true")
+    p.add_argument("--normal", default="auto-minimal", metavar="IDS|auto-minimal")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("corpus", help="run the shipped verification corpus")

@@ -1,4 +1,4 @@
-"""Characters above a normal subgroup: conjugation, stabilizers, ramification.
+"""Characters above a normal subgroup: conjugation, orbits, ramification.
 
 All operations work on exact character tables.  Characters of a subgroup
 always live on its materialized standalone group (`Subgroup.as_group()`),
@@ -17,15 +17,14 @@ fully ramified θ with abelian quotient, the A × A invariant-factor shape of
 G/N.  Violations are raised as TheoremViolation, never swallowed.  Facts
 about G/N are read inside G: its order |G:N|, G/N abelian as G′ ≤ N, its
 chief factors as those of G above N, and its invariant factors from orders
-modulo N, so no quotient group is built.
-`build_triple`, `orbit_of`, `stabilizer_of` and `is_fully_ramified` reach
-the same facts through the stabilizer group, as an independent route.
+modulo N, so no quotient group is built.  Full ramification is read from
+G through the Clifford correspondence, so no stabilizer group is built
+either; the route through G(θ) and its own table is the test oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -42,12 +41,6 @@ from .groups import Group, Subgroup
 
 __all__ = [
     "conjugate_character",
-    "stabilizer_of",
-    "orbit_of",
-    "irr_above",
-    "CharacterTriple",
-    "build_triple",
-    "is_fully_ramified",
     "extensions_of",
     "section_centralizer",
     "extension_alternative",
@@ -112,125 +105,6 @@ def _conjugation_profile(group: Group, sub: Subgroup, table_n: CharacterTable,
     reps_parent = sub.to_parent(np.asarray(table_n.classes.reps))
     conj = mul[mul[elements][:, reps_parent], inv[elements][:, None]]
     return table_n.classes.class_of[sub.local_ids()[conj]]
-
-
-def stabilizer_of(theta: Character, group: Group, sub: Subgroup) -> Subgroup:
-    """G(θ) = {g in G : θ^g = θ}; contains N."""
-    table_n = theta.table
-    profile = _conjugation_profile(group, sub, table_n)
-    _, vids = np.unique(table_n._coeffs[theta.index], axis=0, return_inverse=True)
-    fixed = np.all(vids[profile] == vids[None, :], axis=1)
-    stab = Subgroup(group, np.nonzero(fixed)[0])
-    if not sub.is_subset_of(stab):
-        raise ContractViolation("stabilizer does not contain the normal subgroup")
-    if group.order % stab.order:
-        raise ContractViolation("stabilizer size does not divide the group order")
-    return stab
-
-
-def orbit_of(theta: Character, group: Group, sub: Subgroup) -> tuple[int, ...]:
-    """Sorted row indices of the G-orbit of θ in Irr(N)."""
-    table_n = theta.table
-    profile = _conjugation_profile(group, sub, table_n)
-    lut = _row_lookup(table_n)
-    coeffs = table_n._coeffs[theta.index]
-    seen = set()
-    for g in range(group.order):
-        key = np.ascontiguousarray(coeffs[profile[g]]).tobytes()
-        idx = lut.get(key)
-        if idx is None:
-            raise ContractViolation("conjugate character left the table")
-        seen.add(idx)
-    return tuple(sorted(seen))
-
-
-def irr_above(group: Group, sub: Subgroup, theta: Character):
-    """Rows of Irr(G) lying above θ, each with its Clifford multiplicity e.
-
-    Asserts homogeneity: every such χ restricts to e times the sum over one
-    orbit of N-characters (common e, common degree, support = orbit of θ).
-    """
-    table_g = compute_table(group)
-    table_n = theta.table
-    mults = restriction_multiplicities(table_g, sub, table_n)
-    orbit = orbit_of(theta, group, sub)
-    out = []
-    for r in np.nonzero(mults[:, theta.index])[0]:
-        row_m = mults[r]
-        support = tuple(np.nonzero(row_m)[0])
-        if support != orbit:
-            raise ContractViolation("restriction support is not the orbit of θ")
-        vals = row_m[list(support)]
-        if not np.all(vals == vals[0]):
-            raise ContractViolation("Clifford multiplicities are not homogeneous")
-        degs = {table_n.rows[t].degree for t in support}
-        if degs != {theta.degree}:
-            raise ContractViolation("orbit members have unequal degrees")
-        e = int(vals[0])
-        chi = table_g.rows[r]
-        if chi.degree != e * len(support) * theta.degree:
-            raise ContractViolation("degree bookkeeping fails for Irr(G|θ)")
-        out.append((chi, e))
-    return out
-
-
-@dataclass(frozen=True)
-class CharacterTriple:
-    """(G, N, θ) with the θ-stabilizer and the characters of G above θ."""
-
-    group: Group
-    sub: Subgroup
-    theta: Character
-    stabilizer: Subgroup
-    above: tuple  # pairs (Character of G, multiplicity e)
-
-
-def build_triple(group: Group, sub: Subgroup, theta: Character) -> CharacterTriple:
-    stab = stabilizer_of(theta, group, sub)
-    orbit = orbit_of(theta, group, sub)
-    if group.order // stab.order != len(orbit):
-        raise ContractViolation("orbit size does not match stabilizer index")
-    above = tuple(irr_above(group, sub, theta))
-    return CharacterTriple(group, sub, theta, stab, above)
-
-
-def is_fully_ramified(triple: CharacterTriple):
-    """(True, e) iff θ has a unique character above it in its stabilizer,
-    of degree e·θ(1) with e² = |G(θ):N|; evaluated for the pair (G(θ), N).
-
-    When true, the degree formula at the top level is asserted: the unique
-    χ ∈ Irr(G|θ) has χ(1) = |G:G(θ)| · e · θ(1).
-    """
-    group, sub, theta = triple.group, triple.sub, triple.theta
-    stab = triple.stabilizer
-    if stab.order == group.order:
-        verdict = _fully_ramified_at_top(triple)
-    else:
-        verdict = is_fully_ramified(build_triple(stab.as_group(), sub.within(stab), theta))
-    if verdict[0]:
-        e = verdict[1]
-        if len(triple.above) != 1:
-            raise ContractViolation(
-                "fully ramified in the stabilizer but |Irr(G|θ)| ≠ 1"
-            )
-        chi, _ = triple.above[0]
-        expected = (group.order // stab.order) * e * theta.degree
-        if chi.degree != expected:
-            raise ContractViolation(
-                f"degree formula fails: χ(1) = {chi.degree}, "
-                f"|G:G(θ)|·e·θ(1) = {expected}"
-            )
-    return verdict
-
-
-def _fully_ramified_at_top(triple: CharacterTriple):
-    group, sub, theta = triple.group, triple.sub, triple.theta
-    if len(triple.above) != 1:
-        return False, None
-    chi, e = triple.above[0]
-    if chi.degree == e * theta.degree and e * e == group.order // sub.order:
-        return True, e
-    return False, None
 
 
 def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):

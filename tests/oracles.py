@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from groupchar.chartable import compute_table
 from groupchar.cyclotomic import Cyclotomic
 from groupchar.groups import Subgroup
 
@@ -236,6 +237,45 @@ def inner_product(chi, psi) -> int:
     if total % table.group.order:
         raise AssertionError("inner product sum not divisible by |G|")
     return total // table.group.order
+
+
+def ramification_by_definition(group, sub) -> list[dict]:
+    """For each θ ∈ Irr(N): its orbit, |G(θ)|, the number of χ ∈ Irr(G)
+    above θ, and whether θ is fully ramified in G(θ) with which e.
+
+    G(θ) is the set of g with θ(g x g⁻¹) = θ(x) on every x ∈ N, compared on
+    values; the orbit is the set of rows θ^g.  Full ramification is read in
+    the table of G(θ) itself: one ψ above θ, e = [ψ_N, θ], e² = |G(θ):N|
+    and ψ(1) = e·θ(1)."""
+    members = [int(x) for x in sub.elements]
+    local = {x: i for i, x in enumerate(members)}
+    mul, inv = group.mul, group.inv
+    conj = [[local[int(mul[mul[g, x], inv[g]])] for x in members]
+            for g in range(group.order)]
+    table_n = compute_table(sub.as_group())
+    values = [[theta(x) for x in range(sub.order)] for theta in table_n]
+    table_g = compute_table(group)
+    out = []
+    for theta, row in zip(table_n, values):
+        images = [[row[y] for y in c] for c in conj]
+        stab = Subgroup(group, [g for g, image in enumerate(images) if image == row])
+        orbit = tuple(t for t, other in enumerate(values) if other in images)
+        if len(orbit) * stab.order != group.order:
+            raise AssertionError("orbit size does not match stabilizer index")
+        inner = sub.within(stab)
+        above = [(psi, restriction_inner(psi, theta, inner))
+                 for psi in compute_table(stab.as_group())]
+        above = [(psi, e) for psi, e in above if e]
+        psi, e = above[0] if len(above) == 1 else (None, None)
+        fully = (e is not None and e * e == stab.order // sub.order
+                 and psi.degree == e * theta.degree)
+        out.append({
+            "orbit": orbit, "stabilizer_order": stab.order,
+            "count_above": sum(1 for chi in table_g
+                               if restriction_inner(chi, theta, sub)),
+            "fully_ramified": fully, "e": e if fully else None,
+        })
+    return out
 
 
 def restrict(chi, sub, table_n) -> list[int]:

@@ -130,6 +130,22 @@ def test_classify_explicit_normal_q8(capsys, q8_file):
     assert "case = i" in out
 
 
+def test_classify_normal_auto_minimal_is_the_default(capsys, s4_file):
+    code, default, err = run(capsys, ["classify", s4_file])
+    assert code == 0 and err == ""
+    code, explicit, err = run(capsys, ["classify", s4_file, "--normal", "auto-minimal"])
+    assert code == 0 and err == ""
+    assert explicit.encode() == default.encode()
+
+
+def test_classify_auto_minimal_flag_is_a_usage_error(capsys, s4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", s4_file, "--auto-minimal", "--normal", "0"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--auto-minimal" in captured.err
+
+
 def test_analyze_q8_center(capsys, q8_file):
     from groupchar import load_group
 

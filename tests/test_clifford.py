@@ -1,5 +1,9 @@
 """Clifford layer: orbits and stabilizers of characters, characters above,
-full ramification, extensions, and the invariant-theta theorem scans."""
+full ramification, extensions, and the invariant-theta theorem scans.
+
+Stabilizers and full ramification in G(θ) come from
+``oracles.ramification_by_definition``, which builds G(θ) and its table;
+the library reads both off G."""
 
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from groupchar import (
     agl1,
     alt,
     build_corpus,
-    build_triple,
     c5c5_c3,
     compute_table,
     conjugate_character,
@@ -29,17 +32,14 @@ from groupchar import (
     extraspecial_2,
     generalized_quaternion,
     invariant_rows,
-    irr_above,
-    is_fully_ramified,
-    orbit_of,
     quotient_class,
     ramification_report,
     ramification_scan_pair,
-    restriction_multiplicities,
     section_centralizer,
-    stabilizer_of,
     sym,
 )
+
+import oracles
 
 
 def _s3_with_a3():
@@ -65,70 +65,79 @@ def test_conjugation_permutes_a3_characters():
     assert trivial.index == 0
 
 
+def _orbit_rows(group, sub, table_n):
+    """The rows of each G-orbit on Irr(N), from the pass's closure."""
+    return [tuple(np.flatnonzero(o)) for o in clifford._orbits(group, sub, table_n)]
+
+
+def _record(group, sub, row):
+    """The pass's record of θ = ``row``, checked against the oracle."""
+    rec = ramification_report(group, sub)[row]
+    ref = oracles.ramification_by_definition(group, sub)[row]
+    keys = ("count_above", "fully_ramified", "e")
+    assert [rec[k] for k in keys] == [ref[k] for k in keys]
+    return rec
+
+
 def test_invariant_rows_and_stabilizers():
     g, sub, table_n = _s3_with_a3()
     inv = invariant_rows(g, sub, table_n)
     assert list(inv) == [True, False, False]
-    assert stabilizer_of(table_n.rows[1], g, sub).order == 3
-    assert stabilizer_of(table_n.rows[0], g, sub).order == 6
-    assert orbit_of(table_n.rows[1], g, sub) == (1, 2)
+    orbits = _orbit_rows(g, sub, table_n)
+    oracle = oracles.ramification_by_definition(g, sub)
+    assert orbits[1] == oracle[1]["orbit"] == (1, 2)
+    # |G(θ)| = |G| / |O(θ)|
+    assert g.order // len(orbits[1]) == oracle[1]["stabilizer_order"] == 3
+    assert g.order // len(orbits[0]) == oracle[0]["stabilizer_order"] == 6
 
     a4 = alt(4)
     v4 = a4.minimal_normal_subgroups()[0]
-    table_v = compute_table(v4.as_group())
-    theta = table_v.rows[1]
-    assert stabilizer_of(theta, a4, v4).order == 4
-    assert len(orbit_of(theta, a4, v4)) == 3
+    orbits = _orbit_rows(a4, v4, compute_table(v4.as_group()))
+    oracle = oracles.ramification_by_definition(a4, v4)
+    assert len(orbits[1]) == len(oracle[1]["orbit"]) == 3
+    assert a4.order // len(orbits[1]) == oracle[1]["stabilizer_order"] == 4
 
 
 def test_irr_above_frozen_counts():
-    g, sub, table_n = _s3_with_a3()
-    above = irr_above(g, sub, table_n.rows[1])
-    assert [(chi.degree, e) for chi, e in above] == [(2, 1)]
+    g, sub, _ = _s3_with_a3()
+    rec = _record(g, sub, 1)
+    assert (rec["degrees_above"], rec["e"]) == ([2], 1)
 
-    q8, z, table_z = _q8_with_center()
-    above = irr_above(q8, z, table_z.rows[1])
-    assert [(chi.degree, e) for chi, e in above] == [(2, 2)]
+    q8, z, _ = _q8_with_center()
+    rec = _record(q8, z, 1)
+    assert (rec["degrees_above"], rec["e"]) == ([2], 2)
 
     a4 = alt(4)
     v4 = a4.minimal_normal_subgroups()[0]
-    theta = compute_table(v4.as_group()).rows[1]
-    above = irr_above(a4, v4, theta)
-    assert [(chi.degree, e) for chi, e in above] == [(3, 1)]
+    rec = _record(a4, v4, 1)
+    assert (rec["degrees_above"], rec["e"]) == ([3], 1)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_extraspecial_above_center(sign):
     g = extraspecial_2(2, sign)
-    z = g.center()
-    table_z = compute_table(z.as_group())
-    above = irr_above(g, z, table_z.rows[1])
-    assert [(chi.degree, e) for chi, e in above] == [(4, 4)]
-    triple = build_triple(g, z, table_z.rows[1])
-    assert is_fully_ramified(triple) == (True, 4)
+    rec = _record(g, g.center(), 1)
+    assert (rec["degrees_above"], rec["e"]) == ([4], 4)
+    assert (rec["fully_ramified"], rec["e"]) == (True, 4)
 
 
 def test_fully_ramified_verdicts():
-    q8, z, table_z = _q8_with_center()
-    triple = build_triple(q8, z, table_z.rows[1])
-    assert is_fully_ramified(triple) == (True, 2)
+    q8, z, _ = _q8_with_center()
+    rec = _record(q8, z, 1)
+    assert (rec["fully_ramified"], rec["e"]) == (True, 2)
 
     c4 = cyclic(4)
-    c2 = c4.subgroup([0, 2])
-    table_c2 = compute_table(c2.as_group())
-    triple = build_triple(c4, c2, table_c2.rows[1])
-    assert is_fully_ramified(triple) == (False, None)
+    rec = _record(c4, c4.subgroup([0, 2]), 1)
+    assert (rec["fully_ramified"], rec["e"]) == (False, None)
 
-    # theta not invariant: the verdict comes from the stabilizer
-    g, sub, table_n = _s3_with_a3()
-    triple = build_triple(g, sub, table_n.rows[1])
-    assert is_fully_ramified(triple) == (True, 1)
+    # theta not invariant: the oracle reads the verdict in the stabilizer
+    g, sub, _ = _s3_with_a3()
+    rec = _record(g, sub, 1)
+    assert (rec["fully_ramified"], rec["e"]) == (True, 1)
 
     # degenerate N = G
-    full = g.subgroup(range(6))
-    table_full = compute_table(full.as_group())
-    triple = build_triple(g, full, table_full.rows[1])
-    assert is_fully_ramified(triple) == (True, 1)
+    rec = _record(g, g.subgroup(range(6)), 1)
+    assert (rec["fully_ramified"], rec["e"]) == (True, 1)
 
 
 def test_extensions_frozen_counts():
@@ -359,24 +368,20 @@ def _small_nonabelian_pairs():
 
 
 def test_report_matches_the_stabilizer_route():
-    """The one pass against build_triple / is_fully_ramified, which go
-    through the stabilizer group and its own table, on every nonabelian
-    corpus group of order ≤ 24 and every nontrivial normal N (N = G too)."""
+    """The one pass against the oracle, which builds each stabilizer G(θ)
+    and its own table, on every nonabelian corpus group of order ≤ 24 and
+    every nontrivial normal N (N = G too)."""
+    keys = ("count_above", "fully_ramified", "e")
     triples = 0
     for g, sub in _small_nonabelian_pairs():
         table_n = compute_table(sub.as_group())
         records = ramification_report(g, sub)
-        orbits = clifford._orbits(g, sub, table_n)
-        mults = restriction_multiplicities(compute_table(g), sub, table_n)
         assert [rec["theta"] for rec in records] == list(range(len(table_n)))
-        for theta, rec in zip(table_n, records):
-            triple = build_triple(g, sub, theta)
-            assert (rec["fully_ramified"], rec["e"]) == is_fully_ramified(triple)
-            assert rec["count_above"] == len(triple.above)
-            orbit = orbit_of(theta, g, sub)
-            assert tuple(np.flatnonzero(orbits[theta.index])) == orbit
-            for chi, _ in triple.above:
-                assert tuple(np.flatnonzero(mults[chi.index])) == orbit
+        oracle = oracles.ramification_by_definition(g, sub)
+        for rec, ref, orbit in zip(records, oracle, _orbit_rows(g, sub, table_n),
+                                   strict=True):
+            assert [rec[k] for k in keys] == [ref[k] for k in keys], (g.label, sub.order)
+            assert orbit == ref["orbit"]
             triples += 1
     assert triples == 575
 

@@ -3,10 +3,13 @@ residual structure, the degree scan, and monotonicity."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from groupchar import (
+    Group,
     agl1,
     alt,
     abelian,
@@ -25,10 +28,12 @@ from groupchar import (
     is_camina_vanishing,
     property_d_monotone,
     residual_case,
+    save_group,
     sl23,
     sym,
 )
 from groupchar import pairs
+from groupchar.cli import main
 from groupchar.constructors import c7_c3, direct_product
 
 import oracles
@@ -137,6 +142,35 @@ def test_classify_type2_families():
     assert pr.type == "Type2"
     assert pr.evidence["faithful_degree"] == 8
     assert pr.evidence["complement_order"] == 8
+
+
+def _unitriangular3_by_inversion():
+    """U ⋊ ⟨diag(1, 1, −1)⟩ of order 54, U the upper unitriangular 3×3
+    matrices over F_3: the matrices [[1, a, b], [0, 1, c], [0, 0, ±1]]."""
+    mats = [np.array([[1, a, b], [0, 1, c], [0, 0, s]])
+            for s in (1, 2) for a, b, c in itertools.product(range(3), repeat=3)]
+    ids = {m.tobytes(): i for i, m in enumerate(mats)}
+    return Group([[ids[(x @ y % 3).tobytes()] for y in mats] for x in mats],
+                 label="U3(3):2")
+
+
+def test_classify_type3_witness(tmp_path, capsys):
+    """Not nilpotent (the centre is trivial) and not Frobenius over N = Z(U):
+    the residual shape, case i, with J = U the Sylow 3-subgroup."""
+    g = _unitriangular3_by_inversion()
+    (n,) = g.minimal_normal_subgroups()
+    assert (g.order, n.order, g.center().order) == (54, 3, 1)
+    pr = classify_pair(g, n)
+    assert (pr.type, pr.residual_case) == ("Type3", "i")
+    assert pr.evidence["degrees_over"] == [6]
+    assert pr.evidence["j_order"] == 27
+    # (p^n − 1)·√(|J| / p^n) with p^n = 3 and |J| = 27
+    assert pr.evidence["unique_degree"] == (3 - 1) * 3
+    path = tmp_path / "g54.grp"
+    save_group(g, path)
+    assert main(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "type = Type3" in out and "case = i" in out
 
 
 def test_classify_pair_raises_when_camina_deciders_disagree(monkeypatch):
