@@ -53,17 +53,11 @@ __all__ = [
 
 def class_fusion(group: Group, sub: Subgroup, table_n: CharacterTable):
     """Partition of N's classes into G-conjugation blocks (list of arrays)."""
-    cc_g = group.conjugacy_classes()
+    members = group.conjugacy_classes().members
     rank = sub.local_ids()
     class_of_n = table_n.classes.class_of
-    mask = sub.member_mask()
-    blocks = []
-    for c in range(len(cc_g.reps)):
-        members = cc_g.members[c]
-        if not mask[members[0]]:
-            continue
-        blocks.append(np.unique(class_of_n[rank[members]]))
-    return blocks
+    return [np.unique(class_of_n[rank[members[c]]])
+            for c in np.flatnonzero(sub.class_mask())]
 
 
 def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Constructors for the standard small groups used throughout the library."""
+"""Constructors for the standard small groups used throughout the library.
+
+A copy that only relabels a table an inner `Group` validated skips the
+associativity test (``validate=False``).
+"""
 
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ def abelian(invariants) -> Group:
     for d in invs[1:]:
         g = direct_product(g, cyclic(d))
     label = "x".join(f"C{d}" for d in invs)
-    return Group(g.mul, label=label)
+    return Group(g.mul, label=label, validate=False)
 
 
 def dihedral(n: int) -> Group:
@@ -205,7 +209,7 @@ def central_product(x: Group, y: Group) -> Group:
     d = direct_product(x, y)
     k = Subgroup(d, [0, zx * y.order + zy], normal=True)
     q = d.quotient(k)
-    return Group(q.image.mul, label=f"{x.label}o{y.label}")
+    return Group(q.image.mul, label=f"{x.label}o{y.label}", validate=False)
 
 
 def extraspecial_2(m: int, sign: str) -> Group:
@@ -224,7 +228,7 @@ def extraspecial_2(m: int, sign: str) -> Group:
     order = 2 ** (2 * m + 1)
     if acc.order != order or acc.center().order != 2:
         raise AssertionError("central product construction went wrong")
-    return Group(acc.mul, label=f"ES{order}{sign}")
+    return Group(acc.mul, label=f"ES{order}{sign}", validate=False)
 
 
 # -- affine groups and the order-72 Frobenius group -----------------------------------
@@ -241,7 +245,7 @@ def agl1(q: int) -> Group:
         raise BoundExceeded("agl1", q, 512)
     field = gf_field(q)
     if q == 2:
-        return Group(cyclic(2).mul, label="AGL1(2)")
+        return Group(cyclic(2).mul, label="AGL1(2)", validate=False)
     n = q * (q - 1)
     i = np.arange(n)
     a, bv = i // q + 1, i % q  # unit value a, translation b
@@ -301,7 +305,7 @@ def frobenius72_quaternion() -> Group:
                 queue.append(y)
     action = [_matrix_perm(3, rep[t]) for t in range(8)]
     g = semidirect_product(v, q8, action)
-    return Group(g.mul, label="F72:Q8")
+    return Group(g.mul, label="F72:Q8", validate=False)
 
 
 # -- assorted semidirect profiles -------------------------------------------------
@@ -314,7 +318,7 @@ def sl23() -> Group:
     identity = tuple(range(8))
     sigma2 = tuple(sigma[sigma[x]] for x in range(8))
     g = semidirect_product(q8, cyclic(3), [identity, sigma, sigma2])
-    return Group(g.mul, label="SL23")
+    return Group(g.mul, label="SL23", validate=False)
 
 
 def c7_c3() -> Group:
@@ -322,7 +326,7 @@ def c7_c3() -> Group:
     phi = tuple(2 * x % 7 for x in range(7))
     phi2 = tuple(phi[phi[x]] for x in range(7))
     g = semidirect_product(cyclic(7), cyclic(3), [tuple(range(7)), phi, phi2])
-    return Group(g.mul, label="C7:C3")
+    return Group(g.mul, label="C7:C3", validate=False)
 
 
 def c5c5_c3() -> Group:
@@ -333,4 +337,4 @@ def c5c5_c3() -> Group:
     m2 = _matrix_mul(m, m, 5)
     p2 = _matrix_perm(5, m2)
     g = semidirect_product(v, cyclic(3), [tuple(range(25)), p1, p2])
-    return Group(g.mul, label="C5^2:C3")
+    return Group(g.mul, label="C5^2:C3", validate=False)

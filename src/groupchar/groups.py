@@ -6,7 +6,8 @@ tables) is exact integer table arithmetic, mostly vectorized with numpy.
 Facts about a quotient G/N, such as its chief factors or element orders,
 are read inside G; `Group.quotient` builds the image group only for the
 callers that need its table.  Subgroups are closed by `Group._closure`;
-a `Subgroup` carries the one parent-to-local id map (`local_ids`).
+a `Subgroup` carries the one parent-to-local id map (`local_ids`) and
+its one class-space form (`class_mask`).
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled into a per-instance cache on first use.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
@@ -267,16 +268,18 @@ class Group:
         """
         if "minimal_normals" in self._cache:
             return self._cache["minimal_normals"]
-        seen: dict[tuple, np.ndarray] = {}
-        for els in self._class_atoms():
-            seen.setdefault(tuple(els.tolist()), els)
-        mins = []
-        for key, els in seen.items():
-            s = set(key)
-            if not any(set(other) < s for other in seen):
-                mins.append(els)
-        mins.sort(key=lambda e: (len(e), tuple(e.tolist())))
-        out = [Subgroup(self, e, normal=True) for e in mins]
+        seen: dict[bytes, tuple[int, np.ndarray]] = {}
+        for c, els in enumerate(self._class_atoms(), start=1):
+            seen.setdefault(els.tobytes(), (c, els))
+        gens = [c for c, _ in seen.values()]
+        atoms = [Subgroup(self, els, normal=True) for _, els in seen.values()]
+        # A normal subgroup contains atom(c) exactly when it meets class c,
+        # so below[i, j] (atom j ≤ atom i) is atom i's class mask at j's class.
+        below = np.array([a.class_mask()[gens] for a in atoms], dtype=bool)
+        below = below.reshape(len(atoms), len(atoms))
+        np.fill_diagonal(below, False)
+        out = sorted((a for a, smaller in zip(atoms, below.any(axis=1)) if not smaller),
+                     key=lambda s: (s.order, s.elements))
         self._cache["minimal_normals"] = out
         return out
 
@@ -530,6 +533,17 @@ class Subgroup:
             self._cache["mask"] = mask
         return self._cache["mask"]
 
+    def class_mask(self) -> np.ndarray:
+        """Boolean mask over the parent's conjugacy classes: the classes this
+        subgroup meets.  A normal subgroup is the union of the classes it
+        marks; a non-normal one need not contain a class it meets."""
+        if "class_mask" not in self._cache:
+            cc = self.parent.conjugacy_classes()
+            mask = np.zeros(len(cc), dtype=bool)
+            mask[cc.class_of[self.as_array()]] = True
+            self._cache["class_mask"] = mask
+        return self._cache["class_mask"]
+
     def __contains__(self, g: int) -> bool:
         return bool(self.member_mask()[g])
 
@@ -576,8 +590,9 @@ class Subgroup:
             local = self.local_ids()[self.parent.mul[np.ix_(els, els)]]
             if local.min() < 0:
                 raise ValueError("element set is not multiplicatively closed")
+            # A closed piece of an associative table is associative.
             self._cache["group"] = Group(
-                local, label=f"{self.parent.label}.sub{self.order}"
+                local, label=f"{self.parent.label}.sub{self.order}", validate=False
             )
         return self._cache["group"]
 

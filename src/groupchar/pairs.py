@@ -42,16 +42,9 @@ __all__ = [
 # -- Irr(G|N) and property (D) --------------------------------------------------
 
 
-def _classes_in(group: Group, sub: Subgroup) -> np.ndarray:
-    """Sorted ids of the G-classes contained in the normal subgroup."""
-    cc = group.conjugacy_classes()
-    return np.unique(cc.class_of[sub.as_array()])
-
-
 def _rows_over(table: CharacterTable, sub: Subgroup) -> np.ndarray:
     """Row indices of the characters whose kernel does not contain N."""
-    inside = _classes_in(table.group, sub)
-    contains = table._kernel_mask[:, inside].all(axis=1)
+    contains = table._kernel_mask[:, sub.class_mask()].all(axis=1)
     return np.nonzero(~contains)[0]
 
 
@@ -73,28 +66,34 @@ def has_property_D(group: Group, sub: Subgroup) -> bool:
 # -- Camina pair checkers (two independent routes) ------------------------------
 
 
+def _commutator_classes(group: Group) -> np.ndarray:
+    """H[c, d] = #{y : [x_c, y] ∈ class d}, x_c the representative of
+    class c; built once per group from one gather of commutators."""
+    if "commutator_classes" not in group._cache:
+        cc = group.conjugacy_classes()
+        mul, inv, k = group.mul, group.inv, len(cc)
+        reps = np.asarray(cc.reps, dtype=np.int64)
+        comm = mul[mul[mul[reps], inv[reps][:, None]], inv]  # [x_c, y], row c
+        codes = k * np.arange(k)[:, None] + cc.class_of[comm]
+        group._cache["commutator_classes"] = np.bincount(
+            codes.ravel(), minlength=k * k).reshape(k, k)
+    return group._cache["commutator_classes"]
+
+
 def is_camina_centralizer(group: Group, sub: Subgroup) -> bool:
     """|C_G(x)| = |C_{G/N}(xN)| for every x outside N (one rep per class).
 
-    The quotient centralizer is counted directly: C_{G/N}(xN) is the image
-    of {y : [x, y] ∈ N}, a union of N-cosets, so its order is that count
-    divided by |N| — no quotient group is materialized.
+    Decided without the character table.  C_{G/N}(xN) is the image of
+    {y : [x, y] ∈ N}, a union of N-cosets, so |C_{G/N}(x_c N)|·|N| is the
+    number of y whose commutator with x_c falls in a class of N: the
+    commutator-class count H[c, d] summed over the classes d inside N.
     """
     if sub.order in (1, group.order) or not sub.is_normal:
         raise ValueError("Camina checks need a proper nontrivial normal subgroup")
-    cc = group.conjugacy_classes()
-    mask = sub.member_mask()
-    mul, inv = group.mul, group.inv
-    for c, rep in enumerate(cc.reps):
-        if mask[rep]:
-            continue
-        cent_g = group.order // cc.sizes[c]
-        conj = mul[mul[rep], inv[rep]]          # y -> x y x^{-1}
-        comm = mul[conj, inv]                   # y -> [x, y]
-        cent_q = int(mask[comm].sum()) // sub.order
-        if cent_g != cent_q:
-            return False
-    return True
+    inside = sub.class_mask()
+    counts = _commutator_classes(group) @ inside  # |C_{G/N}(x_c N)|·|N|
+    sizes = np.asarray(group.conjugacy_classes().sizes)  # |C_G(x_c)| = |G| / size
+    return bool(np.all((counts * sizes == group.order * sub.order) | inside))
 
 
 def is_camina_vanishing(group: Group, sub: Subgroup) -> bool:
@@ -103,11 +102,7 @@ def is_camina_vanishing(group: Group, sub: Subgroup) -> bool:
         raise ValueError("Camina checks need a proper nontrivial normal subgroup")
     table = compute_table(group)
     rows = _rows_over(table, sub)
-    inside = _classes_in(group, sub)
-    outside = np.setdiff1d(np.arange(len(table.classes.reps)), inside)
-    if len(rows) == 0 or len(outside) == 0:
-        return True
-    return bool(table._zero_mask[np.ix_(rows, outside)].all())
+    return bool(table._zero_mask[np.ix_(rows, ~sub.class_mask())].all())
 
 
 def camina_pair(group: Group, sub: Subgroup) -> bool:
@@ -191,9 +186,7 @@ def _assert_type2(group: Group, sub: Subgroup, p: int, n_exp: int,
     index = group.order // sub.order
     if index != target:
         fail(f"complement order {index} differs from {target}")
-    cc = group.conjugacy_classes()
-    classes_in_n = _classes_in(group, sub)
-    if len(classes_in_n) != 2:
+    if np.count_nonzero(sub.class_mask()) != 2:
         fail("G is not transitive on the nonidentity elements of N")
     comp = frobenius_complement(group, sub)
     if comp is None or comp.order != target:
@@ -470,12 +463,6 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
 # -- distinct nonlinear degrees scan ---------------------------------------------
 
 
-def _fitting_subgroup(group: Group) -> Subgroup:
-    from ._arith import prime_factors
-
-    return group.radicals(prime_factors(group.order)[0]).fitting
-
-
 def _bucket_extraspecial2(group: Group) -> bool:
     center = group.center()
     derived = group.derived_subgroup()
@@ -486,12 +473,12 @@ def _bucket_extraspecial2(group: Group) -> bool:
 def _bucket_frobenius(group: Group):
     """('cyclic'|'quaternion'|None): is G a 2-transitive Frobenius group
     with cyclic complement, or the order-72 quaternion-complement group?"""
-    fit = _fitting_subgroup(group)
+    fit = group._fitting()
     if fit.order in (1, group.order):
         return None
     if not is_frobenius_with_kernel(group, fit):
         return None
-    if len(_classes_in(group, fit)) != 2:
+    if np.count_nonzero(fit.class_mask()) != 2:
         return None  # not transitive on kernel-minus-identity
     comp = frobenius_complement(group, fit)
     if comp is None:
@@ -553,17 +540,14 @@ def property_d_monotone(group: Group) -> int:
     """Assert D(G, M) ⇒ D(G, N) for every normal chain N ≤ M; returns the
     number of ordered chains checked."""
     normals = group.normal_subgroups()
-    verdicts = [(sub, has_property_D(group, sub)) for sub in normals]
-    checked = 0
-    for small, d_small in verdicts:
-        for big, d_big in verdicts:
-            if small.order > big.order or not small.is_subset_of(big):
-                continue
-            checked += 1
-            if d_big and not d_small:
-                raise TheoremViolation(
-                    "property (D) fails to descend to a smaller normal subgroup",
-                    {"group": group.label, "n_order": small.order,
-                     "m_order": big.order},
-                )
-    return checked
+    d = np.array([has_property_D(group, sub) for sub in normals])
+    m = np.array([sub.class_mask() for sub in normals], dtype=np.int64)
+    below = m @ (1 - m).T == 0  # below[i, j]: N_i ≤ N_j
+    bad = np.argwhere(below & ~d[:, None] & d[None, :])
+    if len(bad):
+        small, big = normals[bad[0][0]], normals[bad[0][1]]
+        raise TheoremViolation(
+            "property (D) fails to descend to a smaller normal subgroup",
+            {"group": group.label, "n_order": small.order, "m_order": big.order},
+        )
+    return int(below.sum())

@@ -20,7 +20,9 @@ from groupchar import (
     generalized_quaternion,
     agl1,
     is_frobenius_with_kernel,
+    load_group,
     pprime_elements_fpf,
+    save_group,
     sl23,
     sym,
 )
@@ -205,6 +207,27 @@ def test_minimal_normal_subgroups():
     assert [s.order for s in alt(5).minimal_normal_subgroups()] == [60]
 
 
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_class_mask_marks_the_classes_inside_a_normal_subgroup(name):
+    g = POOL[name]
+    classes = oracles.conjugacy_partition(g.mul.tolist())
+    for sub in g.normal_subgroups():
+        inside = [cls <= set(sub.elements) for cls in classes]
+        assert sub.class_mask().tolist() == inside
+        assert sum(len(cls) for cls, m in zip(classes, inside) if m) == sub.order
+
+
+def test_class_mask_of_a_non_normal_subgroup_marks_the_classes_it_meets():
+    s3 = sym(3)
+    t = next(x for x in range(s3.order) if s3.elt_order[x] == 2)
+    sub = s3.generated_subgroup([t])  # <(1 2)>, not normal
+    assert not sub.is_normal
+    classes = oracles.conjugacy_partition(s3.mul.tolist())
+    assert sub.class_mask().tolist() == [bool(cls & set(sub.elements)) for cls in classes]
+    marked = [len(cls) for cls, m in zip(classes, sub.class_mask()) if m]
+    assert marked == [1, 3] and sum(marked) > sub.order
+
+
 def test_normal_lattice_matches_atom_join_oracle(corpus_groups):
     checked = 0
     for name, g in corpus_groups.items():
@@ -383,6 +406,28 @@ def test_group_constructor_validation():
         Group(np.array([[1, 0], [0, 1]]))  # identity not id 0
     mul = np.zeros((1, 1), dtype=np.int64)
     assert Group(mul).order == 1
+
+
+def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monkeypatch):
+    """Light's test runs once on a loaded Cayley file and never on a
+    subgroup cut from an already validated group."""
+    calls = []
+    check = Group._check_associativity
+
+    def counting(self):
+        calls.append(self.label)
+        check(self)
+
+    g = sym(4)
+    path = tmp_path / "s4.grp"
+    save_group(g, path)
+    monkeypatch.setattr(Group, "_check_associativity", counting)
+    for sub in g.normal_subgroups():
+        sub.as_group()
+    g.generated_subgroup([1]).as_group()
+    assert calls == []
+    load_group(path)
+    assert len(calls) == 1
 
 
 def test_associativity_is_checked_exactly_above_order_256():

@@ -31,6 +31,7 @@ from groupchar import (
     save_group,
     sl23,
     sym,
+    TheoremViolation,
 )
 from groupchar import pairs
 from groupchar.cli import main
@@ -103,6 +104,22 @@ def test_camina_checkers_match_conjugation_definition(build):
         assert is_camina_centralizer(g, sub) == expected
         assert is_camina_vanishing(g, sub) == expected
         assert camina_pair(g, sub) == expected
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: sym(4), lambda: alt(4), lambda: generalized_quaternion(8),
+              lambda: dihedral(6)],
+)
+def test_camina_centralizer_decider_needs_no_character_table(build, monkeypatch):
+    g = build()
+    subs = [s for s in g.normal_subgroups() if 1 < s.order < g.order]
+
+    def no_table(group):
+        raise AssertionError("the centralizer decider read a character table")
+
+    monkeypatch.setattr(pairs, "compute_table", no_table)
+    for sub in subs:
+        assert is_camina_centralizer(g, sub) == oracles.camina_f2(g, sub)
 
 
 def test_classify_type1_families():
@@ -257,6 +274,23 @@ def test_distinct_nonlinear_scan(build, distinct, bucket):
 def test_scan_rejects_abelian():
     with pytest.raises(ValueError):
         distinct_nonlinear_scan(cyclic(8))
+
+
+def test_monotonicity_counts_every_subset_pair(corpus_groups):
+    for name, g in corpus_groups.items():
+        if g.order > 64:  # ES128± have 2826 normal subgroups: 8M pairs
+            continue
+        normals = g.normal_subgroups()
+        want = sum(a.is_subset_of(b) for a in normals for b in normals)
+        assert property_d_monotone(g) == want, name
+
+
+def test_monotonicity_failure_names_the_first_chain(monkeypatch):
+    s4 = sym(4)
+    monkeypatch.setattr(pairs, "has_property_D", lambda group, sub: sub.order == 24)
+    with pytest.raises(TheoremViolation) as err:
+        property_d_monotone(s4)
+    assert (err.value.witness["n_order"], err.value.witness["m_order"]) == (1, 24)
 
 
 def test_monotonicity_counts():
