@@ -1,7 +1,7 @@
 """Constructors for the standard small groups used throughout the library.
 
-A copy that only relabels a table an inner `Group` validated skips the
-associativity test (``validate=False``).
+A copy that only relabels a table an inner `Group` validated, and a direct
+product of two groups, skip the associativity test (``validate=False``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ def direct_product(a: Group, b: Group) -> Group:
     i = np.arange(na * nb)
     ai, bi = i // nb, i % nb
     mul = a.mul[ai[:, None], ai[None, :]] * nb + b.mul[bi[:, None], bi[None, :]]
-    return Group(mul, label=f"{a.label}x{b.label}")
+    # A product of associative tables is associative.
+    return Group(mul, label=f"{a.label}x{b.label}", validate=False)
 
 
 def abelian(invariants) -> Group:

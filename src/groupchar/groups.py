@@ -4,10 +4,11 @@ A group of order n lives on ids 0..n-1 with 0 the identity.  Everything
 downstream (conjugacy classes, subgroup lattices, series, character
 tables) is exact integer table arithmetic, mostly vectorized with numpy.
 Facts about a quotient G/N, such as its chief factors or element orders,
-are read inside G; `Group.quotient` builds the image group only for the
-callers that need its table.  Subgroups are closed by `Group._closure`;
-a `Subgroup` carries the one parent-to-local id map (`local_ids`) and
-its one class-space form (`class_mask`).
+are read inside G.  `Group.quotient` builds the image group; its one
+caller in the library is `constructors.central_product`, and the method
+also stays because the benchmark tracer times it.  Subgroups are closed
+by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
+(`local_ids`) and its one class-space form (`class_mask`).
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled into a per-instance cache on first use.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
@@ -346,8 +347,8 @@ class Group:
         rank[reps] = np.arange(len(reps))
         projection = rank[coset_min]
         img_mul = projection[self.mul[np.ix_(reps, reps)]]
-        image = Group(img_mul, label=f"{self.label}/{normal.short_label()}")
-        # Full homomorphism check, plus fiber sizes.
+        # Full homomorphism check, plus fiber sizes.  The image of an
+        # associative table under a homomorphism is associative.
         if not np.array_equal(
             projection[self.mul], img_mul[projection[:, None], projection[None, :]]
         ):
@@ -355,6 +356,8 @@ class Group:
         fibers = np.bincount(projection, minlength=len(reps))
         if not np.all(fibers == normal.order):
             raise ContractViolation("quotient fibers have unequal sizes")
+        image = Group(img_mul, label=f"{self.label}/{normal.short_label()}",
+                      validate=False)
         return QuotientMap(self, normal, image, projection)
 
     # -- radicals and series ------------------------------------------------------
@@ -658,13 +661,18 @@ class ChiefFactor:
 # -- Frobenius structure -------------------------------------------------------
 
 
-def acts_fixed_point_freely(G: Group, acting: np.ndarray, N: Subgroup) -> bool:
-    """True when no element of ``acting`` (a boolean mask over G) centralizes
-    a nonidentity element of N, i.e. each acts on N by conjugation with no
-    fixed point but 1.  The mask should leave out the identity."""
-    xs = N.as_array()[1:]  # N's ids are sorted, so the identity comes first
+def acts_fixed_point_freely(G: Group, acting: np.ndarray, N: Subgroup,
+                            below: np.ndarray | None = None) -> bool:
+    """True when no element of ``acting`` (a boolean mask over G, leaving
+    out B) centralizes a nonidentity element of N/B, i.e. each acts on N/B
+    by conjugation with no fixed point but B.  B is a normal subgroup inside
+    N given by its member mask ``below``, the trivial subgroup by default."""
+    if below is None:
+        below = np.arange(G.order) == 0
+    xs = N.as_array()[~below[N.as_array()]]
     gs = np.flatnonzero(acting)
-    return not np.any(G.mul[np.ix_(gs, xs)] == G.mul[np.ix_(xs, gs)].T)
+    gx, xg = G.mul[np.ix_(gs, xs)], G.mul[np.ix_(xs, gs)].T
+    return not np.any(below[G.mul[gx, G.inv[xg]]])  # [g, x] ∈ B
 
 
 def is_frobenius_with_kernel(G: Group, N: Subgroup) -> bool:

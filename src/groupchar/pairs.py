@@ -18,6 +18,7 @@ from .chartable import Character, CharacterTable, compute_table
 from .errors import ContractViolation, TheoremViolation
 from .groups import (
     Group,
+    IteratedSeries,
     Subgroup,
     acts_fixed_point_freely,
     frobenius_complement,
@@ -332,40 +333,38 @@ def _is_quaternion8(group: Group) -> bool:
     )
 
 
-def _quaternion_times_odd_cyclic(group: Group) -> bool:
-    """Is the group Q8 × C (C cyclic of odd order)?"""
-    if group.order % 8 or (group.order // 8) % 2 == 0:
-        return False
-    two_part = np.nonzero((group.elt_order & (group.elt_order - 1)) == 0)[0]
-    odd_part = np.nonzero(group.elt_order % 2 == 1)[0]
-    if len(two_part) != 8 or len(odd_part) != group.order // 8:
-        return False
-    try:
-        q = group.subgroup(two_part)
-        c = group.subgroup(odd_part)
-    except ValueError:
-        return False
-    if not (q.is_normal and c.is_normal):
-        return False
-    if not _is_quaternion8(q.as_group()) or not c.as_group().is_cyclic:
-        return False
-    return q.order * c.order == group.order
-
-
-def _image_subgroup(qm, sub: Subgroup) -> Subgroup:
-    """Image of a subgroup of the source under a quotient map."""
-    return Subgroup(qm.image, sorted({qm(int(x)) for x in sub.elements}))
-
-
-def _commutator_span(quotient: Group, middle: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [g, m], g in Q, m in middle."""
-    mul, inv = quotient.mul, quotient.inv
-    mid = middle.as_array()
-    gens = set()
-    for g in range(quotient.order):
-        gm = mul[mul[mul[g, mid], inv[g]], inv[mid]]
-        gens.update(int(x) for x in gm)
-    return quotient.generated_subgroup(sorted(gens))
+def _residual_shape(j_grp: Group, series: IteratedSeries,
+                    p: int) -> tuple[str | None, int, int]:
+    """(case "ii", "iii" or None, |M:K|, |J:M|) for K = O_p(J) and
+    M = O_{p,p'}(J), read inside J as `residual_case` describes."""
+    mul, inv, n = j_grp.mul, j_grp.inv, j_grp.order
+    k_sub, m_sub = series.o_p, series.o_p_pprime
+    k_mask, m_mask = k_sub.member_mask(), m_sub.member_mask()
+    middle, top = m_sub.order // k_sub.order, n // m_sub.order
+    mod_k = j_grp._element_orders(k_mask)[m_mask]  # orders in M/K
+    if not m_mask[j_grp.derived_subgroup().as_array()].all():
+        return None, middle, top
+    if (
+        middle % 2 == 1
+        and mod_k.max() == middle
+        and acts_fixed_point_freely(j_grp, ~m_mask, m_sub, below=k_mask)
+    ):
+        return "ii", middle, top
+    m_els = m_sub.as_array()
+    two = m_els[(mod_k & (mod_k - 1)) == 0]
+    odd = m_els[mod_k % 2 == 1]
+    if (
+        p != 3 or middle % 16 != 8  # |M:K| = 8·odd
+        or len(two) != 8 * k_sub.order
+        or np.count_nonzero(mod_k == 2) != k_sub.order
+        or np.any(mod_k == 8)
+        or not k_mask[mul[mul[odd[:, None], two], inv[mul[two, odd[:, None]]]]].all()
+        or mod_k[mod_k % 2 == 1].max() != middle // 8
+    ):
+        return None, middle, top
+    comm = mul[mul[mul[:, m_els], inv[:, None]], inv[m_els]]  # [g, y], g ∈ J, y ∈ M
+    span = j_grp._closure(np.union1d(k_sub.as_array(), comm.ravel()))
+    return ("iii" if len(span) == m_sub.order else None), middle, top
 
 
 def residual_case(group: Group, sub: Subgroup) -> dict:
@@ -377,13 +376,25 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     case with its evidence:
 
       i.   J is a Sylow p-subgroup of G.
-      ii.  O_p(J) = O_p(G), the iterated p,p',p-series of J reaches J, the
-           middle layer is cyclic of odd order, the top is an abelian
-           p-group acting fixed-point-freely on the middle layer.
-      iii. p = 3 with the same radical/series shape, middle layer Q8 × odd
-           cyclic, abelian top, and [J, middle] covering the middle layer.
+      ii.  O_p(J) = O_p(G), the iterated p,p',p-series K ≤ M ≤ J of J
+           reaches J, the middle layer M/K is cyclic of odd order, the top
+           J/M is an abelian p-group acting fixed-point-freely on M/K.
+      iii. p = 3 with the same radical/series shape, M/K ≅ Q8 × odd cyclic,
+           abelian top, and [J, M] covering M/K.
 
-    A Camina pair matching no case raises TheoremViolation.
+    Cases ii and iii are read inside J, with no quotient group.  M/K is
+    cyclic of odd order when |M:K| is odd and some x ∈ M has order |M:K|
+    modulo K.  J/M is abelian when J′ ≤ M, and acts fixed-point-freely
+    when no x ∈ J ∖ M has [x, y] ∈ K for any y ∈ M ∖ K.  M/K ≅ Q8 × C when
+    |M:K| = 8·odd, the x ∈ M of 2-power order modulo K number 8|K| with
+    |K| of order 2 and none of order 8 (so they form Q8 modulo K), and
+    those of odd order modulo K commute with them modulo K, one having
+    order |M:K| / 8.  [J, M] covers M/K when K and every [g, y] (g ∈ J,
+    y ∈ M) generate M.
+
+    A Camina pair matching no case raises TheoremViolation; its witness
+    carries p and N's element ids (``n_elements``), so
+    ``Subgroup(G, witness["n_elements"])`` rebuilds N.
     """
     out: dict = {"case": "none"}
     pp = prime_power(sub.order)
@@ -396,12 +407,13 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     ):
         return out
     p, _ = pp
+    witness = {"group": group.label, "p": p, "n_order": sub.order,
+               "n_elements": sub.elements}
     rad = group.radicals(p)
     if rad.o_p_prime.order != 1:
         raise TheoremViolation(
             "a Camina pair over a p-group must have trivial O_p'(G)",
-            {"group": group.label, "n_order": sub.order,
-             "o_p_prime": rad.o_p_prime.order},
+            {**witness, "o_p_prime": rad.o_p_prime.order},
         )
     j_sub = rad.p_residual
     out["j_order"] = j_sub.order
@@ -411,7 +423,7 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     elif not verdict:
         raise TheoremViolation(
             "(J, N) must again be a Camina pair",
-            {"group": group.label, "n_order": sub.order, "j_order": j_sub.order},
+            {**witness, "j_order": j_sub.order},
         )
 
     if j_sub.order == p_part(group.order, p):
@@ -427,35 +439,13 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     out["radical_match"] = radical_match
     out["series_full"] = series_full
     if radical_match and series_full:
-        qm = j_grp.quotient(series.o_p)
-        middle = _image_subgroup(qm, series.o_p_pprime)
-        mid_grp = middle.as_group()
-        top = qm.image.quotient(middle).image
-        top_p_part = p_part(top.order, p) == top.order
-        if (
-            mid_grp.is_cyclic
-            and mid_grp.order % 2 == 1
-            and top.is_abelian
-            and top_p_part
-            and acts_fixed_point_freely(qm.image, ~middle.member_mask(), middle)
-        ):
-            out["case"] = "ii"
-            out["middle_order"] = mid_grp.order
-            out["top_order"] = top.order
-            return out
-        if (
-            p == 3
-            and _quaternion_times_odd_cyclic(mid_grp)
-            and top.is_abelian
-            and _commutator_span(qm.image, middle) == middle
-        ):
-            out["case"] = "iii"
-            out["middle_order"] = mid_grp.order
-            out["top_order"] = top.order
+        case, middle, top = _residual_shape(j_grp, series, p)
+        if case is not None:
+            out.update(case=case, middle_order=middle, top_order=top)
             return out
     raise TheoremViolation(
         "Camina pair over a p-group matches no residual case",
-        {"group": group.label, "n_order": sub.order, "j_order": j_sub.order,
+        {**witness, "j_order": j_sub.order,
          "radical_match": radical_match, "series_full": series_full},
     )
 

@@ -3,7 +3,10 @@
 Everything here recomputes library answers straight from definitions with
 plain Python loops (no numpy vectorization, no shared helpers), so
 agreement with the library is a meaningful cross-check rather than the
-same code run twice.
+same code run twice.  `residual_shape_by_quotient` is the one oracle that
+builds quotient groups: it reads the residual cases ii/iii of
+`pairs.residual_case` from J/O_p(J) and its quotient by `Group.quotient`,
+where the library reads them inside J.
 """
 
 from __future__ import annotations
@@ -55,25 +58,27 @@ def is_normal(mul, elems) -> bool:
     return all(mul[mul[g][x]][inv[g]] in s for g in range(n) for x in s)
 
 
+def generated(mul, seed) -> frozenset:
+    """The subgroup generated by the seed ids, closed one product at a time."""
+    out = set(seed) | {0}
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(out):
+                for c in (mul[a][b], mul[b][a]):
+                    if c not in out:
+                        out.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return frozenset(out)
+
+
 def normal_lattice(mul) -> list[tuple[int, ...]]:
     """Every normal subgroup as a sorted element tuple, ordered by
     (order, elements): the normal closures of single classes (the atoms),
     joined one atom at a time until nothing new appears.  The join of two
     normal subgroups N and A is the product set N·A, a union of cosets xN."""
-
-    def generated(seed) -> frozenset:
-        out = set(seed) | {0}
-        frontier = list(out)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(out):
-                    for c in (mul[a][b], mul[b][a]):
-                        if c not in out:
-                            out.add(c)
-                            fresh.append(c)
-            frontier = fresh
-        return frozenset(out)
 
     def join(normal: frozenset, atom: frozenset) -> frozenset:
         out = set(normal)
@@ -84,7 +89,7 @@ def normal_lattice(mul) -> list[tuple[int, ...]]:
 
     # A class is closed under conjugation, so the subgroup it generates is
     # its normal closure.
-    atoms = {generated(cls) for cls in conjugacy_partition(mul)[1:]}
+    atoms = {generated(mul, cls) for cls in conjugacy_partition(mul)[1:]}
     found = {frozenset([0])} | atoms
     queue = list(found)
     while queue:
@@ -191,6 +196,57 @@ def camina_f2(group, sub) -> bool:
             if int(mul[x, y]) not in classes[x]:
                 return False
     return True
+
+
+def _quaternion8_times_odd_cyclic(mul) -> bool:
+    """Is the group Q8 × C, C cyclic of odd order?  The elements of 2-power
+    order form a subgroup of order 8 with one involution and two elements
+    that do not commute; those of odd order form a subgroup with an
+    element of order |G| / 8; and each of the first commutes with each of
+    the second."""
+    n = len(mul)
+    if n % 8 or (n // 8) % 2 == 0:
+        return False
+    orders = [element_order(mul, x) for x in range(n)]
+    two = [x for x in range(n) if orders[x] & (orders[x] - 1) == 0]
+    odd = [x for x in range(n) if orders[x] % 2 == 1]
+    return (
+        len(two) == 8 and is_subgroup(mul, two) and is_subgroup(mul, odd)
+        and orders.count(2) == 1
+        and any(mul[a][b] != mul[b][a] for a in two for b in two)
+        and max(orders[x] for x in odd) == n // 8
+        and all(mul[a][b] == mul[b][a] for a in two for b in odd)
+    )
+
+
+def residual_shape_by_quotient(j_grp, p: int) -> tuple:
+    """(case, |M:K|, |J:M|) for K = O_p(J) and M = O_{p,p'}(J), read from
+    the quotient groups Q = J/K and Q/(M/K) that `Group.quotient` builds.
+    Case "ii": M/K cyclic of odd order, J/M abelian, and no element of Q
+    outside M/K commuting with a nonidentity element of M/K.  Case "iii":
+    p = 3, M/K ≅ Q8 × odd cyclic, J/M abelian, and the commutators [x, y]
+    (x ∈ Q, y ∈ M/K) generating M/K.  Otherwise None."""
+    series = j_grp.iterated_series(p)
+    qm = j_grp.quotient(series.o_p)
+    q = qm.image
+    mul, inv = q.mul.tolist(), q.inv.tolist()
+    middle = sorted({qm(x) for x in series.o_p_pprime.elements})
+    mid_grp = Subgroup(q, middle).as_group()
+    top = q.quotient(Subgroup(q, middle)).image
+    shape = (mid_grp.order, top.order)
+    if not top.is_abelian:
+        return (None, *shape)
+    in_middle = set(middle)
+    outside = [x for x in range(q.order) if x not in in_middle]
+    fpf = all(mul[x][y] != mul[y][x] for x in outside for y in middle[1:])
+    if mid_grp.is_cyclic and mid_grp.order % 2 == 1 and fpf:
+        return ("ii", *shape)
+    if p == 3 and _quaternion8_times_odd_cyclic(mid_grp.mul.tolist()):
+        comms = {mul[mul[mul[x][y]][inv[x]]][inv[y]]
+                 for x in range(q.order) for y in middle}
+        if generated(mul, comms) == in_middle:
+            return ("iii", *shape)
+    return (None, *shape)
 
 
 def kernel_by_values(chi) -> set[int]:

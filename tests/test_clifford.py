@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import groupchar.clifford as clifford
+from groupchar import pairs
 from groupchar import (
     ContractViolation,
     Group,
@@ -21,6 +22,7 @@ from groupchar import (
     alt,
     build_corpus,
     c5c5_c3,
+    classify_pair,
     compute_table,
     conjugate_character,
     cyclic,
@@ -36,6 +38,7 @@ from groupchar import (
     ramification_report,
     ramification_scan_pair,
     section_centralizer,
+    sl23,
     sym,
 )
 
@@ -285,9 +288,9 @@ def test_quotient_facts_match_the_quotient_group(proper_normal_pairs):
                     ("odd", False), ("other", False)}
 
 
-def test_pass_builds_no_quotient_group(monkeypatch):
-    """The ramification pass, the extraspecial bucket and extensions_of read
-    every fact about G/N inside G."""
+def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):
+    """The ramification pass, the extraspecial bucket, extensions_of, the
+    classifier and the residual shape read every fact about G/N inside G."""
     s4 = sym(4)
     v4 = s4.subgroup([0, 7, 16, 23])
     es32 = extraspecial_2(2, "+")  # a central product: built by a quotient
@@ -307,6 +310,13 @@ def test_pass_builds_no_quotient_group(monkeypatch):
     assert len(extensions_of(theta, z, c4)) == 2
     assert len(extensions_of(compute_table(z.as_group()).rows[0], z,
                              q8.full_subgroup())) == 4
+    for g in (sl23(), agl1(7), c5c5_c3(), f16_by_dic3):
+        for sub in g.minimal_normal_subgroups():
+            classify_pair(g, sub)
+    (n,) = f16_by_dic3.minimal_normal_subgroups()
+    assert classify_pair(f16_by_dic3, n).residual_case == "ii"
+    series = q8c7_by_c3.iterated_series(3)
+    assert pairs._residual_shape(q8c7_by_c3, series, 3) == ("iii", 56, 3)
 
 
 def test_ramification_report_q8_center():

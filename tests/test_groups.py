@@ -410,7 +410,8 @@ def test_group_constructor_validation():
 
 def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monkeypatch):
     """Light's test runs once on a loaded Cayley file and never on a
-    subgroup cut from an already validated group."""
+    subgroup cut from, a direct product of, or a quotient of already
+    validated groups."""
     calls = []
     check = Group._check_associativity
 
@@ -418,13 +419,15 @@ def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monke
         calls.append(self.label)
         check(self)
 
-    g = sym(4)
+    g, c2 = sym(4), cyclic(2)
     path = tmp_path / "s4.grp"
     save_group(g, path)
     monkeypatch.setattr(Group, "_check_associativity", counting)
     for sub in g.normal_subgroups():
         sub.as_group()
+        g.quotient(sub)
     g.generated_subgroup([1]).as_group()
+    direct_product(g, c2)
     assert calls == []
     load_group(path)
     assert len(calls) == 1

@@ -10,6 +10,7 @@ import pytest
 
 from groupchar import (
     Group,
+    Subgroup,
     agl1,
     alt,
     abelian,
@@ -34,8 +35,14 @@ from groupchar import (
     TheoremViolation,
 )
 from groupchar import pairs
+from groupchar._arith import prime_factors
 from groupchar.cli import main
-from groupchar.constructors import c7_c3, direct_product
+from groupchar.constructors import (
+    automorphism_from_images,
+    c7_c3,
+    direct_product,
+    semidirect_product,
+)
 
 import oracles
 
@@ -190,6 +197,25 @@ def test_classify_type3_witness(tmp_path, capsys):
     assert "type = Type3" in out and "case = i" in out
 
 
+def test_classify_residual_case_ii_witness(f16_by_dic3, tmp_path, capsys):
+    """Type 3 with residual case ii: J = G, O_2(J) of order 32, a middle
+    layer C3 and a top C2 inverting it."""
+    g = f16_by_dic3
+    (n,) = g.minimal_normal_subgroups()
+    assert (g.order, n.order, g.center().order) == (192, 4, 1)
+    pr = classify_pair(g, n)
+    assert (pr.type, pr.residual_case) == ("Type3", "ii")
+    assert pr.evidence["degrees_over"] == [12]
+    residual = pr.evidence["residual"]
+    assert (residual["j_order"], residual["middle_order"], residual["top_order"]) == (
+        192, 3, 2)
+    path = tmp_path / "g192.grp"
+    save_group(g, path)
+    assert main(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "type = Type3" in out and "case = ii" in out
+
+
 def test_classify_pair_raises_when_camina_deciders_disagree(monkeypatch):
     s4 = sym(4)
     v4 = s4.minimal_normal_subgroups()[0]  # a NotD pair: no later Camina check
@@ -246,6 +272,85 @@ def test_residual_cases():
     f72 = frobenius72_quaternion()
     out = residual_case(f72, f72.minimal_normal_subgroups()[0])
     assert out["case"] == "i"
+
+    # "none": not a Camina pair, N not of prime-power order, N = 1
+    s4 = sym(4)
+    assert residual_case(s4, s4.subgroup([0, 7, 16, 23])) == {"case": "none"}
+    d12 = dihedral(6)  # ids r^i s^j = i + 6j, so the rotations are 0..5
+    assert residual_case(d12, d12.subgroup(range(6))) == {"case": "none"}
+    assert residual_case(s3, s3.trivial_subgroup()) == {"case": "none"}
+
+
+def test_residual_case_witness_rebuilds_n(monkeypatch):
+    s3 = sym(3)
+    a3 = _a3(s3)
+    monkeypatch.setattr(pairs, "_camina_inside", lambda group, j_sub, sub: False)
+    with pytest.raises(TheoremViolation) as err:
+        residual_case(s3, a3)
+    witness = err.value.witness
+    assert witness["p"] == 3
+    assert Subgroup(s3, witness["n_elements"]) == a3
+
+
+def _by_cyclic(base, m, auto):
+    """base ⋊ C_m, the generator of C_m acting by the automorphism ``auto``
+    (a permutation of base's ids whose order divides m)."""
+    act = [tuple(range(base.order))]
+    for _ in range(m - 1):
+        act.append(tuple(auto[x] for x in act[-1]))
+    return semidirect_product(base, cyclic(m), act)
+
+
+def _residual_shape_inputs(corpus_groups, f16_by_dic3, q8c7_by_c3):
+    """(label, J, p): J = O^{p'}(G) for every corpus group G and prime p,
+    the case-ii witness with p = 2, then groups taken as J with p = 3 and
+    a middle layer of even order."""
+    for name, g in corpus_groups.items():
+        for p in prime_factors(g.order):
+            yield f"{name} p={p}", g.radicals(p).p_residual.as_group(), p
+    yield "F16:Dic3", f16_by_dic3, 2
+    yield "C4 p=3", cyclic(4), 3  # cyclic middle of even order, trivial top
+    yield "(Q8xC7):C3", q8c7_by_c3, 3
+    q8 = generalized_quaternion(8)
+    sigma = automorphism_from_images(q8, [1, 4], [4, 5])  # a -> b, b -> ab
+    yield "Q8:C9", _by_cyclic(q8, 9, sigma), 3  # O_3 = C3, middle Q8
+    yield "(Q8xC5):C3", _by_cyclic(direct_product(q8, cyclic(5)), 3,
+                                    [sigma[x // 5] * 5 + x % 5 for x in range(40)]), 3
+    c5c5 = abelian([5, 5])  # ids 5x + y
+    on_c5c5 = automorphism_from_images(c5c5, [5, 1], [1, 24])  # x²+x+1, no fixed vector
+    yield "(Q8xC5^2):C3", _by_cyclic(direct_product(q8, c5c5), 3,
+                                     [sigma[x // 25] * 25 + on_c5c5[x % 25]
+                                      for x in range(200)]), 3
+    on_c7 = [x // 7 * 7 + 2 * x % 7 for x in range(56)]  # x -> 2x on C7
+    yield "(C8xC7):C3", _by_cyclic(direct_product(cyclic(8), cyclic(7)), 3, on_c7), 3
+    yield "C2^3:C3", _by_cyclic(abelian([2, 2, 2]), 3,  # ids 4a + 2b + c
+                                [4 * (x & 1) + (x >> 1) for x in range(8)]), 3
+
+
+def test_residual_shape_matches_the_quotient_route(corpus_groups, f16_by_dic3,
+                                                   q8c7_by_c3):
+    """Cases ii/iii read inside J agree with the shape read from J/O_p(J)
+    and its quotient built by `Group.quotient`: the verdict, |M:K| and
+    |J:M|."""
+    seen = {}
+    for label, j_grp, p in _residual_shape_inputs(corpus_groups, f16_by_dic3,
+                                                  q8c7_by_c3):
+        shape = pairs._residual_shape(j_grp, j_grp.iterated_series(p), p)
+        assert shape == oracles.residual_shape_by_quotient(j_grp, p), label
+        seen[label] = shape
+    assert len(seen) == 188 + 8
+    assert seen["F16:Dic3"] == ("ii", 3, 2)
+    assert seen["SL(2,3) p=3"] == ("iii", 8, 3)
+    assert seen["(Q8xC7):C3"] == ("iii", 56, 3)
+    assert seen["Q8:C9"] == ("iii", 8, 3)
+    assert seen["(Q8xC5):C3"] == (None, 40, 3)  # [J, M] misses C5
+    assert seen["(C8xC7):C3"] == (None, 56, 3)
+    assert seen["C2^3:C3"] == (None, 8, 3)
+    assert seen["(Q8xC5^2):C3"] == (None, 200, 3)  # C5 × C5 is not cyclic
+    assert seen["S4 p=3"] == (None, 4, 3)
+    assert seen["C4 p=3"] == (None, 4, 1)
+    verdicts = [shape[0] for shape in seen.values()]
+    assert (verdicts.count("ii"), verdicts.count("iii")) == (179, 3)
 
 
 SCAN_EXPECTATIONS = [
