@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import threading
 import weakref
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -74,6 +76,8 @@ from .groups import Group, Subgroup
 TABLE_ORDER_BOUND = 512
 
 _PRIME_SEARCH_CAP = 2_000_000
+_CHECK_PRIME_CEILING = 1 << 20  # largest modulus verify_table evaluates at
+_FLOAT_EXACT = 1 << 53          # float64 sums of integers below this are exact
 
 
 def dixon_prime(exponent: int, order: int) -> int:
@@ -662,13 +666,19 @@ def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int
 
 
 def verify_table(table: CharacterTable) -> dict:
-    """Exact verification of both orthogonality relations and degree facts.
+    """Exact check of the degrees and both orthogonality relations.
 
-    Raises ContractViolation on any failure; returns a small summary dict.
+    The relations are identities in Z[ζ_e], checked mod primes r ≡ 1 (mod e),
+    where Z[ζ_e]/r ≅ F_r^φ(e) through the primitive e-th roots of F_r: one
+    batch of k×k products mod r per root.  The primes multiply past 2B, B a
+    bound on every Gram coefficient minus its expected value, so agreement
+    mod each is equality (CRT).  The products run in float64 once every
+    partial sum is known to stay below 2^53.  A ContractViolation names the
+    relation, r, the root and the first failing pair.
     """
-    group = table.group
-    n = group.order
-    k = len(table.classes.reps)
+    n = table.group.order
+    classes = table.classes
+    k = len(classes.reps)
     if len(table.rows) != k:
         raise ContractViolation("row count differs from class count")
     degrees = table.degrees
@@ -677,58 +687,86 @@ def verify_table(table: CharacterTable) -> dict:
     for d in degrees:
         if n % int(d):
             raise ContractViolation("degree does not divide group order")
+    if classes.class_of[0] != 0:
+        raise ContractViolation("class 0 is not the class of the identity")
     coeffs = table._coeffs
+    if not (np.array_equal(coeffs[:, 0, 0], degrees) and not coeffs[:, 0, 1:].any()):
+        raise ContractViolation("values at the identity are not the degrees")
     if not (np.all(coeffs[0, :, 0] == 1) and not coeffs[0, :, 1:].any()):
         raise ContractViolation("first row is not the trivial character")
 
+    # A value of a degree-d character is a sum of d roots of unity, so its
+    # coefficient norm is at most d times the largest norm of a root.  The
+    # float64 sums cannot overflow, and those that pass are exact.
     e = table.conductor
-    phi = euler_phi(e)
-    red = np.array(_reduction_table(e), dtype=np.int64)
-    red2 = red[np.arange(2 * phi - 1) % e]
-    conj = coeffs[:, table.classes.inverse_class, :]
-    sizes = np.asarray(table.classes.sizes, dtype=np.int64)
+    red = np.abs(np.array(_reduction_table(e), dtype=np.int64))
+    norms = np.abs(coeffs.astype(np.float64)).sum(axis=2)
+    over = norms > degrees[:, None] * int(red.sum(axis=1).max())
+    if over.any():
+        row, col = np.argwhere(over)[0]
+        raise ContractViolation(
+            f"value of row {row} at class {col} is not a sum of {degrees[row]} roots of unity")
+    norms = norms.astype(np.int64)
+    # |Gram coefficient| <= sum_k w_k ||a_k|| ||b_k|| max|red|; |expected| <= |G|.
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    inv = np.asarray(classes.inverse_class)
+    bound = n + int(red.max()) * max(int(((norms * sizes) @ norms[:, inv].T).max()),
+                                     int((norms.T @ norms[:, inv]).max()))
+    max_norm = int(norms.max())
+    primes = _check_primes(e, table.prime, bound, min(
+        _CHECK_PRIME_CEILING, (_FLOAT_EXACT - 1) // max_norm + 1,
+        isqrt((_FLOAT_EXACT - 1) // k) + 1))
+    # An evaluation sum is at most max_norm * (r - 1), a Gram sum k * (r - 1)^2.
+    if max(max_norm * (primes[0] - 1), k * (primes[0] - 1) ** 2) >= _FLOAT_EXACT:
+        raise ContractViolation("partial sums may reach 2^53; not exact in float64")
 
-    # Row orthogonality: sum_k |C_k| chi_r(g_k) conj(chi_s(g_k)) = |G| delta_rs.
-    gram = _weighted_gram(coeffs, conj, sizes, red2, phi, sum_axis=1)
-    _check_gram(gram, np.full(k, n, dtype=np.int64), "row orthogonality")
+    for r in primes:
+        roots, vand = _embedding(e, r)
+        vals = (coeffs.reshape(k * k, -1).astype(np.float64) @ vand).astype(np.int64) % r
+        x = vals.reshape(k, k, -1).transpose(2, 0, 1)  # (root, row, class)
+        x_conj = x[:, :, inv]
+        for what, labels, a, b, expected in (
+                # sum_k |C_k| chi_r(g_k) conj(chi_s(g_k)) = |G| delta_rs
+                ("row", "rows", x * sizes % r, x_conj.transpose(0, 2, 1), np.full(k, n)),
+                # sum_r chi_r(g_k) conj(chi_r(g_l)) = |C(g_k)| delta_kl
+                ("column", "classes", x.transpose(0, 2, 1), x_conj, n // sizes)):
+            gram = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % r
+            expected = np.diag(expected % r)
+            bad = gram != expected
+            if bad.any():
+                i, j, root = np.argwhere(bad.transpose(1, 2, 0))[0]
+                raise ContractViolation(
+                    f"{what} orthogonality fails exactly mod r = {r} at zeta -> "
+                    f"{roots[root]}: {labels} ({i}, {j}) give {gram[root, i, j]}, "
+                    f"expected {expected[i, j]}")
 
-    # Column orthogonality: sum_r chi_r(g_k) conj(chi_r(g_l)) = |C(g_k)| delta_kl.
-    gramc = _weighted_gram(
-        coeffs.transpose(1, 0, 2),
-        conj.transpose(1, 0, 2),
-        np.ones(k, dtype=np.int64),
-        red2,
-        phi,
-        sum_axis=1,
-    )
-    _check_gram(gramc, n // sizes, "column orthogonality")
-
-    return {
-        "order": n,
-        "classes": k,
-        "conductor": e,
-        "prime": table.prime,
-        "degrees": [int(d) for d in degrees],
-    }
-
-
-def _weighted_gram(a, b, weights, red2, phi, sum_axis):
-    """Gram[r, s, :] = sum_k w_k * (a[r,k] ⊛ conj-side b[s,k]) in coeff space."""
-    bw = b * weights[None, :, None]
-    prod = np.tensordot(a, bw, axes=([sum_axis], [sum_axis]))  # (r, i, s, j)
-    # conv[r, s, t] = sum over i + j = t of prod[r, i, s, j]
-    conv = np.zeros((prod.shape[0], prod.shape[2], 2 * phi - 1), dtype=np.int64)
-    for i in range(phi):
-        conv[:, :, i:i + phi] += prod[:, i]
-    return conv @ red2
+    return {"order": n, "classes": k, "conductor": e, "prime": table.prime,
+            "degrees": [int(d) for d in degrees], "check_primes": primes}
 
 
-def _check_gram(gram, diagonal, what: str):
-    k = gram.shape[0]
-    expected = np.zeros_like(gram)
-    expected[np.arange(k), np.arange(k), 0] = diagonal
-    if not np.array_equal(gram, expected):
-        raise ContractViolation(f"{what} fails exactly")
+def _check_primes(e: int, avoid: int, bound: int, cap: int) -> list[int]:
+    """Primes r ≡ 1 (mod e), r ≠ avoid, r <= cap, largest first, until their
+    product exceeds 2 * bound."""
+    primes = []
+    for r in range(cap - (cap - 1) % e, 1, -e):
+        if r != avoid and is_prime(r):
+            primes.append(r)
+            if prod(primes) > 2 * bound:
+                return primes
+    raise ContractViolation(
+        f"primes = 1 mod {e} up to {cap} do not exceed twice the Gram bound {bound}")
+
+
+@lru_cache(maxsize=None)
+def _embedding(e: int, r: int) -> tuple[list[int], np.ndarray]:
+    """The primitive e-th roots z^u of F_r (u a unit mod e, z = element_of_order)
+    and, in float64, V[i, j] = roots[j]^i: coefficient rows @ V are values."""
+    z = element_of_order(e, r)
+    zpow = [pow(z, i, r) for i in range(e)]
+    units = [u for u in range(e) if gcd(u, e) == 1]
+    vand = np.array(zpow, dtype=np.float64)[np.outer(np.arange(len(units)), units) % e]
+    vand.flags.writeable = False
+    return [zpow[u] for u in units], vand
 
 
 def restriction_multiplicities(

@@ -6,15 +6,22 @@ agreement with the library is a meaningful cross-check rather than the
 same code run twice.  `residual_shape_by_quotient` is the one oracle that
 builds quotient groups: it reads the residual cases ii/iii of
 `pairs.residual_case` from J/O_p(J) and its quotient by `Group.quotient`,
-where the library reads them inside J.
+where the library reads them inside J.  `verify_table_by_coefficients` is
+the one vectorized oracle: it computes every Gram entry of both
+orthogonality relations as a cyclotomic integer in the power basis, where
+`chartable.verify_table` evaluates them mod split primes.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
+
+from groupchar._arith import euler_phi
 from groupchar.chartable import compute_table
-from groupchar.cyclotomic import Cyclotomic
+from groupchar.cyclotomic import Cyclotomic, _reduction_table
+from groupchar.errors import ContractViolation
 from groupchar.groups import Subgroup
 
 
@@ -247,6 +254,78 @@ def residual_shape_by_quotient(j_grp, p: int) -> tuple:
         if generated(mul, comms) == in_middle:
             return ("iii", *shape)
     return (None, *shape)
+
+
+def verify_table_by_coefficients(table) -> dict:
+    """Exact verification of both orthogonality relations and degree facts,
+    with every Gram entry computed as a cyclotomic integer in the power
+    basis.
+
+    Raises ContractViolation on any failure; returns a small summary dict.
+    """
+    group = table.group
+    n = group.order
+    k = len(table.classes.reps)
+    if len(table.rows) != k:
+        raise ContractViolation("row count differs from class count")
+    degrees = table.degrees
+    if int((degrees * degrees).sum()) != n:
+        raise ContractViolation("sum of degree squares is not the group order")
+    for d in degrees:
+        if n % int(d):
+            raise ContractViolation("degree does not divide group order")
+    coeffs = table._coeffs
+    if not (np.all(coeffs[0, :, 0] == 1) and not coeffs[0, :, 1:].any()):
+        raise ContractViolation("first row is not the trivial character")
+
+    e = table.conductor
+    phi = euler_phi(e)
+    red = np.array(_reduction_table(e), dtype=np.int64)
+    red2 = red[np.arange(2 * phi - 1) % e]
+    conj = coeffs[:, table.classes.inverse_class, :]
+    sizes = np.asarray(table.classes.sizes, dtype=np.int64)
+
+    # Row orthogonality: sum_k |C_k| chi_r(g_k) conj(chi_s(g_k)) = |G| delta_rs.
+    gram = _weighted_gram(coeffs, conj, sizes, red2, phi, sum_axis=1)
+    _check_gram(gram, np.full(k, n, dtype=np.int64), "row orthogonality")
+
+    # Column orthogonality: sum_r chi_r(g_k) conj(chi_r(g_l)) = |C(g_k)| delta_kl.
+    gramc = _weighted_gram(
+        coeffs.transpose(1, 0, 2),
+        conj.transpose(1, 0, 2),
+        np.ones(k, dtype=np.int64),
+        red2,
+        phi,
+        sum_axis=1,
+    )
+    _check_gram(gramc, n // sizes, "column orthogonality")
+
+    return {
+        "order": n,
+        "classes": k,
+        "conductor": e,
+        "prime": table.prime,
+        "degrees": [int(d) for d in degrees],
+    }
+
+
+def _weighted_gram(a, b, weights, red2, phi, sum_axis):
+    """Gram[r, s, :] = sum_k w_k * (a[r,k] ⊛ conj-side b[s,k]) in coeff space."""
+    bw = b * weights[None, :, None]
+    prod = np.tensordot(a, bw, axes=([sum_axis], [sum_axis]))  # (r, i, s, j)
+    # conv[r, s, t] = sum over i + j = t of prod[r, i, s, j]
+    conv = np.zeros((prod.shape[0], prod.shape[2], 2 * phi - 1), dtype=np.int64)
+    for i in range(phi):
+        conv[:, :, i:i + phi] += prod[:, i]
+    return conv @ red2
+
+
+def _check_gram(gram, diagonal, what: str):
+    k = gram.shape[0]
+    expected = np.zeros_like(gram)
+    expected[np.arange(k), np.arange(k), 0] = diagonal
+    if not np.array_equal(gram, expected):
+        raise ContractViolation(f"{what} fails exactly")
 
 
 def kernel_by_values(chi) -> set[int]:
