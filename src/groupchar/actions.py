@@ -1,9 +1,14 @@
 """Linear actions of matrix groups on finite vector spaces: orbit facts.
 
 A LinearAction is a list of invertible n×n generator matrices over GF(p).
-The generated matrix group is closed by breadth-first products (bounded),
-and the action on the p^n vectors is stored as one permutation per
-generator (vectors are numbered little-endian: id = Σ v_j p^j).
+The action on the p^n vectors is stored as one permutation per generator
+(vectors are numbered little-endian: id = Σ v_j p^j).  The generated
+matrix group is closed from those permutations by Dimino's coset closure:
+an element is the row of the n vector ids of its columns, the cyclic group
+of the first generator is built by doubling, and each further generator
+adds whole left cosets of the previous subgroup as one batched block,
+tested for membership by one packed uint64 key per row; only the order
+is kept, bounded by ``ORDER_BOUND``.
 `odd_order_subgroup_actions` builds GL(n, p) as a `Group` on the same
 permutations and closes its odd-order subgroups with the group's closure.
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arith import is_prime
+from ._arith import is_prime, p_part
 from ._modlinalg import rref_mod
 from .constructors import _perm_group
 from .errors import (
@@ -60,6 +65,28 @@ def _vector_perms(p: int, n: int, matrices) -> list[np.ndarray]:
     return [vectors @ m.T % p @ powers for m in matrices]
 
 
+def _row_keys(p: int, n: int):
+    """A function from an (m, n) array of vector ids to m hashable keys.
+
+    Each id has b bits, b the bit length of p^n − 1; the n ids are packed
+    ⌊64/b⌋ to a uint64 word, ⌈n/⌊64/b⌋⌉ words per row, read as one bytes
+    object per row through a void view."""
+    bits = (p ** n - 1).bit_length()
+    per_word = 64 // bits
+    words = -(-n // per_word)
+    shifts = np.uint64(bits) * np.arange(per_word, dtype=np.uint64)
+    key = np.dtype((np.void, 8 * words))
+
+    def keys(rows: np.ndarray) -> list[bytes]:
+        padded = np.zeros((len(rows), words * per_word), dtype=np.uint64)
+        padded[:, :n] = rows
+        packed = (padded.reshape(len(rows), words, per_word) << shifts).sum(
+            axis=2, dtype=np.uint64)
+        return packed.view(key).ravel().tolist()
+
+    return keys
+
+
 class LinearAction:
     """A finite matrix group acting on GF(p)^n, with per-generator vector
     permutations and the orbit partition computed lazily."""
@@ -88,27 +115,78 @@ class LinearAction:
                 raise InvalidAction("generator matrix is singular")
             gens.append(m)
         self.generators = gens
-        self.group_order = self._close_group()
         self._vector_perms = _vector_perms(p, n, gens)
+        self.group_order = self._close_group()
         self._orbit_data: tuple[np.ndarray, np.ndarray] | None = None
 
     def _close_group(self) -> int:
-        seen = {np.eye(self.n, dtype=np.int64).tobytes()}
-        frontier = [np.eye(self.n, dtype=np.int64)]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = a @ g % self.p
-                    key = b.tobytes()
-                    if key not in seen:
-                        if len(seen) >= ORDER_BOUND:
-                            raise BoundExceeded("matrix group order",
-                                                len(seen) + 1, ORDER_BOUND)
-                        seen.add(key)
-                        nxt.append(b)
-            frontier = nxt
-        return len(seen)
+        """Order of the generated group, by Dimino's coset closure.
+
+        An element is the row of the vector ids of its columns (the images
+        of the basis vectors, ids ``p**arange(n)``), so s·r for a generator
+        s is the gather ``perm_s[r]``.  The first generator not in the
+        group so far is closed cyclically by doubling: E ∪ g^k·E, cut at
+        the first row already present, which is the identity.  Each
+        further generator that is not yet in H adds left cosets x·H of the
+        previous subgroup H, one batched block each, until s·r lies in the
+        union for every generator s and coset representative r; then the
+        union is closed under left multiplication and is the group.
+
+        Membership is one set of packed keys (see `_row_keys`).
+        ``ORDER_BOUND`` is checked before each block is stored.
+        """
+        p, n = self.p, self.n
+        vectors = _vectors(p, n)
+        powers = p ** np.arange(n, dtype=np.int64)
+        keys = _row_keys(p, n)
+        identity = powers
+        rows = identity[None, :]
+        seen = set(keys(rows))
+        taken: list[np.ndarray] = []
+
+        def store(total: int, block: np.ndarray) -> None:
+            if total + len(block) > ORDER_BOUND:
+                raise BoundExceeded("matrix group order", ORDER_BOUND + 1, ORDER_BOUND)
+            seen.update(keys(block))
+
+        for perm in self._vector_perms:
+            if keys(perm[identity][None, :])[0] in seen:
+                continue
+            taken.append(perm)
+            if len(taken) == 1:
+                power = perm  # the permutation of g^k, k = len(rows)
+                while True:
+                    block = power[rows]
+                    stop = np.flatnonzero((block == identity).all(axis=1))
+                    if stop.size:
+                        block = block[:stop[0]]
+                    store(len(rows), block)
+                    rows = np.concatenate([rows, block])
+                    if stop.size:
+                        break
+                    power = power[power]
+                continue
+            # A gather needs x's permutation of all p^n vectors; a matmul
+            # transforms only H's |H|·n column vectors.
+            decoded = None if len(rows) * n >= p ** n else vectors[rows]
+            blocks = [rows]
+            total = len(rows)
+            reps = [identity]
+            for r in reps:  # reps grows while it is read
+                for s in taken:
+                    x = s[r]
+                    if keys(x[None, :])[0] in seen:
+                        continue
+                    if decoded is None:
+                        block = (vectors @ vectors[x] % p @ powers)[rows]
+                    else:
+                        block = decoded @ vectors[x] % p @ powers
+                    store(total, block)
+                    blocks.append(block)
+                    total += len(block)
+                    reps.append(x)
+            rows = np.concatenate(blocks)
+        return len(rows)
 
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """(orbit_label per vector id, orbit sizes indexed by label).
@@ -297,9 +375,9 @@ def gl_elements(p: int, n: int) -> list[np.ndarray]:
 
 def odd_order_subgroup_actions(p: int, n: int) -> list[LinearAction]:
     """All odd-order subgroups of GL(n, p) as actions, found by closing
-    single elements and element pairs (complete when every odd subgroup is
-    2-generated, which covers the desk-scale cases: GL(1, p) is cyclic and
-    the odd subgroups of GL(2, 3) have order 1 or 3).
+    the odd cyclic subgroups and the pairs of them (complete when every odd
+    subgroup is 2-generated, which covers the desk-scale cases: GL(1, p) is
+    cyclic and the odd subgroups of GL(2, 3) have order 1 or 3).
 
     GL(n, p) is built once as a ``Group`` on its permutations of the vector
     ids; its ids are the positions in ``gl_elements``, with the identity
@@ -308,13 +386,27 @@ def odd_order_subgroup_actions(p: int, n: int) -> list[LinearAction]:
     id_pos = next(i for i, m in enumerate(elements) if (m == np.eye(n)).all())
     elements[0], elements[id_pos] = elements[id_pos], elements[0]
     gl = _perm_group(_vector_perms(p, n, elements), f"GL({n},{p})")
-    odd = np.flatnonzero(gl.elt_order % 2 == 1)
-    seeds = [[i] for i in odd] + [[a, b] for k, a in enumerate(odd) for b in odd[k + 1:]]
+    # <a, b> depends only on <a> and <b>: pairs are seeded from one
+    # generator per odd cyclic subgroup, the elements of <a> with a's
+    # order being exactly its generators.
     found = {}
-    for seed in seeds:
-        closed = gl._closure(seed)
-        if len(closed) % 2 == 1:
-            found.setdefault(closed.tobytes(), closed)
+    gens = []
+    covered = np.zeros(gl.order, dtype=bool)
+    for a in np.flatnonzero(gl.elt_order % 2 == 1):
+        if covered[a]:
+            continue
+        cyclic = gl._closure([a])
+        covered[cyclic[gl.elt_order[cyclic] == gl.elt_order[a]]] = True
+        found[cyclic.tobytes()] = cyclic
+        gens.append(a)
+    # An odd-order subgroup's order divides the odd part of |GL(n, p)|, so
+    # a closure that outgrows it is dropped as soon as it does.
+    odd_part = gl.order // p_part(gl.order, 2)
+    for k, a in enumerate(gens):
+        for b in gens[k + 1:]:
+            closed = gl._closure([a, b], cap=odd_part)
+            if closed is not None and len(closed) % 2 == 1:
+                found.setdefault(closed.tobytes(), closed)
     out = []
     for subset in sorted(found.values(), key=lambda s: (len(s), s.tolist())):
         action = LinearAction(p, n, [elements[i] for i in subset[1:]])

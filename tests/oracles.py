@@ -10,6 +10,8 @@ where the library reads them inside J.  `verify_table_by_coefficients` is
 the one vectorized oracle: it computes every Gram entry of both
 orthogonality relations as a cyclotomic integer in the power basis, where
 `chartable.verify_table` evaluates them mod split primes.
+`matrix_group_by_products` closes a matrix group one numpy product per
+element, the reference for the batched coset closure of `LinearAction`.
 """
 
 from __future__ import annotations
@@ -515,60 +517,47 @@ def charpoly_laplace(a, p: int) -> list[int]:
     return poly[:n + 1]
 
 
+def matrix_group_by_products(p: int, n: int, mats) -> list[np.ndarray]:
+    """Every element of the matrix group generated by mats over GF(p):
+    breadth-first right multiplication by the generators, one product
+    and one ``tobytes`` key per element."""
+    gens = [np.asarray(m, dtype=np.int64) % p for m in mats]
+    ident = np.eye(n, dtype=np.int64)
+    seen = {ident.tobytes()}
+    group = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = a @ g % p
+                key = b.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(b)
+        group.extend(nxt)
+        frontier = nxt
+    return group
+
+
 def orbits_brute(p: int, n: int, mats) -> list[int]:
-    """Orbit sizes on nonzero vectors under the group generated by mats
-    (plain tuple BFS, including inverse closure via repeated powers)."""
+    """Orbit sizes on nonzero vectors under the group generated by mats:
+    the orbit of v is {m·v} over every element m of the closed group."""
+    group = [m.tolist() for m in matrix_group_by_products(p, n, mats)]
 
     def apply(mat, vec):
         return tuple(
             sum(mat[i][j] * vec[j] for j in range(n)) % p for i in range(n)
         )
 
-    def all_vectors():
-        vecs = [()]
-        for _ in range(n):
-            vecs = [v + (c,) for v in vecs for c in range(p)]
-        return vecs
-
-    # close the generator set into the full matrix group
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-    def matmul(a, b):
-        return tuple(
-            tuple(
-                sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)
-            )
-            for i in range(n)
-        )
-
-    group = {ident}
-    frontier = [ident]
-    gens = [tuple(tuple(int(c) % p for c in row) for row in m) for m in mats]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = matmul(m, g)
-                if prod not in group:
-                    group.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-
-    remaining = {v for v in all_vectors() if any(v)}
+    vectors = [()]
+    for _ in range(n):
+        vectors = [v + (c,) for v in vectors for c in range(p)]
+    remaining = {v for v in vectors if any(v)}
     sizes = []
     while remaining:
         start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for m in group:
-                    w = apply(m, v)
-                    if w not in orbit:
-                        orbit.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        orbit = {apply(m, start) for m in group}
         sizes.append(len(orbit))
         remaining -= orbit
     return sorted(sizes)

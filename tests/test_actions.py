@@ -1,8 +1,10 @@
-"""Linear actions on finite vector spaces: orbits, pairing, duplicate
-lengths, the transitivity scan, and the exhaustive odd-subgroup scans."""
+"""Linear actions on finite vector spaces: group orders and their bound,
+orbits, pairing, duplicate lengths, the transitivity scan, and the
+exhaustive odd-subgroup scans."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -121,17 +123,73 @@ def test_negation_pairing_vs_structure():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([3, 5]), st.lists(st.integers(0, 4), min_size=4, max_size=8))
-def test_orbits_match_brute_force(p, entries):
-    mats = []
-    for i in range(0, len(entries) - 3, 4):
-        a, b, c, d = (x % p for x in entries[i:i + 4])
-        if (a * d - b * c) % p != 0:
-            mats.append([[a, b], [c, d]])
+@given(st.data())
+def test_orbits_match_brute_force(data):
+    # GF(3)^3 only: GL(3, 5) is past the order bound
+    p, n = data.draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    mats = [np.reshape(e, (n, n)).tolist()
+            for e in data.draw(st.lists(entries, min_size=1, max_size=3))]
+    mats = [m for m in mats if oracles.rank_mod(m, p) == n]
     assume(mats)
-    action = LinearAction(p, 2, mats)
-    assert orbit_sizes(action) == oracles.orbits_brute(p, 2, mats)
+    extra = data.draw(st.sampled_from([[], [np.eye(n, dtype=int).tolist()], mats[:1]]))
+    at = data.draw(st.integers(0, len(mats)))
+    mats = mats[:at] + extra + mats[at:]
+    action = LinearAction(p, n, mats)
+    assert action.group_order == len(oracles.matrix_group_by_products(p, n, mats))
+    assert orbit_sizes(action) == oracles.orbits_brute(p, n, mats)
     assert negation_pairing(action)
+
+
+def _companion(coeffs, p):
+    """Companion matrix of x^n + c_{n-1} x^{n-1} + ... + c_0 over GF(p)."""
+    n = len(coeffs)
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.arange(1, n), np.arange(n - 1)] = 1
+    m[:, n - 1] = [-c % p for c in coeffs]
+    return m
+
+
+def _frobenius(c, p):
+    """x -> x^p in the power basis of the companion's root: column j is
+    x^(pj) = c^(pj)·e_0."""
+    powers = [np.eye(len(c), dtype=np.int64)[:, 0]]
+    for _ in range(p * (len(c) - 1)):
+        powers.append(c @ powers[-1] % p)
+    return np.stack(powers[::p], axis=1)
+
+
+def _elementary(n, i, j):
+    """I + E_ij."""
+    m = np.eye(n, dtype=np.int64)
+    m[i, j] = 1
+    return m
+
+
+_SINGER_3_4 = _companion((2, 0, 0, 1), 3)  # x^4 + x^3 + 2, primitive
+
+
+@pytest.mark.parametrize("p, n, mats, order", [
+    (3, 4, [_SINGER_3_4], 80),
+    (3, 4, [_SINGER_3_4, _frobenius(_SINGER_3_4, 3)], 320),  # ΓL(1, 81)
+    (3, 2, [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]], 48),  # GL(2, 3)
+    (5, 4, [np.diag([4, 1, 1, 1]),  # signed permutations
+            np.eye(4, dtype=np.int64)[[1, 0, 2, 3]],
+            np.eye(4, dtype=np.int64)[[1, 2, 3, 0]]], 384),
+    (3, 4, [_elementary(4, i, i + 1) for i in range(3)], 729),  # U(4, 3)
+], ids=["singer-81", "semilinear-81", "gl-2-3", "signed-perm-5^4", "unitriangular-4-3"])
+def test_fixed_group_orders(p, n, mats, order):
+    assert LinearAction(p, n, mats).group_order == order
+
+
+def test_order_bound_on_gl_3_11():
+    # diag(2, 1, 1), I + E_12 and a 3-cycle generate GL(3, 11), of order
+    # about 2·10^9: the closure stops at the first block past the bound.
+    gens = [np.diag([2, 1, 1]), _elementary(3, 0, 1),
+            np.eye(3, dtype=np.int64)[[1, 2, 0]]]
+    with pytest.raises(BoundExceeded,
+                       match="matrix group order: size 1000001 exceeds bound 1000000"):
+        LinearAction(11, 3, gens)
 
 
 def test_gl_element_counts():
@@ -150,13 +208,15 @@ def test_gl_elements_refuses_before_building_the_count():
 
 
 def test_odd_subgroups_of_gl1_small():
-    actions = odd_order_subgroup_actions(7, 1)
-    orders = sorted(a.group_order for a in actions)
-    assert orders == [1, 3]  # GF(7)^* is cyclic of order 6
-    for action in actions:
-        assert dade_duplicate_check(action)
-        scan = distinct_sizes_scan(action)
-        assert scan["order_odd"] and not scan["distinct"]
+    # GF(7)^* is cyclic of order 6; in GF(19)^*, of order 18, the subgroup
+    # of order 3 is found from a generator inside the one of order 9.
+    for p, expected in [(7, [1, 3]), (19, [1, 3, 9])]:
+        actions = odd_order_subgroup_actions(p, 1)
+        assert sorted(a.group_order for a in actions) == expected
+        for action in actions:
+            assert dade_duplicate_check(action)
+            scan = distinct_sizes_scan(action)
+            assert scan["order_odd"] and not scan["distinct"]
 
 
 def test_odd_subgroups_of_gl23():
@@ -166,3 +226,11 @@ def test_odd_subgroups_of_gl23():
     for action in actions:
         assert dade_duplicate_check(action)
         assert negation_pairing(action)
+
+
+def test_odd_subgroups_of_gl25():
+    actions = odd_order_subgroup_actions(5, 2)
+    orders = sorted(a.group_order for a in actions)
+    assert orders == [1] + [3] * 10 + [5] * 6
+    for action in actions:
+        assert dade_duplicate_check(action)
