@@ -168,9 +168,7 @@ class CharacterTable:
     def _kernel_subgroup(self, index: int) -> Subgroup:
         if index not in self._kernels:
             g = self.group
-            cls = self.classes
-            member_classes = np.nonzero(self._kernel_mask[index])[0]
-            elems = np.sort(np.concatenate([cls.members[k] for k in member_classes]))
+            elems = np.flatnonzero(self._kernel_mask[index][self.classes.class_of])
             sub = Subgroup(g, elems)
             prod = g.mul[np.ix_(elems, elems)]
             if not np.all(sub.member_mask()[prod]):
@@ -223,8 +221,7 @@ def _build_table(group: Group) -> CharacterTable:
     for i in range(1, e):
         zpow[i] = zpow[i - 1] * z % q
 
-    sizes = np.asarray(cc.sizes, dtype=np.int64)
-    inv_sizes = np.array([inv_mod(int(s), q) for s in sizes], dtype=np.int64)
+    inv_sizes = np.array([inv_mod(s, q) for s in cc.sizes.tolist()], dtype=np.int64)
     omegas = _split_central_characters(group, cc, q)
 
     # Degrees from first orthogonality: d^2 = |G| / sum_k w_k w_{k*} / |C_k|.
@@ -331,7 +328,7 @@ def _element_key(group: Group) -> np.ndarray:
     if "element_key" not in group._cache:
         n = group.order
         cc = group.conjugacy_classes()
-        sizes = np.asarray(cc.sizes, dtype=np.int64)[cc.class_of]
+        sizes = cc.sizes[cc.class_of]
         ids = np.arange(n)
         roots = np.bincount(group.mul[ids, ids], minlength=n)
         code = group.elt_order * (n + 1) + sizes
@@ -410,7 +407,7 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
     # Composed with conjugation in s an isomorphism stays one, so the
     # first generator need only go to class representatives.
     class_reps = np.zeros(n, dtype=bool)
-    class_reps[list(s.conjugacy_classes().reps)] = True
+    class_reps[s.conjugacy_classes().reps] = True
 
     def search(depth: int, used: np.ndarray) -> bool | None:
         """True when the map is complete, False when no choice fits, None
@@ -511,7 +508,7 @@ def _transport(h: Group, s: Group, phi: np.ndarray) -> CharacterTable:
 
 def _image_classes(h: Group, s: Group, phi: np.ndarray) -> np.ndarray:
     """The class of s that holds phi(rep), for each class of h."""
-    return s.conjugacy_classes().class_of[phi[np.asarray(h.conjugacy_classes().reps)]]
+    return s.conjugacy_classes().class_of[phi[h.conjugacy_classes().reps]]
 
 
 # Seed of the generator behind the combination weights and the probe
@@ -568,7 +565,7 @@ def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
     combined = _class_matrix_sum(group, cc, others, weights[cc.class_of[others]])
     blocks = _split_blocks(blocks, combined.T % q, q, rng)
 
-    class_order = sorted(range(1, k), key=lambda i: (int(cc.sizes[i]), int(cc.reps[i])))
+    class_order = np.lexsort((cc.reps, cc.sizes))[1:]  # class 0 sorts first
     for i in class_order:
         if all(b.shape[0] == 1 for b, _ in blocks):
             break
@@ -668,13 +665,16 @@ def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int
 def verify_table(table: CharacterTable) -> dict:
     """Exact check of the degrees and both orthogonality relations.
 
-    The relations are identities in Z[ζ_e], checked mod primes r ≡ 1 (mod e),
-    where Z[ζ_e]/r ≅ F_r^φ(e) through the primitive e-th roots of F_r: one
-    batch of k×k products mod r per root.  The primes multiply past 2B, B a
-    bound on every Gram coefficient minus its expected value, so agreement
-    mod each is equality (CRT).  The products run in float64 once every
-    partial sum is known to stay below 2^53.  A ContractViolation names the
-    relation, r, the root and the first failing pair.
+    The row relation X·W·(XP)ᵀ = |G|·I (W the class sizes, P the
+    inverse-class permutation) is an identity in Z[ζ_e], checked mod primes
+    r ≡ 1 (mod e), where Z[ζ_e]/r ≅ F_r^φ(e) through the primitive e-th
+    roots of F_r: one batch of k×k products mod r per root.  The primes
+    multiply past 2B, B a bound on every Gram coefficient minus its expected
+    value, so agreement mod each is equality (CRT).  The products run in
+    float64 once every partial sum is known to stay below 2^53.  A
+    ContractViolation names r, the root and the first failing pair.  The
+    column relation Xᵀ·XP = |G|·W⁻¹ then follows, X being square, once P is
+    checked to be an involution that keeps class sizes.
     """
     n = table.group.order
     classes = table.classes
@@ -707,11 +707,11 @@ def verify_table(table: CharacterTable) -> dict:
         raise ContractViolation(
             f"value of row {row} at class {col} is not a sum of {degrees[row]} roots of unity")
     norms = norms.astype(np.int64)
+    sizes, inv = classes.sizes, classes.inverse_class
+    if not (np.array_equal(inv[inv], np.arange(k)) and np.array_equal(sizes[inv], sizes)):
+        raise ContractViolation("inverse classes are not an involution that keeps class sizes")
     # |Gram coefficient| <= sum_k w_k ||a_k|| ||b_k|| max|red|; |expected| <= |G|.
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    inv = np.asarray(classes.inverse_class)
-    bound = n + int(red.max()) * max(int(((norms * sizes) @ norms[:, inv].T).max()),
-                                     int((norms.T @ norms[:, inv]).max()))
+    bound = n + int(red.max()) * int(((norms * sizes) @ norms[:, inv].T).max())
     max_norm = int(norms.max())
     primes = _check_primes(e, table.prime, bound, min(
         _CHECK_PRIME_CEILING, (_FLOAT_EXACT - 1) // max_norm + 1,
@@ -724,21 +724,18 @@ def verify_table(table: CharacterTable) -> dict:
         roots, vand = _embedding(e, r)
         vals = (coeffs.reshape(k * k, -1).astype(np.float64) @ vand).astype(np.int64) % r
         x = vals.reshape(k, k, -1).transpose(2, 0, 1)  # (root, row, class)
-        x_conj = x[:, :, inv]
-        for what, labels, a, b, expected in (
-                # sum_k |C_k| chi_r(g_k) conj(chi_s(g_k)) = |G| delta_rs
-                ("row", "rows", x * sizes % r, x_conj.transpose(0, 2, 1), np.full(k, n)),
-                # sum_r chi_r(g_k) conj(chi_r(g_l)) = |C(g_k)| delta_kl
-                ("column", "classes", x.transpose(0, 2, 1), x_conj, n // sizes)):
-            gram = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % r
-            expected = np.diag(expected % r)
-            bad = gram != expected
-            if bad.any():
-                i, j, root = np.argwhere(bad.transpose(1, 2, 0))[0]
-                raise ContractViolation(
-                    f"{what} orthogonality fails exactly mod r = {r} at zeta -> "
-                    f"{roots[root]}: {labels} ({i}, {j}) give {gram[root, i, j]}, "
-                    f"expected {expected[i, j]}")
+        # sum_k |C_k| chi_r(g_k) conj(chi_s(g_k)) = |G| delta_rs
+        a = (x * sizes % r).astype(np.float64)
+        b = x[:, :, inv].transpose(0, 2, 1).astype(np.float64)
+        gram = (a @ b).astype(np.int64) % r
+        expected = np.diag(np.full(k, n % r))
+        bad = gram != expected
+        if bad.any():
+            i, j, root = np.argwhere(bad.transpose(1, 2, 0))[0]
+            raise ContractViolation(
+                f"row orthogonality fails exactly mod r = {r} at zeta -> "
+                f"{roots[root]}: rows ({i}, {j}) give {gram[root, i, j]}, "
+                f"expected {expected[i, j]}")
 
     return {"order": n, "classes": k, "conductor": e, "prime": table.prime,
             "degrees": [int(d) for d in degrees], "check_primes": primes}
@@ -796,8 +793,7 @@ def restriction_multiplicities(
     theta_conj = theta_q[:, table_n.classes.inverse_class]
 
     parent_class = g.conjugacy_classes().class_of[sub.to_parent(table_n.classes.reps)]
-    n_sizes = np.asarray(table_n.classes.sizes, dtype=np.int64)
-    weighted = table_g._modq[:, parent_class] * n_sizes[None, :] % q
+    weighted = table_g._modq[:, parent_class] * table_n.classes.sizes[None, :] % q
     inv_n = inv_mod(sub.order, q)
     mults = weighted @ theta_conj.T % q * inv_n % q              # (R, T)
     max_deg = int(table_g.degrees.max())

@@ -16,6 +16,7 @@ any other ``ValueError``.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -71,7 +72,7 @@ def _resolve_normals(group: Group, spec: str) -> list[Subgroup]:
     """A literal ``auto-minimal`` or an explicit element-id list."""
     if spec == "auto-minimal":
         subs = group.minimal_normal_subgroups()
-        return sorted(subs, key=lambda s: (s.order, s.elements))
+        return sorted(subs, key=lambda s: (s.order, s.elements.tolist()))
     ids = _parse_ids(spec, group.order)
     try:
         sub = group.subgroup(ids)
@@ -94,7 +95,7 @@ def _cmd_info(args) -> str:
     rep.add("order", group.order)
     rep.add("exponent", group.exponent)
     rep.add("classes", len(cc.reps))
-    rep.add("class-sizes", sorted(cc.sizes))
+    rep.add("class-sizes", sorted(cc.sizes.tolist()))
     rep.add("abelian", group.is_abelian)
     rep.add("cyclic", group.is_cyclic)
     rep.add("nilpotent", group.is_nilpotent())
@@ -127,7 +128,7 @@ def _cmd_analyze(args) -> str:
     rep.add("order", group.order)
     for sub in _resolve_normals(group, args.normal):
         rep.blank()
-        rep.add("normal", list(sub.elements))
+        rep.add("normal", sub.elements.tolist())
         rep.add("normal-order", sub.order)
         for rec in ramification_report(group, sub):
             rep.blank()
@@ -151,7 +152,7 @@ def _cmd_classify(args) -> str:
     for sub in _resolve_normals(group, args.normal):
         pr = classify_pair(group, sub)
         rep.blank()
-        rep.add("normal", list(sub.elements))
+        rep.add("normal", sub.elements.tolist())
         rep.add("normal-order", sub.order)
         rep.add("p", pr.p)
         rep.add("n-exponent", pr.n_exp)
@@ -219,6 +220,7 @@ def _cmd_orbits(args) -> str:
 # wiring
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="groupchar",

@@ -96,7 +96,7 @@ def _conjugation_profile(group: Group, sub: Subgroup, table_n: CharacterTable,
     """For each g in ``elements`` (default all of G), the induced permutation
     σ_g of N's classes: σ_g[j] is the N-class of g x_j g^{-1}."""
     mul, inv = group.mul, group.inv
-    reps_parent = sub.to_parent(np.asarray(table_n.classes.reps))
+    reps_parent = sub.to_parent(table_n.classes.reps)
     conj = mul[mul[elements][:, reps_parent], inv[elements][:, None]]
     return table_n.classes.class_of[sub.local_ids()[conj]]
 
@@ -131,7 +131,7 @@ def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):
 def section_centralizer(group: Group, sub_m: Subgroup, sub_n: Subgroup) -> Subgroup:
     """C_G(M/N) = {g : [g, m] ∈ N for all m ∈ M}."""
     mul, inv = group.mul, group.inv
-    m_els = sub_m.as_array()
+    m_els = sub_m.elements
     gm = mul[:, m_els]
     gmg = mul[gm, inv[:, None]]
     comm = mul[gmg, inv[m_els][None, :]]
@@ -159,8 +159,8 @@ def extension_alternative(group: Group, sub_n: Subgroup, sub_m: Subgroup,
     cent = section_centralizer(group, sub_m, sub_n)
     orbit = set()
     first = exts[0]
-    for c in cent.elements:
-        orbit.add(conjugate_character(first, int(c), sub_m).index)
+    for c in cent.elements.tolist():
+        orbit.add(conjugate_character(first, c, sub_m).index)
     transitive = ext_rows <= orbit
     if not transitive:
         raise TheoremViolation(

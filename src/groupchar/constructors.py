@@ -191,7 +191,7 @@ def automorphism_from_images(g: Group, gens, images) -> tuple[int, ...]:
         raise InvalidAction("generators do not generate the group")
     if not _check_automorphism(g, perm):
         raise InvalidAction("images do not extend to an automorphism")
-    return tuple(int(x) for x in perm)
+    return tuple(perm.tolist())
 
 
 # -- extraspecial 2-groups ----------------------------------------------------------
@@ -201,7 +201,7 @@ def _central_involution(g: Group) -> int:
     z = g.center()
     if z.order != 2:
         raise ValueError("factor must have center of order 2")
-    return z.elements[1]
+    return int(z.elements[1])
 
 
 def central_product(x: Group, y: Group) -> Group:

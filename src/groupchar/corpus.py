@@ -308,7 +308,7 @@ def run_corpus(name_filter: str | None = None) -> str:
 
         computed: dict = {}
         minimals = sorted(
-            group.minimal_normal_subgroups(), key=lambda s: (s.order, s.elements)
+            group.minimal_normal_subgroups(), key=lambda s: (s.order, s.elements.tolist())
         )
         types = []
         for sub in minimals:

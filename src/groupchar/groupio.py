@@ -84,6 +84,23 @@ def _load_cayley(lines, size, name, header_line) -> Group:
         raise ParseError(
             f"expected {size} table rows, found {len(lines)}", header_line
         )
+    # np.loadtxt splits as str.split does and accepts no cell int() rejects;
+    # what it refuses (a ragged row, 1_0, a bad id) is read row by row.
+    try:
+        mul = np.loadtxt([line for _, line in lines], dtype=np.int64, ndmin=2,
+                         comments=None)
+    except ValueError:
+        mul = None
+    if mul is None or mul.shape != (size, size) or mul.min() < 0 or mul.max() >= size:
+        mul = _parse_rows(lines, size)
+    try:
+        return Group(mul, label=name)
+    except ValueError as exc:
+        raise ParseError(f"not a group table: {exc}", header_line)
+
+
+def _parse_rows(lines, size) -> np.ndarray:
+    """The table one row at a time; a ParseError names the first bad row."""
     mul = np.empty((size, size), dtype=np.int64)
     for r, (lineno, line) in enumerate(lines):
         cells = line.split()
@@ -97,10 +114,7 @@ def _load_cayley(lines, size, name, header_line) -> Group:
         if row.min() < 0 or row.max() >= size:
             raise _first_bad_cell(cells, size, lineno)
         mul[r] = row
-    try:
-        return Group(mul, label=name)
-    except ValueError as exc:
-        raise ParseError(f"not a group table: {exc}", header_line)
+    return mul
 
 
 def _first_bad_cell(cells, size, lineno) -> ParseError:

@@ -9,6 +9,9 @@ caller in the library is `constructors.central_product`, and the method
 also stays because the benchmark tracer times it.  Subgroups are closed
 by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
 (`local_ids`) and its one class-space form (`class_mask`).
+Class data and subgroup elements are read-only int64 arrays, one per
+field, and sorted; a normal subgroup is read off a class mask as
+``np.flatnonzero(mask[class_of])``.  Reports take ints by ``.tolist()``.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled into a per-instance cache on first use.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
@@ -30,6 +33,12 @@ from .errors import BoundExceeded, ContractViolation, NotNormal
 
 SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series uses
 NORMAL_LATTICE_BOUND = 10_000  # ceiling on the number of normal subgroups
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: cached arrays are shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 class Group:
@@ -139,28 +148,17 @@ class Group:
     def conjugacy_classes(self) -> "ConjugacyClasses":
         if "classes" in self._cache:
             return self._cache["classes"]
-        n, mul, inv = self.order, self.mul, self.inv
-        class_of = np.full(n, -1, dtype=np.int64)
-        reps: list[int] = []
-        sizes: list[int] = []
-        members: list[np.ndarray] = []
-        for g in range(n):
-            if class_of[g] >= 0:
-                continue
-            orbit = np.unique(mul[mul[:, g], inv])  # h g h^{-1} over all h
-            class_of[orbit] = len(reps)
-            reps.append(g)
-            sizes.append(len(orbit))
-            members.append(orbit)
-        rep_arr = np.array(reps, dtype=np.int64)
-        inverse_class = class_of[self.inv[rep_arr]]
+        mul, inv = self.mul, self.inv
+        least = mul[mul, inv[:, None]].min(axis=0)  # least h·g·h⁻¹ over h, per g
+        reps, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
+        by_class = _readonly(np.argsort(class_of, kind="stable"))
         cc = ConjugacyClasses(
             group=self,
-            reps=tuple(reps),
-            sizes=tuple(sizes),
-            members=tuple(members),
-            class_of=class_of,
-            inverse_class=tuple(int(k) for k in inverse_class),
+            reps=_readonly(reps),
+            sizes=_readonly(sizes),
+            members=tuple(np.split(by_class, np.cumsum(sizes)[:-1])),
+            class_of=_readonly(class_of),
+            inverse_class=_readonly(class_of[inv[reps]]),
         )
         self._cache["classes"] = cc
         return cc
@@ -171,8 +169,7 @@ class Group:
 
     def center(self) -> "Subgroup":
         cc = self.conjugacy_classes()
-        singles = [r for r, s in zip(cc.reps, cc.sizes) if s == 1]
-        return Subgroup(self, np.array(sorted(singles)), normal=True)
+        return Subgroup(self, np.flatnonzero((cc.sizes == 1)[cc.class_of]), normal=True)
 
     def derived_subgroup(self) -> "Subgroup":
         if "derived" in self._cache:
@@ -205,13 +202,10 @@ class Group:
 
     def subgroup(self, elements) -> "Subgroup":
         """Wrap an element set after verifying it is a subgroup."""
-        els = np.unique(np.asarray(list(elements), dtype=np.int64))
-        if len(els) == 0 or els[0] != 0:
-            raise ValueError("a subgroup must contain the identity 0")
-        closed = self._closure(els)
-        if len(closed) != len(els):
+        sub = Subgroup(self, list(elements))
+        if len(self._closure(sub.elements)) != sub.order:
             raise ValueError("element set is not multiplicatively closed")
-        return Subgroup(self, els)
+        return sub
 
     def generated_subgroup(self, gens) -> "Subgroup":
         return Subgroup(self, self._closure(np.asarray(list(gens), dtype=np.int64)))
@@ -228,7 +222,7 @@ class Group:
         conj = np.unique(self.mul[self.mul[:, seed], self.inv[:, None]])
         return Subgroup(self, self._closure(conj), normal=True)
 
-    def _class_atoms(self) -> list[np.ndarray]:
+    def _class_atoms(self) -> list["Subgroup"]:
         """The normal closure of each nontrivial conjugacy class.
 
         Minimal normal subgroups, radicals and every series go through
@@ -238,8 +232,7 @@ class Group:
             if self.order > SUBGROUP_BOUND:
                 raise BoundExceeded("class atoms", self.order, SUBGROUP_BOUND)
             self._cache["atoms"] = [
-                self.normal_closure([rep]).as_array()
-                for rep in self.conjugacy_classes().reps[1:]
+                self.normal_closure([rep]) for rep in self.conjugacy_classes().reps[1:]
             ]
         return self._cache["atoms"]
 
@@ -250,7 +243,7 @@ class Group:
         inside[base] = True
         seen: dict[bytes, np.ndarray] = {}
         out = []
-        for atom in self._class_atoms():
+        for atom in (a.elements for a in self._class_atoms()):
             key = atom.tobytes()
             if key not in seen:
                 seen[key] = (
@@ -269,18 +262,18 @@ class Group:
         """
         if "minimal_normals" in self._cache:
             return self._cache["minimal_normals"]
-        seen: dict[bytes, tuple[int, np.ndarray]] = {}
-        for c, els in enumerate(self._class_atoms(), start=1):
-            seen.setdefault(els.tobytes(), (c, els))
+        seen: dict[bytes, tuple[int, Subgroup]] = {}
+        for c, atom in enumerate(self._class_atoms(), start=1):
+            seen.setdefault(atom.elements.tobytes(), (c, atom))
         gens = [c for c, _ in seen.values()]
-        atoms = [Subgroup(self, els, normal=True) for _, els in seen.values()]
+        atoms = [atom for _, atom in seen.values()]
         # A normal subgroup contains atom(c) exactly when it meets class c,
         # so below[i, j] (atom j ≤ atom i) is atom i's class mask at j's class.
         below = np.array([a.class_mask()[gens] for a in atoms], dtype=bool)
         below = below.reshape(len(atoms), len(atoms))
         np.fill_diagonal(below, False)
         out = sorted((a for a, smaller in zip(atoms, below.any(axis=1)) if not smaller),
-                     key=lambda s: (s.order, s.elements))
+                     key=lambda s: (s.order, s.elements.tolist()))
         self._cache["minimal_normals"] = out
         return out
 
@@ -320,11 +313,11 @@ class Group:
                             raise BoundExceeded("normal_subgroups", len(masks),
                                                 NORMAL_LATTICE_BOUND)
             frontier = fresh
-        members = self.conjugacy_classes().members
-        subs = [
-            np.sort(np.concatenate([m for c, m in enumerate(members) if mask >> c & 1]))
-            for mask in masks
-        ]
+        cc = self.conjugacy_classes()
+        packed = np.frombuffer(b"".join(m.to_bytes(len(cc) // 8 + 1, "little") for m in masks),
+                               dtype=np.uint8).reshape(len(masks), -1)
+        bits = np.unpackbits(packed, axis=1, count=len(cc), bitorder="little")  # class masks
+        subs = [np.flatnonzero(row[cc.class_of]) for row in bits]
         subs.sort(key=lambda e: (len(e), tuple(e.tolist())))
         if len(subs[0]) != 1 or len(subs[-1]) != self.order:
             raise ContractViolation("normal lattice lacks the trivial or whole group")
@@ -340,7 +333,7 @@ class Group:
         if not normal.is_normal:
             raise NotNormal(f"{normal} is not normal in {self.label}")
         n = self.order
-        els = normal.as_array()
+        els = normal.elements
         coset_min = self.mul[:, els].min(axis=1)
         reps = np.unique(coset_min)  # sorted; coset of 0 has min 0
         rank = np.full(n, -1, dtype=np.int64)
@@ -384,18 +377,13 @@ class Group:
         union of those classes is the preimage itself, which we re-verify to
         be closed.  B is the trivial subgroup unless ``base`` says otherwise.
         """
-        below = np.array([0], dtype=np.int64) if base is None else base.as_array()
-        members: list[np.ndarray] = [np.array([0], dtype=np.int64)]
+        below = np.array([0], dtype=np.int64) if base is None else base.elements
         cc = self.conjugacy_classes()
-        for join, cls in zip(self._joins(below), cc.members[1:]):
+        kept = np.ones(len(cc), dtype=bool)  # class 0 is the identity's
+        for c, join in enumerate(self._joins(below), start=1):
             m = len(join) // len(below)
-            if mode == "p":
-                ok = p_part(m, p) == m
-            else:
-                ok = m % p != 0
-            if ok:
-                members.append(cls)
-        union = np.unique(np.concatenate(members))
+            kept[c] = p_part(m, p) == m if mode == "p" else m % p != 0
+        union = np.flatnonzero(kept[cc.class_of])
         closed = self._closure(union)
         if len(closed) != len(union):
             raise ContractViolation("radical element set is not closed")
@@ -417,7 +405,7 @@ class Group:
             return self._cache["fitting"]
         cur = np.array([0], dtype=np.int64)
         for p in sorted(factorize(self.order)):
-            op = self._class_radical(p, mode="p").as_array()
+            op = self._class_radical(p, mode="p").elements
             cur = np.unique(self.mul[np.ix_(cur, op)])  # join of normals
         sub = Subgroup(self, cur, normal=True)
         self._cache["fitting"] = sub
@@ -475,7 +463,7 @@ class Group:
         """Is G/B supersolvable, B the trivial subgroup unless ``base`` says
         otherwise?  That is, has every chief factor of G above B prime
         order?  By Jordan–Hölder any chief series gives the same orders."""
-        below = np.array([0], dtype=np.int64) if base is None else base.as_array()
+        below = np.array([0], dtype=np.int64) if base is None else base.elements
         index = self.order // len(below)
         # p-groups: every chief factor is central of order p.
         if index == 1 or prime_power(index) is not None:
@@ -489,30 +477,37 @@ class Group:
 
 @dataclass(frozen=True)
 class ConjugacyClasses:
-    """Conjugacy class data; classes are ordered by minimal element id."""
+    """Conjugacy class data, one read-only int64 array per field.
+
+    ``reps[c]`` is the least element of class c and increases with c, so
+    class 0 is the identity's; ``members[c]`` lists the class in increasing
+    order, and ``inverse_class[c]`` is the class of ``reps[c]``⁻¹.
+    """
 
     group: Group
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
+    reps: np.ndarray
+    sizes: np.ndarray
     members: tuple[np.ndarray, ...]
     class_of: np.ndarray
-    inverse_class: tuple[int, ...]
+    inverse_class: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reps)
 
 
 class Subgroup:
-    """A subgroup of a parent group, stored as a sorted element-id tuple."""
+    """A subgroup of a parent group; ``elements`` holds its parent ids,
+    sorted, as a read-only int64 array, and its cached masks and id map
+    are read-only too."""
 
     __slots__ = ("parent", "elements", "_cache")
 
     def __init__(self, parent: Group, elements, *, normal: bool | None = None):
         els = np.unique(np.asarray(elements, dtype=np.int64))
-        if els[0] != 0:
-            raise ValueError("subgroups contain the identity")
+        if els.size == 0 or els[0] != 0:
+            raise ValueError("a subgroup must contain the identity 0")
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "elements", tuple(int(e) for e in els))
+        object.__setattr__(self, "elements", _readonly(els))
         object.__setattr__(self, "_cache", {})
         if normal is not None:
             self._cache["normal"] = normal
@@ -524,16 +519,11 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def as_array(self) -> np.ndarray:
-        if "arr" not in self._cache:
-            self._cache["arr"] = np.array(self.elements, dtype=np.int64)
-        return self._cache["arr"]
-
     def member_mask(self) -> np.ndarray:
         if "mask" not in self._cache:
             mask = np.zeros(self.parent.order, dtype=bool)
-            mask[self.as_array()] = True
-            self._cache["mask"] = mask
+            mask[self.elements] = True
+            self._cache["mask"] = _readonly(mask)
         return self._cache["mask"]
 
     def class_mask(self) -> np.ndarray:
@@ -543,8 +533,8 @@ class Subgroup:
         if "class_mask" not in self._cache:
             cc = self.parent.conjugacy_classes()
             mask = np.zeros(len(cc), dtype=bool)
-            mask[cc.class_of[self.as_array()]] = True
-            self._cache["class_mask"] = mask
+            mask[cc.class_of[self.elements]] = True
+            self._cache["class_mask"] = _readonly(mask)
         return self._cache["class_mask"]
 
     def __contains__(self, g: int) -> bool:
@@ -554,11 +544,11 @@ class Subgroup:
         return (
             isinstance(other, Subgroup)
             and self.parent is other.parent
-            and self.elements == other.elements
+            and np.array_equal(self.elements, other.elements)
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.elements))
+        return hash((id(self.parent), self.elements.tobytes()))
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -570,26 +560,26 @@ class Subgroup:
     def is_normal(self) -> bool:
         if "normal" not in self._cache:
             G = self.parent
-            els = self.as_array()
+            els = self.elements
             conj = G.mul[G.mul[:, els], G.inv[:, None]]
             self._cache["normal"] = bool(self.member_mask()[conj].all())
         return self._cache["normal"]
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return bool(other.member_mask()[self.as_array()].all())
+        return bool(other.member_mask()[self.elements].all())
 
     def local_ids(self) -> np.ndarray:
         """Parent id -> local id of ``as_group()``; -1 outside the subgroup."""
         if "local" not in self._cache:
             local = np.full(self.parent.order, -1, dtype=np.int64)
-            local[self.as_array()] = np.arange(self.order)
-            self._cache["local"] = local
+            local[self.elements] = np.arange(self.order)
+            self._cache["local"] = _readonly(local)
         return self._cache["local"]
 
     def as_group(self) -> Group:
         """Materialize with dense local ids (sorted by parent id)."""
         if "group" not in self._cache:
-            els = self.as_array()
+            els = self.elements
             local = self.local_ids()[self.parent.mul[np.ix_(els, els)]]
             if local.min() < 0:
                 raise ValueError("element set is not multiplicatively closed")
@@ -601,9 +591,7 @@ class Subgroup:
 
     def to_parent(self, local_id):
         """Map local (materialized) ids to parent ids; scalar or array."""
-        if isinstance(local_id, (int, np.integer)):
-            return self.elements[local_id]
-        return self.as_array()[np.asarray(local_id, dtype=np.int64)]
+        return self.elements[local_id]
 
     def within(self, outer: "Subgroup") -> "Subgroup":
         """This subgroup as a subgroup of ``outer.as_group()``.
@@ -615,8 +603,8 @@ class Subgroup:
         """
         if outer.parent is not self.parent or not self.is_subset_of(outer):
             raise ValueError("subgroup is not contained in the outer one")
-        inner = Subgroup(outer.as_group(), outer.local_ids()[self.as_array()])
-        if not np.array_equal(outer.to_parent(inner.as_array()), self.as_array()):
+        inner = Subgroup(outer.as_group(), outer.local_ids()[self.elements])
+        if not np.array_equal(outer.to_parent(inner.elements), self.elements):
             raise ContractViolation("local ids of the inner subgroup are out of order")
         return inner
 
@@ -669,7 +657,7 @@ def acts_fixed_point_freely(G: Group, acting: np.ndarray, N: Subgroup,
     N given by its member mask ``below``, the trivial subgroup by default."""
     if below is None:
         below = np.arange(G.order) == 0
-    xs = N.as_array()[~below[N.as_array()]]
+    xs = N.elements[~below[N.elements]]
     gs = np.flatnonzero(acting)
     gx, xg = G.mul[np.ix_(gs, xs)], G.mul[np.ix_(xs, gs)].T
     return not np.any(below[G.mul[gx, G.inv[xg]]])  # [g, x] ∈ B

@@ -73,8 +73,7 @@ def _commutator_classes(group: Group) -> np.ndarray:
     if "commutator_classes" not in group._cache:
         cc = group.conjugacy_classes()
         mul, inv, k = group.mul, group.inv, len(cc)
-        reps = np.asarray(cc.reps, dtype=np.int64)
-        comm = mul[mul[mul[reps], inv[reps][:, None]], inv]  # [x_c, y], row c
+        comm = mul[mul[mul[cc.reps], inv[cc.reps][:, None]], inv]  # [x_c, y], row c
         codes = k * np.arange(k)[:, None] + cc.class_of[comm]
         group._cache["commutator_classes"] = np.bincount(
             codes.ravel(), minlength=k * k).reshape(k, k)
@@ -93,7 +92,7 @@ def is_camina_centralizer(group: Group, sub: Subgroup) -> bool:
         raise ValueError("Camina checks need a proper nontrivial normal subgroup")
     inside = sub.class_mask()
     counts = _commutator_classes(group) @ inside  # |C_{G/N}(x_c N)|·|N|
-    sizes = np.asarray(group.conjugacy_classes().sizes)  # |C_G(x_c)| = |G| / size
+    sizes = group.conjugacy_classes().sizes  # |C_G(x_c)| = |G| / size
     return bool(np.all((counts * sizes == group.order * sub.order) | inside))
 
 
@@ -256,7 +255,7 @@ def classify_pair(group: Group, sub: Subgroup) -> PairReport:
     report = PairReport(
         g_label=group.label,
         g_order=group.order,
-        n_elements=sub.elements,
+        n_elements=tuple(sub.elements.tolist()),
         n_order=sub.order,
     )
     if not sub.is_normal:
@@ -342,7 +341,7 @@ def _residual_shape(j_grp: Group, series: IteratedSeries,
     k_mask, m_mask = k_sub.member_mask(), m_sub.member_mask()
     middle, top = m_sub.order // k_sub.order, n // m_sub.order
     mod_k = j_grp._element_orders(k_mask)[m_mask]  # orders in M/K
-    if not m_mask[j_grp.derived_subgroup().as_array()].all():
+    if not m_mask[j_grp.derived_subgroup().elements].all():
         return None, middle, top
     if (
         middle % 2 == 1
@@ -350,7 +349,7 @@ def _residual_shape(j_grp: Group, series: IteratedSeries,
         and acts_fixed_point_freely(j_grp, ~m_mask, m_sub, below=k_mask)
     ):
         return "ii", middle, top
-    m_els = m_sub.as_array()
+    m_els = m_sub.elements
     two = m_els[(mod_k & (mod_k - 1)) == 0]
     odd = m_els[mod_k % 2 == 1]
     if (
@@ -363,7 +362,7 @@ def _residual_shape(j_grp: Group, series: IteratedSeries,
     ):
         return None, middle, top
     comm = mul[mul[mul[:, m_els], inv[:, None]], inv[m_els]]  # [g, y], g ∈ J, y ∈ M
-    span = j_grp._closure(np.union1d(k_sub.as_array(), comm.ravel()))
+    span = j_grp._closure(np.union1d(k_sub.elements, comm.ravel()))
     return ("iii" if len(span) == m_sub.order else None), middle, top
 
 
@@ -408,7 +407,7 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
         return out
     p, _ = pp
     witness = {"group": group.label, "p": p, "n_order": sub.order,
-               "n_elements": sub.elements}
+               "n_elements": tuple(sub.elements.tolist())}
     rad = group.radicals(p)
     if rad.o_p_prime.order != 1:
         raise TheoremViolation(
@@ -433,8 +432,8 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     j_grp = j_sub.as_group()
     series = j_grp.iterated_series(p)
     # Local ids sort by parent id, so equal subgroups give equal arrays.
-    radical_match = bool(np.array_equal(j_sub.to_parent(series.o_p.as_array()),
-                                        rad.o_p.as_array()))
+    radical_match = bool(np.array_equal(j_sub.to_parent(series.o_p.elements),
+                                        rad.o_p.elements))
     series_full = series.o_p_pprime_p.order == j_grp.order
     out["radical_match"] = radical_match
     out["series_full"] = series_full

@@ -3,6 +3,7 @@
 from functools import partial
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,7 +111,7 @@ def test_heisenberg3_is_extraspecial_exponent_3():
     assert g.order == 27 and g.exponent == 3 and not g.is_abelian
     z = g.center()
     assert z.order == 3
-    assert z.elements == g.derived_subgroup().elements
+    assert np.array_equal(z.elements, g.derived_subgroup().elements)
 
 
 # --------------------------------------------------------------------------

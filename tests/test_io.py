@@ -168,6 +168,12 @@ def test_cayley_first_error_is_exact(tmp_path, text, message, line):
     assert err.value.line == line
 
 
+def test_cayley_cells_split_on_any_whitespace(tmp_path):
+    path = tmp_path / "c3.grp"
+    path.write_text("cayley 3\n0\t1\x0b2\n1\x0c2 \x1c0\n  2  -0 +1\n")
+    assert np.array_equal(load_group(path).mul, cyclic(3).mul)
+
+
 def test_cayley_cells_are_read_by_int(tmp_path):
     path = tmp_path / "c3.grp"
     path.write_text("cayley 3\n+0 01 2\n1 +2 0\n2 0 0_1\n")

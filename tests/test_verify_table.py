@@ -47,9 +47,9 @@ def _one_coefficient_off(table):
 
 
 def _wrong_class_size(table):
-    sizes = list(table.classes.sizes)
+    sizes = table.classes.sizes.copy()
     sizes[2] += 1
-    return _with(table, classes=dataclasses.replace(table.classes, sizes=tuple(sizes)))
+    return _with(table, classes=dataclasses.replace(table.classes, sizes=sizes))
 
 
 def _galois_conjugate_column(table):
@@ -110,6 +110,22 @@ def test_mutated_tables_are_rejected(agl17, mutation):
     else:
         with pytest.raises(ContractViolation):
             oracles.verify_table_by_coefficients(bad)
+
+
+def test_tampered_inverse_classes_are_rejected(agl17):
+    """The column relation follows from the row relation only when the
+    inverse-class map is an involution that keeps class sizes."""
+    # AGL1(7): sizes 1, 6 and five classes of 7.
+    assert agl17.classes.sizes.tolist() == [1, 6, 7, 7, 7, 7, 7]
+    inv = agl17.classes.inverse_class
+    three_cycle, sizes_moved = inv.copy(), inv.copy()
+    three_cycle[[2, 3, 4]] = inv[[3, 4, 2]]
+    sizes_moved[[1, 6]] = [6, 1]  # both self-inverse, sizes 6 and 7
+    for bad in (three_cycle, sizes_moved):
+        classes = dataclasses.replace(agl17.classes, inverse_class=bad)
+        with pytest.raises(ContractViolation,
+                           match="inverse classes are not an involution that keeps class sizes"):
+            verify_table(_with(agl17, classes=classes))
 
 
 def test_rows_swapped_against_degrees_names_the_identity_column(agl17):
