@@ -191,7 +191,7 @@ def automorphism_from_images(g: Group, gens, images) -> tuple[int, ...]:
         raise InvalidAction("generators do not generate the group")
     if not _check_automorphism(g, perm):
         raise InvalidAction("images do not extend to an automorphism")
-    return tuple(perm.tolist())
+    return tuple(int(x) for x in perm)
 
 
 # -- extraspecial 2-groups ----------------------------------------------------------

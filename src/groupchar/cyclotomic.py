@@ -73,7 +73,7 @@ class Cyclotomic:
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for conductor {conductor}")
         object.__setattr__(self, "conductor", conductor)

@@ -32,6 +32,8 @@ from .groups import SUBGROUP_BOUND, Group
 __all__ = ["save_group", "load_group"]
 
 _CYCLE = re.compile(r"\(([^()]*)\)")
+# ASCII digits, signs and the ASCII characters str.isspace() counts as space.
+_INT_TEXT = b"0123456789+- \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
 def save_group(group: Group, path) -> None:
@@ -84,13 +86,17 @@ def _load_cayley(lines, size, name, header_line) -> Group:
         raise ParseError(
             f"expected {size} table rows, found {len(lines)}", header_line
         )
-    # np.loadtxt splits as str.split does and accepts no cell int() rejects;
-    # what it refuses (a ragged row, 1_0, a bad id) is read row by row.
-    try:
-        mul = np.loadtxt([line for _, line in lines], dtype=np.int64, ndmin=2,
-                         comments=None)
-    except ValueError:
-        mul = None
+    # One input language: np.loadtxt reads only bodies of ASCII digits, signs
+    # and whitespace, where it splits as str.split does and takes a cell
+    # exactly when int() does, with the same value. Any other body (1.0, 1e0,
+    # 1_0), or one it refuses or with an id out of range, is read by int().
+    rows = [line for _, line in lines]
+    mul = None
+    if not " ".join(rows).encode("ascii").translate(None, _INT_TEXT):
+        try:
+            mul = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
     if mul is None or mul.shape != (size, size) or mul.min() < 0 or mul.max() >= size:
         mul = _parse_rows(lines, size)
     try:
@@ -100,33 +106,22 @@ def _load_cayley(lines, size, name, header_line) -> Group:
 
 
 def _parse_rows(lines, size) -> np.ndarray:
-    """The table one row at a time; a ParseError names the first bad row."""
+    """The table one cell at a time; a ParseError names the first bad cell."""
     mul = np.empty((size, size), dtype=np.int64)
     for r, (lineno, line) in enumerate(lines):
         cells = line.split()
         if len(cells) != size:
             raise ParseError(f"row has {len(cells)} entries, expected {size}",
                              lineno)
-        try:
-            row = np.array(list(map(int, cells)), dtype=np.int64)
-        except (ValueError, OverflowError):  # OverflowError: beyond int64
-            raise _first_bad_cell(cells, size, lineno) from None
-        if row.min() < 0 or row.max() >= size:
-            raise _first_bad_cell(cells, size, lineno)
-        mul[r] = row
+        for c, cell in enumerate(cells):
+            try:
+                v = int(cell)
+            except ValueError:
+                raise ParseError(f"non-integer entry {cell!r}", lineno) from None
+            if not 0 <= v < size:
+                raise ParseError(f"entry {v} out of range 0..{size - 1}", lineno)
+            mul[r, c] = v
     return mul
-
-
-def _first_bad_cell(cells, size, lineno) -> ParseError:
-    """The error for a row that failed the vector checks: a rescan, one cell
-    at a time, names its first bad cell."""
-    for cell in cells:
-        try:
-            v = int(cell)
-        except ValueError:
-            return ParseError(f"non-integer entry {cell!r}", lineno)
-        if not 0 <= v < size:
-            return ParseError(f"entry {v} out of range 0..{size - 1}", lineno)
 
 
 def _parse_cycles(line: str, degree: int, lineno: int) -> list[list[int]]:

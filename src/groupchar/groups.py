@@ -314,9 +314,7 @@ class Group:
                                                 NORMAL_LATTICE_BOUND)
             frontier = fresh
         cc = self.conjugacy_classes()
-        packed = np.frombuffer(b"".join(m.to_bytes(len(cc) // 8 + 1, "little") for m in masks),
-                               dtype=np.uint8).reshape(len(masks), -1)
-        bits = np.unpackbits(packed, axis=1, count=len(cc), bitorder="little")  # class masks
+        bits = np.array([[m >> c & 1 for c in range(len(cc))] for m in masks], dtype=bool)
         subs = [np.flatnonzero(row[cc.class_of]) for row in bits]
         subs.sort(key=lambda e: (len(e), tuple(e.tolist())))
         if len(subs[0]) != 1 or len(subs[-1]) != self.order:

@@ -172,12 +172,47 @@ def test_cayley_cells_split_on_any_whitespace(tmp_path):
     path = tmp_path / "c3.grp"
     path.write_text("cayley 3\n0\t1\x0b2\n1\x0c2 \x1c0\n  2  -0 +1\n")
     assert np.array_equal(load_group(path).mul, cyclic(3).mul)
+    # every ASCII whitespace character that does not end a line
+    for space in (chr(c) for c in range(128) if chr(c).isspace()):
+        if space not in "\n\r":
+            path.write_text(f"cayley 2\n0{space}1\n1{space * 2}0\n")
+            assert np.array_equal(load_group(path).mul, cyclic(2).mul)
 
 
 def test_cayley_cells_are_read_by_int(tmp_path):
     path = tmp_path / "c3.grp"
     path.write_text("cayley 3\n+0 01 2\n1 +2 0\n2 0 0_1\n")
     assert np.array_equal(load_group(path).mul, cyclic(3).mul)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("cell", ["1.0", "1.", "1e0", "1.5"])
+def test_cayley_float_cells_are_refused_under_any_warning_filter(tmp_path,
+                                                                 cell):
+    # read as a float and truncated to 1, the cell would give C3's table
+    path = tmp_path / "c3.grp"
+    path.write_text(f"cayley 3\n0 1 2\n{cell} 2 0\n2 0 1\n")
+    with pytest.raises(ParseError) as err:
+        load_group(path)
+    assert str(err.value) == f"line 3: non-integer entry {cell!r}"
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_cayley_sign_and_digit_cells_load_exactly_when_int_reads_them(
+        tmp_path):
+    path = tmp_path / "c2.grp"
+    for n in range(1, 4):
+        for cell in map("".join, itertools.product("01+-", repeat=n)):
+            path.write_text(f"cayley 2\n0 1\n1 {cell}\n")
+            try:
+                value = int(cell)
+            except ValueError:
+                value = None
+            if value == 0:
+                assert np.array_equal(load_group(path).mul, cyclic(2).mul)
+            else:
+                with pytest.raises(ParseError):
+                    load_group(path)
 
 
 @settings(max_examples=30, deadline=None)
