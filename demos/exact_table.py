@@ -6,7 +6,7 @@ value -2 on the central involution and 0 elsewhere, with no floating point
 anywhere in the pipeline.
 """
 
-from groupchar import Cyclotomic, compute_table, generalized_quaternion, verify_table
+from groupchar import compute_table, generalized_quaternion, verify_table
 
 group = generalized_quaternion(8)
 table = compute_table(group)
@@ -25,11 +25,8 @@ for chi in table:
     print(f"{chi.degree:>4}  {row}")
 print()
 
-# Column identity at the identity column: sum of |chi(1)|^2 is |G|, exactly.
-total = Cyclotomic.zero(1)
-for chi in table:
-    value = chi.values[0]
-    total = total + value * value.conjugate()
+# Column identity at the identity column: sum of chi(1)^2 is |G|, exactly.
+total = sum(int(d) ** 2 for d in table.degrees)
 print(f"sum of degree squares: {total}  (group order {group.order})")
 
 # The nonlinear character is the unique faithful one.

@@ -2,8 +2,8 @@
 
 The library computes character tables of groups given by Cayley tables,
 with all values as exact cyclotomic integers, and builds on them: Clifford
-theory over normal subgroups (orbits, extensions, and full ramification
-read off G by the Clifford correspondence), distinct-degree and
+theory over normal subgroups (invariant characters, orbits, and full
+ramification read off G by the Clifford correspondence), distinct-degree and
 Camina-pair predicates with a structural classifier, orbit checks for
 matrix groups over prime fields, and a fixed verification corpus wired to
 a command-line tool.
@@ -45,14 +45,10 @@ from .chartable import (
 from .clifford import (
     abelian_invariant_factors,
     class_fusion,
-    conjugate_character,
-    extension_alternative,
-    extensions_of,
     invariant_rows,
     quotient_class,
     ramification_report,
     ramification_scan_pair,
-    section_centralizer,
 )
 from .pairs import (
     PairReport,
@@ -63,7 +59,6 @@ from .pairs import (
     irr_over,
     is_camina_centralizer,
     is_camina_vanishing,
-    property_d_monotone,
     residual_case,
 )
 from .actions import (

@@ -115,10 +115,6 @@ class Character:
             self._values = tuple(Cyclotomic(e, c) for c in self.table._coeffs[self.index])
         return self._values
 
-    @property
-    def parent(self) -> Group:
-        return self.table.group
-
     def kernel(self) -> Subgroup:
         """{g : χ(g) = χ(1)}, decided via the trivial-root multiplicities."""
         return self.table._kernel_subgroup(self.index)

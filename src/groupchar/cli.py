@@ -44,7 +44,7 @@ from .actions import (
     orbit_sizes,
     regular_orbit_count,
 )
-from .reporting import Report, format_value
+from .reporting import Report
 
 __all__ = ["main"]
 

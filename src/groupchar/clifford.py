@@ -1,10 +1,10 @@
-"""Characters above a normal subgroup: conjugation, orbits, ramification.
+"""Characters above a normal subgroup: invariance, orbits, ramification.
 
-All operations work on exact character tables.  Characters of a subgroup
-always live on its materialized standalone group (`Subgroup.as_group()`),
-whose local ids are the parent ids in sorted order; the id maps travel with
-the Subgroup object: `local_ids` and `to_parent` map ids each way, and
-`within` gives N as a subgroup of a materialized M ≥ N.
+All operations work on exact character tables over a normal subgroup N of
+G; one that is not normal raises NotNormal.  Characters of N live on its
+materialized standalone group (`Subgroup.as_group()`), whose local ids are
+the parent ids in sorted order; `local_ids` and `to_parent` map ids each
+way.
 
 One pass per pair (G, N) gives a record for every θ ∈ Irr(N)
 (`ramification_report`) or for the invariant θ only
@@ -30,20 +30,13 @@ from math import prod
 import numpy as np
 
 from ._arith import prime_factors
-from .chartable import (
-    Character,
-    CharacterTable,
-    compute_table,
-    restriction_multiplicities,
-)
-from .errors import ContractViolation, TheoremViolation
+from .chartable import CharacterTable, compute_table, restriction_multiplicities
+from .errors import ContractViolation, NotNormal, TheoremViolation
 from .groups import Group, Subgroup
 
 __all__ = [
-    "conjugate_character",
-    "extensions_of",
-    "section_centralizer",
-    "extension_alternative",
+    "class_fusion",
+    "invariant_rows",
     "abelian_invariant_factors",
     "quotient_class",
     "ramification_report",
@@ -53,6 +46,8 @@ __all__ = [
 
 def class_fusion(group: Group, sub: Subgroup, table_n: CharacterTable):
     """Partition of N's classes into G-conjugation blocks (list of arrays)."""
+    if not sub.is_normal:
+        raise NotNormal(f"{sub} is not normal in {group.label}")
     members = group.conjugacy_classes().members
     rank = sub.local_ids()
     class_of_n = table_n.classes.class_of
@@ -80,96 +75,14 @@ def _row_lookup(table: CharacterTable) -> dict[bytes, int]:
     return lut
 
 
-def conjugate_character(theta: Character, g: int, sub: Subgroup) -> Character:
-    """θ^g with θ^g(x) = θ(g x g^{-1}); again a row of N's table."""
-    table_n = theta.table
-    sigma = _conjugation_profile(sub.parent, sub, table_n, [g])[0]
-    new_coeffs = table_n._coeffs[theta.index][sigma]
-    idx = _row_lookup(table_n).get(np.ascontiguousarray(new_coeffs).tobytes())
-    if idx is None:
-        raise ContractViolation("conjugate character is not a table row")
-    return table_n.rows[idx]
-
-
-def _conjugation_profile(group: Group, sub: Subgroup, table_n: CharacterTable,
-                         elements=slice(None)) -> np.ndarray:
-    """For each g in ``elements`` (default all of G), the induced permutation
-    σ_g of N's classes: σ_g[j] is the N-class of g x_j g^{-1}."""
+def _conjugation_profile(group: Group, sub: Subgroup,
+                         table_n: CharacterTable) -> np.ndarray:
+    """For each g in G, the induced permutation σ_g of N's classes: σ_g[j]
+    is the N-class of g x_j g^{-1}."""
     mul, inv = group.mul, group.inv
     reps_parent = sub.to_parent(table_n.classes.reps)
-    conj = mul[mul[elements][:, reps_parent], inv[elements][:, None]]
+    conj = mul[mul[:, reps_parent], inv[:, None]]
     return table_n.classes.class_of[sub.local_ids()[conj]]
-
-
-def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):
-    """Rows of M's table restricting exactly to θ (N ≤ M, θ M-invariant).
-
-    When M/N is abelian and θ is linear, a nonzero count must equal |M:N|
-    (Gallagher); that count is asserted.
-    """
-    n_in_m = sub_n.within(sub_m)  # ValueError unless N ≤ M
-    m_group = n_in_m.parent
-    table_m = compute_table(m_group)
-    table_n = theta.table
-    if not bool(invariant_rows(m_group, n_in_m, table_n)[theta.index]):
-        raise ValueError("character is not invariant in M")
-    mults = restriction_multiplicities(table_m, n_in_m, table_n)
-    exts = [
-        table_m.rows[r]
-        for r in np.nonzero(mults[:, theta.index])[0]
-        if table_m.rows[r].degree == theta.degree
-    ]
-    index = m_group.order // n_in_m.order
-    if theta.degree == 1 and exts and _abelian_over(m_group, n_in_m):
-        if len(exts) != index:
-            raise ContractViolation(
-                f"extension count {len(exts)} differs from |M:N| = {index}"
-            )
-    return exts
-
-
-def section_centralizer(group: Group, sub_m: Subgroup, sub_n: Subgroup) -> Subgroup:
-    """C_G(M/N) = {g : [g, m] ∈ N for all m ∈ M}."""
-    mul, inv = group.mul, group.inv
-    m_els = sub_m.elements
-    gm = mul[:, m_els]
-    gmg = mul[gm, inv[:, None]]
-    comm = mul[gmg, inv[m_els][None, :]]
-    ok = sub_n.member_mask()[comm].all(axis=1)
-    return Subgroup(group, np.nonzero(ok)[0])
-
-
-def extension_alternative(group: Group, sub_n: Subgroup, sub_m: Subgroup,
-                          theta: Character) -> dict:
-    """For N ◁ M ◁ G (M normal in G) and θ invariant and extendible to M:
-    either some extension of θ is G-invariant, or C_G(M/N) permutes the
-    extensions transitively.  Returns the verdict; raises TheoremViolation
-    if both branches fail."""
-    if not sub_m.is_normal:
-        raise ValueError("M must be normal in G for conjugation to act")
-    exts = extensions_of(theta, sub_n, sub_m)
-    if not exts:
-        return {"extendible": False, "invariant_extension": None, "transitive": None}
-    m_group = sub_m.as_group()
-    table_m = compute_table(m_group)
-    inv_m = invariant_rows(group, sub_m, table_m)
-    ext_rows = {phi.index for phi in exts}
-    if any(inv_m[i] for i in ext_rows):
-        return {"extendible": True, "invariant_extension": True, "transitive": None}
-    cent = section_centralizer(group, sub_m, sub_n)
-    orbit = set()
-    first = exts[0]
-    for c in cent.elements.tolist():
-        orbit.add(conjugate_character(first, c, sub_m).index)
-    transitive = ext_rows <= orbit
-    if not transitive:
-        raise TheoremViolation(
-            "no G-invariant extension and C_G(M/N) not transitive on extensions",
-            {"group": group.label, "m_order": sub_m.order, "n_order": sub_n.order,
-             "theta": theta.index, "extensions": sorted(ext_rows),
-             "centralizer_orbit": sorted(orbit)},
-        )
-    return {"extendible": True, "invariant_extension": False, "transitive": True}
 
 
 def abelian_invariant_factors(group: Group, sub: Subgroup) -> list[int]:
@@ -208,6 +121,8 @@ def _abelian_over(group: Group, sub: Subgroup) -> bool:
 
 def quotient_class(group: Group, sub: Subgroup) -> str:
     """'supersolvable', else 'odd', else 'other' for G/N (theorem hypotheses)."""
+    if not sub.is_normal:
+        raise NotNormal(f"{sub} is not normal in {group.label}")
     if group.is_supersolvable(sub):
         return "supersolvable"
     if (group.order // sub.order) % 2:

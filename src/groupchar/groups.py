@@ -47,7 +47,10 @@ class Group:
     __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache", "__weakref__")
 
     def __init__(self, mul, label: str = "G", *, validate: bool = True):
-        mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
+        mul = np.asarray(mul)
+        if mul.dtype.kind not in "iu":  # no truncated floats, no strings
+            raise ValueError(f"table entries must be integers, not {mul.dtype}")
+        mul = np.ascontiguousarray(mul, dtype=np.int64)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
             raise ValueError("multiplication table must be a nonempty square")
         n = int(mul.shape[0])
@@ -207,14 +210,8 @@ class Group:
             raise ValueError("element set is not multiplicatively closed")
         return sub
 
-    def generated_subgroup(self, gens) -> "Subgroup":
-        return Subgroup(self, self._closure(np.asarray(list(gens), dtype=np.int64)))
-
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.array([0]), normal=True)
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, np.arange(self.order), normal=True)
 
     def normal_closure(self, seed) -> "Subgroup":
         """Smallest normal subgroup containing the seed elements."""
@@ -502,8 +499,8 @@ class Subgroup:
 
     def __init__(self, parent: Group, elements, *, normal: bool | None = None):
         els = np.unique(np.asarray(elements, dtype=np.int64))
-        if els.size == 0 or els[0] != 0:
-            raise ValueError("a subgroup must contain the identity 0")
+        if els.size == 0 or els[0] != 0 or els[-1] >= parent.order:
+            raise ValueError(f"subgroup ids must be 0..{parent.order - 1}, with the identity 0")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", _readonly(els))
         object.__setattr__(self, "_cache", {})

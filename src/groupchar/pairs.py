@@ -15,7 +15,7 @@ import numpy as np
 
 from ._arith import isqrt_exact, p_part, prime_power
 from .chartable import Character, CharacterTable, compute_table
-from .errors import ContractViolation, TheoremViolation
+from .errors import ContractViolation, NotNormal, TheoremViolation
 from .groups import (
     Group,
     IteratedSeries,
@@ -36,7 +36,6 @@ __all__ = [
     "classify_pair",
     "residual_case",
     "distinct_nonlinear_scan",
-    "property_d_monotone",
 ]
 
 
@@ -59,6 +58,8 @@ def irr_over(group: Group, sub: Subgroup) -> list[Character]:
 
 def has_property_D(group: Group, sub: Subgroup) -> bool:
     """Are the degrees over N pairwise distinct?  Vacuously true if none."""
+    if not sub.is_normal:
+        raise NotNormal(f"{sub} is not normal in {group.label}")
     table = compute_table(group)
     degs = table.degrees[_rows_over(table, sub)]
     return len(set(degs.tolist())) == len(degs)
@@ -520,23 +521,3 @@ def distinct_nonlinear_scan(group: Group) -> dict:
         "bucket": bucket,
         "nonlinear_degrees": sorted(nonlinear),
     }
-
-
-# -- monotonicity of property (D) ------------------------------------------------
-
-
-def property_d_monotone(group: Group) -> int:
-    """Assert D(G, M) ⇒ D(G, N) for every normal chain N ≤ M; returns the
-    number of ordered chains checked."""
-    normals = group.normal_subgroups()
-    d = np.array([has_property_D(group, sub) for sub in normals])
-    m = np.array([sub.class_mask() for sub in normals], dtype=np.int64)
-    below = m @ (1 - m).T == 0  # below[i, j]: N_i ≤ N_j
-    bad = np.argwhere(below & ~d[:, None] & d[None, :])
-    if len(bad):
-        small, big = normals[bad[0][0]], normals[bad[0][1]]
-        raise TheoremViolation(
-            "property (D) fails to descend to a smaller normal subgroup",
-            {"group": group.label, "n_order": small.order, "m_order": big.order},
-        )
-    return int(below.sum())

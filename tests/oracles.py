@@ -12,6 +12,8 @@ orthogonality relations as a cyclotomic integer in the power basis, where
 `chartable.verify_table` evaluates them mod split primes.
 `matrix_group_by_products` closes a matrix group one numpy product per
 element, the reference for the batched coset closure of `LinearAction`.
+`Cyclotomic` adds the ring operations to the library's value type, which
+the pipeline never computes with; the exact sums here run on it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,168 @@ from math import gcd
 
 import numpy as np
 
+from groupchar import cyclotomic
 from groupchar._arith import euler_phi
 from groupchar.chartable import compute_table
-from groupchar.cyclotomic import Cyclotomic, _reduction_table
+from groupchar.cyclotomic import _reduction_table
 from groupchar.errors import ContractViolation
 from groupchar.groups import Subgroup
+
+
+class Cyclotomic(cyclotomic.Cyclotomic):
+    """The library's cyclotomic integers with the ring operations, which no
+    pipeline path uses: sums, products, promotion, the Galois action and
+    evaluation mod q.  Equality and display are the library's own.  A
+    library value such as ``chi(g)`` or ``chi.values[c]`` enters the ring by
+    `ring`; mixing the two types in one operation is a TypeError."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def integer(c: int, conductor: int = 1) -> "Cyclotomic":
+        phi = euler_phi(conductor)
+        return Cyclotomic(conductor, (int(c),) + (0,) * (phi - 1))
+
+    @staticmethod
+    def zero(conductor: int = 1) -> "Cyclotomic":
+        return Cyclotomic.integer(0, conductor)
+
+    @staticmethod
+    def one(conductor: int = 1) -> "Cyclotomic":
+        return Cyclotomic.integer(1, conductor)
+
+    @staticmethod
+    def zeta(conductor: int, power: int = 1) -> "Cyclotomic":
+        return Cyclotomic(conductor, _reduction_table(conductor)[power % conductor])
+
+    @staticmethod
+    def from_exponents(conductor: int, mult: dict[int, int]) -> "Cyclotomic":
+        """Sum of mult[j] * zeta^j over the given exponents."""
+        red = _reduction_table(conductor)
+        phi = euler_phi(conductor)
+        acc = [0] * phi
+        for j, m in mult.items():
+            if m:
+                row = red[j % conductor]
+                for i in range(phi):
+                    acc[i] += m * row[i]
+        return Cyclotomic(conductor, acc)
+
+    # -- coercion ----------------------------------------------------------
+
+    def promote(self, conductor: int) -> "Cyclotomic":
+        """Rewrite in Z[zeta_E] for a multiple E of the current conductor."""
+        e = self.conductor
+        if conductor == e:
+            return self
+        if conductor % e:
+            raise ValueError(f"{conductor} is not a multiple of conductor {e}")
+        step = conductor // e
+        return Cyclotomic.from_exponents(
+            conductor, {j * step: c for j, c in enumerate(self.coeffs) if c}
+        )
+
+    def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
+        if isinstance(other, int):
+            other = Cyclotomic.integer(other, self.conductor)
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented, NotImplemented
+        if self.conductor == other.conductor:
+            return self, other
+        import math
+
+        e = math.lcm(self.conductor, other.conductor)
+        return self.promote(e), other.promote(e)
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return Cyclotomic(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyclotomic(self.conductor, tuple(-x for x in self.coeffs))
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return Cyclotomic(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        e = a.conductor
+        red = _reduction_table(e)
+        phi = len(a.coeffs)
+        acc = [0] * phi
+        for i, ci in enumerate(a.coeffs):
+            if not ci:
+                continue
+            for j, cj in enumerate(b.coeffs):
+                if not cj:
+                    continue
+                k = i + j
+                c = ci * cj
+                if k < phi:
+                    acc[k] += c
+                else:
+                    row = red[k % e]
+                    for t in range(phi):
+                        acc[t] += c * row[t]
+        return Cyclotomic(e, acc)
+
+    __rmul__ = __mul__
+
+    # -- structure maps ------------------------------------------------------
+
+    def galois(self, k: int) -> "Cyclotomic":
+        """Apply zeta -> zeta^k; k must be coprime to the conductor."""
+        import math
+
+        e = self.conductor
+        if math.gcd(k, e) != 1:
+            raise ValueError(f"{k} is not coprime to conductor {e}")
+        return Cyclotomic.from_exponents(
+            e, {j * k % e: c for j, c in enumerate(self.coeffs) if c}
+        )
+
+    def conjugate(self) -> "Cyclotomic":
+        if self.conductor == 1:
+            return self
+        return self.galois(self.conductor - 1)
+
+    # -- predicates ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def as_int(self) -> int:
+        if not self.is_integer():
+            raise ValueError(f"{self} is not a rational integer")
+        return self.coeffs[0]
+
+    def evaluate_mod(self, z: int, q: int) -> int:
+        """Image in F_q under zeta_e -> z (z a primitive e-th root mod q)."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * z + c) % q
+        return acc
+
+
+def ring(value) -> Cyclotomic:
+    """A library value, ``chi(g)`` or ``chi.values[c]``, as a ring element."""
+    return Cyclotomic(value.conductor, value.coeffs)
 
 
 def centralizer_order(mul, x: int) -> int:
@@ -352,7 +511,7 @@ def restriction_inner(chi, theta, sub) -> int:
     acc = Cyclotomic.zero(chi.table.conductor)
     for local in range(sub.order):
         parent = int(sub.to_parent(local))
-        acc = acc + chi(parent) * theta(local).conjugate()
+        acc = acc + ring(chi(parent)) * ring(theta(local)).conjugate()
     if not acc.is_integer():
         raise AssertionError("inner product is not a rational integer")
     total = acc.as_int()
@@ -367,7 +526,7 @@ def inner_product(chi, psi) -> int:
     table = chi.table
     acc = Cyclotomic.zero(table.conductor)
     for c, size in enumerate(table.classes.sizes):
-        acc = acc + int(size) * (chi.values[c] * psi.values[c].conjugate())
+        acc = acc + int(size) * (ring(chi.values[c]) * ring(psi.values[c]).conjugate())
     if not acc.is_integer():
         raise AssertionError("inner product is not a rational integer")
     total = acc.as_int()
@@ -424,8 +583,8 @@ def restrict(chi, sub, table_n) -> list[int]:
     for theta in table_n:
         acc = Cyclotomic.zero(chi.table.conductor)
         for j, rep in enumerate(ccn.reps):
-            value = chi.values[parent_class[int(sub.to_parent(int(rep)))]]
-            acc = acc + int(ccn.sizes[j]) * (value * theta.values[j].conjugate())
+            value = ring(chi.values[parent_class[int(sub.to_parent(int(rep)))]])
+            acc = acc + int(ccn.sizes[j]) * (value * ring(theta.values[j]).conjugate())
         if not acc.is_integer() or acc.as_int() % sub.order:
             raise AssertionError("restriction multiplicity is not an integer")
         mults.append(acc.as_int() // sub.order)

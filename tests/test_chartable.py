@@ -10,7 +10,6 @@ import pytest
 
 from groupchar import (
     BoundExceeded,
-    Cyclotomic,
     abelian,
     agl1,
     alt,
@@ -75,7 +74,7 @@ def test_table_shape_invariants():
         assert len(table) == len(table.classes.reps)
         assert table.conductor == g.exponent
         assert table.rows[0].degree == 1
-        assert all(v == Cyclotomic.one(table.conductor)
+        assert all(v == oracles.Cyclotomic.one(table.conductor)
                    for v in table.rows[0].values)
         assert sum(int(d) ** 2 for d in table.degrees) == g.order
         q = table.prime
@@ -126,9 +125,9 @@ def test_column_identity_via_exact_sums(name):
     table = compute_table(g)
     cc = table.classes
     for c, rep in enumerate(cc.reps):
-        acc = Cyclotomic.zero(table.conductor)
+        acc = oracles.Cyclotomic.zero(table.conductor)
         for chi in table:
-            v = chi.values[c]
+            v = oracles.ring(chi.values[c])
             acc = acc + v * v.conjugate()
         assert acc.is_integer()
         assert acc.as_int() == oracles.centralizer_order(g.mul, rep)
@@ -137,9 +136,9 @@ def test_column_identity_via_exact_sums(name):
 def test_second_orthogonality_off_diagonal():
     table = compute_table(sym(3))
     # identity column against transposition column
-    acc = Cyclotomic.zero(table.conductor)
+    acc = oracles.Cyclotomic.zero(table.conductor)
     for chi in table:
-        acc = acc + chi.values[0] * chi.values[1].conjugate()
+        acc = acc + oracles.ring(chi.values[0]) * oracles.ring(chi.values[1]).conjugate()
     assert acc.is_zero()
 
 
@@ -152,7 +151,7 @@ def test_galois_stability_of_rows(name):
         if gcd(k, e) != 1:
             continue
         for chi in table:
-            image = tuple(v.galois(k).coeffs for v in chi.values)
+            image = tuple(oracles.ring(v).galois(k).coeffs for v in chi.values)
             assert image in signatures
 
 
@@ -163,7 +162,7 @@ def test_values_at_inverse_classes_conjugate(name):
     cc = table.classes
     for chi in table:
         for c, rep in enumerate(cc.reps):
-            assert chi(int(g.inv[rep])) == chi(rep).conjugate()
+            assert chi(int(g.inv[rep])) == oracles.ring(chi(rep)).conjugate()
 
 
 def _subgroup_table(g, elems):

@@ -15,34 +15,39 @@ from groupchar import pairs
 from groupchar import (
     ContractViolation,
     Group,
-    TheoremViolation,
+    NotNormal,
     abelian,
     abelian_invariant_factors,
     agl1,
     alt,
     build_corpus,
     c5c5_c3,
+    class_fusion,
     classify_pair,
     compute_table,
-    conjugate_character,
     cyclic,
     dihedral,
     direct_product,
     distinct_nonlinear_scan,
-    extension_alternative,
-    extensions_of,
     extraspecial_2,
     generalized_quaternion,
     invariant_rows,
     quotient_class,
     ramification_report,
     ramification_scan_pair,
-    section_centralizer,
     sl23,
     sym,
 )
 
 import oracles
+from helpers import (
+    conjugate_character,
+    extension_alternative,
+    extensions_of,
+    full_subgroup,
+    generated_subgroup,
+    section_centralizer,
+)
 
 
 def _s3_with_a3():
@@ -148,7 +153,7 @@ def test_extensions_frozen_counts():
     z = q8.center()
     # a cyclic order-4 subgroup through the center
     gen4 = min(x for x in range(8) if q8.elt_order[x] == 4)
-    c4 = q8.generated_subgroup([gen4])
+    c4 = generated_subgroup(q8, [gen4])
     table_z = compute_table(z.as_group())
     theta = table_z.rows[1]
     assert len(extensions_of(theta, z, c4)) == 2
@@ -161,7 +166,7 @@ def test_extensions_frozen_counts():
     s3 = sym(3)
     one = s3.trivial_subgroup()
     trivial = compute_table(one.as_group()).rows[0]
-    assert len(extensions_of(trivial, one, s3.full_subgroup())) == 2
+    assert len(extensions_of(trivial, one, full_subgroup(s3))) == 2
     with pytest.raises(ValueError):
         extensions_of(compute_table(c4.as_group()).rows[0], c4, z)  # needs N ≤ M
 
@@ -170,7 +175,7 @@ def test_extension_alternative_q8_chain():
     q8 = generalized_quaternion(8)
     z = q8.center()
     gen4 = min(x for x in range(8) if q8.elt_order[x] == 4)
-    c4 = q8.generated_subgroup([gen4])
+    c4 = generated_subgroup(q8, [gen4])
     theta = compute_table(z.as_group()).rows[1]
     out = extension_alternative(q8, z, c4, theta)
     assert out["extendible"] is True
@@ -182,7 +187,7 @@ def test_section_centralizer():
     q8 = generalized_quaternion(8)
     z = q8.center()
     gen4 = min(x for x in range(8) if q8.elt_order[x] == 4)
-    c4 = q8.generated_subgroup([gen4])
+    c4 = generated_subgroup(q8, [gen4])
     assert section_centralizer(q8, c4, z).order == 8
 
     s4 = sym(4)
@@ -234,13 +239,30 @@ def test_abelian_invariant_factors_trivial_and_errors():
     c1 = cyclic(1)
     assert abelian_invariant_factors(c1, c1.trivial_subgroup()) == []
     q8 = generalized_quaternion(8)
-    assert abelian_invariant_factors(q8, q8.full_subgroup()) == []
+    assert abelian_invariant_factors(q8, full_subgroup(q8)) == []
     s3 = sym(3)
     with pytest.raises(ValueError):
         abelian_invariant_factors(s3, s3.trivial_subgroup())
     s4 = sym(4)
     with pytest.raises(ValueError):  # S4/V4 is S3
         abelian_invariant_factors(s4, s4.subgroup([0, 7, 16, 23]))
+
+
+def test_non_normal_subgroup_is_refused():
+    """On S3 with <(1 2)> the G-classes do not partition N's classes, so
+    every fact over N would be read off the wrong blocks: each entry point
+    raises NotNormal instead."""
+    s3 = sym(3)
+    sub = s3.subgroup([0, min(x for x in range(6) if s3.elt_order[x] == 2)])
+    assert not sub.is_normal
+    table_n = compute_table(sub.as_group())
+    for call in (lambda: class_fusion(s3, sub, table_n),
+                 lambda: invariant_rows(s3, sub, table_n),
+                 lambda: ramification_scan_pair(s3, sub),
+                 lambda: ramification_report(s3, sub),
+                 lambda: quotient_class(s3, sub)):
+        with pytest.raises(NotNormal):
+            call()
 
 
 def test_quotient_class_verdicts():
@@ -278,7 +300,7 @@ def test_quotient_facts_match_the_quotient_group(proper_normal_pairs):
     pairs = [(g, sub) for _, g, sub in proper_normal_pairs]
     for g in (sym(4), generalized_quaternion(8), c5c5_c3(), agl1(5),
               direct_product(c5c5_c3(), cyclic(3))):
-        pairs += [(g, g.trivial_subgroup()), (g, g.full_subgroup())]
+        pairs += [(g, g.trivial_subgroup()), (g, full_subgroup(g))]
     seen = set()
     for g, sub in pairs:
         facts = _quotient_facts(g, sub)
@@ -296,7 +318,7 @@ def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):
     es32 = extraspecial_2(2, "+")  # a central product: built by a quotient
     q8 = generalized_quaternion(8)
     z = q8.center()
-    c4 = q8.generated_subgroup([min(x for x in range(8) if q8.elt_order[x] == 4)])
+    c4 = generated_subgroup(q8, [min(x for x in range(8) if q8.elt_order[x] == 4)])
     theta = compute_table(z.as_group()).rows[1]
 
     def refuse(self, normal):
@@ -309,7 +331,7 @@ def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):
     assert distinct_nonlinear_scan(es32)["bucket"] == "extraspecial-2"
     assert len(extensions_of(theta, z, c4)) == 2
     assert len(extensions_of(compute_table(z.as_group()).rows[0], z,
-                             q8.full_subgroup())) == 4
+                             full_subgroup(q8))) == 4
     for g in (sl23(), agl1(7), c5c5_c3(), f16_by_dic3):
         for sub in g.minimal_normal_subgroups():
             classify_pair(g, sub)

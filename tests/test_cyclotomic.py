@@ -1,4 +1,8 @@
-"""Exact cyclotomic arithmetic: ring axioms, Galois action, reduction."""
+"""Exact cyclotomic arithmetic: ring axioms, Galois action, reduction.
+
+The ring operations are the oracles' (``oracles.Cyclotomic``); equality,
+``is_integer`` and display are the library's, and the library class is
+checked on its own instances too."""
 
 from __future__ import annotations
 
@@ -7,8 +11,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from groupchar import cyclotomic
 from groupchar._arith import euler_phi
-from groupchar.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from groupchar.cyclotomic import cyclotomic_polynomial
+from oracles import Cyclotomic
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
 
@@ -55,6 +61,30 @@ def test_promotion_preserves_value(a, k):
     promoted = a.promote(a.conductor * k)
     assert promoted == a
     assert promoted.conductor == a.conductor * k
+
+
+@given(cyclo(), st.sampled_from([2, 3, 4]))
+def test_library_equality_across_conductors(a, k):
+    """``cyclotomic.Cyclotomic.__eq__`` on library instances: a value and
+    its promoted copy compare equal both ways, a different value does not,
+    and an int compares as a rational value."""
+    lib = cyclotomic.Cyclotomic
+    x = lib(a.conductor, a.coeffs)
+    up, other = a.promote(a.conductor * k), (a + 1).promote(a.conductor * k)
+    y = lib(up.conductor, up.coeffs)
+    assert x == y and y == x
+    assert x != lib(other.conductor, other.coeffs)
+    assert (x == a.coeffs[0]) == (a.coeffs[0] == y) == a.is_integer()
+    assert x != a.coeffs[0] + 1
+    assert x != str(x)
+
+
+def test_library_equality_with_ints():
+    lib = cyclotomic.Cyclotomic
+    assert lib(4, (3, 0)) == 3 and 3 == lib(4, (3, 0)) and lib(1, (3,)) == 3
+    assert lib(4, (3, 1)) != 3 and lib(4, (3, 0)) != 4
+    assert lib(6, (-1, 1)) == lib(3, (0, 1))  # zeta_6 - 1 = zeta_3
+    assert lib(12, (1, 0, 0, 0)) == lib(1, (1,))
 
 
 @given(st.sampled_from(CONDUCTORS), st.integers(0, 40), st.integers(0, 40))

@@ -31,6 +31,7 @@ from groupchar import groups
 from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
+from helpers import full_subgroup, generated_subgroup
 
 POOL = {
     "C12": cyclic(12),
@@ -112,7 +113,7 @@ def test_centralizer_and_center():
 
 def test_subgroup_validation_and_masks():
     g = POOL["D12"]
-    rot = g.generated_subgroup([min(x for x in range(12) if g.elt_order[x] == 6)])
+    rot = generated_subgroup(g, [min(x for x in range(12) if g.elt_order[x] == 6)])
     assert rot.order == 6
     assert oracles.is_subgroup(g.mul, rot.elements)
     mask = rot.member_mask()
@@ -123,6 +124,12 @@ def test_subgroup_validation_and_masks():
         g.subgroup([1] if g.elt_order[1] > 1 else [2])  # missing identity
     with pytest.raises(ValueError, match="identity"):
         groups.Subgroup(g, [])
+    s3 = sym(3)
+    for ids in ([0, 99], [0, 6], [-1, 0]):  # [0, 99] made an order-2 subgroup before
+        with pytest.raises(ValueError, match="0..5"):
+            groups.Subgroup(s3, ids)
+        with pytest.raises(ValueError, match="0..5"):
+            s3.subgroup(ids)
 
 
 def test_normality_matches_brute_force_on_full_lattice():
@@ -149,7 +156,7 @@ def test_subgroup_round_trip_local_ids():
     with pytest.raises(ValueError):
         a4.within(v4)  # not contained
     with pytest.raises(ValueError):
-        v4.within(POOL["A4"].full_subgroup())  # another parent
+        v4.within(full_subgroup(POOL["A4"]))  # another parent
 
 
 def test_quotient_s4_by_v4_is_s3_shaped():
@@ -242,7 +249,7 @@ def test_class_mask_marks_the_classes_inside_a_normal_subgroup(name):
 def test_class_mask_of_a_non_normal_subgroup_marks_the_classes_it_meets():
     s3 = sym(3)
     t = next(x for x in range(s3.order) if s3.elt_order[x] == 2)
-    sub = s3.generated_subgroup([t])  # <(1 2)>, not normal
+    sub = generated_subgroup(s3, [t])  # <(1 2)>, not normal
     assert not sub.is_normal
     classes = oracles.conjugacy_partition(s3.mul.tolist())
     assert sub.class_mask().tolist() == [bool(cls & set(sub.elements)) for cls in classes]
@@ -433,6 +440,23 @@ def test_group_constructor_validation():
     assert Group(mul).order == 1
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1.7], [1.2, 0.4]],  # read as C2 by truncation before
+    np.array([[0, 1], [1, 0]], dtype=float),
+    [["0", "1"], ["1", "0"]],
+    [[True, False], [False, True]],
+], ids=["floats", "float-array", "strings", "bools"])
+def test_group_refuses_a_non_integer_table(table):
+    with pytest.raises(ValueError, match="integers"):
+        Group(table)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+def test_group_accepts_int_and_uint_tables(dtype):
+    assert Group(np.array([[0, 1], [1, 0]], dtype=dtype)).order == 2
+    assert Group([[0, 1], [1, 0]]).mul.dtype == np.int64
+
+
 def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monkeypatch):
     """Light's test runs once on a loaded Cayley file and never on a
     subgroup cut from, a direct product of, or a quotient of already
@@ -451,7 +475,7 @@ def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monke
     for sub in g.normal_subgroups():
         sub.as_group()
         g.quotient(sub)
-    g.generated_subgroup([1]).as_group()
+    generated_subgroup(g, [1]).as_group()
     direct_product(g, c2)
     assert calls == []
     load_group(path)

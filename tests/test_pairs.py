@@ -15,6 +15,7 @@ from groupchar import (
     alt,
     abelian,
     ContractViolation,
+    NotNormal,
     camina_pair,
     classify_pair,
     cyclic,
@@ -27,7 +28,6 @@ from groupchar import (
     irr_over,
     is_camina_centralizer,
     is_camina_vanishing,
-    property_d_monotone,
     residual_case,
     save_group,
     sl23,
@@ -44,7 +44,9 @@ from groupchar.constructors import (
     semidirect_product,
 )
 
+import helpers
 import oracles
+from helpers import full_subgroup, generated_subgroup, property_d_monotone
 
 
 def _a3(g):
@@ -72,6 +74,12 @@ def test_property_d_frozen():
     assert has_property_D(s3, _a3(s3))
 
 
+def test_property_d_refuses_a_non_normal_subgroup():
+    s3 = sym(3)  # <(1 2)> below: the degrees over it were read as distinct
+    with pytest.raises(NotNormal):
+        has_property_D(s3, s3.subgroup([0, min(x for x in range(6) if s3.elt_order[x] == 2)]))
+
+
 def test_camina_frozen_examples():
     s3 = sym(3)
     assert camina_pair(s3, _a3(s3)) is True
@@ -82,7 +90,7 @@ def test_camina_frozen_examples():
     with pytest.raises(ValueError):
         camina_pair(s3, s3.trivial_subgroup())
     with pytest.raises(ValueError):
-        camina_pair(s3, s3.full_subgroup())
+        camina_pair(s3, full_subgroup(s3))
 
 
 @pytest.mark.parametrize(
@@ -242,7 +250,7 @@ def test_classify_notd_and_notapplicable():
 
     # abelian with property (D): a single character over N
     c2 = cyclic(2)
-    pr = classify_pair(c2, c2.full_subgroup())
+    pr = classify_pair(c2, full_subgroup(c2))
     assert pr.property_D and pr.type == "NotApplicable"
 
 
@@ -257,7 +265,7 @@ def test_classifier_edge_subgroups():
         if s4.elt_order[x] == 2 and s4.centralizer(x).order == 4
     )
     with pytest.raises(ValueError):
-        classify_pair(s4, s4.generated_subgroup([transposition]))
+        classify_pair(s4, generated_subgroup(s4, [transposition]))
 
 
 def test_residual_cases():
@@ -392,7 +400,7 @@ def test_monotonicity_counts_every_subset_pair(corpus_groups):
 
 def test_monotonicity_failure_names_the_first_chain(monkeypatch):
     s4 = sym(4)
-    monkeypatch.setattr(pairs, "has_property_D", lambda group, sub: sub.order == 24)
+    monkeypatch.setattr(helpers, "has_property_D", lambda group, sub: sub.order == 24)
     with pytest.raises(TheoremViolation) as err:
         property_d_monotone(s4)
     assert (err.value.witness["n_order"], err.value.witness["m_order"]) == (1, 24)

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 import groupchar.chartable as chartable
-from groupchar import ContractViolation, Cyclotomic, compute_table, verify_table
+from groupchar import ContractViolation, compute_table, verify_table
 from groupchar._arith import is_prime
 from groupchar.chartable import CharacterTable
 
@@ -58,7 +58,7 @@ def _galois_conjugate_column(table):
     e = table.conductor
     coeffs = table._coeffs.copy()
     for col in range(coeffs.shape[1]):
-        values = [Cyclotomic(e, c) for c in coeffs[:, col]]
+        values = [oracles.Cyclotomic(e, c) for c in coeffs[:, col]]
         for j in range(2, e):
             if gcd(j, e) == 1:
                 image = [v.galois(j) for v in values]
