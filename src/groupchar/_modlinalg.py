@@ -13,6 +13,27 @@ import numpy as np
 from .errors import ContractViolation
 
 
+def vectors(p: int, n: int) -> np.ndarray:
+    """Every vector of F_p^n as a row; row id = Σ v_j p^j (little-endian)."""
+    return np.arange(p ** n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+
+
+def vector_perms(p: int, n: int, matrices) -> list[np.ndarray]:
+    """The map v -> m·v on the vector ids, for each matrix m."""
+    vecs = vectors(p, n)
+    ids = p ** np.arange(n, dtype=np.int64)
+    return [vecs @ m.T % p @ ids for m in matrices]
+
+
+def powers_mod(z: int, count: int, q: int) -> np.ndarray:
+    """The powers z^0, z^1, ..., z^(count-1) mod q."""
+    out, acc, z = [], 1, int(z)
+    for _ in range(count):
+        out.append(acc)
+        acc = acc * z % q
+    return np.array(out, dtype=np.int64)
+
+
 def inv_mod(a: int, q: int) -> int:
     """Inverse of ``a`` modulo the prime ``q``."""
     return pow(int(a) % q, -1, q)

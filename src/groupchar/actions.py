@@ -2,15 +2,17 @@
 
 A LinearAction is a list of invertible n×n generator matrices over GF(p).
 The action on the p^n vectors is stored as one permutation per generator
-(vectors are numbered little-endian: id = Σ v_j p^j).  The generated
-matrix group is closed from those permutations by Dimino's coset closure:
-an element is the row of the n vector ids of its columns, the cyclic group
-of the first generator is built by doubling, and each further generator
-adds whole left cosets of the previous subgroup as one batched block,
-tested for membership by one packed uint64 key per row; only the order
-is kept, bounded by ``ORDER_BOUND``.
-`odd_order_subgroup_actions` builds GL(n, p) as a `Group` on the same
-permutations and closes its odd-order subgroups with the group's closure.
+(`_modlinalg.vector_perms`, on the little-endian vector ids of
+`_modlinalg.vectors`: id = Σ v_j p^j).  The generated matrix group is
+closed from those permutations by Dimino's coset closure: an element is
+the row of the n vector ids of its columns, the cyclic group of the first
+generator is built by doubling, and each further generator adds whole left
+cosets of the previous subgroup as one batched block, tested for
+membership by one packed uint64 key per row; only the order is kept,
+bounded by ``ORDER_BOUND``.  `odd_order_subgroup_actions` builds GL(n, p),
+its matrices read off the base-p digits of their codes, as a `Group` on
+the same permutations and closes its odd-order subgroups with the group's
+closure.
 
 The checks mirror three orbit facts: orbit sizes divide the group order
 and sum to p^n − 1 on the nonzero vectors; for odd p the orbit of −v has
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._arith import is_prime, p_part
-from ._modlinalg import rref_mod
+from ._modlinalg import rref_mod, vector_perms, vectors
 from .constructors import _perm_group
 from .errors import (
     BoundExceeded,
@@ -51,18 +53,6 @@ ORDER_BOUND = 10 ** 6
 SPACE_BOUND = 2 ** 20
 MATRIX_SPACE_BOUND = 10 ** 7  # cap on p^(n²), the matrices gl_elements scans
 GL_BOUND = 5000  # cap on |GL(n, p)| for the exhaustive subgroup scan
-
-
-def _vectors(p: int, n: int) -> np.ndarray:
-    """Every vector of GF(p)^n as a row; row id = Σ v_j p^j (little-endian)."""
-    return np.arange(p ** n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
-
-
-def _vector_perms(p: int, n: int, matrices) -> list[np.ndarray]:
-    """The permutation v -> m·v of the vector ids, for each matrix m."""
-    vectors = _vectors(p, n)
-    powers = p ** np.arange(n, dtype=np.int64)
-    return [vectors @ m.T % p @ powers for m in matrices]
 
 
 def _row_keys(p: int, n: int):
@@ -115,7 +105,7 @@ class LinearAction:
                 raise InvalidAction("generator matrix is singular")
             gens.append(m)
         self.generators = gens
-        self._vector_perms = _vector_perms(p, n, gens)
+        self._vector_perms = vector_perms(p, n, gens)
         self.group_order = self._close_group()
         self._orbit_data: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -136,7 +126,7 @@ class LinearAction:
         ``ORDER_BOUND`` is checked before each block is stored.
         """
         p, n = self.p, self.n
-        vectors = _vectors(p, n)
+        vecs = vectors(p, n)
         powers = p ** np.arange(n, dtype=np.int64)
         keys = _row_keys(p, n)
         identity = powers
@@ -168,7 +158,7 @@ class LinearAction:
                 continue
             # A gather needs x's permutation of all p^n vectors; a matmul
             # transforms only H's |H|·n column vectors.
-            decoded = None if len(rows) * n >= p ** n else vectors[rows]
+            decoded = None if len(rows) * n >= p ** n else vecs[rows]
             blocks = [rows]
             total = len(rows)
             reps = [identity]
@@ -178,9 +168,9 @@ class LinearAction:
                     if keys(x[None, :])[0] in seen:
                         continue
                     if decoded is None:
-                        block = (vectors @ vectors[x] % p @ powers)[rows]
+                        block = (vecs @ vecs[x] % p @ powers)[rows]
                     else:
-                        block = decoded @ vectors[x] % p @ powers
+                        block = decoded @ vecs[x] % p @ powers
                     store(total, block)
                     blocks.append(block)
                     total += len(block)
@@ -265,8 +255,8 @@ def negation_pairing(action: LinearAction) -> bool:
     """
     if action.p == 2:
         raise EvenCharacteristic("negation is trivial in characteristic 2")
-    neg_ids = _vector_perms(action.p, action.n,
-                            [(action.p - 1) * np.eye(action.n, dtype=np.int64)])[0]
+    neg_ids = vector_perms(action.p, action.n,
+                           [(action.p - 1) * np.eye(action.n, dtype=np.int64)])[0]
     labels, sizes = action.orbits()
     # -O must be a single orbit of the same size: the (label, label of -v)
     # pairs collapse to one image label per source label.
@@ -297,13 +287,13 @@ def _is_irreducible(action: LinearAction) -> bool:
     """No proper nonzero invariant subspace: the orbit of every nonzero
     vector (one representative per orbit suffices) spans the whole space."""
     labels, sizes = action.orbits()
-    vectors = _vectors(action.p, action.n)
+    vecs = vectors(action.p, action.n)
     ids = np.arange(action.p ** action.n, dtype=np.int64)
     for lab in range(len(sizes)):
         members = ids[labels == lab]
         if len(members) == 1 and members[0] == 0:
             continue
-        rank = len(rref_mod(vectors[members], action.p)[1])
+        rank = len(rref_mod(vecs[members], action.p)[1])
         if rank != action.n:
             return False
     return True
@@ -358,14 +348,10 @@ def gl_elements(p: int, n: int) -> list[np.ndarray]:
     count = p ** (n * n)
     if count > MATRIX_SPACE_BOUND:
         raise BoundExceeded("matrix space", count, MATRIX_SPACE_BOUND)
+    place = p ** np.arange(n * n, dtype=np.int64)
     out = []
     for code in range(count):
-        digits = []
-        c = code
-        for _ in range(n * n):
-            digits.append(c % p)
-            c //= p
-        m = np.array(digits, dtype=np.int64).reshape(n, n)
+        m = (code // place % p).reshape(n, n)
         if len(rref_mod(m, p)[1]) == n:
             out.append(m)
             if len(out) > GL_BOUND:
@@ -385,7 +371,7 @@ def odd_order_subgroup_actions(p: int, n: int) -> list[LinearAction]:
     elements = gl_elements(p, n)
     id_pos = next(i for i, m in enumerate(elements) if (m == np.eye(n)).all())
     elements[0], elements[id_pos] = elements[id_pos], elements[0]
-    gl = _perm_group(_vector_perms(p, n, elements), f"GL({n},{p})")
+    gl = _perm_group(vector_perms(p, n, elements), f"GL({n},{p})")
     # <a, b> depends only on <a> and <b>: pairs are seeded from one
     # generator per odd cyclic subgroup, the elements of <a> with a's
     # order being exactly its generators.

@@ -61,6 +61,7 @@ from ._modlinalg import (
     nullspace_mod,
     poly_eval_mod,
     poly_roots_mod,
+    powers_mod,
     rref_mod,
     element_of_order,
 )
@@ -71,7 +72,7 @@ from .errors import (
     NoSuitablePrime,
     SplitFailure,
 )
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, require_normal
 
 TABLE_ORDER_BOUND = 512
 
@@ -145,9 +146,7 @@ class CharacterTable:
         # Derived from the coefficients: the values mod prime (root as the
         # primitive e-th root of unity), the classes in each kernel
         # (χ(g) = χ(1) exactly), and the classes where each row vanishes.
-        powers = np.array([pow(int(root), i, prime) for i in range(coeffs.shape[2])],
-                          dtype=np.int64)
-        self._modq = coeffs @ powers % prime
+        self._modq = coeffs @ powers_mod(root, coeffs.shape[2], prime) % prime
         self._kernel_mask = ((coeffs[:, :, 0] == degrees[:, None])
                              & ~coeffs[:, :, 1:].any(axis=2))
         self._zero_mask = ~coeffs.any(axis=2)
@@ -213,9 +212,7 @@ def _build_table(group: Group) -> CharacterTable:
     e = group.exponent
     q = dixon_prime(e, n)
     z = element_of_order(e, q)
-    zpow = np.ones(e, dtype=np.int64)
-    for i in range(1, e):
-        zpow[i] = zpow[i - 1] * z % q
+    zpow = powers_mod(z, e, q)
 
     inv_sizes = np.array([inv_mod(s, q) for s in cc.sizes.tolist()], dtype=np.int64)
     omegas = _split_central_characters(group, cc, q)
@@ -754,23 +751,24 @@ def _check_primes(e: int, avoid: int, bound: int, cap: int) -> list[int]:
 def _embedding(e: int, r: int) -> tuple[list[int], np.ndarray]:
     """The primitive e-th roots z^u of F_r (u a unit mod e, z = element_of_order)
     and, in float64, V[i, j] = roots[j]^i: coefficient rows @ V are values."""
-    z = element_of_order(e, r)
-    zpow = [pow(z, i, r) for i in range(e)]
+    zpow = powers_mod(element_of_order(e, r), e, r)
     units = [u for u in range(e) if gcd(u, e) == 1]
-    vand = np.array(zpow, dtype=np.float64)[np.outer(np.arange(len(units)), units) % e]
+    vand = zpow.astype(np.float64)[np.outer(np.arange(len(units)), units) % e]
     vand.flags.writeable = False
-    return [zpow[u] for u in units], vand
+    return zpow[units].tolist(), vand
 
 
 def restriction_multiplicities(
     table_g: CharacterTable, sub: Subgroup, table_n: CharacterTable
 ) -> np.ndarray:
-    """Multiplicities ⟨χ_r|_N, θ_t⟩ for all rows at once (exact integers).
+    """Multiplicities ⟨χ_r|_N, θ_t⟩ for all rows at once (exact integers),
+    N a normal subgroup of the table's group.
 
     Works in F_q of the parent table: multiplicities are nonnegative integers
     bounded by the largest degree (< q), so the residues determine them.
     """
     g = table_g.group
+    require_normal(g, sub)
     q = table_g.prime
     e_g = table_g.conductor
     e_n = table_n.conductor
@@ -780,12 +778,7 @@ def restriction_multiplicities(
     phi_n = euler_phi(e_n)
     # zeta_{e_n} -> root^step in F_q.
     base = pow(int(table_g.root), step, q)
-    powvec = np.empty(phi_n, dtype=np.int64)
-    acc = 1
-    for i in range(phi_n):
-        powvec[i] = acc
-        acc = acc * base % q
-    theta_q = table_n._coeffs @ powvec % q                       # (T, Kn)
+    theta_q = table_n._coeffs @ powers_mod(base, phi_n, q) % q   # (T, Kn)
     theta_conj = theta_q[:, table_n.classes.inverse_class]
 
     parent_class = g.conjugacy_classes().class_of[sub.to_parent(table_n.classes.reps)]

@@ -71,8 +71,7 @@ def _parse_ids(spec: str, order: int) -> list[int]:
 def _resolve_normals(group: Group, spec: str) -> list[Subgroup]:
     """A literal ``auto-minimal`` or an explicit element-id list."""
     if spec == "auto-minimal":
-        subs = group.minimal_normal_subgroups()
-        return sorted(subs, key=lambda s: (s.order, s.elements.tolist()))
+        return group.minimal_normal_subgroups()
     ids = _parse_ids(spec, group.order)
     try:
         sub = group.subgroup(ids)

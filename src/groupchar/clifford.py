@@ -1,10 +1,10 @@
 """Characters above a normal subgroup: invariance, orbits, ramification.
 
 All operations work on exact character tables over a normal subgroup N of
-G; one that is not normal raises NotNormal.  Characters of N live on its
-materialized standalone group (`Subgroup.as_group()`), whose local ids are
-the parent ids in sorted order; `local_ids` and `to_parent` map ids each
-way.
+G; one that is not normal raises NotNormal, and a subgroup of another group
+ValueError.  Characters of N live on its materialized standalone group
+(`Subgroup.as_group()`), whose local ids are the parent ids in sorted
+order; `local_ids` and `to_parent` map ids each way.
 
 One pass per pair (G, N) gives a record for every θ ∈ Irr(N)
 (`ramification_report`) or for the invariant θ only
@@ -31,8 +31,8 @@ import numpy as np
 
 from ._arith import prime_factors
 from .chartable import CharacterTable, compute_table, restriction_multiplicities
-from .errors import ContractViolation, NotNormal, TheoremViolation
-from .groups import Group, Subgroup
+from .errors import ContractViolation, TheoremViolation
+from .groups import Group, Subgroup, require_normal
 
 __all__ = [
     "class_fusion",
@@ -46,8 +46,7 @@ __all__ = [
 
 def class_fusion(group: Group, sub: Subgroup, table_n: CharacterTable):
     """Partition of N's classes into G-conjugation blocks (list of arrays)."""
-    if not sub.is_normal:
-        raise NotNormal(f"{sub} is not normal in {group.label}")
+    require_normal(group, sub)
     members = group.conjugacy_classes().members
     rank = sub.local_ids()
     class_of_n = table_n.classes.class_of
@@ -67,14 +66,6 @@ def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.n
     return inv_mask
 
 
-def _row_lookup(table: CharacterTable) -> dict[bytes, int]:
-    lut = getattr(table, "_lookup", None)
-    if lut is None:
-        lut = {table._coeffs[r].tobytes(): r for r in range(len(table.rows))}
-        table._lookup = lut
-    return lut
-
-
 def _conjugation_profile(group: Group, sub: Subgroup,
                          table_n: CharacterTable) -> np.ndarray:
     """For each g in G, the induced permutation σ_g of N's classes: σ_g[j]
@@ -87,6 +78,7 @@ def _conjugation_profile(group: Group, sub: Subgroup,
 
 def abelian_invariant_factors(group: Group, sub: Subgroup) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an abelian quotient G/N, ascending."""
+    require_normal(group, sub)
     if not _abelian_over(group, sub):
         raise ValueError("invariant factors require an abelian quotient")
     orders = group._element_orders(sub.member_mask())  # orders in G/N
@@ -121,8 +113,6 @@ def _abelian_over(group: Group, sub: Subgroup) -> bool:
 
 def quotient_class(group: Group, sub: Subgroup) -> str:
     """'supersolvable', else 'odd', else 'other' for G/N (theorem hypotheses)."""
-    if not sub.is_normal:
-        raise NotNormal(f"{sub} is not normal in {group.label}")
     if group.is_supersolvable(sub):
         return "supersolvable"
     if (group.order // sub.order) % 2:
@@ -136,7 +126,7 @@ def _orbits(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:
     G(θ) over the class permutations of all of G."""
     coeffs = table_n._coeffs
     profile = _conjugation_profile(group, sub, table_n)
-    lut = _row_lookup(table_n)
+    lut = {row.tobytes(): r for r, row in enumerate(coeffs)}
     perms = [
         np.array([lut.get(row.tobytes(), -1)
                   for row in np.ascontiguousarray(coeffs[:, profile[g]])])
@@ -212,6 +202,7 @@ def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dic
     it and e²·|O(θ)| = |G:N|: induction from G(θ) is a bijection
     Irr(G(θ)|θ) → Irr(G|θ) that keeps e, and |G(θ):N| = |G:N|/|O(θ)|
     (Isaacs, *Character Theory of Finite Groups*, 6.11)."""
+    require_normal(group, sub)
     table_g = compute_table(group)
     table_n = compute_table(sub.as_group())
     inv_mask = invariant_rows(group, sub, table_n)

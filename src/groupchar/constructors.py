@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from ._modlinalg import vector_perms
 from .errors import BoundExceeded, InvalidAction
 from .gf import gf_field
 from .groups import Group, Subgroup
@@ -256,32 +257,12 @@ def agl1(q: int) -> Group:
     return Group(mul, label=f"AGL1({q})")
 
 
-def _matrix_perm(p: int, mat) -> tuple[int, ...]:
-    """Permutation of GF(p)^k vector ids (big-endian digits) under a matrix."""
-    mat = [[int(c) % p for c in row] for row in mat]
-    k = len(mat)
-    out = []
-    for vid in range(p**k):
-        digits = []
-        rest = vid
-        for _ in range(k):
-            digits.append(rest % p)
-            rest //= p
-        digits.reverse()  # digits[0] is the high (first) coordinate
-        image = [sum(mat[r][c] * digits[c] for c in range(k)) % p for r in range(k)]
-        iid = 0
-        for d in image:
-            iid = iid * p + d
-        out.append(iid)
-    return tuple(out)
-
-
-def _matrix_mul(a, b, p):
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(k))
-        for i in range(k)
-    )
+def _matrix_perm(p: int, mat) -> np.ndarray:
+    """Permutation of GF(p)^k vector ids under a matrix, with big-endian ids
+    (the first coordinate is the high digit).  Those are the little-endian
+    ids of the reversed vectors, on which the matrix acts as mat[::-1, ::-1]."""
+    mat = np.asarray(mat, dtype=np.int64)
+    return vector_perms(p, len(mat), [mat[::-1, ::-1]])[0]
 
 
 def frobenius72_quaternion() -> Group:
@@ -292,17 +273,16 @@ def frobenius72_quaternion() -> Group:
     """
     v = abelian([3, 3])
     q8 = generalized_quaternion(8)
-    mat_a = ((0, 2), (1, 0))
-    mat_b = ((1, 1), (1, 2))
-    ident = ((1, 0), (0, 1))
-    rep: dict[int, tuple] = {0: ident}
+    mat_a = np.array([[0, 2], [1, 0]])
+    mat_b = np.array([[1, 1], [1, 2]])
+    rep = {0: np.eye(2, dtype=np.int64)}
     queue = [0]
     while queue:
         x = queue.pop()
         for gen, mat in ((1, mat_a), (4, mat_b)):
             y = int(q8.mul[x, gen])
             if y not in rep:
-                rep[y] = _matrix_mul(rep[x], mat, 3)
+                rep[y] = rep[x] @ mat % 3
                 queue.append(y)
     action = [_matrix_perm(3, rep[t]) for t in range(8)]
     g = semidirect_product(v, q8, action)
@@ -333,9 +313,8 @@ def c7_c3() -> Group:
 def c5c5_c3() -> Group:
     """(C5 x C5) : C3 with C3 acting irreducibly (companion of x^2+x+1)."""
     v = abelian([5, 5])
-    m = ((0, 4), (1, 4))
+    m = np.array([[0, 4], [1, 4]])
     p1 = _matrix_perm(5, m)
-    m2 = _matrix_mul(m, m, 5)
-    p2 = _matrix_perm(5, m2)
+    p2 = _matrix_perm(5, m @ m % 5)
     g = semidirect_product(v, cyclic(3), [tuple(range(25)), p1, p2])
     return Group(g.mul, label="C5^2:C3", validate=False)

@@ -307,11 +307,8 @@ def run_corpus(name_filter: str | None = None) -> str:
         rep.add("camina-orders", camina_orders)
 
         computed: dict = {}
-        minimals = sorted(
-            group.minimal_normal_subgroups(), key=lambda s: (s.order, s.elements.tolist())
-        )
         types = []
-        for sub in minimals:
+        for sub in group.minimal_normal_subgroups():
             pr = classify_pair(group, sub)
             pairs_classified += 1
             types.append(pr.type)

@@ -17,7 +17,7 @@ class BoundExceeded(GroupCharError):
         self.bound = bound
 
 
-class NotNormal(GroupCharError):
+class NotNormal(GroupCharError, ValueError):
     """A subgroup that must be normal is not."""
 
 

@@ -1,9 +1,11 @@
-"""Dense GF(q) arithmetic tables for small prime powers.
+"""Dense GF(q) arithmetic tables for small prime powers, q = p^n.
 
-Field elements are encoded as integers 0..q-1: the polynomial
-c_0 + c_1 x + ... + c_{n-1} x^{n-1} corresponds to sum(c_i * p**i).
-The modulus is the lexicographically least monic irreducible polynomial of
-degree n over GF(p), ordered by the coefficient vector (c_0, ..., c_{n-1}).
+Field elements are the vectors of GF(p)^n numbered as in
+`_modlinalg.vectors`: c_0 + c_1 x + ... + c_{n-1} x^{n-1} has id
+Σ c_i p^i.  Multiplication by x is the companion matrix C of the modulus,
+so a·b = Σ_i b_i C^i a.  The modulus is the least monic polynomial of
+degree n, ordered by its coefficient vector (c_0, ..., c_{n-1}), whose
+quotient ring has no zero divisors, that is the least irreducible one.
 """
 
 from __future__ import annotations
@@ -15,58 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._arith import prime_power
+from ._modlinalg import vectors
 from .errors import NotPrimePower
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        c = a[-1] * inv_lead % p
-        for i, cm in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * cm) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _divides(d: list[int], f: list[int], p: int) -> bool:
-    r = _poly_mod(list(f), d, p)
-    return not any(r)
-
-
-@lru_cache(maxsize=None)
-def least_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """Least monic irreducible polynomial of degree n over GF(p), ascending."""
-    if n == 1:
-        return (0, 1)  # x itself
-    lower: list[list[int]] = []
-    for d in range(1, n // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            lower.append(list(tail) + [1])
-    for tail in itertools.product(range(p), repeat=n):
-        if tail[0] == 0:
-            continue  # divisible by x
-        f = list(tail) + [1]
-        if not any(len(d) - 1 <= n // 2 and _divides(d, f, p) for d in lower):
-            return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 @dataclass(frozen=True)
@@ -78,18 +30,17 @@ class GF:
     add: np.ndarray  # q x q
     mul: np.ndarray  # q x q
 
-    def encode(self, coeffs) -> int:
-        out = 0
-        for c in reversed(list(coeffs)):
-            out = out * self.p + (c % self.p)
-        return out
 
-    def decode(self, e: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            out.append(e % self.p)
-            e //= self.p
-        return tuple(out)
+def _mul_table(p: int, modulus: tuple[int, ...], vecs: np.ndarray) -> np.ndarray:
+    """mul[a, b] = Σ_i b_i C^i a over GF(p)[x]/(modulus), C its companion."""
+    n = vecs.shape[1]
+    companion = np.eye(n, k=-1, dtype=np.int64)
+    companion[:, -1] = -np.array(modulus[:-1]) % p
+    shifts = [vecs]  # shifts[i][a] = x^i·a
+    for _ in range(n - 1):
+        shifts.append(shifts[-1] @ companion.T % p)
+    prod = np.einsum("bi,ian->abn", vecs, np.array(shifts)) % p
+    return prod @ p ** np.arange(n)
 
 
 @lru_cache(maxsize=None)
@@ -98,19 +49,15 @@ def gf_field(q: int) -> GF:
     if pp is None:
         raise NotPrimePower(f"{q} is not a prime power")
     p, n = pp
-    modulus = least_irreducible(p, n)
-    add = np.zeros((q, q), dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    field = GF(p=p, n=n, q=q, modulus=modulus, add=add, mul=mul)
-    polys = [list(field.decode(e)) for e in range(q)]
-    for a in range(q):
-        for b in range(a, q):
-            s = field.encode((polys[a][i] + polys[b][i]) % p for i in range(n))
-            add[a, b] = add[b, a] = s
-            prod = _poly_mod(_poly_mul(polys[a], polys[b], p), list(modulus), p)
-            prod += [0] * (n - len(prod))
-            m = field.encode(prod)
-            mul[a, b] = mul[b, a] = m
+    vecs = vectors(p, n)
+    add = (vecs[:, None] + vecs[None, :]) % p @ p ** np.arange(n)
+    # A tail with c_0 = 0 makes x a zero divisor, unless the modulus is x.
+    for tail in itertools.product(range(p), repeat=n):
+        if n == 1 or tail[0]:
+            modulus = (*tail, 1)
+            mul = _mul_table(p, modulus, vecs)
+            if mul[1:, 1:].all():
+                break
     add.setflags(write=False)
     mul.setflags(write=False)
-    return field
+    return GF(p=p, n=n, q=q, modulus=modulus, add=add, mul=mul)

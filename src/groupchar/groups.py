@@ -35,6 +35,24 @@ SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series 
 NORMAL_LATTICE_BOUND = 10_000  # ceiling on the number of normal subgroups
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; a non-integer dtype is refused, so floats
+    are not truncated and strings not parsed (an empty list passes)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
+def require_normal(group: "Group", sub: "Subgroup") -> None:
+    """Refuse a pair (G, N) unless N is a normal subgroup of G: a subgroup of
+    another group raises ValueError, a non-normal one NotNormal."""
+    if sub.parent is not group:
+        raise ValueError("subgroup belongs to a different group")
+    if not sub.is_normal:
+        raise NotNormal(f"{sub} is not normal in {group.label}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only: cached arrays are shared by every caller."""
     a.flags.writeable = False
@@ -47,10 +65,7 @@ class Group:
     __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache", "__weakref__")
 
     def __init__(self, mul, label: str = "G", *, validate: bool = True):
-        mul = np.asarray(mul)
-        if mul.dtype.kind not in "iu":  # no truncated floats, no strings
-            raise ValueError(f"table entries must be integers, not {mul.dtype}")
-        mul = np.ascontiguousarray(mul, dtype=np.int64)
+        mul = np.ascontiguousarray(_integers(mul, "table entries"))
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
             raise ValueError("multiplication table must be a nonempty square")
         n = int(mul.shape[0])
@@ -323,10 +338,7 @@ class Group:
     # -- quotients -------------------------------------------------------------
 
     def quotient(self, normal: "Subgroup") -> "QuotientMap":
-        if normal.parent is not self:
-            raise ValueError("subgroup belongs to a different group")
-        if not normal.is_normal:
-            raise NotNormal(f"{normal} is not normal in {self.label}")
+        require_normal(self, normal)
         n = self.order
         els = normal.elements
         coset_min = self.mul[:, els].min(axis=1)
@@ -458,6 +470,8 @@ class Group:
         """Is G/B supersolvable, B the trivial subgroup unless ``base`` says
         otherwise?  That is, has every chief factor of G above B prime
         order?  By Jordan–Hölder any chief series gives the same orders."""
+        if base is not None:
+            require_normal(self, base)
         below = np.array([0], dtype=np.int64) if base is None else base.elements
         index = self.order // len(below)
         # p-groups: every chief factor is central of order p.
@@ -498,7 +512,7 @@ class Subgroup:
     __slots__ = ("parent", "elements", "_cache")
 
     def __init__(self, parent: Group, elements, *, normal: bool | None = None):
-        els = np.unique(np.asarray(elements, dtype=np.int64))
+        els = np.unique(_integers(elements, "subgroup ids"))
         if els.size == 0 or els[0] != 0 or els[-1] >= parent.order:
             raise ValueError(f"subgroup ids must be 0..{parent.order - 1}, with the identity 0")
         object.__setattr__(self, "parent", parent)

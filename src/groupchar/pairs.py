@@ -15,7 +15,7 @@ import numpy as np
 
 from ._arith import isqrt_exact, p_part, prime_power
 from .chartable import Character, CharacterTable, compute_table
-from .errors import ContractViolation, NotNormal, TheoremViolation
+from .errors import ContractViolation, TheoremViolation
 from .groups import (
     Group,
     IteratedSeries,
@@ -24,6 +24,7 @@ from .groups import (
     frobenius_complement,
     is_frobenius_with_kernel,
     pprime_elements_fpf,
+    require_normal,
 )
 
 __all__ = [
@@ -50,16 +51,14 @@ def _rows_over(table: CharacterTable, sub: Subgroup) -> np.ndarray:
 
 def irr_over(group: Group, sub: Subgroup) -> list[Character]:
     """Characters of G whose kernel does not contain N (N normal, N = G ok)."""
-    if not sub.is_normal:
-        raise ValueError("irr_over needs a normal subgroup")
+    require_normal(group, sub)
     table = compute_table(group)
     return [table.rows[r] for r in _rows_over(table, sub)]
 
 
 def has_property_D(group: Group, sub: Subgroup) -> bool:
     """Are the degrees over N pairwise distinct?  Vacuously true if none."""
-    if not sub.is_normal:
-        raise NotNormal(f"{sub} is not normal in {group.label}")
+    require_normal(group, sub)
     table = compute_table(group)
     degs = table.degrees[_rows_over(table, sub)]
     return len(set(degs.tolist())) == len(degs)
@@ -89,7 +88,8 @@ def is_camina_centralizer(group: Group, sub: Subgroup) -> bool:
     number of y whose commutator with x_c falls in a class of N: the
     commutator-class count H[c, d] summed over the classes d inside N.
     """
-    if sub.order in (1, group.order) or not sub.is_normal:
+    require_normal(group, sub)
+    if sub.order in (1, group.order):
         raise ValueError("Camina checks need a proper nontrivial normal subgroup")
     inside = sub.class_mask()
     counts = _commutator_classes(group) @ inside  # |C_{G/N}(x_c N)|·|N|
@@ -99,7 +99,8 @@ def is_camina_centralizer(group: Group, sub: Subgroup) -> bool:
 
 def is_camina_vanishing(group: Group, sub: Subgroup) -> bool:
     """Every character over N vanishes on all of G ∖ N."""
-    if sub.order in (1, group.order) or not sub.is_normal:
+    require_normal(group, sub)
+    if sub.order in (1, group.order):
         raise ValueError("Camina checks need a proper nontrivial normal subgroup")
     table = compute_table(group)
     rows = _rows_over(table, sub)
@@ -253,14 +254,13 @@ def classify_pair(group: Group, sub: Subgroup) -> PairReport:
     (Frobenius over N), or Type3 (residual).  All per-type claims are
     asserted; failures raise TheoremViolation.
     """
+    require_normal(group, sub)
     report = PairReport(
         g_label=group.label,
         g_order=group.order,
         n_elements=tuple(sub.elements.tolist()),
         n_order=sub.order,
     )
-    if not sub.is_normal:
-        raise ValueError("classify_pair needs a normal subgroup")
     report.property_D = has_property_D(group, sub)
     table = compute_table(group)
     report.evidence["degrees_over"] = [
@@ -371,9 +371,9 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     """Which structural case the p'-residual J of a Camina pair falls into.
 
     Precondition (verified; returns case 'none' otherwise): (G, N) is a
-    Camina pair, N is a p-group, G is solvable.  Asserts O_p'(G) = 1 and
-    that (J, N) is again a Camina pair, then returns the first matching
-    case with its evidence:
+    Camina pair, N is a p-group, G is solvable; a subgroup of another group
+    raises ValueError.  Asserts O_p'(G) = 1 and that (J, N) is again a
+    Camina pair, then returns the first matching case with its evidence:
 
       i.   J is a Sylow p-subgroup of G.
       ii.  O_p(J) = O_p(G), the iterated p,p',p-series K ≤ M ≤ J of J
@@ -397,6 +397,8 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     ``Subgroup(G, witness["n_elements"])`` rebuilds N.
     """
     out: dict = {"case": "none"}
+    if sub.parent is not group:
+        raise ValueError("subgroup belongs to a different group")
     pp = prime_power(sub.order)
     if (
         pp is None

@@ -18,7 +18,6 @@ from groupchar.chartable import Character, compute_table, restriction_multiplici
 from groupchar.clifford import (
     _abelian_over,
     _conjugation_profile,
-    _row_lookup,
     invariant_rows,
 )
 from groupchar.errors import ContractViolation, TheoremViolation
@@ -39,10 +38,10 @@ def conjugate_character(theta: Character, g: int, sub: Subgroup) -> Character:
     table_n = theta.table
     sigma = _conjugation_profile(sub.parent, sub, table_n)[g]
     new_coeffs = table_n._coeffs[theta.index][sigma]
-    idx = _row_lookup(table_n).get(np.ascontiguousarray(new_coeffs).tobytes())
-    if idx is None:
-        raise ContractViolation("conjugate character is not a table row")
-    return table_n.rows[idx]
+    for row in table_n.rows:
+        if np.array_equal(table_n._coeffs[row.index], new_coeffs):
+            return row
+    raise ContractViolation("conjugate character is not a table row")
 
 
 def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):

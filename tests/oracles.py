@@ -6,18 +6,25 @@ agreement with the library is a meaningful cross-check rather than the
 same code run twice.  `residual_shape_by_quotient` is the one oracle that
 builds quotient groups: it reads the residual cases ii/iii of
 `pairs.residual_case` from J/O_p(J) and its quotient by `Group.quotient`,
-where the library reads them inside J.  `verify_table_by_coefficients` is
-the one vectorized oracle: it computes every Gram entry of both
+where the library reads them inside J.  Two oracles are vectorized.
+`verify_table_by_coefficients` computes every Gram entry of both
 orthogonality relations as a cyclotomic integer in the power basis, where
 `chartable.verify_table` evaluates them mod split primes.
+`gf_by_polynomials` builds GF(q) from polynomials, its modulus found by
+trial division of list polynomials and every product by schoolbook
+multiplication and long division over all pairs at once, where
+`gf.gf_field` multiplies by powers of the companion matrix.
 `matrix_group_by_products` closes a matrix group one numpy product per
 element, the reference for the batched coset closure of `LinearAction`.
+`matrix_perm_big_endian` numbers vectors digit by digit, the reference for
+`constructors._matrix_perm`.
 `Cyclotomic` adds the ring operations to the library's value type, which
 the pipeline never computes with; the exact sums here run on it.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 
 import numpy as np
@@ -720,3 +727,82 @@ def orbits_brute(p: int, n: int, mats) -> list[int]:
         sizes.append(len(orbit))
         remaining -= orbit
     return sorted(sizes)
+
+
+def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
+    """Remainder of the list polynomial a by m over GF(p), ascending."""
+    a = [c % p for c in a]
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    while len(a) - 1 >= dm and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - 1 - dm
+        c = a[-1] * inv_lead % p
+        for i, cm in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * cm) % p
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def least_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """Least monic irreducible polynomial of degree n over GF(p), ascending,
+    ordered by (c_0, ..., c_{n-1}): the first with no monic divisor of
+    degree 1..n/2, found by trial division."""
+    if n == 1:
+        return (0, 1)  # x itself
+    lower = [list(tail) + [1] for d in range(1, n // 2 + 1)
+             for tail in itertools.product(range(p), repeat=d)]
+    for tail in itertools.product(range(p), repeat=n):
+        if tail[0] == 0:
+            continue  # divisible by x
+        f = list(tail) + [1]
+        if not any(not any(_poly_mod(f, d, p)) for d in lower):
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def gf_by_polynomials(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(modulus, add, mul) of GF(p^n): element id Σ c_i p^i is the polynomial
+    c_0 + c_1 x + ... + c_{n-1} x^{n-1}; a product is the schoolbook product
+    of two such polynomials, reduced by long division by the modulus of
+    `least_irreducible`.  Vectorized over all pairs at once."""
+    q = p ** n
+    modulus = least_irreducible(p, n)
+    coeffs = np.array([[e // p ** i % p for i in range(n)] for e in range(q)],
+                      dtype=np.int64).reshape(q, n)
+    prod = np.zeros((q, q, 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            prod[:, :, i + j] += coeffs[:, None, i] * coeffs[None, :, j]
+    prod %= p
+    for top in range(2 * n - 2, n - 1, -1):  # the modulus is monic
+        lead = prod[:, :, top].copy()
+        for i, c in enumerate(modulus):
+            prod[:, :, top - n + i] = (prod[:, :, top - n + i] - lead * c) % p
+    ids = p ** np.arange(n)
+    add = (coeffs[:, None] + coeffs[None, :]) % p @ ids
+    return modulus, add, prod[:, :, :n] @ ids
+
+
+def matrix_perm_big_endian(p: int, mat) -> tuple[int, ...]:
+    """Permutation of GF(p)^k vector ids under a matrix, ids big-endian
+    (digit 0 is the first coordinate), one vector at a time."""
+    mat = [[int(c) % p for c in row] for row in mat]
+    k = len(mat)
+    out = []
+    for vid in range(p ** k):
+        digits = []
+        rest = vid
+        for _ in range(k):
+            digits.append(rest % p)
+            rest //= p
+        digits.reverse()  # digits[0] is the high (first) coordinate
+        image = [sum(mat[r][c] * digits[c] for c in range(k)) % p for r in range(k)]
+        iid = 0
+        for d in image:
+            iid = iid * p + d
+        out.append(iid)
+    return tuple(out)

@@ -241,3 +241,13 @@ def test_criterion_9_determinism():
     assert "camina-pairs = 40" in first
     assert "pairs-classified = 286" in first
     assert "type3-witnesses = 0" in first
+
+
+def test_corpus_cayley_tables_are_frozen():
+    """The corpus entries' Cayley tables, built fresh and hashed in corpus
+    order, match the recorded digest, so a constructor that relabels its
+    group fails here even when no line of the corpus report moves."""
+    digest = hashlib.sha256()
+    for entry in build_corpus():
+        digest.update(entry.build().mul.tobytes())
+    assert digest.hexdigest()[:16] == "ebdc5798e60fe479"

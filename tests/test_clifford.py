@@ -32,9 +32,11 @@ from groupchar import (
     extraspecial_2,
     generalized_quaternion,
     invariant_rows,
+    is_frobenius_with_kernel,
     quotient_class,
     ramification_report,
     ramification_scan_pair,
+    restriction_multiplicities,
     sl23,
     sym,
 )
@@ -248,20 +250,57 @@ def test_abelian_invariant_factors_trivial_and_errors():
         abelian_invariant_factors(s4, s4.subgroup([0, 7, 16, 23]))
 
 
+def _pair_entry_points(group, sub, table_n):
+    """Every library call that takes a pair (G, N), by name."""
+    return {
+        "class_fusion": lambda: class_fusion(group, sub, table_n),
+        "invariant_rows": lambda: invariant_rows(group, sub, table_n),
+        "abelian_invariant_factors": lambda: abelian_invariant_factors(group, sub),
+        "quotient_class": lambda: quotient_class(group, sub),
+        "ramification_scan_pair": lambda: ramification_scan_pair(group, sub),
+        "ramification_report": lambda: ramification_report(group, sub),
+        "irr_over": lambda: pairs.irr_over(group, sub),
+        "has_property_D": lambda: pairs.has_property_D(group, sub),
+        "is_camina_centralizer": lambda: pairs.is_camina_centralizer(group, sub),
+        "is_camina_vanishing": lambda: pairs.is_camina_vanishing(group, sub),
+        "camina_pair": lambda: pairs.camina_pair(group, sub),
+        "classify_pair": lambda: classify_pair(group, sub),
+        "restriction_multiplicities":
+            lambda: restriction_multiplicities(compute_table(group), sub, table_n),
+        "is_supersolvable": lambda: group.is_supersolvable(sub),
+    }
+
+
 def test_non_normal_subgroup_is_refused():
     """On S3 with <(1 2)> the G-classes do not partition N's classes, so
     every fact over N would be read off the wrong blocks: each entry point
-    raises NotNormal instead."""
+    raises NotNormal instead, which is a ValueError.  residual_case keeps its
+    documented case 'none' and is_frobenius_with_kernel says False."""
     s3 = sym(3)
     sub = s3.subgroup([0, min(x for x in range(6) if s3.elt_order[x] == 2)])
     assert not sub.is_normal
     table_n = compute_table(sub.as_group())
-    for call in (lambda: class_fusion(s3, sub, table_n),
-                 lambda: invariant_rows(s3, sub, table_n),
-                 lambda: ramification_scan_pair(s3, sub),
-                 lambda: ramification_report(s3, sub),
-                 lambda: quotient_class(s3, sub)):
+    for name, call in _pair_entry_points(s3, sub, table_n).items():
         with pytest.raises(NotNormal):
+            call()
+    assert issubclass(NotNormal, ValueError)
+    assert pairs.residual_case(s3, sub) == {"case": "none"}
+    assert is_frobenius_with_kernel(s3, sub) is False
+
+
+def test_subgroup_of_another_group_is_refused():
+    """A4's V4 (ids 0, 3, 8, 11) read as a subgroup of S4: quotient_class
+    called S4 over it supersolvable, and class_fusion raised IndexError.
+    Every entry point now raises ValueError, residual_case included."""
+    s4, a4 = sym(4), alt(4)
+    v4 = a4.minimal_normal_subgroups()[0]
+    assert v4.elements.tolist() == [0, 3, 8, 11]
+    table_n = compute_table(v4.as_group())
+    calls = _pair_entry_points(s4, v4, table_n)
+    calls["residual_case"] = lambda: pairs.residual_case(s4, v4)
+    calls["is_frobenius_with_kernel"] = lambda: is_frobenius_with_kernel(s4, v4)
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="different group"):
             call()
 
 

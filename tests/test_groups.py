@@ -130,6 +130,9 @@ def test_subgroup_validation_and_masks():
             groups.Subgroup(s3, ids)
         with pytest.raises(ValueError, match="0..5"):
             s3.subgroup(ids)
+    for ids in ([0, 1.7], ["0", "1"], np.array([0.0, 1.0])):  # read as [0 1] before
+        with pytest.raises(ValueError, match="must be integers"):
+            groups.Subgroup(s3, ids)
 
 
 def test_normality_matches_brute_force_on_full_lattice():
