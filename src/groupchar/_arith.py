@@ -76,7 +76,10 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n; n >= 1 and p >= 2, or ValueError (the
+    loop below would never end)."""
+    if n < 1 or p < 2:
+        raise ValueError(f"p_part needs n >= 1 and p >= 2, not n={n}, p={p}")
     out = 1
     while n % p == 0:
         out *= p

@@ -35,13 +35,17 @@ SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series 
 NORMAL_LATTICE_BOUND = 10_000  # ceiling on the number of normal subgroups
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; a non-integer dtype is refused, so floats
-    are not truncated and strings not parsed (an empty list passes)."""
+def _ids(values, n: int, what: str) -> np.ndarray:
+    """``values`` as an int64 array of ids 0..n-1, else ValueError: a
+    non-integer dtype is refused, so floats are not truncated and strings not
+    parsed, and so is an id out of range (an empty list passes)."""
     a = np.asarray(values)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, not {a.dtype}")
-    return a.astype(np.int64, copy=False)
+    a = a.astype(np.int64, copy=False)
+    if a.size and (int(a.min()) < 0 or int(a.max()) >= n):
+        raise ValueError(f"{what} must be 0..{n - 1}")
+    return a
 
 
 def require_normal(group: "Group", sub: "Subgroup") -> None:
@@ -65,12 +69,11 @@ class Group:
     __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache", "__weakref__")
 
     def __init__(self, mul, label: str = "G", *, validate: bool = True):
-        mul = np.ascontiguousarray(_integers(mul, "table entries"))
+        mul = np.asarray(mul)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
             raise ValueError("multiplication table must be a nonempty square")
         n = int(mul.shape[0])
-        if int(mul.min()) < 0 or int(mul.max()) >= n:
-            raise ValueError("table entries must be element ids 0..n-1")
+        mul = np.ascontiguousarray(_ids(mul, n, "table entries"))
         ids = np.arange(n)
         if not (np.array_equal(mul[0], ids) and np.array_equal(mul[:, 0], ids)):
             raise ValueError("element 0 must be a two-sided identity")
@@ -182,6 +185,7 @@ class Group:
         return cc
 
     def centralizer(self, g: int) -> "Subgroup":
+        g = int(_ids(g, self.order, "element id"))
         mask = self.mul[:, g] == self.mul[g, :]
         return Subgroup(self, np.nonzero(mask)[0])
 
@@ -230,12 +234,14 @@ class Group:
 
     def normal_closure(self, seed) -> "Subgroup":
         """Smallest normal subgroup containing the seed elements."""
-        seed = np.unique(np.append(np.asarray(list(seed), dtype=np.int64), 0))
+        seed = np.unique(np.append(_ids(list(seed), self.order, "seed ids"), 0))
         conj = np.unique(self.mul[self.mul[:, seed], self.inv[:, None]])
         return Subgroup(self, self._closure(conj), normal=True)
 
-    def _class_atoms(self) -> list["Subgroup"]:
-        """The normal closure of each nontrivial conjugacy class.
+    def _class_atoms(self) -> tuple[list["Subgroup"], np.ndarray, np.ndarray]:
+        """Each nontrivial class c's normal closure atom(c), the subgroup the
+        class generates; with the atoms' class masks as one read-only
+        (k−1)×k bool matrix, row c−1 for atom(c), and their orders.
 
         Minimal normal subgroups, radicals and every series go through
         here, so this is where ``SUBGROUP_BOUND`` caps the group order.
@@ -243,27 +249,20 @@ class Group:
         if "atoms" not in self._cache:
             if self.order > SUBGROUP_BOUND:
                 raise BoundExceeded("class atoms", self.order, SUBGROUP_BOUND)
-            self._cache["atoms"] = [
-                self.normal_closure([rep]) for rep in self.conjugacy_classes().reps[1:]
-            ]
+            cc = self.conjugacy_classes()
+            atoms = [Subgroup(self, self._closure(m), normal=True) for m in cc.members[1:]]
+            masks = np.array([a.class_mask() for a in atoms], dtype=bool).reshape(-1, len(cc))
+            orders = np.array([a.order for a in atoms], dtype=np.int64)
+            self._cache["atoms"] = (atoms, _readonly(masks), _readonly(orders))
         return self._cache["atoms"]
 
-    def _joins(self, base: np.ndarray) -> list[np.ndarray]:
-        """B·atom(c) for each nontrivial class c: the normal closure of c
-        modulo the normal subgroup B, given as sorted ids ``base``."""
-        inside = np.zeros(self.order, dtype=bool)
-        inside[base] = True
-        seen: dict[bytes, np.ndarray] = {}
-        out = []
-        for atom in (a.elements for a in self._class_atoms()):
-            key = atom.tobytes()
-            if key not in seen:
-                seen[key] = (
-                    base if inside[atom].all()
-                    else np.unique(self.mul[np.ix_(base, atom)])
-                )
-            out.append(seen[key])
-        return out
+    def _join_orders(self, base: np.ndarray) -> np.ndarray:
+        """|B·atom(c)| / |B| for each nontrivial class c, B the normal subgroup
+        with class mask ``base``: it is |atom(c)| / |B ∩ atom(c)|, and
+        B ∩ atom(c) is the classes the two share, so no join is built."""
+        _, masks, orders = self._class_atoms()
+        sizes = self.conjugacy_classes().sizes
+        return orders // (masks[:, base] @ sizes[base])
 
     def minimal_normal_subgroups(self) -> list["Subgroup"]:
         """Inclusion-minimal nontrivial normal subgroups.
@@ -274,17 +273,13 @@ class Group:
         """
         if "minimal_normals" in self._cache:
             return self._cache["minimal_normals"]
-        seen: dict[bytes, tuple[int, Subgroup]] = {}
-        for c, atom in enumerate(self._class_atoms(), start=1):
-            seen.setdefault(atom.elements.tobytes(), (c, atom))
-        gens = [c for c, _ in seen.values()]
-        atoms = [atom for _, atom in seen.values()]
-        # A normal subgroup contains atom(c) exactly when it meets class c,
-        # so below[i, j] (atom j ≤ atom i) is atom i's class mask at j's class.
-        below = np.array([a.class_mask()[gens] for a in atoms], dtype=bool)
-        below = below.reshape(len(atoms), len(atoms))
-        np.fill_diagonal(below, False)
-        out = sorted((a for a, smaller in zip(atoms, below.any(axis=1)) if not smaller),
+        atoms, masks, _ = self._class_atoms()
+        # A normal subgroup contains atom(d) exactly when it contains class d,
+        # so inside[c, d] says atom(d + 1) ≤ atom(c + 1).  An atom is kept when
+        # every atom below it is itself, at its least class.
+        inside = masks[:, 1:]
+        smaller = inside & ~inside.T | np.tril(inside, -1)
+        out = sorted((atoms[c] for c in np.flatnonzero(~smaller.any(axis=1))),
                      key=lambda s: (s.order, s.elements.tolist()))
         self._cache["minimal_normals"] = out
         return out
@@ -363,7 +358,10 @@ class Group:
     # -- radicals and series ------------------------------------------------------
 
     def radicals(self, p: int) -> "PRadicals":
-        """O_p, O_{p'}, the p-residual O^{p'}, and the Fitting subgroup."""
+        """O_p, O_{p'}, the p-residual O^{p'}, and the Fitting subgroup;
+        ValueError unless p is a prime."""
+        if not (isinstance(p, (int, np.integer)) and is_prime(int(p))):
+            raise ValueError(f"p must be a prime, not {p!r}")
         key = ("radicals", p)
         if key in self._cache:
             return self._cache[key]
@@ -380,17 +378,15 @@ class Group:
         """The preimage of O_p(G/B) (mode "p") or O_{p'}(G/B) (mode "p'").
 
         An element x lies in that preimage exactly when its normal closure
-        modulo B, the join B·atom(x), has p-power (or p'-) index over B.  The
-        union of those classes is the preimage itself, which we re-verify to
-        be closed.  B is the trivial subgroup unless ``base`` says otherwise.
+        modulo B, the join B·atom(x), has p-power (or p'-) index over B: one of
+        the `_join_orders` that divides the p-part of |G| (or is prime to p).
+        The union of those classes is the preimage itself, which we re-verify
+        to be closed.  B is the trivial subgroup unless ``base`` says otherwise.
         """
-        below = np.array([0], dtype=np.int64) if base is None else base.elements
-        cc = self.conjugacy_classes()
-        kept = np.ones(len(cc), dtype=bool)  # class 0 is the identity's
-        for c, join in enumerate(self._joins(below), start=1):
-            m = len(join) // len(below)
-            kept[c] = p_part(m, p) == m if mode == "p" else m % p != 0
-        union = np.flatnonzero(kept[cc.class_of])
+        base = self.trivial_subgroup() if base is None else base
+        m = self._join_orders(base.class_mask())
+        kept = np.append(True, p_part(self.order, p) % m == 0 if mode == "p" else m % p != 0)
+        union = np.flatnonzero(kept[self.conjugacy_classes().class_of])
         closed = self._closure(union)
         if len(closed) != len(union):
             raise ContractViolation("radical element set is not closed")
@@ -402,9 +398,7 @@ class Group:
         The set of p-elements is conjugation-closed, so the closure is the
         smallest normal subgroup with a p'-quotient.
         """
-        seed = np.nonzero(
-            np.array([p_part(int(o), p) == int(o) for o in self.elt_order])
-        )[0]
+        seed = np.flatnonzero(p_part(self.order, p) % self.elt_order == 0)  # p-power orders
         return Subgroup(self, self._closure(seed), normal=True)
 
     def _fitting(self) -> "Subgroup":
@@ -430,15 +424,20 @@ class Group:
         """(B, M) for each step of a chief series of G from the normal
         subgroup B = ``below`` (sorted ids) up to G.
 
-        Each step from B takes the smallest join B·atom(c) larger than B,
-        ordered by (order, elements).  It is minimal normal over B: any
-        normal M > B contains a class c outside B, hence B·atom(c).
+        Each step from B forms one join, B·atom(c), c the least class among
+        the least join orders above B.  It is minimal normal over B: any
+        normal M > B contains a class c outside B, hence B·atom(c).  As class
+        representatives are least elements ordered by class, it is also the
+        least such join by (order, elements).
         """
+        atoms = self._class_atoms()[0]
+        class_of = self.conjugacy_classes().class_of
         while len(below) < self.order:
-            above = min(
-                (j for j in self._joins(below) if len(j) > len(below)),
-                key=lambda e: (len(e), e.tolist()),
-            )
+            m = self._join_orders(np.bincount(class_of[below], minlength=len(atoms) + 1) > 0)
+            c = int(np.argmax(m == m[m > 1].min()))
+            above = np.unique(self.mul[np.ix_(below, atoms[c].elements)])
+            if len(above) != len(below) * m[c]:
+                raise ContractViolation("chief step join differs from its class-space order")
             yield below, above
             below = above
 
@@ -512,9 +511,9 @@ class Subgroup:
     __slots__ = ("parent", "elements", "_cache")
 
     def __init__(self, parent: Group, elements, *, normal: bool | None = None):
-        els = np.unique(_integers(elements, "subgroup ids"))
-        if els.size == 0 or els[0] != 0 or els[-1] >= parent.order:
-            raise ValueError(f"subgroup ids must be 0..{parent.order - 1}, with the identity 0")
+        els = np.unique(_ids(elements, parent.order, "subgroup ids"))
+        if els.size == 0 or els[0] != 0:
+            raise ValueError("subgroup ids must include the identity 0")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", _readonly(els))
         object.__setattr__(self, "_cache", {})

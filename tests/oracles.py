@@ -6,7 +6,7 @@ agreement with the library is a meaningful cross-check rather than the
 same code run twice.  `residual_shape_by_quotient` is the one oracle that
 builds quotient groups: it reads the residual cases ii/iii of
 `pairs.residual_case` from J/O_p(J) and its quotient by `Group.quotient`,
-where the library reads them inside J.  Two oracles are vectorized.
+where the library reads them inside J.  Three oracles are vectorized.
 `verify_table_by_coefficients` computes every Gram entry of both
 orthogonality relations as a cyclotomic integer in the power basis, where
 `chartable.verify_table` evaluates them mod split primes.
@@ -14,6 +14,9 @@ orthogonality relations as a cyclotomic integer in the power basis, where
 trial division of list polynomials and every product by schoolbook
 multiplication and long division over all pairs at once, where
 `gf.gf_field` multiplies by powers of the companion matrix.
+`chief_series_by_joins` builds the element set of every join B·atom(c) at
+each chief step and takes the least by (order, elements), the rule that
+`Group.chief_series` meets with one join per step.
 `matrix_group_by_products` closes a matrix group one numpy product per
 element, the reference for the batched coset closure of `LinearAction`.
 `matrix_perm_big_endian` numbers vectors digit by digit, the reference for
@@ -277,6 +280,38 @@ def normal_lattice(mul) -> list[tuple[int, ...]]:
                 found.add(joined)
                 queue.append(joined)
     return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+
+
+def join_orders_by_products(G, B) -> list[int]:
+    """|B·atom(c)| / |B| for each nontrivial class c, by least member, with
+    atom(c) the subgroup the class generates and B·atom(c) built as the
+    union of the cosets B·x over x in atom(c)."""
+    mul = G.mul.tolist()
+    base = set(B.elements.tolist())
+    out = []
+    for cls in conjugacy_partition(mul)[1:]:
+        join = set(base)
+        for x in generated(mul, cls):
+            if x not in join:
+                join.update(mul[b][x] for b in base)
+        out.append(len(join) // len(base))
+    return out
+
+
+def chief_series_by_joins(G) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(below, above) element tuples of a chief series: from B = 1, each
+    step builds B·atom(c) for every nontrivial class c, atom(c) its normal
+    closure, and takes the least join above B by (order, elements)."""
+    atoms = [G.normal_closure([rep]).elements for rep in G.conjugacy_classes().reps[1:]]
+    below = np.array([0])
+    steps = []
+    while len(below) < G.order:
+        joins = (np.unique(G.mul[np.ix_(below, atom)]) for atom in atoms)
+        above = min((j for j in joins if len(j) > len(below)),
+                    key=lambda e: (len(e), e.tolist()))
+        steps.append((tuple(below.tolist()), tuple(above.tolist())))
+        below = above
+    return steps
 
 
 def derived_subgroup(mul) -> tuple[int, ...]:

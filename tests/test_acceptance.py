@@ -8,6 +8,7 @@ invariant raises, any frozen count that drifts fails the test.
 """
 
 import hashlib
+import json
 import time
 from collections import Counter
 
@@ -20,6 +21,7 @@ from groupchar import (
     run_corpus,
     verify_table,
 )
+from groupchar._arith import prime_factors
 from groupchar.actions import (
     dade_duplicate_check,
     negation_pairing,
@@ -251,3 +253,26 @@ def test_corpus_cayley_tables_are_frozen():
     for entry in build_corpus():
         digest.update(entry.build().mul.tobytes())
     assert digest.hexdigest()[:16] == "ebdc5798e60fe479"
+
+
+def test_corpus_normal_structure_is_frozen():
+    """Chief series, minimal normal subgroups, radicals and iterated series
+    of the corpus entries, built fresh and hashed in corpus order, match the
+    recorded digest: no report prints a chief series, so a changed
+    tie-break or radical fails here even when no report line moves."""
+    def ids(sub):
+        return sub.elements.tolist()
+
+    records = []
+    for entry in build_corpus():
+        group = entry.build()
+        record = [[[ids(f.below), ids(f.above)] for f in group.chief_series()],
+                  [ids(m) for m in group.minimal_normal_subgroups()]]
+        for p in prime_factors(group.order):
+            rad, series = group.radicals(p), group.iterated_series(p)
+            record.append([ids(rad.o_p), ids(rad.o_p_prime), ids(rad.p_residual),
+                           ids(rad.fitting), ids(series.o_p_pprime),
+                           ids(series.o_p_pprime_p)])
+        records.append(record)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest[:16] == "7842fa6ce1769052"

@@ -26,7 +26,7 @@ from groupchar import (
     sl23,
     sym,
 )
-from groupchar._arith import prime_factors, prime_power
+from groupchar._arith import p_part, prime_factors, prime_power
 from groupchar import groups
 from groupchar.groups import SUBGROUP_BOUND
 
@@ -133,6 +133,13 @@ def test_subgroup_validation_and_masks():
     for ids in ([0, 1.7], ["0", "1"], np.array([0.0, 1.0])):  # read as [0 1] before
         with pytest.raises(ValueError, match="must be integers"):
             groups.Subgroup(s3, ids)
+    s4 = POOL["S4"]
+    # [1.5] closed element 1, -1 meant element 23, 99 raised IndexError
+    for bad, message in (([1.5], "must be integers"), ([-1], "0..23"), ([99], "0..23")):
+        with pytest.raises(ValueError, match=message):
+            s4.normal_closure(bad)
+        with pytest.raises(ValueError, match=message):
+            s4.centralizer(bad[0])
 
 
 def test_normality_matches_brute_force_on_full_lattice():
@@ -317,6 +324,44 @@ def test_normal_structure_matches_kernel_lattice(corpus_groups):
             assert set(ser.o_p_pprime.elements) == o_pq, name
             o_pqp = _largest([m for m in lattice if o_pq <= m and p_power(len(m) // len(o_pq))])
             assert set(ser.o_p_pprime_p.elements) == o_pqp, name
+
+
+def test_join_orders_match_products(corpus_groups):
+    """|B·atom(c)| / |B| read in class space against joins built from
+    element products, for every normal B of every corpus group of order
+    at most 64."""
+    for name, g in corpus_groups.items():
+        if g.order > 64:
+            continue
+        for base in g.normal_subgroups():
+            got = g._join_orders(base.class_mask()).tolist()
+            assert got == oracles.join_orders_by_products(g, base), (name, base.order)
+
+
+def test_chief_series_tie_break(corpus_groups):
+    """Each chief step is the least join above B by (order, elements)."""
+    extra = {"C2^8": abelian([2] * 8), "AGL1(23)": agl1(23),
+             "S4xC12": direct_product(sym(4), cyclic(12)),
+             "A5xC7": direct_product(alt(5), cyclic(7))}
+    for name, g in {**corpus_groups, **extra}.items():
+        got = [(tuple(f.below.elements.tolist()), tuple(f.above.elements.tolist()))
+               for f in g.chief_series()]
+        assert got == oracles.chief_series_by_joins(g), name
+
+
+def test_radicals_refuse_a_p_that_is_not_prime():
+    s4 = POOL["S4"]
+    # 1 never returned, 0 divided by zero, 4, -2 and 3.0 answered, 2.5 raised TypeError
+    for p in (1, 0, 4, -2, 3.0, 2.5, True):
+        with pytest.raises(ValueError, match="prime"):
+            s4.radicals(p)
+        with pytest.raises(ValueError, match="prime"):
+            s4.iterated_series(p)
+    # p = 1 and n = 0 looped forever, p = 0 divided by zero, p = -2 gave -8
+    for n, p in ((24, 1), (24, 0), (24, -2), (0, 2)):
+        with pytest.raises(ValueError):
+            p_part(n, p)
+    assert p_part(24, 2) == 8 and p_part(24, 5) == 1
 
 
 def test_class_atoms_bound():
