@@ -53,6 +53,7 @@ from .clifford import (
 from .pairs import (
     PairReport,
     camina_pair,
+    camina_verdicts,
     classify_pair,
     distinct_nonlinear_scan,
     has_property_D,

@@ -10,7 +10,8 @@ isomorphism; some families intentionally overlap.
 
 ``run_corpus`` rebuilds every entry from scratch, verifies its character
 table, runs both Camina checkers over every proper nontrivial normal
-subgroup, classifies every minimal normal subgroup, runs the
+subgroup at once (`pairs.camina_verdicts`, over the class-mask matrix of
+the normal lattice), classifies every minimal normal subgroup, runs the
 distinct-degree scan on nonabelian entries, and compares any frozen
 expected verdicts.  The output is a deterministic line-oriented report;
 any failed invariant raises and aborts the run.
@@ -27,7 +28,7 @@ from ._arith import factorize
 from .errors import ContractViolation, UsageError
 from .groups import Group
 from .chartable import compute_table, verify_table
-from .pairs import camina_pair, classify_pair, distinct_nonlinear_scan
+from .pairs import camina_verdicts, classify_pair, distinct_nonlinear_scan
 from .constructors import (
     abelian,
     agl1,
@@ -295,15 +296,12 @@ def run_corpus(name_filter: str | None = None) -> str:
         rep.add("degrees", _degree_multiset(table))
         rep.add("table-ok", True)
 
-        normals = [
-            n for n in group.normal_subgroups() if 1 < n.order < group.order
-        ]
-        camina_orders = sorted(
-            n.order for n in normals if camina_pair(group, n)
-        )
-        normal_pairs += len(normals)
+        _, orders = group._normal_lattice()
+        proper = len(orders[1:-1])  # rows run from N = 1 up to N = G
+        camina_orders = orders[camina_verdicts(group)].tolist()  # rows sort by order
+        normal_pairs += proper
         camina_pairs += len(camina_orders)
-        rep.add("proper-normals", len(normals))
+        rep.add("proper-normals", proper)
         rep.add("camina-orders", camina_orders)
 
         computed: dict = {}

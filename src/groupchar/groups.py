@@ -285,7 +285,23 @@ class Group:
         return out
 
     def normal_subgroups(self) -> list["Subgroup"]:
-        """All normal subgroups, sorted by (order, elements).
+        """All normal subgroups, sorted by (order, elements): one `Subgroup`
+        per row of `_normal_lattice`, holding that row as its class mask."""
+        if "normal_subgroups" not in self._cache:
+            masks, _ = self._normal_lattice()
+            class_of = self.conjugacy_classes().class_of
+            subs = []
+            for row in masks:
+                sub = Subgroup(self, np.flatnonzero(row[class_of]), normal=True)
+                sub._cache["class_mask"] = row
+                subs.append(sub)
+            self._cache["normal_subgroups"] = subs
+        return self._cache["normal_subgroups"]
+
+    def _normal_lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """The normal lattice as one read-only (L × k) bool matrix of class
+        masks, a row per normal subgroup sorted by (order, elements), and
+        the read-only int64 vector of their orders.
 
         Every normal subgroup is an intersection of kernels of irreducible
         characters (Isaacs, *Character Theory of Finite Groups*, ch. 2), so
@@ -294,11 +310,8 @@ class Group:
         the group order at ``chartable.TABLE_ORDER_BOUND``;
         ``NORMAL_LATTICE_BOUND`` caps the number of normal subgroups.
         """
-        if "normal_subgroups" not in self._cache:
-            self._cache["normal_subgroups"] = self._normal_lattice()
-        return self._cache["normal_subgroups"]
-
-    def _normal_lattice(self) -> list["Subgroup"]:
+        if "normal_lattice" in self._cache:
+            return self._cache["normal_lattice"]
         from .chartable import compute_table  # chartable imports this module
 
         # Python ints, not int64: a group may have more than 63 classes.
@@ -306,29 +319,36 @@ class Group:
             sum(1 << c for c in np.flatnonzero(row).tolist())
             for row in compute_table(self)._kernel_mask
         }
-        masks = set(kernels)
+        found = set(kernels)
         frontier = list(kernels)
         while frontier:
             fresh = []
             for mask in frontier:
                 for ker in kernels:
                     meet = mask & ker
-                    if meet not in masks:
-                        masks.add(meet)
+                    if meet not in found:
+                        found.add(meet)
                         fresh.append(meet)
-                        if len(masks) > NORMAL_LATTICE_BOUND:
-                            raise BoundExceeded("normal_subgroups", len(masks),
+                        if len(found) > NORMAL_LATTICE_BOUND:
+                            raise BoundExceeded("normal_subgroups", len(found),
                                                 NORMAL_LATTICE_BOUND)
             frontier = fresh
         cc = self.conjugacy_classes()
-        bits = np.array([[m >> c & 1 for c in range(len(cc))] for m in masks], dtype=bool)
-        subs = [np.flatnonzero(row[cc.class_of]) for row in bits]
-        subs.sort(key=lambda e: (len(e), tuple(e.tolist())))
-        if len(subs[0]) != 1 or len(subs[-1]) != self.order:
+        masks = np.array([[m >> c & 1 for c in range(len(cc))] for m in found], dtype=bool)
+        orders = masks @ cc.sizes
+        # Of two normal subgroups of one order, the one holding the least
+        # element of their symmetric difference sorts first by elements.
+        # That element is the least of the first class where their masks
+        # differ (reps increase with the class), so rows sort by order, then
+        # by mask, True before False.
+        order = np.lexsort((*~masks.T[::-1], orders))
+        masks, orders = masks[order], orders[order]
+        if orders[0] != 1 or orders[-1] != self.order:
             raise ContractViolation("normal lattice lacks the trivial or whole group")
-        if any(self.order % len(e) for e in subs):
+        if np.any(self.order % orders):
             raise ContractViolation("normal subgroup order does not divide |G|")
-        return [Subgroup(self, e, normal=True) for e in subs]
+        self._cache["normal_lattice"] = (_readonly(masks), _readonly(orders))
+        return self._cache["normal_lattice"]
 
     # -- quotients -------------------------------------------------------------
 

@@ -34,6 +34,7 @@ __all__ = [
     "is_camina_centralizer",
     "is_camina_vanishing",
     "camina_pair",
+    "camina_verdicts",
     "classify_pair",
     "residual_case",
     "distinct_nonlinear_scan",
@@ -80,31 +81,60 @@ def _commutator_classes(group: Group) -> np.ndarray:
     return group._cache["commutator_classes"]
 
 
-def is_camina_centralizer(group: Group, sub: Subgroup) -> bool:
-    """|C_G(x)| = |C_{G/N}(xN)| for every x outside N (one rep per class).
+def _centralizer_verdicts(group: Group, masks: np.ndarray) -> np.ndarray:
+    """The centralizer decider on each row of ``masks`` (L × k bool, each row
+    the class mask of a normal N): is |C_G(x)| = |C_{G/N}(xN)| for every x
+    outside N (one rep per class)?
 
     Decided without the character table.  C_{G/N}(xN) is the image of
     {y : [x, y] ∈ N}, a union of N-cosets, so |C_{G/N}(x_c N)|·|N| is the
     number of y whose commutator with x_c falls in a class of N: the
-    commutator-class count H[c, d] summed over the classes d inside N.
+    commutator-class count H[c, d] summed over the classes d inside N,
+    which is H·Mᵀ for all rows at once.
     """
+    sizes = group.conjugacy_classes().sizes  # |C_G(x_c)| = |G| / size
+    counts = _commutator_classes(group) @ masks.T  # |C_{G/N}(x_c N)|·|N|, (k, L)
+    want = group.order * (masks @ sizes)  # |G|·|N| per row
+    return ((counts * sizes[:, None] == want) | masks.T).all(axis=0)
+
+
+def _vanishing_verdicts(group: Group, masks: np.ndarray) -> np.ndarray:
+    """The vanishing decider on each row of ``masks``: does every character
+    over N vanish on all of G ∖ N?  A character is over N when some class
+    of N lies outside its kernel; a row passes when no character over it
+    is nonzero on a class outside it.  Both products are boolean."""
+    table = compute_table(group)
+    over = ~table._kernel_mask @ masks.T  # (rows, L)
+    nonzero = over.T @ ~table._zero_mask  # (L, k): some character over N is nonzero
+    return ~(nonzero & ~masks).any(axis=1)
+
+
+def _proper_row(group: Group, sub: Subgroup) -> np.ndarray:
+    """N's class mask as a one-row matrix, for a proper nontrivial normal N."""
     require_normal(group, sub)
     if sub.order in (1, group.order):
         raise ValueError("Camina checks need a proper nontrivial normal subgroup")
-    inside = sub.class_mask()
-    counts = _commutator_classes(group) @ inside  # |C_{G/N}(x_c N)|·|N|
-    sizes = group.conjugacy_classes().sizes  # |C_G(x_c)| = |G| / size
-    return bool(np.all((counts * sizes == group.order * sub.order) | inside))
+    return sub.class_mask()[None]
+
+
+def _disagreement(group: Group, order: int, mask: np.ndarray, a: bool,
+                  b: bool) -> ContractViolation:
+    return ContractViolation(
+        f"Camina checkers disagree on ({group.label}, N of order {order}, "
+        f"classes {np.flatnonzero(mask).tolist()}): centralizer={a} vanishing={b}"
+    )
+
+
+def is_camina_centralizer(group: Group, sub: Subgroup) -> bool:
+    """|C_G(x)| = |C_{G/N}(xN)| for every x outside N: the centralizer
+    decider on N's row alone, with no character table."""
+    return bool(_centralizer_verdicts(group, _proper_row(group, sub))[0])
 
 
 def is_camina_vanishing(group: Group, sub: Subgroup) -> bool:
-    """Every character over N vanishes on all of G ∖ N."""
-    require_normal(group, sub)
-    if sub.order in (1, group.order):
-        raise ValueError("Camina checks need a proper nontrivial normal subgroup")
-    table = compute_table(group)
-    rows = _rows_over(table, sub)
-    return bool(table._zero_mask[np.ix_(rows, ~sub.class_mask())].all())
+    """Every character over N vanishes on all of G ∖ N: the vanishing
+    decider on N's row alone."""
+    return bool(_vanishing_verdicts(group, _proper_row(group, sub))[0])
 
 
 def camina_pair(group: Group, sub: Subgroup) -> bool:
@@ -112,11 +142,27 @@ def camina_pair(group: Group, sub: Subgroup) -> bool:
     a = is_camina_centralizer(group, sub)
     b = is_camina_vanishing(group, sub)
     if a != b:
-        raise ContractViolation(
-            f"Camina checkers disagree on ({group.label}, N of order {sub.order}): "
-            f"centralizer={a} vanishing={b}"
-        )
+        raise _disagreement(group, sub.order, sub.class_mask(), a, b)
     return a
+
+
+def camina_verdicts(group: Group) -> np.ndarray:
+    """Is (G, N) a Camina pair, for every N of the normal lattice: one bool
+    per row of ``group._normal_lattice()`` (so per entry of
+    ``group.normal_subgroups()``), False at N = 1 and N = G.  Both deciders
+    run over all proper rows at once; the first row where they disagree
+    raises ContractViolation."""
+    masks, orders = group._normal_lattice()
+    proper = masks[1:-1]  # rows run from N = 1 up to N = G
+    a = _centralizer_verdicts(group, proper)
+    b = _vanishing_verdicts(group, proper)
+    bad = np.flatnonzero(a != b)
+    if bad.size:
+        i = bad[0]
+        raise _disagreement(group, int(orders[i + 1]), proper[i], bool(a[i]), bool(b[i]))
+    out = np.zeros(len(orders), dtype=bool)
+    out[1:-1] = a
+    return out
 
 
 # -- pair classification ---------------------------------------------------------

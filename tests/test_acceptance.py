@@ -29,6 +29,8 @@ from groupchar.actions import (
 )
 from groupchar.clifford import abelian_invariant_factors
 from groupchar.pairs import (
+    camina_pair,
+    camina_verdicts,
     classify_pair,
     distinct_nonlinear_scan,
     is_camina_centralizer,
@@ -69,6 +71,24 @@ def test_criterion_2_camina_equivalence(proper_normal_pairs):
         )
         camina_true += by_centralizers
     assert len(proper_normal_pairs) == 6912
+    assert camina_true == 40
+
+
+def test_criterion_2_camina_verdicts_over_the_lattice(corpus_groups):
+    """The group-level Camina verdicts, both deciders over the class-mask
+    matrix of the whole normal lattice, equal ``camina_pair`` on each N's
+    row alone, on every proper nontrivial normal pair in the corpus."""
+    checked = camina_true = 0
+    for name, group in corpus_groups.items():
+        verdicts = camina_verdicts(group)
+        normals = group.normal_subgroups()
+        assert len(verdicts) == len(normals), name
+        assert not verdicts[0] and not verdicts[-1], name
+        for sub, verdict in zip(normals[1:-1], verdicts[1:-1]):
+            assert camina_pair(group, sub) == verdict, (name, sub.order)
+            checked += 1
+        camina_true += int(verdicts.sum())
+    assert checked == 6912
     assert camina_true == 40
 
 

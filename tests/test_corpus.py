@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupchar.corpus as corpus_mod
-from groupchar import ContractViolation, sym
+from groupchar import ContractViolation, Subgroup, sym
 from groupchar.corpus import (
     CorpusEntry,
     build_corpus,
@@ -162,3 +162,21 @@ def test_tampered_scan_verdict_raises(monkeypatch):
     monkeypatch.setattr(corpus_mod, "build_corpus", lambda: bad)
     with pytest.raises(ContractViolation, match="expected distinct"):
         run_corpus()
+
+
+def test_run_corpus_builds_no_subgroup_per_normal_subgroup(monkeypatch):
+    """ES128+ and ES128- have 2826 normal subgroups each.  The corpus reads
+    their Camina verdicts and orders off the lattice matrix, so one pass
+    over both builds fewer subgroups than either lattice has rows."""
+    built = 0
+    init = Subgroup.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting)
+    report = run_corpus("ES128")
+    assert "normal-pairs = 5648" in report
+    assert 0 < built < 2826

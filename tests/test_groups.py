@@ -280,6 +280,32 @@ def test_normal_lattice_matches_atom_join_oracle(corpus_groups):
     assert checked == 108
 
 
+def test_normal_lattice_matrix_matches_the_subgroups(corpus_groups):
+    """Row i of the lattice matrix is the class mask of normal_subgroups()[i]
+    and orders[i] its order; the rows run from the trivial class alone up
+    to every class, and both arrays are shared read-only."""
+    rows = 0
+    for name, g in corpus_groups.items():
+        masks, orders = g._normal_lattice()
+        subs = g.normal_subgroups()
+        cc = g.conjugacy_classes()
+        assert masks.shape == (len(subs), len(cc)) and masks.dtype == bool, name
+        assert orders.shape == (len(subs),) and orders.dtype == np.int64, name
+        for row, order, sub in zip(masks, orders, subs):
+            gathered = np.zeros(len(cc), dtype=bool)
+            gathered[cc.class_of[sub.elements]] = True
+            assert np.array_equal(sub.class_mask(), row), name
+            assert np.array_equal(gathered, row), name
+            assert order == sub.order and sub._cache["normal"] is True, name
+        assert masks[0].tolist() == [True] + [False] * (len(cc) - 1), name
+        assert masks[-1].all(), name
+        for a in (masks, orders, subs[0].class_mask()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        rows += len(subs)
+    assert rows == 6912 + 2 * 115 + 1  # 1 and G, one row for the trivial group
+
+
 def test_normal_lattice_bounds(monkeypatch):
     # abelian([2] * 5) has 374 subgroups, all normal
     monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 100)

@@ -17,6 +17,7 @@ from groupchar import (
     ContractViolation,
     NotNormal,
     camina_pair,
+    camina_verdicts,
     classify_pair,
     cyclic,
     dihedral,
@@ -112,13 +113,17 @@ def test_camina_frozen_examples():
 )
 def test_camina_checkers_match_conjugation_definition(build):
     g = build()
-    for sub in g.normal_subgroups():
+    verdicts = camina_verdicts(g)
+    assert len(verdicts) == len(g.normal_subgroups())
+    for sub, verdict in zip(g.normal_subgroups(), verdicts):
         if not 1 < sub.order < g.order:
+            assert not verdict
             continue
         expected = oracles.camina_f2(g, sub)
         assert is_camina_centralizer(g, sub) == expected
         assert is_camina_vanishing(g, sub) == expected
         assert camina_pair(g, sub) == expected
+        assert verdict == expected
 
 
 @pytest.mark.parametrize(
@@ -128,13 +133,15 @@ def test_camina_checkers_match_conjugation_definition(build):
 def test_camina_centralizer_decider_needs_no_character_table(build, monkeypatch):
     g = build()
     subs = [s for s in g.normal_subgroups() if 1 < s.order < g.order]
+    masks, _ = g._normal_lattice()
 
     def no_table(group):
         raise AssertionError("the centralizer decider read a character table")
 
     monkeypatch.setattr(pairs, "compute_table", no_table)
-    for sub in subs:
-        assert is_camina_centralizer(g, sub) == oracles.camina_f2(g, sub)
+    expected = [oracles.camina_f2(g, sub) for sub in subs]
+    assert [is_camina_centralizer(g, sub) for sub in subs] == expected
+    assert pairs._centralizer_verdicts(g, masks[1:-1]).tolist() == expected
 
 
 def test_classify_type1_families():
@@ -231,6 +238,24 @@ def test_classify_pair_raises_when_camina_deciders_disagree(monkeypatch):
     monkeypatch.setattr(pairs, "is_camina_vanishing", lambda group, sub: not verdict)
     with pytest.raises(ContractViolation):
         classify_pair(s4, v4)
+
+
+@pytest.mark.parametrize("row", [0, 2, 3])
+def test_camina_verdicts_raise_when_the_deciders_disagree(row, monkeypatch):
+    g = dihedral(4)  # proper normal rows: Z(G) of order 2, then three of order 4
+    masks, orders = g._normal_lattice()
+    honest = pairs._vanishing_verdicts
+
+    def flip_one(group, rows):
+        out = honest(group, rows).copy()
+        out[row] = not out[row]
+        return out
+
+    monkeypatch.setattr(pairs, "_vanishing_verdicts", flip_one)
+    classes = np.flatnonzero(masks[row + 1]).tolist()
+    with pytest.raises(ContractViolation) as err:
+        camina_verdicts(g)
+    assert f"({g.label}, N of order {orders[row + 1]}, classes {classes})" in str(err.value)
 
 
 def test_classify_notd_and_notapplicable():
