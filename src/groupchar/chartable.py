@@ -22,7 +22,8 @@ an exact cyclotomic integer by extracting root-of-unity multiplicities,
 which are genuine nonnegative integers below q and therefore unambiguous
 residues.  A table stores the lifted values as one coefficient array, and
 derives its values mod q and its kernel and zero masks from it;
-``Character.values`` turns a row into ``Cyclotomic`` objects on demand.
+``Character.values`` turns a row into ``Cyclotomic`` objects on demand,
+and ``Group._normal`` makes a character's kernel from its kernel-mask row.
 
 The output does not depend on the weights or the probes: the eigenvectors
 are unique up to scale and normalized, the prime choice is fixed, and rows
@@ -72,7 +73,7 @@ from .errors import (
     NoSuitablePrime,
     SplitFailure,
 )
-from .groups import Group, Subgroup, require_normal
+from .groups import Group, Subgroup, _memo, require_normal
 
 TABLE_ORDER_BOUND = 512
 
@@ -152,7 +153,7 @@ class CharacterTable:
         self._zero_mask = ~coeffs.any(axis=2)
         self.degrees = degrees
         self.rows = tuple(Character(self, i, int(d)) for i, d in enumerate(degrees))
-        self._kernels: dict[int, Subgroup] = {}
+        self._cache = {}
 
     def __len__(self):
         return len(self.rows)
@@ -160,18 +161,12 @@ class CharacterTable:
     def __iter__(self):
         return iter(self.rows)
 
+    @_memo
     def _kernel_subgroup(self, index: int) -> Subgroup:
-        if index not in self._kernels:
-            g = self.group
-            elems = np.flatnonzero(self._kernel_mask[index][self.classes.class_of])
-            sub = Subgroup(g, elems)
-            prod = g.mul[np.ix_(elems, elems)]
-            if not np.all(sub.member_mask()[prod]):
-                raise ContractViolation("character kernel is not closed")
-            if not sub.is_normal:
-                raise ContractViolation("character kernel is not normal")
-            self._kernels[index] = sub
-        return self._kernels[index]
+        sub = self.group._normal(self._kernel_mask[index])
+        if not np.all(sub.member_mask()[self.group.mul[np.ix_(sub.elements, sub.elements)]]):
+            raise ContractViolation("character kernel is not closed")
+        return sub
 
     def __repr__(self):
         return (f"<CharacterTable {self.group.label}: {len(self.rows)} rows, "
@@ -313,20 +308,18 @@ class _Member(weakref.ref):
     __slots__ = ("kin", "types")
 
 
+@_memo
 def _element_key(group: Group) -> np.ndarray:
     """(element order, class size, number of square roots) of every
     element, coded as one int64: an isomorphism maps each element to one
     with the same key.  The pool key keeps the first two; the root count
     prunes the search where many elements share an order and a class size."""
-    if "element_key" not in group._cache:
-        n = group.order
-        cc = group.conjugacy_classes()
-        sizes = cc.sizes[cc.class_of]
-        ids = np.arange(n)
-        roots = np.bincount(group.mul[ids, ids], minlength=n)
-        code = group.elt_order * (n + 1) + sizes
-        group._cache["element_key"] = code * (n + 1) + roots
-    return group._cache["element_key"]
+    n = group.order
+    cc = group.conjugacy_classes()
+    ids = np.arange(n)
+    roots = np.bincount(group.mul[ids, ids], minlength=n)
+    code = group.elt_order * (n + 1) + cc.sizes[cc.class_of]
+    return code * (n + 1) + roots
 
 
 def _isomorphism_key(group: Group) -> tuple[int, bytes]:

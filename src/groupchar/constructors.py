@@ -209,7 +209,7 @@ def central_product(x: Group, y: Group) -> Group:
     """Central product amalgamating the (order-2) centers of both factors."""
     zx, zy = _central_involution(x), _central_involution(y)
     d = direct_product(x, y)
-    k = Subgroup(d, [0, zx * y.order + zy], normal=True)
+    k = Subgroup(d, [0, zx * y.order + zy])  # central, so normal
     q = d.quotient(k)
     return Group(q.image.mul, label=f"{x.label}o{y.label}", validate=False)
 

@@ -10,10 +10,15 @@ also stays because the benchmark tracer times it.  Subgroups are closed
 by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
 (`local_ids`) and its one class-space form (`class_mask`).
 Class data and subgroup elements are read-only int64 arrays, one per
-field, and sorted; a normal subgroup is read off a class mask as
-``np.flatnonzero(mask[class_of])``.  Reports take ints by ``.tolist()``.
+field, and sorted.  `Group._normal` makes every normal subgroup the library
+returns from a class mask, as ``np.flatnonzero(mask[class_of])`` with that
+mask seeded and ``is_normal`` true; element-born ones (closures, products)
+first pass `Group._classes_of`, which refuses a set that is not a union of
+classes.  The class atoms are kept only as a mask matrix and orders.
+Reports take ints by ``.tolist()``.
 Groups are immutable once built; derived data (classes, the normal lattice,
-the character table) is filled into a per-instance cache on first use.
+the character table) is filled on first use by one route, `_memo`, into the
+instance's ``_cache`` under the method name plus positional arguments.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
 instance may compute the same value twice.  A `Group` can be weakly
 referenced (``__weakref__``): `chartable` pools weak references to the
@@ -25,6 +30,7 @@ the caches, is filled idempotently and without a lock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -61,6 +67,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only: cached arrays are shared by every caller."""
     a.flags.writeable = False
     return a
+
+
+def _memo(method):
+    """Keep ``method``'s result in the instance's ``_cache``, keyed by the
+    method's name, or by (name, *args) when it takes positional arguments.
+    Check and normalize arguments before the call: the key is the arguments
+    as given, so 3.0 would find the entry for 3."""
+    name = method.__name__
+
+    @wraps(method)
+    def memoized(self, *args):
+        key = (name, *args) if args else name
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+
+    return memoized
 
 
 class Group:
@@ -132,33 +155,30 @@ class Group:
             if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
                 raise ValueError(f"associativity fails at element {s}")
 
+    @_memo
     def generators(self) -> tuple[int, ...]:
         """A generating set, chosen greedily: each next generator is the
         least id outside the closure of those before it."""
-        if "generators" not in self._cache:
-            span = np.zeros(self.order, dtype=bool)  # closure of the chosen ids
-            span[0] = True
-            gens = []
-            while not span.all():
-                s = int(span.argmin())
-                gens.append(s)
-                span[self._closure(np.append(np.flatnonzero(span), s))] = True
-            self._cache["generators"] = tuple(gens)
-        return self._cache["generators"]
+        span = np.zeros(self.order, dtype=bool)  # closure of the chosen ids
+        span[0] = True
+        gens = []
+        while not span.all():
+            s = int(span.argmin())
+            gens.append(s)
+            span[self._closure(np.append(np.flatnonzero(span), s))] = True
+        return tuple(gens)
 
     # -- elementary queries ---------------------------------------------------
 
     @property
+    @_memo
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            self._cache["abelian"] = bool(np.array_equal(self.mul, self.mul.T))
-        return self._cache["abelian"]
+        return bool(np.array_equal(self.mul, self.mul.T))
 
     @property
+    @_memo
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = lcm(int(o) for o in self.elt_order)
-        return self._cache["exponent"]
+        return lcm(int(o) for o in self.elt_order)
 
     @property
     def is_cyclic(self) -> bool:
@@ -166,14 +186,13 @@ class Group:
 
     # -- conjugacy classes ------------------------------------------------------
 
+    @_memo
     def conjugacy_classes(self) -> "ConjugacyClasses":
-        if "classes" in self._cache:
-            return self._cache["classes"]
         mul, inv = self.mul, self.inv
         least = mul[mul, inv[:, None]].min(axis=0)  # least h·g·h⁻¹ over h, per g
         reps, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
         by_class = _readonly(np.argsort(class_of, kind="stable"))
-        cc = ConjugacyClasses(
+        return ConjugacyClasses(
             group=self,
             reps=_readonly(reps),
             sizes=_readonly(sizes),
@@ -181,8 +200,6 @@ class Group:
             class_of=_readonly(class_of),
             inverse_class=_readonly(class_of[inv[reps]]),
         )
-        self._cache["classes"] = cc
-        return cc
 
     def centralizer(self, g: int) -> "Subgroup":
         g = int(_ids(g, self.order, "element id"))
@@ -190,20 +207,16 @@ class Group:
         return Subgroup(self, np.nonzero(mask)[0])
 
     def center(self) -> "Subgroup":
-        cc = self.conjugacy_classes()
-        return Subgroup(self, np.flatnonzero((cc.sizes == 1)[cc.class_of]), normal=True)
+        return self._normal(self.conjugacy_classes().sizes == 1)
 
+    @_memo
     def derived_subgroup(self) -> "Subgroup":
-        if "derived" in self._cache:
-            return self._cache["derived"]
         mul, inv = self.mul, self.inv
         s = np.array(self.generators(), dtype=np.int64)
         comm = mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]
         # G′ is the normal closure of the commutators of a generating set:
         # modulo that normal subgroup the generators, hence all of G, commute.
-        sub = self.normal_closure(comm.ravel())
-        self._cache["derived"] = sub
-        return sub
+        return self.normal_closure(comm.ravel())
 
     # -- subgroup plumbing ---------------------------------------------------------
 
@@ -230,40 +243,62 @@ class Group:
         return sub
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, np.array([0]), normal=True)
+        return self._normal(np.arange(len(self.conjugacy_classes())) == 0)
 
     def normal_closure(self, seed) -> "Subgroup":
         """Smallest normal subgroup containing the seed elements."""
         seed = np.unique(np.append(_ids(list(seed), self.order, "seed ids"), 0))
         conj = np.unique(self.mul[self.mul[:, seed], self.inv[:, None]])
-        return Subgroup(self, self._closure(conj), normal=True)
+        return self._normal(self._classes_of(self._closure(conj)))
 
-    def _class_atoms(self) -> tuple[list["Subgroup"], np.ndarray, np.ndarray]:
-        """Each nontrivial class c's normal closure atom(c), the subgroup the
-        class generates; with the atoms' class masks as one read-only
-        (k−1)×k bool matrix, row c−1 for atom(c), and their orders.
+    def _normal(self, mask: np.ndarray) -> "Subgroup":
+        """The normal subgroup that is the union of the classes the bool
+        mask ``mask`` marks, with ``mask`` as its class mask and
+        ``is_normal`` true by construction.  The library makes every normal
+        subgroup here, from a class-space fact (a kernel, a lattice row, a
+        class radical) or from elements that passed `_classes_of`; the
+        caller vouches that the union is closed."""
+        sub = Subgroup(self, np.flatnonzero(mask[self.conjugacy_classes().class_of]))
+        sub._cache["class_mask"] = _readonly(mask)
+        sub._cache["is_normal"] = True
+        return sub
+
+    def _classes_of(self, elements: np.ndarray) -> np.ndarray:
+        """The class mask of the sorted distinct ids ``elements``;
+        ContractViolation unless they are a union of conjugacy classes."""
+        cc = self.conjugacy_classes()
+        mask = np.zeros(len(cc), dtype=bool)
+        mask[cc.class_of[elements]] = True
+        if cc.sizes[mask].sum() != len(elements):
+            raise ContractViolation("element set is not a union of conjugacy classes")
+        return mask
+
+    @_memo
+    def _class_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class masks of the normal closures atom(c) of the nontrivial
+        classes c, as one read-only (k−1)×k bool matrix, row c−1 for
+        atom(c), and the read-only vector of their orders.
 
         Minimal normal subgroups, radicals and every series go through
         here, so this is where ``SUBGROUP_BOUND`` caps the group order.
         """
-        if "atoms" not in self._cache:
-            if self.order > SUBGROUP_BOUND:
-                raise BoundExceeded("class atoms", self.order, SUBGROUP_BOUND)
-            cc = self.conjugacy_classes()
-            atoms = [Subgroup(self, self._closure(m), normal=True) for m in cc.members[1:]]
-            masks = np.array([a.class_mask() for a in atoms], dtype=bool).reshape(-1, len(cc))
-            orders = np.array([a.order for a in atoms], dtype=np.int64)
-            self._cache["atoms"] = (atoms, _readonly(masks), _readonly(orders))
-        return self._cache["atoms"]
+        if self.order > SUBGROUP_BOUND:
+            raise BoundExceeded("class atoms", self.order, SUBGROUP_BOUND)
+        cc = self.conjugacy_classes()
+        atoms = [self._closure(m) for m in cc.members[1:]]
+        masks = np.array([self._classes_of(a) for a in atoms], dtype=bool)
+        orders = np.array([len(a) for a in atoms], dtype=np.int64)
+        return _readonly(masks.reshape(-1, len(cc))), _readonly(orders)
 
     def _join_orders(self, base: np.ndarray) -> np.ndarray:
         """|B·atom(c)| / |B| for each nontrivial class c, B the normal subgroup
         with class mask ``base``: it is |atom(c)| / |B ∩ atom(c)|, and
         B ∩ atom(c) is the classes the two share, so no join is built."""
-        _, masks, orders = self._class_atoms()
+        masks, orders = self._class_atoms()
         sizes = self.conjugacy_classes().sizes
         return orders // (masks[:, base] @ sizes[base])
 
+    @_memo
     def minimal_normal_subgroups(self) -> list["Subgroup"]:
         """Inclusion-minimal nontrivial normal subgroups.
 
@@ -271,33 +306,22 @@ class Group:
         nontrivial classes, so the inclusion-minimal class closures are
         exactly the minimal normal subgroups.
         """
-        if "minimal_normals" in self._cache:
-            return self._cache["minimal_normals"]
-        atoms, masks, _ = self._class_atoms()
+        masks, _ = self._class_atoms()
         # A normal subgroup contains atom(d) exactly when it contains class d,
         # so inside[c, d] says atom(d + 1) ≤ atom(c + 1).  An atom is kept when
         # every atom below it is itself, at its least class.
         inside = masks[:, 1:]
         smaller = inside & ~inside.T | np.tril(inside, -1)
-        out = sorted((atoms[c] for c in np.flatnonzero(~smaller.any(axis=1))),
-                     key=lambda s: (s.order, s.elements.tolist()))
-        self._cache["minimal_normals"] = out
-        return out
+        return sorted((self._normal(masks[c]) for c in np.flatnonzero(~smaller.any(axis=1))),
+                      key=lambda s: (s.order, s.elements.tolist()))
 
+    @_memo
     def normal_subgroups(self) -> list["Subgroup"]:
         """All normal subgroups, sorted by (order, elements): one `Subgroup`
         per row of `_normal_lattice`, holding that row as its class mask."""
-        if "normal_subgroups" not in self._cache:
-            masks, _ = self._normal_lattice()
-            class_of = self.conjugacy_classes().class_of
-            subs = []
-            for row in masks:
-                sub = Subgroup(self, np.flatnonzero(row[class_of]), normal=True)
-                sub._cache["class_mask"] = row
-                subs.append(sub)
-            self._cache["normal_subgroups"] = subs
-        return self._cache["normal_subgroups"]
+        return [self._normal(row) for row in self._normal_lattice()[0]]
 
+    @_memo
     def _normal_lattice(self) -> tuple[np.ndarray, np.ndarray]:
         """The normal lattice as one read-only (L × k) bool matrix of class
         masks, a row per normal subgroup sorted by (order, elements), and
@@ -310,15 +334,12 @@ class Group:
         the group order at ``chartable.TABLE_ORDER_BOUND``;
         ``NORMAL_LATTICE_BOUND`` caps the number of normal subgroups.
         """
-        if "normal_lattice" in self._cache:
-            return self._cache["normal_lattice"]
         from .chartable import compute_table  # chartable imports this module
 
+        cc = self.conjugacy_classes()
         # Python ints, not int64: a group may have more than 63 classes.
-        kernels = {
-            sum(1 << c for c in np.flatnonzero(row).tolist())
-            for row in compute_table(self)._kernel_mask
-        }
+        packed = np.packbits(compute_table(self)._kernel_mask, axis=1, bitorder="little")
+        kernels = {int.from_bytes(row.tobytes(), "little") for row in packed}
         found = set(kernels)
         frontier = list(kernels)
         while frontier:
@@ -333,8 +354,10 @@ class Group:
                             raise BoundExceeded("normal_subgroups", len(found),
                                                 NORMAL_LATTICE_BOUND)
             frontier = fresh
-        cc = self.conjugacy_classes()
-        masks = np.array([[m >> c & 1 for c in range(len(cc))] for m in found], dtype=bool)
+        width = packed.shape[1]
+        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in found), dtype=np.uint8)
+        masks = np.unpackbits(rows.reshape(len(found), width), axis=1, count=len(cc),
+                              bitorder="little").view(bool)
         orders = masks @ cc.sizes
         # Of two normal subgroups of one order, the one holding the least
         # element of their symmetric difference sorts first by elements.
@@ -347,8 +370,7 @@ class Group:
             raise ContractViolation("normal lattice lacks the trivial or whole group")
         if np.any(self.order % orders):
             raise ContractViolation("normal subgroup order does not divide |G|")
-        self._cache["normal_lattice"] = (_readonly(masks), _readonly(orders))
-        return self._cache["normal_lattice"]
+        return _readonly(masks), _readonly(orders)
 
     # -- quotients -------------------------------------------------------------
 
@@ -382,16 +404,13 @@ class Group:
         ValueError unless p is a prime."""
         if not (isinstance(p, (int, np.integer)) and is_prime(int(p))):
             raise ValueError(f"p must be a prime, not {p!r}")
-        key = ("radicals", p)
-        if key in self._cache:
-            return self._cache[key]
-        o_p = self._class_radical(p, mode="p")
-        o_pp = self._class_radical(p, mode="p'")
-        residual = self._p_residual(p)
-        fit = self._fitting()
-        out = PRadicals(p=p, o_p=o_p, o_p_prime=o_pp, p_residual=residual, fitting=fit)
-        self._cache[key] = out
-        return out
+        return self._radicals(int(p))
+
+    @_memo
+    def _radicals(self, p: int) -> "PRadicals":
+        return PRadicals(p=p, o_p=self._class_radical(p, mode="p"),
+                         o_p_prime=self._class_radical(p, mode="p'"),
+                         p_residual=self._p_residual(p), fitting=self._fitting())
 
     def _class_radical(self, p: int, mode: str,
                        base: Subgroup | None = None) -> "Subgroup":
@@ -403,14 +422,13 @@ class Group:
         The union of those classes is the preimage itself, which we re-verify
         to be closed.  B is the trivial subgroup unless ``base`` says otherwise.
         """
-        base = self.trivial_subgroup() if base is None else base
-        m = self._join_orders(base.class_mask())
+        k = len(self.conjugacy_classes())
+        m = self._join_orders(np.arange(k) == 0 if base is None else base.class_mask())
         kept = np.append(True, p_part(self.order, p) % m == 0 if mode == "p" else m % p != 0)
-        union = np.flatnonzero(kept[self.conjugacy_classes().class_of])
-        closed = self._closure(union)
-        if len(closed) != len(union):
+        sub = self._normal(kept)
+        if len(self._closure(sub.elements)) != sub.order:
             raise ContractViolation("radical element set is not closed")
-        return Subgroup(self, union, normal=True)
+        return sub
 
     def _p_residual(self, p: int) -> "Subgroup":
         """O^{p'}(G): the subgroup generated by all p-elements.
@@ -419,18 +437,15 @@ class Group:
         smallest normal subgroup with a p'-quotient.
         """
         seed = np.flatnonzero(p_part(self.order, p) % self.elt_order == 0)  # p-power orders
-        return Subgroup(self, self._closure(seed), normal=True)
+        return self._normal(self._classes_of(self._closure(seed)))
 
+    @_memo
     def _fitting(self) -> "Subgroup":
-        if "fitting" in self._cache:
-            return self._cache["fitting"]
         cur = np.array([0], dtype=np.int64)
         for p in sorted(factorize(self.order)):
             op = self._class_radical(p, mode="p").elements
             cur = np.unique(self.mul[np.ix_(cur, op)])  # join of normals
-        sub = Subgroup(self, cur, normal=True)
-        self._cache["fitting"] = sub
-        return sub
+        return self._normal(self._classes_of(cur))
 
     def iterated_series(self, p: int) -> "IteratedSeries":
         """O_p(G) <= O_{p,p'}(G) <= O_{p,p',p}(G), each step a class radical
@@ -450,29 +465,27 @@ class Group:
         representatives are least elements ordered by class, it is also the
         least such join by (order, elements).
         """
-        atoms = self._class_atoms()[0]
+        masks = self._class_atoms()[0]
         class_of = self.conjugacy_classes().class_of
         while len(below) < self.order:
-            m = self._join_orders(np.bincount(class_of[below], minlength=len(atoms) + 1) > 0)
+            m = self._join_orders(np.bincount(class_of[below], minlength=len(masks) + 1) > 0)
             c = int(np.argmax(m == m[m > 1].min()))
-            above = np.unique(self.mul[np.ix_(below, atoms[c].elements)])
+            above = np.unique(self.mul[np.ix_(below, np.flatnonzero(masks[c][class_of]))])
             if len(above) != len(below) * m[c]:
                 raise ContractViolation("chief step join differs from its class-space order")
             yield below, above
             below = above
 
+    @_memo
     def chief_series(self) -> list["ChiefFactor"]:
-        """A chief series, built inside G from the class atoms."""
-        if "chief_series" not in self._cache:
-            self._cache["chief_series"] = [
-                ChiefFactor(
-                    below=Subgroup(self, below, normal=True),
-                    above=Subgroup(self, above, normal=True),
-                    order=len(above) // len(below),
-                )
-                for below, above in self._chief_steps(np.array([0], dtype=np.int64))
-            ]
-        return self._cache["chief_series"]
+        """A chief series, built inside G from the class atoms; each factor's
+        ``above`` is the next one's ``below``."""
+        factors, below = [], self.trivial_subgroup()
+        for _, els in self._chief_steps(below.elements):
+            above = self._normal(self._classes_of(els))
+            factors.append(ChiefFactor(below=below, above=above, order=above.order // below.order))
+            below = above
+        return factors
 
     def is_solvable(self) -> bool:
         """Every chief factor T^k (T simple) has prime-power order.
@@ -530,15 +543,13 @@ class Subgroup:
 
     __slots__ = ("parent", "elements", "_cache")
 
-    def __init__(self, parent: Group, elements, *, normal: bool | None = None):
+    def __init__(self, parent: Group, elements):
         els = np.unique(_ids(elements, parent.order, "subgroup ids"))
         if els.size == 0 or els[0] != 0:
             raise ValueError("subgroup ids must include the identity 0")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", _readonly(els))
         object.__setattr__(self, "_cache", {})
-        if normal is not None:
-            self._cache["normal"] = normal
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Subgroup is immutable")
@@ -547,23 +558,21 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @_memo
     def member_mask(self) -> np.ndarray:
-        if "mask" not in self._cache:
-            mask = np.zeros(self.parent.order, dtype=bool)
-            mask[self.elements] = True
-            self._cache["mask"] = _readonly(mask)
-        return self._cache["mask"]
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[self.elements] = True
+        return _readonly(mask)
 
+    @_memo
     def class_mask(self) -> np.ndarray:
         """Boolean mask over the parent's conjugacy classes: the classes this
         subgroup meets.  A normal subgroup is the union of the classes it
         marks; a non-normal one need not contain a class it meets."""
-        if "class_mask" not in self._cache:
-            cc = self.parent.conjugacy_classes()
-            mask = np.zeros(len(cc), dtype=bool)
-            mask[cc.class_of[self.elements]] = True
-            self._cache["class_mask"] = _readonly(mask)
-        return self._cache["class_mask"]
+        cc = self.parent.conjugacy_classes()
+        mask = np.zeros(len(cc), dtype=bool)
+        mask[cc.class_of[self.elements]] = True
+        return _readonly(mask)
 
     def __contains__(self, g: int) -> bool:
         return bool(self.member_mask()[g])
@@ -585,37 +594,31 @@ class Subgroup:
         return f"N{self.order}"
 
     @property
+    @_memo
     def is_normal(self) -> bool:
-        if "normal" not in self._cache:
-            G = self.parent
-            els = self.elements
-            conj = G.mul[G.mul[:, els], G.inv[:, None]]
-            self._cache["normal"] = bool(self.member_mask()[conj].all())
-        return self._cache["normal"]
+        G = self.parent
+        conj = G.mul[G.mul[:, self.elements], G.inv[:, None]]
+        return bool(self.member_mask()[conj].all())
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return bool(other.member_mask()[self.elements].all())
 
+    @_memo
     def local_ids(self) -> np.ndarray:
         """Parent id -> local id of ``as_group()``; -1 outside the subgroup."""
-        if "local" not in self._cache:
-            local = np.full(self.parent.order, -1, dtype=np.int64)
-            local[self.elements] = np.arange(self.order)
-            self._cache["local"] = _readonly(local)
-        return self._cache["local"]
+        local = np.full(self.parent.order, -1, dtype=np.int64)
+        local[self.elements] = np.arange(self.order)
+        return _readonly(local)
 
+    @_memo
     def as_group(self) -> Group:
         """Materialize with dense local ids (sorted by parent id)."""
-        if "group" not in self._cache:
-            els = self.elements
-            local = self.local_ids()[self.parent.mul[np.ix_(els, els)]]
-            if local.min() < 0:
-                raise ValueError("element set is not multiplicatively closed")
-            # A closed piece of an associative table is associative.
-            self._cache["group"] = Group(
-                local, label=f"{self.parent.label}.sub{self.order}", validate=False
-            )
-        return self._cache["group"]
+        els = self.elements
+        local = self.local_ids()[self.parent.mul[np.ix_(els, els)]]
+        if local.min() < 0:
+            raise ValueError("element set is not multiplicatively closed")
+        # A closed piece of an associative table is associative.
+        return Group(local, label=f"{self.parent.label}.sub{self.order}", validate=False)
 
     def to_parent(self, local_id):
         """Map local (materialized) ids to parent ids; scalar or array."""

@@ -20,6 +20,7 @@ from .groups import (
     Group,
     IteratedSeries,
     Subgroup,
+    _memo,
     acts_fixed_point_freely,
     frobenius_complement,
     is_frobenius_with_kernel,
@@ -68,17 +69,15 @@ def has_property_D(group: Group, sub: Subgroup) -> bool:
 # -- Camina pair checkers (two independent routes) ------------------------------
 
 
+@_memo
 def _commutator_classes(group: Group) -> np.ndarray:
     """H[c, d] = #{y : [x_c, y] ∈ class d}, x_c the representative of
     class c; built once per group from one gather of commutators."""
-    if "commutator_classes" not in group._cache:
-        cc = group.conjugacy_classes()
-        mul, inv, k = group.mul, group.inv, len(cc)
-        comm = mul[mul[mul[cc.reps], inv[cc.reps][:, None]], inv]  # [x_c, y], row c
-        codes = k * np.arange(k)[:, None] + cc.class_of[comm]
-        group._cache["commutator_classes"] = np.bincount(
-            codes.ravel(), minlength=k * k).reshape(k, k)
-    return group._cache["commutator_classes"]
+    cc = group.conjugacy_classes()
+    mul, inv, k = group.mul, group.inv, len(cc)
+    comm = mul[mul[mul[cc.reps], inv[cc.reps][:, None]], inv]  # [x_c, y], row c
+    codes = k * np.arange(k)[:, None] + cc.class_of[comm]
+    return np.bincount(codes.ravel(), minlength=k * k).reshape(k, k)
 
 
 def _centralizer_verdicts(group: Group, masks: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ def generated_subgroup(group: Group, gens) -> Subgroup:
 
 
 def full_subgroup(group: Group) -> Subgroup:
-    return Subgroup(group, np.arange(group.order), normal=True)
+    return Subgroup(group, np.arange(group.order))
 
 
 def conjugate_character(theta: Character, g: int, sub: Subgroup) -> Character:

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from groupchar import (
     BoundExceeded,
+    ContractViolation,
     Group,
+    Subgroup,
     acts_fixed_point_freely,
     abelian,
     alt,
+    compute_table,
     cyclic,
     dihedral,
     direct_product,
@@ -296,7 +299,7 @@ def test_normal_lattice_matrix_matches_the_subgroups(corpus_groups):
             gathered[cc.class_of[sub.elements]] = True
             assert np.array_equal(sub.class_mask(), row), name
             assert np.array_equal(gathered, row), name
-            assert order == sub.order and sub._cache["normal"] is True, name
+            assert order == sub.order and sub._cache["is_normal"] is True, name
         assert masks[0].tolist() == [True] + [False] * (len(cc) - 1), name
         assert masks[-1].all(), name
         for a in (masks, orders, subs[0].class_mask()):
@@ -377,6 +380,7 @@ def test_chief_series_tie_break(corpus_groups):
 
 def test_radicals_refuse_a_p_that_is_not_prime():
     s4 = POOL["S4"]
+    s4.radicals(3)  # a memo keyed by p as given would answer 3.0 from this entry
     # 1 never returned, 0 divided by zero, 4, -2 and 3.0 answered, 2.5 raised TypeError
     for p in (1, 0, 4, -2, 3.0, 2.5, True):
         with pytest.raises(ValueError, match="prime"):
@@ -406,6 +410,43 @@ def test_normal_closure():
     assert s4.normal_closure([transposition]).order == 24
     double = min(x for x in range(1, 24) if s4.centralizer(x).order == 8)
     assert s4.normal_closure([double]).order == 4
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_every_normal_subgroup_comes_from_its_class_mask(name):
+    """Each normal subgroup the library returns is the union of the classes
+    its seeded class mask marks, and is normal by the conjugation oracle."""
+    g = POOL[name]
+    cc = g.conjugacy_classes()
+    found = [g.center(), g.trivial_subgroup(), g.derived_subgroup(),
+             *(g.normal_closure(m) for m in cc.members),
+             *g.minimal_normal_subgroups(), *g.normal_subgroups(),
+             *(row.kernel() for row in compute_table(g))]
+    for f in g.chief_series():
+        found += [f.below, f.above]
+    for p in prime_factors(g.order):
+        rad, ser = g.radicals(p), g.iterated_series(p)
+        found += [rad.o_p, rad.o_p_prime, rad.p_residual, rad.fitting,
+                  ser.o_p, ser.o_p_pprime, ser.o_p_pprime_p]
+    for sub in found:
+        mask = sub._cache["class_mask"]  # seeded, not gathered on demand
+        assert np.array_equal(sub.elements, np.flatnonzero(mask[cc.class_of])), name
+        assert sub._cache["is_normal"] is True, name
+        assert oracles.is_normal(g.mul.tolist(), sub.elements.tolist()), (name, sub)
+
+
+def test_classes_of_refuses_a_set_that_is_not_a_union_of_classes():
+    s3 = sym(3)
+    t = next(x for x in range(s3.order) if s3.elt_order[x] == 2)
+    sub = generated_subgroup(s3, [t])  # <(1 2)>, not normal
+    with pytest.raises(ContractViolation, match="union of conjugacy classes"):
+        s3._classes_of(sub.elements)
+    assert s3._classes_of(s3.derived_subgroup().elements).tolist() == [True, False, True]
+
+
+def test_subgroup_takes_no_normality_hint():
+    with pytest.raises(TypeError):
+        Subgroup(POOL["S4"], [0], normal=True)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """The package surface and the test configuration: every submodule
 ``__all__`` name exists, ``groupchar`` re-exports exactly those names, the
-public name list is pinned, and a failing hypothesis test does not end the
-pytest session."""
+public name list is pinned, cached facts are filled by one route, and a
+failing hypothesis test does not end the pytest session."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -78,6 +79,45 @@ def test_groupchar_reexports_exactly_the_all_names():
 
 def test_public_names_are_pinned():
     assert sorted(_public(groupchar)) == PUBLIC
+
+
+# The only functions that write into a ``_cache`` directly: the memo route,
+# the maker of normal subgroups (which seeds the class mask), and
+# compute_table, whose first call also counts and pools the table.
+CACHE_WRITERS = {"groups._memo", "groups.Group._normal", "chartable.compute_table"}
+
+
+def _cache_writes(path: Path) -> set[str]:
+    """The qualified names of the functions of one module that assign into
+    ``<expr>._cache[...]``."""
+    found, scope = set(), [path.stem]
+
+    class Visitor(ast.NodeVisitor):
+        def visit_scope(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_FunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Subscript(self, node):
+            if (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "_cache"):
+                found.add(".".join(scope))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_cached_facts_are_filled_only_by_the_memo_route():
+    owner = {}  # writing function -> the allowed writer it lies in, or None
+    for path in sorted((ROOT / "src" / "groupchar").glob("*.py")):
+        for f in _cache_writes(path):
+            owner[f] = next((w for w in CACHE_WRITERS if f == w or f.startswith(w + ".")), None)
+    outside = sorted(f for f, w in owner.items() if w is None)
+    assert not outside, f"fill these through groups._memo: {outside}"
+    assert set(owner.values()) == CACHE_WRITERS  # the scan still sees the allowed writes
 
 
 PROBE = '''
