@@ -296,3 +296,14 @@ def test_corpus_normal_structure_is_frozen():
         records.append(record)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest[:16] == "7842fa6ce1769052"
+
+
+def test_triple_records_are_frozen(triple_records):
+    """Every invariant-θ record of the corpus pairs, each with its entry name
+    and N's ids, hashed in fixture order, matches the recorded digest: the
+    scan's counts above only sample these fields, so a changed record fails
+    here even when no count moves."""
+    rows = [[name, sub.elements.tolist(), rec] for name, _, sub, rec in triple_records]
+    assert len(rows) == 60782
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "a090055ee5bb889d"
