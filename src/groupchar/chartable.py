@@ -31,19 +31,23 @@ are put in canonical order (trivial character first, then by degree and
 lexicographic coefficients).
 
 Most groups a scan meets are isomorphic to one that already holds a table,
-so ``compute_table`` first looks in a pool of weak references to the live
-groups that hold one, keyed on the order and the multiset of (element
-order, class size).  An isomorphism to a pooled group is searched for by
+so ``compute_table``, a memo on the group like its other facts, first looks
+in a pool of weak references to live tables, keyed on the order and the
+multiset of (element order, class size), with one list per isomorphism
+type: the built table first, then the ones transported from it.  An
+isomorphism to the group of a type's oldest live table is searched for by
 mapping generators to candidate images (Miller's generator-image
 technique, under a node budget) and checked exactly in full; the table is
 then read off through it as a column gather and put in canonical order.
 The rows, the prime (fixed by exponent and order) and the root are the
 ones the build would give, so both routes give the same bytes.  The pool
-holds no table that a live group does not hold, so it needs no bound, and
-nothing carries over once the groups are gone.  Like the group caches it
-is filled without a lock: concurrent first calls may build or pool the
-same type twice, which changes no result.  Only ``table_counts``, the
-number of tables built and transported, is updated under a lock.
+keeps no table alive: a table is pooled while its group lives, so the pool
+needs no bound, and nothing carries over once the groups are gone.  Dead
+references are dropped when their key is next looked up.  Like the group
+caches the pool is filled without a lock: concurrent first calls may build
+or pool the same type twice, which changes no result.  Only
+``table_counts``, the number of tables built and transported, is updated
+under a lock.
 """
 
 from __future__ import annotations
@@ -173,29 +177,33 @@ class CharacterTable:
                 f"conductor {self.conductor}, prime {self.prime}>")
 
 
+@_memo
 def compute_table(group: Group) -> CharacterTable:
-    """Exact character table of ``group`` (cached on the group).
+    """Exact character table of ``group``, cached on the group.
 
-    The table is transported from a live isomorphic group that already
-    holds one when the pool has such a group and the isomorphism search
-    finds a map within ``ISOMORPHISM_NODE_BUDGET``; otherwise it is built.
-    Both routes give the same bytes.
+    The table is transported from a live table of an isomorphic group when
+    the pool holds one and the isomorphism search finds a map within
+    ``ISOMORPHISM_NODE_BUDGET``; otherwise it is built and heads a new type
+    in the pool.  Both routes give the same bytes.
     """
-    cached = group._cache.get("table")
-    if cached is not None:
-        return cached
     n = group.order
     if n > TABLE_ORDER_BOUND:
         raise BoundExceeded("character table order", n, TABLE_ORDER_BOUND)
-    found = _transport_from_pool(group)
-    if found is None:
-        table, kin = _build_table(group), None
+    key = _isomorphism_key(group)
+    live = ([ref for ref in kin if ref() is not None] for kin in _TABLE_POOL.get(key, ()))
+    types = _TABLE_POOL[key] = [kin for kin in live if kin]
+    for kin in types:
+        source = kin[0]()
+        phi = None if source is None else _find_isomorphism(group, source.group)
+        if phi is not None:
+            table, route = _transport(group, source, phi), "transported"
+            kin.append(weakref.ref(table))
+            break
     else:
-        table, kin = found
+        table, route = _build_table(group), "built"
+        types.append([weakref.ref(table)])
     with _COUNT_LOCK:
-        table_counts["built" if kin is None else "transported"] += 1
-    group._cache["table"] = table
-    _pool_add(group, kin)
+        table_counts[route] += 1
     return table
 
 
@@ -294,18 +302,11 @@ ISOMORPHISM_NODE_BUDGET = 2000
 table_counts = {"built": 0, "transported": 0}
 _COUNT_LOCK = threading.Lock()
 
-# _isomorphism_key() -> one list per isomorphism type met, of weak
-# references to the live groups of that type that hold a table.  A
-# reference drops out when its group dies, so the pool holds no table that
-# a live group does not hold itself.
-_TABLE_POOL: dict[tuple, list[list["_Member"]]] = {}
-
-
-class _Member(weakref.ref):
-    """A weak reference to a pooled group, with the lists that hold it:
-    its isomorphic kin and the types under its key."""
-
-    __slots__ = ("kin", "types")
+# _isomorphism_key() -> one list per isomorphism type met -> weak references
+# to that type's tables, the built one first and then those transported
+# since.  A type is served by its oldest live table, and dead references
+# are dropped when their key is next looked up.
+_TABLE_POOL: dict[tuple, list[list[weakref.ref]]] = {}
 
 
 @_memo
@@ -326,46 +327,6 @@ def _isomorphism_key(group: Group) -> tuple[int, bytes]:
     """The order and the multiset of (element order, class size): equal for
     isomorphic groups, though equal keys do not prove an isomorphism."""
     return group.order, np.sort(_element_key(group) // (group.order + 1)).tobytes()
-
-
-def _pool_add(group: Group, kin: list[_Member] | None) -> None:
-    """Pool ``group`` with its isomorphic ``kin``, or as a new type when
-    ``kin`` is None or has left the pool since (its groups died)."""
-    types = _TABLE_POOL.setdefault(_isomorphism_key(group), [])
-    if not any(k is kin for k in types):
-        kin = []
-        types.append(kin)
-    member = _Member(group, _forget)
-    member.kin, member.types = kin, types
-    kin.append(member)
-
-
-def _forget(member: _Member) -> None:
-    """Drop a pooled group that died, then its type once no kin is left,
-    then the key once it has no type."""
-    kin, types = member.kin, member.types
-    if member in kin:
-        kin.remove(member)
-    if not kin:
-        types[:] = [k for k in types if k is not kin]
-    if not types:
-        for key, value in list(_TABLE_POOL.items()):
-            if value is types:
-                del _TABLE_POOL[key]
-
-
-def _transport_from_pool(group: Group) -> tuple[CharacterTable, list] | None:
-    """The table of ``group`` carried over from a pooled isomorphic group,
-    with that group's kin, or None when no pooled type is found isomorphic
-    within the budget."""
-    for kin in list(_TABLE_POOL.get(_isomorphism_key(group), ())):
-        source = kin[0]() if kin else None
-        if source is None:
-            continue
-        phi = _find_isomorphism(group, source)
-        if phi is not None:
-            return _transport(group, source, phi), kin
-    return None
 
 
 def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
@@ -474,16 +435,15 @@ def _generator_chain(h: Group, gens) -> list[tuple]:
     return levels
 
 
-def _transport(h: Group, s: Group, phi: np.ndarray) -> CharacterTable:
-    """The table of h read off the table of s through the isomorphism phi:
-    each class of h takes the column of the class of phi(rep), and the rows
-    are put in canonical order."""
-    n = h.order
+def _transport(h: Group, src: CharacterTable, phi: np.ndarray) -> CharacterTable:
+    """The table of h read off the table ``src`` of s = src.group through
+    the isomorphism phi: h -> s: each class of h takes the column of the
+    class of phi(rep), and the rows are put in canonical order."""
+    n, s = h.order, src.group
     if not np.array_equal(np.sort(phi), np.arange(n)):
         raise ContractViolation("isomorphism search returned a non-bijection")
     if not np.array_equal(phi[h.mul], s.mul[phi[:, None], phi[None, :]]):
         raise ContractViolation("isomorphism search returned a non-homomorphism")
-    src = s._cache["table"]
     cc = h.conjugacy_classes()
     cols = _image_classes(h, s, phi)
     coeffs = src._coeffs[:, cols]

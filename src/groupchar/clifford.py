@@ -14,7 +14,8 @@ and a supersolvable or odd-order quotient G/N, that exactly one character
 of G lies above θ and that its ramification index e satisfies e² = |G:N|;
 it also asserts the two-characters-above fact (equal degrees) and, for
 fully ramified θ with abelian quotient, the A × A invariant-factor shape of
-G/N.  Violations are raised as TheoremViolation, never swallowed.  Facts
+G/N.  Violations are raised as TheoremViolation, never swallowed, with
+N's ids in the witness (``n_elements``) and θ's row.  Facts
 about G/N are read inside G: its order |G:N|, G/N abelian as G′ ≤ N, its
 chief factors as those of G above N, and its invariant factors from orders
 modulo N, so no quotient group is built.  Full ramification is read from
@@ -32,7 +33,7 @@ import numpy as np
 from ._arith import prime_factors
 from .chartable import CharacterTable, compute_table, restriction_multiplicities
 from .errors import ContractViolation, TheoremViolation
-from .groups import Group, Subgroup, require_normal
+from .groups import Group, Subgroup, _pair_witness, require_normal
 
 __all__ = [
     "class_fusion",
@@ -170,7 +171,7 @@ def _check_clifford(table_g: CharacterTable, table_n: CharacterTable,
 def _assert_invariant_theorems(group: Group, sub: Subgroup, rec: dict):
     """The theorem assertions for the record of one invariant θ."""
     count, degs, qclass = rec["count_above"], rec["degrees_above"], rec["quotient_class"]
-    witness = {"group": group.label, "n_order": sub.order, "theta": rec["theta"]}
+    witness = {**_pair_witness(group, sub), "theta": rec["theta"]}
     if (rec["distinct_degrees"] and qclass in ("supersolvable", "odd")
             and not rec["fully_ramified"]):
         raise TheoremViolation(

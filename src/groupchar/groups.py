@@ -20,11 +20,7 @@ Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
 instance's ``_cache`` under the method name plus positional arguments.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
-instance may compute the same value twice.  A `Group` can be weakly
-referenced (``__weakref__``): `chartable` pools weak references to the
-groups that hold a table, to transport it to isomorphic groups, so a
-pooled group lives no longer than its other references and the pool, like
-the caches, is filled idempotently and without a lock.
+instance may compute the same value twice.
 """
 
 from __future__ import annotations
@@ -63,6 +59,14 @@ def require_normal(group: "Group", sub: "Subgroup") -> None:
         raise NotNormal(f"{sub} is not normal in {group.label}")
 
 
+def _pair_witness(group: "Group", sub: "Subgroup") -> dict:
+    """The fields by which a TheoremViolation witness names the pair (G, N):
+    G's label, |N| and N's ids, so ``Subgroup(G, witness["n_elements"])``
+    rebuilds N."""
+    return {"group": group.label, "n_order": sub.order,
+            "n_elements": tuple(sub.elements.tolist())}
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only: cached arrays are shared by every caller."""
     a.flags.writeable = False
@@ -89,7 +93,7 @@ def _memo(method):
 class Group:
     """A finite group given by its full n x n multiplication table."""
 
-    __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache", "__weakref__")
+    __slots__ = ("order", "mul", "inv", "elt_order", "label", "_cache")
 
     def __init__(self, mul, label: str = "G", *, validate: bool = True):
         mul = np.asarray(mul)

@@ -3,7 +3,8 @@
 Everything here treats the classification results as falsifiable claims:
 whenever a hypothesis is established computationally, the promised
 conclusions are asserted and any failure raises TheoremViolation with a
-witness.  The two Camina checkers (centralizer sizes vs character
+witness; on a pair (G, N) the witness names N by its ids (``n_elements``),
+so the failing case replays.  The two Camina checkers (centralizer sizes vs character
 vanishing) are always run together; disagreement is an internal error.
 """
 
@@ -21,6 +22,7 @@ from .groups import (
     IteratedSeries,
     Subgroup,
     _memo,
+    _pair_witness,
     acts_fixed_point_freely,
     frobenius_complement,
     is_frobenius_with_kernel,
@@ -196,7 +198,7 @@ def _assert_type1(group: Group, sub: Subgroup, p: int, report: PairReport):
     def fail(msg):
         raise TheoremViolation(
             "nilpotent distinct-degree pair must be the 2-group shape: " + msg,
-            {"group": group.label, "n_order": sub.order},
+            _pair_witness(group, sub),
         )
 
     order = group.order
@@ -226,7 +228,7 @@ def _assert_type2(group: Group, sub: Subgroup, p: int, n_exp: int,
         raise TheoremViolation(
             "Frobenius distinct-degree pair must be the sharply transitive "
             "shape: " + msg,
-            {"group": group.label, "n_order": sub.order},
+            _pair_witness(group, sub),
         )
 
     target = p ** n_exp - 1
@@ -264,7 +266,7 @@ def _assert_type3(group: Group, sub: Subgroup, p: int, n_exp: int,
     def fail(msg):
         raise TheoremViolation(
             "residual distinct-degree pair breaks its promised shape: " + msg,
-            {"group": group.label, "n_order": sub.order},
+            _pair_witness(group, sub),
         )
 
     if group.center().order != 1:
@@ -334,7 +336,7 @@ def classify_pair(group: Group, sub: Subgroup) -> PairReport:
     def fail(msg):
         raise TheoremViolation(
             "distinct-degree pair misses a promised conclusion: " + msg,
-            {"group": group.label, "n_order": sub.order},
+            _pair_witness(group, sub),
         )
 
     if not (report.camina_centralizer and report.camina_vanishing):
@@ -454,8 +456,7 @@ def residual_case(group: Group, sub: Subgroup) -> dict:
     ):
         return out
     p, _ = pp
-    witness = {"group": group.label, "p": p, "n_order": sub.order,
-               "n_elements": tuple(sub.elements.tolist())}
+    witness = {**_pair_witness(group, sub), "p": p}
     rad = group.radicals(p)
     if rad.o_p_prime.order != 1:
         raise TheoremViolation(

@@ -81,10 +81,9 @@ def test_public_names_are_pinned():
     assert sorted(_public(groupchar)) == PUBLIC
 
 
-# The only functions that write into a ``_cache`` directly: the memo route,
-# the maker of normal subgroups (which seeds the class mask), and
-# compute_table, whose first call also counts and pools the table.
-CACHE_WRITERS = {"groups._memo", "groups.Group._normal", "chartable.compute_table"}
+# The only functions that write into a ``_cache`` directly: the memo route
+# and the maker of normal subgroups (which seeds the class mask).
+CACHE_WRITERS = {"groups._memo", "groups.Group._normal"}
 
 
 def _cache_writes(path: Path) -> set[str]:

@@ -35,7 +35,8 @@ from groupchar import (
     sym,
     TheoremViolation,
 )
-from groupchar import pairs
+from groupchar import clifford, pairs
+from groupchar.clifford import ramification_scan_pair
 from groupchar._arith import prime_factors
 from groupchar.cli import main
 from groupchar.constructors import (
@@ -323,6 +324,46 @@ def test_residual_case_witness_rebuilds_n(monkeypatch):
     witness = err.value.witness
     assert witness["p"] == 3
     assert Subgroup(s3, witness["n_elements"]) == a3
+
+
+def _replay_cases():
+    """(module, patched name, stand-in, G, N, entry point, claim) per
+    forced violation: the invariant-character theorems, the classifier's
+    own check, and each of the three type assertions."""
+    es32 = extraspecial_2(2, "+")
+    s3 = sym(3)
+    u54 = _unitriangular3_by_inversion()
+    return {
+        "clifford": (clifford, "abelian_invariant_factors", lambda group, sub: [2],
+                     es32, es32.center(), ramification_scan_pair, "fully ramified"),
+        "classify": (pairs, "pprime_elements_fpf", lambda group, sub, p: False,
+                     s3, _a3(s3), classify_pair, "distinct-degree pair misses"),
+        "type1": (pairs, "_faithful_rows", lambda table: np.zeros(0, dtype=np.int64),
+                  es32, es32.center(), classify_pair, "nilpotent"),
+        "type2": (pairs, "frobenius_complement", lambda group, sub: None,
+                  s3, _a3(s3), classify_pair, "Frobenius"),
+        "type3": (pairs, "isqrt_exact", lambda n: None,
+                  u54, u54.minimal_normal_subgroups()[0], classify_pair, "residual"),
+    }
+
+
+@pytest.mark.parametrize("case", ["clifford", "classify", "type1", "type2", "type3"])
+def test_every_theorem_violation_replays(case, monkeypatch):
+    """Each forced TheoremViolation names G by its label and N by its ids:
+    ``Subgroup(G, witness["n_elements"])`` is N again, and the same call on
+    it fails the same claim."""
+    module, name, stand_in, g, n, entry, claim = _replay_cases()[case]
+    monkeypatch.setattr(module, name, stand_in)
+    with pytest.raises(TheoremViolation) as err:
+        entry(g, n)
+    assert err.value.claim.startswith(claim)
+    witness = err.value.witness
+    assert (witness["group"], witness["n_order"]) == (g.label, n.order)
+    rebuilt = Subgroup(g, witness["n_elements"])
+    assert rebuilt == n
+    with pytest.raises(TheoremViolation) as again:
+        entry(g, rebuilt)
+    assert again.value.claim == err.value.claim
 
 
 def _by_cyclic(base, m, auto):

@@ -156,21 +156,46 @@ def test_a_map_that_fails_the_checks_is_a_contract_violation(monkeypatch):
         compute_table(relabel(s4, 3))
 
 
+def _pooled(key) -> list[list]:
+    """The tables pooled under ``key``, one list per type, dead ones as None."""
+    return [[ref() for ref in kin] for kin in chartable._TABLE_POOL[key]]
+
+
 def test_pool_forgets_a_dead_group():
     g = direct_product(cyclic(7), cyclic(11))  # C77: no other test builds it
-    compute_table(g)
+    table = compute_table(g)
     key = chartable._isomorphism_key(g)
-    assert [len(kin) for kin in chartable._TABLE_POOL[key]] == [1]
+    assert _pooled(key) == [[table]]
+    del table
     fresh = relabel(g, 4)
-    assert chartable._transport_from_pool(fresh) is not None
     del g
     gc.collect()
-    assert key not in chartable._TABLE_POOL
-    assert chartable._transport_from_pool(fresh) is None
     before = chartable.table_counts["built"]
     compute_table(fresh)
     assert chartable.table_counts["built"] == before + 1
-    assert chartable._TABLE_POOL[key][0][0]() is fresh
+    assert _pooled(key) == [[compute_table(fresh)]]
+
+
+def test_a_live_transported_table_serves_once_the_built_one_dies():
+    """The kin fallback: a type whose built table died is still served by a
+    table transported from it while that one lives."""
+    g = direct_product(cyclic(5), cyclic(13))  # C65: no other test builds it
+    key = chartable._isomorphism_key(g)
+    before = dict(chartable.table_counts)
+    compute_table(g)
+    first = relabel(g, 6)
+    compute_table(first)
+    assert chartable.table_counts["built"] == before["built"] + 1
+    assert chartable.table_counts["transported"] == before["transported"] + 1
+    del g
+    gc.collect()
+    assert _pooled(key) == [[None, compute_table(first)]]
+    second = relabel(first, 7)
+    compute_table(second)
+    assert chartable.table_counts["built"] == before["built"] + 1
+    assert chartable.table_counts["transported"] == before["transported"] + 2
+    assert _pooled(key) == [[compute_table(first), compute_table(second)]]
+    assert route_differences(second) == []
 
 
 def test_transported_table_belongs_to_the_caller():
