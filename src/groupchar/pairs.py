@@ -4,8 +4,9 @@ Everything here treats the classification results as falsifiable claims:
 whenever a hypothesis is established computationally, the promised
 conclusions are asserted and any failure raises TheoremViolation with a
 witness; on a pair (G, N) the witness names N by its ids (``n_elements``),
-so the failing case replays.  The two Camina checkers (centralizer sizes vs character
-vanishing) are always run together; disagreement is an internal error.
+so the failing case replays.  The two Camina checkers (centralizer sizes
+vs character vanishing) are always run together; disagreement is an
+internal error.
 """
 
 from __future__ import annotations
