@@ -21,6 +21,7 @@ from groupchar import (
     run_corpus,
     verify_table,
 )
+import groupchar.chartable as chartable
 from groupchar._arith import prime_factors
 from groupchar.actions import (
     dade_duplicate_check,
@@ -307,3 +308,17 @@ def test_triple_records_are_frozen(triple_records):
     assert len(rows) == 60782
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest[:16] == "a090055ee5bb889d"
+
+
+def test_corpus_built_tables_are_frozen():
+    """Every corpus entry's table, built by the class-algebra split (not
+    transported) and hashed in corpus order with its prime, root, conductor
+    and shape, matches the recorded digest, so a change to the build that
+    moves the bytes of every table alike fails here."""
+    digest = hashlib.sha256()
+    for entry in build_corpus():
+        table = chartable._build_table(entry.build())
+        digest.update(json.dumps([entry.name, table.prime, table.root, table.conductor,
+                                  list(table._coeffs.shape)]).encode())
+        digest.update(table._coeffs.tobytes())
+    assert digest.hexdigest()[:16] == "eba6ec9e7249cc64"
