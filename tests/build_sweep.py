@@ -1,0 +1,48 @@
+"""Build the table of every distinct normal subgroup of the corpus and print
+one digest over all of them.
+
+    python3 tests/build_sweep.py
+
+Walks the corpus entries in order and each entry's normal subgroups in
+order.  The first time a Cayley table (``as_group().mul``) is met, its
+character table is built by the class-algebra split (``_build_table``:
+never transported, never cached).  Each table's digest is the sha256 of
+its coefficient bytes followed by ``repr((prime, root, shape))``; the
+script prints the number of tables and the first 16 hex digits of the
+sha256 of the sorted per-table hex digests, joined.  A change to the build
+that keeps this line keeps the bytes of every table the pipeline can meet.
+The file name keeps pytest from collecting it.
+"""
+
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from groupchar import build_corpus  # noqa: E402
+from groupchar.chartable import _build_table  # noqa: E402
+
+
+def main() -> None:
+    start = time.perf_counter()
+    seen: set[bytes] = set()
+    digests = []
+    for entry in build_corpus():
+        for sub in entry.build().normal_subgroups():
+            group = sub.as_group()
+            key = group.mul.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            t = _build_table(group)
+            tail = repr((t.prime, t.root, t._coeffs.shape)).encode()
+            digests.append(hashlib.sha256(t._coeffs.tobytes() + tail).hexdigest())
+    total = hashlib.sha256("".join(sorted(digests)).encode()).hexdigest()
+    print(f"{len(digests)} tables  {total[:16]}  "
+          f"({time.perf_counter() - start:.1f} s)")
+
+
+if __name__ == "__main__":
+    main()
