@@ -6,16 +6,16 @@ with q ≡ 1 (mod e) and q > 2|G| (e the group exponent), whose vectors are
 the central characters mod q.  They are found by splitting (Schneider,
 "Dixon's character table algorithm revisited", 1990):
 
-* the whole space is split first by one combination sum c_i * C_i of the
-  non-identity class matrices, with weights from a fixed-seed generator,
-  which usually separates every character at once;
+* each pass splits every block above dimension one by a combination
+  sum c_i * C_i of the non-identity class matrices, with fresh weights
+  from a fixed-seed generator; the first pass usually separates every
+  character at once;
 * in each split, the eigenvector of every simple root of the block's
   charpoly is the projection of one seeded probe vector through its
   Krylov rows, checked exactly; repeated roots, and projections that
   vanish, take a nullspace instead;
-* blocks left by repeated eigenvalues are split by the single class
-  matrices in a fixed order (increasing class size, ties by
-  representative id) until every block is one-dimensional.
+* passes go on until every block is one-dimensional, at most one per
+  class.
 
 Degrees follow from the orthogonality relation, and each value is lifted to
 an exact cyclotomic integer by extracting root-of-unity multiplicities,
@@ -473,54 +473,45 @@ def _probe_vector(rng: np.random.Generator, d: int, q: int) -> np.ndarray:
     return rng.integers(0, q, size=d)
 
 
-def _class_matrix_sum(group: Group, cc, elems: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """M[j, c] = sum of weights[x] over x in elems with x^-1 * rep_c in class j.
-
-    With the members of class i and unit weights this is the class matrix
-    C_i; with every non-identity element weighted by its class's c_i it is
-    sum c_i * C_i.
-    """
-    k = len(cc.reps)
-    prod_classes = cc.class_of[group.mul[np.ix_(group.inv[elems], cc.reps)]]
-    m = np.zeros((k, k), dtype=np.int64)
-    np.add.at(
-        m,
-        (prod_classes.ravel(), np.tile(np.arange(k), elems.size)),
-        np.repeat(weights, k),
-    )
-    return m
-
-
 def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
     """Common eigenbasis of the class matrices over F_q, one row per character,
     normalized so the identity-class coordinate is 1.
 
-    The whole space is split first by one seeded combination sum c_i * C_i
-    of the non-identity class matrices; blocks left by repeated eigenvalues
-    are split by the class matrices one at a time (increasing class size,
-    ties by representative id) until every block is one-dimensional.
+    Each pass draws fresh seeded weights c_i and splits every block above
+    dimension one into eigenspaces of sum c_i * C_i over the non-identity
+    classes, until every block is one-dimensional; after k passes (k the
+    number of classes) it gives up.
     """
     k = len(cc.reps)
     rng = np.random.default_rng(_SPLIT_SEED)
+    # (C_i)[j, c] counts the x in class i with x^-1 * rep_c in class j, so
+    # sum c_i * C_i adds c_(class of x) at cell (class of x^-1 * rep_c, c)
+    # for every non-identity x and every class c.
+    others = np.arange(1, group.order)
+    cells = (cc.class_of[group.mul[np.ix_(group.inv[others], cc.reps)]].ravel(),
+             np.tile(np.arange(k), others.size))
+    owners = np.repeat(cc.class_of[others], k)
     blocks: list[tuple[np.ndarray, list[int]]] = [
         (np.eye(k, dtype=np.int64), list(range(k)))
     ]
-    others = np.arange(1, group.order)
-    weights = np.zeros(k, dtype=np.int64)
-    weights[1:] = _combination_weights(rng, k - 1, q)
-    combined = _class_matrix_sum(group, cc, others, weights[cc.class_of[others]])
-    blocks = _split_blocks(blocks, combined.T % q, q, rng)
-
-    class_order = np.lexsort((cc.reps, cc.sizes))[1:]  # class 0 sorts first
-    for i in class_order:
+    for _ in range(k):
         if all(b.shape[0] == 1 for b, _ in blocks):
             break
-        members = cc.members[i]
-        mat = _class_matrix_sum(group, cc, members, np.ones(members.size, dtype=np.int64))
-        blocks = _split_blocks(blocks, mat.T, q, rng)
+        weights = np.zeros(k, dtype=np.int64)
+        weights[1:] = _combination_weights(rng, k - 1, q)
+        combined = np.zeros((k, k), dtype=np.int64)
+        np.add.at(combined, cells, weights[owners])
+        mat_t = combined.T % q
+        split: list[tuple[np.ndarray, list[int]]] = []
+        for basis, pivots in blocks:
+            if basis.shape[0] == 1:
+                split.append((basis, pivots))
+            else:
+                split.extend(_split_block(basis, pivots, mat_t, q, rng))
+        blocks = split
 
     if any(b.shape[0] != 1 for b, _ in blocks):
-        raise SplitFailure("classes exhausted before one-dimensional split")
+        raise SplitFailure(f"no one-dimensional split after {k} seeded combinations")
     omegas = np.zeros((k, k), dtype=np.int64)
     for r, (basis, _) in enumerate(blocks):
         v = basis[0]
@@ -528,17 +519,6 @@ def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
             raise SplitFailure("eigenvector vanishes on the identity class")
         omegas[r] = v * inv_mod(int(v[0]), q) % q
     return omegas
-
-
-def _split_blocks(blocks, mat_t: np.ndarray, q: int, rng: np.random.Generator):
-    """Split every block of dimension above one into eigenspaces of mat_t."""
-    out: list[tuple[np.ndarray, list[int]]] = []
-    for basis, pivots in blocks:
-        if basis.shape[0] == 1:
-            out.append((basis, pivots))
-        else:
-            out.extend(_split_block(basis, pivots, mat_t, q, rng))
-    return out
 
 
 def _line(vec: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -561,9 +541,7 @@ def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int
     mapped = basis @ mat_t % q
     a = mapped[:, pivots]                       # action matrix (row form)
     if not np.array_equal(a @ basis % q, mapped):
-        raise SplitFailure("class matrix does not preserve the block")
-    if np.array_equal(a, int(a[0, 0]) * np.eye(d, dtype=np.int64)):
-        return [(basis, pivots)]                # a scalar: nothing to split
+        raise SplitFailure("combined class matrix does not preserve the block")
     poly = charpoly_mod(a.T, q)
     roots = poly_roots_mod(poly, q)
     deriv = poly[1:] * np.arange(1, poly.size, dtype=np.int64) % q

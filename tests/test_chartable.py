@@ -10,6 +10,7 @@ import pytest
 
 from groupchar import (
     BoundExceeded,
+    SplitFailure,
     abelian,
     agl1,
     alt,
@@ -241,16 +242,29 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         table = chartable._build_table(build())
         return table._coeffs.tobytes(), table._kernel_mask.tobytes(), len(table)
 
+    def zero_weights(passes, zero_passes):
+        """Weights that are zero on the first ``zero_passes`` passes and
+        seeded after them; ``passes`` records every draw."""
+        seeded = chartable._combination_weights
+
+        def weights(rng, count, q):
+            passes.append(count)
+            if len(passes) <= zero_passes:
+                return np.zeros(count, dtype=np.int64)
+            return seeded(rng, count, q)
+        return weights
+
     seeded = table_bytes()
     k = seeded[2]
     with monkeypatch.context() as m:
-        # all-zero weights: the combined matrix splits nothing, so the
-        # per-class loop starts from the whole space
-        m.setattr(chartable, "_combination_weights",
-                  lambda rng, count, q: np.zeros(count, dtype=np.int64))
+        # zero weights on the first pass: the combined matrix is scalar and
+        # splits nothing, so the second pass starts from the whole space
+        passes = []
+        m.setattr(chartable, "_combination_weights", zero_weights(passes, 1))
         calls = _split_calls(m)
         assert table_bytes() == seeded
-        assert calls["charpoly"][0] == k
+        assert len(passes) >= 2
+        assert calls["charpoly"][:2] == [k, k]
     with monkeypatch.context() as m:
         # an all-zero probe projects to zero: every eigenvector comes from
         # a nullspace
@@ -259,6 +273,18 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         calls = _split_calls(m)
         assert table_bytes() == seeded
         assert calls["nullspace"][:1] == [k]
+    with monkeypatch.context() as m:
+        # another seed draws other weights and probes: the same table
+        m.setattr(chartable, "_SPLIT_SEED", chartable._SPLIT_SEED + 1)
+        assert table_bytes() == seeded
+    with monkeypatch.context() as m:
+        # weights that are always zero split nothing: the split gives up
+        # after k passes instead of looping
+        passes = []
+        m.setattr(chartable, "_combination_weights", zero_weights(passes, 2 * k))
+        with pytest.raises(SplitFailure):
+            table_bytes()
+        assert len(passes) == k
 
 
 def test_table_order_bound(monkeypatch):
