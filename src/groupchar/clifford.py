@@ -56,15 +56,15 @@ def class_fusion(group: Group, sub: Subgroup, table_n: CharacterTable):
 
 
 def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:
-    """Boolean mask over rows of N's table: is θ fixed by G-conjugation?"""
+    """Boolean mask over rows of N's table: is θ fixed by G-conjugation?
+
+    θ is, exactly when it is constant on each block of N's classes that one
+    G-class holds: equal to its value on the block's first class."""
+    require_normal(group, sub)
+    parent_class = group.conjugacy_classes().class_of[sub.to_parent(table_n.classes.reps)]
+    _, first, block = np.unique(parent_class, return_index=True, return_inverse=True)
     coeffs = table_n._coeffs
-    inv_mask = np.ones(len(table_n.rows), dtype=bool)
-    for block in class_fusion(group, sub, table_n):
-        if block.size < 2:
-            continue
-        ref = coeffs[:, block[0], :]
-        inv_mask &= np.all(coeffs[:, block, :] == ref[:, None, :], axis=(1, 2))
-    return inv_mask
+    return np.all(coeffs == coeffs[:, first[block]], axis=(1, 2))
 
 
 def _conjugation_profile(group: Group, sub: Subgroup,

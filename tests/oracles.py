@@ -21,6 +21,10 @@ each chief step and takes the least by (order, elements), the rule that
 element, the reference for the batched coset closure of `LinearAction`.
 `matrix_perm_big_endian` numbers vectors digit by digit, the reference for
 `constructors._matrix_perm`.
+`invariant_rows_by_fusion` compares rows over the blocks of
+`clifford.class_fusion`, one G-class's members at a time, where
+`clifford.invariant_rows` reads the blocks off N's class representatives
+in one gather.
 `Cyclotomic` adds the ring operations to the library's value type, which
 the pipeline never computes with; the exact sums here run on it.
 """
@@ -35,6 +39,7 @@ import numpy as np
 from groupchar import cyclotomic
 from groupchar._arith import euler_phi
 from groupchar.chartable import compute_table
+from groupchar.clifford import class_fusion
 from groupchar.cyclotomic import _reduction_table
 from groupchar.errors import ContractViolation
 from groupchar.groups import Subgroup
@@ -614,6 +619,19 @@ def ramification_by_definition(group, sub) -> list[dict]:
             "fully_ramified": fully, "e": e if fully else None,
         })
     return out
+
+
+def invariant_rows_by_fusion(group, sub, table_n) -> np.ndarray:
+    """Boolean mask over rows of N's table: is θ equal on every N-class of
+    each block of ``class_fusion``, the N-classes that one G-class holds?"""
+    coeffs = table_n._coeffs
+    inv_mask = np.ones(len(table_n.rows), dtype=bool)
+    for block in class_fusion(group, sub, table_n):
+        if block.size < 2:
+            continue
+        ref = coeffs[:, block[0], :]
+        inv_mask &= np.all(coeffs[:, block, :] == ref[:, None, :], axis=(1, 2))
+    return inv_mask
 
 
 def restrict(chi, sub, table_n) -> list[int]:

@@ -349,6 +349,19 @@ def test_quotient_facts_match_the_quotient_group(proper_normal_pairs):
                     ("odd", False), ("other", False)}
 
 
+def test_invariant_rows_match_the_fusion_blocks(proper_normal_pairs):
+    """Two routes to the invariant rows: one gather over N's class
+    representatives, and the blocks of class_fusion; every corpus pair."""
+    some_not_invariant = 0
+    for _, g, sub in proper_normal_pairs:
+        table_n = compute_table(sub.as_group())
+        got = invariant_rows(g, sub, table_n)
+        assert np.array_equal(got, oracles.invariant_rows_by_fusion(g, sub, table_n)), (
+            g.label, sub.order)
+        some_not_invariant += not got.all()
+    assert some_not_invariant > 0
+
+
 def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):
     """The ramification pass, the extraspecial bucket, extensions_of, the
     classifier and the residual shape read every fact about G/N inside G."""
