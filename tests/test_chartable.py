@@ -82,6 +82,17 @@ def test_table_shape_invariants():
         assert q > 2 * g.order and q % table.conductor == 1
 
 
+def test_table_arrays_are_read_only():
+    """Tables of byte-equal groups share their arrays, so none is writable,
+    on either route."""
+    g = sym(4)
+    for table in (compute_table(g), chartable._build_table(g)):
+        for field in ("_coeffs", "_modq", "_kernel_mask", "_zero_mask", "degrees"):
+            array = getattr(table, field)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+
+
 def test_dixon_prime_choice():
     assert dixon_prime(6, 6) % 6 == 1 and dixon_prime(6, 6) > 12
     q = dixon_prime(12, 128)

@@ -1,6 +1,6 @@
 """Tables transported along an isomorphism against tables built by the
-split, the isomorphism search on a key collision, the weak pool's lifetime,
-and the table counters."""
+split, tables served to a byte-equal Cayley table, the isomorphism search
+on a key collision, the weak pool's lifetime, and the table counters."""
 
 from __future__ import annotations
 
@@ -128,12 +128,17 @@ def _square_count(group: Group) -> int:
 
 
 def test_zero_budget_builds_the_same_bytes(monkeypatch):
+    """With no search budget a group of a pooled type is built, to the bytes
+    the transport gives it.  The group is a fresh relabelling: one byte-equal
+    to a pooled table would take that table and never reach the search."""
     s4 = sym(4)
     compute_table(s4)
-    transported = compute_table(relabel(s4, 1))
+    h = relabel(s4, 14)
+    transported = chartable._transport(h, compute_table(s4),
+                                       chartable._find_isomorphism(h, s4))
     monkeypatch.setattr(chartable, "ISOMORPHISM_NODE_BUDGET", 0)
     before = dict(chartable.table_counts)
-    built = compute_table(relabel(s4, 1))
+    built = compute_table(h)
     assert chartable.table_counts["built"] == before["built"] + 1
     assert chartable.table_counts["transported"] == before["transported"]
     for field in ("_coeffs", "_modq", "_kernel_mask", "degrees"):
@@ -157,8 +162,56 @@ def test_a_map_that_fails_the_checks_is_a_contract_violation(monkeypatch):
 
 
 def _pooled(key) -> list[list]:
-    """The tables pooled under ``key``, one list per type, dead ones as None."""
-    return [[ref() for ref in kin] for kin in chartable._TABLE_POOL[key]]
+    """The tables pooled under ``key``, one list per type in the order their
+    Cayley tables were first met, dead ones as None."""
+    return [[ref() for refs in kin.values() for ref in refs]
+            for kin in chartable._TABLE_POOL[key]]
+
+
+def _no_search(h, s):
+    raise AssertionError("a byte-equal group reached the isomorphism search")
+
+
+def test_a_byte_equal_group_takes_the_pooled_table_without_a_search(monkeypatch):
+    g = direct_product(cyclic(3), dihedral(10))  # C3 x D10: no other test builds it
+    source = compute_table(g)
+    twin = Group(g.mul.copy(), label="twin")
+    monkeypatch.setattr(chartable, "_find_isomorphism", _no_search)
+    before = dict(chartable.table_counts)
+    table = compute_table(twin)
+    assert chartable.table_counts["transported"] == before["transported"] + 1
+    assert chartable.table_counts["built"] == before["built"]
+    assert table is not source and table._coeffs is source._coeffs
+    assert route_differences(twin) == []
+    assert table.group is twin and table.classes is twin.conjugacy_classes()
+    for chi in table:
+        kernel = chi.kernel()
+        assert kernel.parent is twin
+        assert set(kernel.elements) == oracles.kernel_by_values(chi)
+    assert _pooled(chartable._isomorphism_key(g)) == [[source, table]]
+
+
+def test_a_dead_table_serves_no_byte_equal_group():
+    g = direct_product(cyclic(7), cyclic(13))  # C91: no other test builds it
+    key = chartable._isomorphism_key(g)
+    mul = g.mul.copy()
+    compute_table(g)
+    del g
+    gc.collect()
+    twin = Group(mul, label="twin")
+    before = chartable.table_counts["built"]
+    table = compute_table(twin)
+    assert chartable.table_counts["built"] == before + 1
+    assert _pooled(key) == [[table]]
+
+
+def test_an_emptied_pool_isolates_from_byte_equal_tables(monkeypatch):
+    g = direct_product(cyclic(5), cyclic(11))  # C55: no other test builds it
+    compute_table(g)
+    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
+    before = chartable.table_counts["built"]
+    compute_table(Group(g.mul.copy(), label="twin"))
+    assert chartable.table_counts["built"] == before + 1
 
 
 def test_pool_forgets_a_dead_group():
@@ -284,9 +337,18 @@ def test_concurrent_first_calls_agree(monkeypatch):
 
 def test_counts_over_every_corpus_pair(monkeypatch):
     """Fresh corpus groups and all 6912 pairs, from an empty pool: every
-    table requested is built or transported, and no isomorphism type is
-    built twice."""
+    table requested is built or transported, no isomorphism type is built
+    twice, and no Cayley table met before is searched for again."""
     monkeypatch.setattr(chartable, "_TABLE_POOL", {})
+    searches = 0
+    search = chartable._find_isomorphism
+
+    def counted(h, s):
+        nonlocal searches
+        searches += 1
+        return search(h, s)
+
+    monkeypatch.setattr(chartable, "_find_isomorphism", counted)
     before = dict(chartable.table_counts)
     requested = []
     for entry in build_corpus():
@@ -305,6 +367,9 @@ def test_counts_over_every_corpus_pair(monkeypatch):
     # from below.
     invariants = {_order_class_size_invariant(g) for g in requested}
     assert built <= len(invariants)
+    # A Cayley table met before takes the table already pooled for it, so
+    # only the first request of each one that is not built may search.
+    assert searches <= len({g.mul.tobytes() for g in requested}) - built
 
 
 def _order_class_size_invariant(group: Group) -> tuple[int, bytes]:
