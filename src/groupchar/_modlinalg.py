@@ -152,6 +152,23 @@ def poly_roots_mod(coeffs_ascending: np.ndarray, q: int) -> np.ndarray:
     return xs[poly_eval_mod(coeffs_ascending, xs, q) == 0]
 
 
+def root_multiplicities(coeffs_ascending: np.ndarray, roots: np.ndarray, q: int) -> np.ndarray:
+    """Multiplicity of each point of ``roots`` as a root of the polynomial
+    (0 where it is none): the order of the first derivative that is nonzero
+    there.  Valid while every multiplicity is below q, so that the factor
+    μ! of the μ-th derivative is a unit."""
+    deriv = np.asarray(coeffs_ascending, dtype=np.int64) % q
+    mults = np.zeros(len(roots), dtype=np.int64)
+    zero = poly_eval_mod(deriv, roots, q) == 0
+    while zero.any():
+        if deriv.size <= 1:
+            raise ContractViolation(f"zero polynomial, or a multiplicity not below {q}")
+        mults += zero
+        deriv = deriv[1:] * np.arange(1, deriv.size, dtype=np.int64) % q
+        zero &= poly_eval_mod(deriv, roots, q) == 0
+    return mults
+
+
 def element_of_order(e: int, q: int) -> int:
     """A fixed element of multiplicative order ``e`` in F_q (requires e | q-1).
 

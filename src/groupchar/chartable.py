@@ -10,10 +10,10 @@ the central characters mod q.  They are found by splitting (Schneider,
   sum c_i * C_i of the non-identity class matrices, with fresh weights
   from a fixed-seed generator; the first pass usually separates every
   character at once;
-* in each split, the eigenvector of every simple root of the block's
-  charpoly is the projection of one seeded probe vector through its
-  Krylov rows, checked exactly; repeated roots, and projections that
-  vanish, take a nullspace instead;
+* in each split, the eigenspace of every root of the block's charpoly,
+  simple or repeated, is spanned by projections of a few seeded probe
+  vectors through their Krylov rows, checked exactly; only a root whose
+  projections fall short of its multiplicity takes a nullspace instead;
 * passes go on until every block is one-dimensional, at most one per
   class.
 
@@ -70,9 +70,9 @@ from ._modlinalg import (
     charpoly_mod,
     inv_mod,
     nullspace_mod,
-    poly_eval_mod,
     poly_roots_mod,
     powers_mod,
+    root_multiplicities,
     rref_mod,
     element_of_order,
 )
@@ -503,9 +503,10 @@ def _combination_weights(rng: np.random.Generator, count: int, q: int) -> np.nda
     return rng.integers(1, q, size=count)
 
 
-def _probe_vector(rng: np.random.Generator, d: int, q: int) -> np.ndarray:
-    """Vector projected onto the simple eigenspaces of a d-dimensional block."""
-    return rng.integers(0, q, size=d)
+def _probe_vector(rng: np.random.Generator, count: int, d: int, q: int) -> np.ndarray:
+    """``count`` probe rows, projected onto the eigenspaces of a d-dimensional
+    block."""
+    return rng.integers(0, q, size=(count, d))
 
 
 def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
@@ -566,11 +567,13 @@ def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int
     """Eigenspaces of x -> x @ mat_t on the row space of ``basis`` (RREF with
     the given pivot columns), each as (basis, pivots).
 
-    The eigenvector of each simple root λ_j of the block's charpoly p is the
-    projection u * m_j(A) of one probe vector u, where m(x) is the product
-    of (x - λ) over the distinct roots and m_j(x) = m(x) / (x - λ_j).  It is
-    checked exactly.  Repeated roots, and simple roots whose projection is
-    zero, take a nullspace instead.
+    Every root λ_j of the block's charpoly p, of multiplicity μ_j, gets its
+    eigenspace by projection: m(x) is the product of (x - λ) over the
+    distinct roots, m_j(x) = m(x) / (x - λ_j), and the rows u * m_j(A) of a
+    block u of (max μ + 1) seeded probes lie in λ_j's eigenspace, checked
+    exactly.  A simple root takes the first nonzero row; a repeated root
+    the span of its first μ_j + 1 rows, once that span has dimension μ_j.
+    A root whose projections fall short takes a nullspace instead.
     """
     d = basis.shape[0]
     mapped = basis @ mat_t % q
@@ -579,36 +582,40 @@ def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int
         raise SplitFailure("combined class matrix does not preserve the block")
     poly = charpoly_mod(a.T, q)
     roots = poly_roots_mod(poly, q)
-    deriv = poly[1:] * np.arange(1, poly.size, dtype=np.int64) % q
-    is_simple = poly_eval_mod(deriv, roots, q) != 0
-    simple = roots[is_simple]
-    rest = roots[~is_simple]                    # roots that take a nullspace
+    if not roots.size:
+        raise SplitFailure("the block's charpoly has no root in F_q")
+    mults = root_multiplicities(poly, roots, q)
+    s = roots.size
+    count = int(mults.max()) + 1
+    m = np.ones(1, dtype=np.int64)
+    for lam in roots:
+        m = (np.concatenate(([0], m)) - int(lam) * np.concatenate((m, [0]))) % q
+    # Quotients m(x) / (x - λ_j) by synthetic division, one row per λ_j.
+    quot = np.zeros((s, s), dtype=np.int64)
+    quot[:, s - 1] = 1
+    for t in range(s - 1, 0, -1):
+        quot[:, t - 1] = (m[t] + roots * quot[:, t]) % q
+    krylov = np.empty((s, count, d), dtype=np.int64)
+    krylov[0] = _probe_vector(rng, count, d, q)
+    for t in range(1, s):
+        krylov[t] = krylov[t - 1] @ a % q
+    proj = (quot @ krylov.reshape(s, -1) % q).reshape(s, count, d)
+    if not np.array_equal(proj @ a % q, roots[:, None, None] * proj % q):
+        raise SplitFailure("projected vector is not an eigenvector")
 
-    out: list[tuple[np.ndarray, list[int]]] = []
-    if simple.size:
-        s = roots.size
-        m = np.ones(1, dtype=np.int64)
-        for lam in roots:
-            m = (np.concatenate(([0], m)) - int(lam) * np.concatenate((m, [0]))) % q
-        # Quotients m(x) / (x - λ_j) by synthetic division, one row per λ_j.
-        quot = np.zeros((simple.size, s), dtype=np.int64)
-        quot[:, s - 1] = 1
-        for t in range(s - 1, 0, -1):
-            quot[:, t - 1] = (m[t] + simple * quot[:, t]) % q
-        krylov = np.empty((s, d), dtype=np.int64)
-        krylov[0] = _probe_vector(rng, d, q)
-        for t in range(1, s):
-            krylov[t] = krylov[t - 1] @ a % q
-        proj = quot @ krylov % q
-        hit = proj.any(axis=1)
-        proj = proj[hit]
-        rest = np.concatenate((rest, simple[~hit]))
-        if not np.array_equal(proj @ a % q, simple[hit, None] * proj % q):
-            raise SplitFailure("projected vector is not an eigenvector")
-        out.extend(_line(v) for v in proj @ basis % q)
-
+    hit = proj.any(axis=2)
+    simple = (mults == 1) & hit.any(axis=1)
+    out = [_line(v) for v in proj[simple, hit[simple].argmax(axis=1)] @ basis % q]
     found = len(out)
-    for lam in rest:
+    short = list(roots[(mults == 1) & ~simple])
+    for j in np.flatnonzero(mults > 1):
+        span, span_pivots = rref_mod(proj[j, :mults[j] + 1] @ basis % q, q)
+        if len(span_pivots) == mults[j]:
+            out.append((span, span_pivots))
+            found += len(span_pivots)
+        else:
+            short.append(roots[j])
+    for lam in short:
         shifted = (a.T - int(lam) * np.eye(d, dtype=np.int64)) % q
         null = nullspace_mod(shifted, q)
         if null.shape[0] == 0:

@@ -11,6 +11,9 @@ its coefficient bytes followed by ``repr((prime, root, shape))``; the
 script prints the number of tables and the first 16 hex digits of the
 sha256 of the sorted per-table hex digests, joined.  A change to the build
 that keeps this line keeps the bytes of every table the pipeline can meet.
+A second line counts the split's work over these builds: its block splits
+(``_split_block`` calls) and the nullspaces taken by roots whose projected
+probes fell short (``nullspace_mod`` calls).
 The file name keeps pytest from collecting it.
 """
 
@@ -22,10 +25,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from groupchar import build_corpus  # noqa: E402
-from groupchar.chartable import _build_table  # noqa: E402
+from groupchar import chartable  # noqa: E402
+
+
+def _counted(name: str, counts: dict) -> None:
+    """Count the calls of ``chartable.<name>`` in ``counts[name]``."""
+    fn = getattr(chartable, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    counts[name] = 0
+    setattr(chartable, name, counted)
 
 
 def main() -> None:
+    counts: dict[str, int] = {}
+    for name in ("_split_block", "nullspace_mod"):
+        _counted(name, counts)
     start = time.perf_counter()
     seen: set[bytes] = set()
     digests = []
@@ -36,12 +53,14 @@ def main() -> None:
             if key in seen:
                 continue
             seen.add(key)
-            t = _build_table(group)
+            t = chartable._build_table(group)
             tail = repr((t.prime, t.root, t._coeffs.shape)).encode()
             digests.append(hashlib.sha256(t._coeffs.tobytes() + tail).hexdigest())
     total = hashlib.sha256("".join(sorted(digests)).encode()).hexdigest()
     print(f"{len(digests)} tables  {total[:16]}  "
           f"({time.perf_counter() - start:.1f} s)")
+    print(f"{counts['_split_block']} block splits  "
+          f"{counts['nullspace_mod']} nullspaces")
 
 
 if __name__ == "__main__":

@@ -704,6 +704,23 @@ def rank_mod(rows, p: int) -> int:
     return rank
 
 
+def root_multiplicity(poly, root: int, p: int) -> int:
+    """How many times (x - root) divides the polynomial over F_p (ascending
+    coefficients, not all zero), by synthetic division until the remainder
+    is nonzero."""
+    coeffs = [c % p for c in poly]
+    count = 0
+    while True:
+        quotient, acc = [], 0
+        for c in reversed(coeffs):
+            acc = (acc * root + c) % p
+            quotient.append(acc)
+        if quotient.pop():
+            return count
+        coeffs = quotient[::-1]
+        count += 1
+
+
 def charpoly_laplace(a, p: int) -> list[int]:
     """det(xI - a) over F_p by Laplace expansion along the first row, with
     polynomial entries as ascending coefficient lists."""

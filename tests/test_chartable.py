@@ -233,14 +233,32 @@ SPLIT_CASES = {
 
 
 def _split_calls(monkeypatch):
-    """Record the matrix size of every charpoly and nullspace the split takes."""
-    sizes = {"charpoly": [], "nullspace": []}
-    for key, name in (("charpoly", "charpoly_mod"), ("nullspace", "nullspace_mod")):
-        def counted(a, q, _fn=getattr(chartable, name), _key=key):
-            sizes[_key].append(a.shape[0])
-            return _fn(a, q)
-        monkeypatch.setattr(chartable, name, counted)
-    return sizes
+    """Record the matrix size of every charpoly and nullspace the split
+    takes, the dimension of every nullspace and the root multiplicities of
+    every block's charpoly."""
+    calls = {"charpoly": [], "nullspace": [], "nullity": [], "mults": []}
+    charpoly, nullspace = chartable.charpoly_mod, chartable.nullspace_mod
+    multiplicities = chartable.root_multiplicities
+
+    def counted_charpoly(a, q):
+        calls["charpoly"].append(a.shape[0])
+        return charpoly(a, q)
+
+    def counted_nullspace(a, q):
+        null = nullspace(a, q)
+        calls["nullspace"].append(a.shape[0])
+        calls["nullity"].append(null.shape[0])
+        return null
+
+    def counted_multiplicities(poly, roots, q):
+        mults = multiplicities(poly, roots, q)
+        calls["mults"].append(mults)
+        return mults
+
+    monkeypatch.setattr(chartable, "charpoly_mod", counted_charpoly)
+    monkeypatch.setattr(chartable, "nullspace_mod", counted_nullspace)
+    monkeypatch.setattr(chartable, "root_multiplicities", counted_multiplicities)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
@@ -277,13 +295,27 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         assert len(passes) >= 2
         assert calls["charpoly"][:2] == [k, k]
     with monkeypatch.context() as m:
-        # an all-zero probe projects to zero: every eigenvector comes from
-        # a nullspace
+        # all-zero probes project to zero: every eigenspace comes from a
+        # nullspace
         m.setattr(chartable, "_probe_vector",
-                  lambda rng, d, q: np.zeros(d, dtype=np.int64))
+                  lambda rng, count, d, q: np.zeros((count, d), dtype=np.int64))
         calls = _split_calls(m)
         assert table_bytes() == seeded
         assert calls["nullspace"][:1] == [k]
+    with monkeypatch.context() as m:
+        # probes that are all one row project to one line in each
+        # eigenspace: every repeated root of the first pass falls short and
+        # takes a nullspace of the whole space, of its multiplicity
+        probe = chartable._probe_vector
+        m.setattr(chartable, "_probe_vector",
+                  lambda rng, count, d, q: np.repeat(probe(rng, 1, d, q), count, axis=0))
+        calls = _split_calls(m)
+        assert table_bytes() == seeded
+        first = calls["mults"][0]
+        assert first.sum() == k
+        whole = [dim for size, dim in zip(calls["nullspace"], calls["nullity"])
+                 if size == k and dim > 1]
+        assert sorted(whole) == sorted(first[first > 1].tolist())
     with monkeypatch.context() as m:
         # another seed draws other weights and probes: the same table
         m.setattr(chartable, "_SPLIT_SEED", chartable._SPLIT_SEED + 1)
@@ -296,6 +328,21 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         with pytest.raises(SplitFailure):
             table_bytes()
         assert len(passes) == k
+
+
+def test_repeated_roots_split_without_a_nullspace(monkeypatch):
+    # 256 characters in F_521: every combination repeats eigenvalues, and
+    # each repeated root is split by its projected probes alone
+    g = abelian([2] * 8)
+    calls = _split_calls(monkeypatch)
+    table = chartable._build_table(g)
+    assert (len(table), table.prime) == (256, 521)
+    assert calls["nullspace"] == []
+    assert max(int(mults.max()) for mults in calls["mults"]) > 1
+    verify_table(table)
+    assert list(table.classes.reps) == list(range(g.order))
+    ours = sorted(tuple(v.coeffs for v in chi.values) for chi in table)
+    assert ours == sorted(oracles.abelian_dual_rows([2] * 8))
 
 
 def test_table_order_bound(monkeypatch):

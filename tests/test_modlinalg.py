@@ -1,13 +1,21 @@
 """Modular linear algebra over small prime fields against plain-Python
-definitions: RREF and rank, nullspaces, characteristic polynomials and
-polynomial roots."""
+definitions: RREF and rank, nullspaces, characteristic polynomials,
+polynomial roots and root multiplicities."""
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from groupchar._modlinalg import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
+from groupchar._modlinalg import (
+    charpoly_mod,
+    nullspace_mod,
+    poly_roots_mod,
+    root_multiplicities,
+    rref_mod,
+)
+from groupchar.errors import ContractViolation
 
 import oracles
 
@@ -74,3 +82,40 @@ def test_poly_roots_are_exactly_the_roots(case):
     expected = [x for x in range(p)
                 if sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0]
     assert [int(x) for x in roots] == expected
+
+
+@st.composite
+def factored_polys(draw):
+    """(p, monic polynomial, {root: chosen multiplicity}): a product of
+    (x - λ)^μ over chosen roots and multiplicities and a monic cofactor,
+    of degree below p so that every multiplicity is below p."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    chosen = draw(st.dictionaries(st.integers(0, p - 1), st.integers(1, 4), max_size=4))
+    cofactor = draw(st.lists(st.integers(0, p - 1), max_size=3)) + [1]
+    poly = np.array(cofactor, dtype=np.int64)
+    for lam, mu in chosen.items():
+        for _ in range(mu):
+            poly = (np.concatenate(([0], poly)) - lam * np.concatenate((poly, [0]))) % p
+    assume(poly.size <= p)
+    return p, poly, chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_polys())
+def test_root_multiplicities_match_repeated_division(case):
+    p, poly, chosen = case
+    points = np.arange(p, dtype=np.int64)
+    mults = root_multiplicities(poly, points, p)
+    assert [int(m) for m in mults] == [oracles.root_multiplicity(poly.tolist(), x, p)
+                                       for x in range(p)]
+    for lam, mu in chosen.items():
+        assert mults[lam] >= mu
+    roots = poly_roots_mod(poly, p)
+    assert [int(x) for x in roots] == [x for x in range(p) if mults[x]]
+    assert mults.sum() <= poly.size - 1
+
+
+def test_root_multiplicities_refuse_a_multiplicity_of_p():
+    # x^5 over F_5: every derivative vanishes at 0
+    with pytest.raises(ContractViolation):
+        root_multiplicities(np.array([0] * 5 + [1]), np.array([0]), 5)
