@@ -32,27 +32,24 @@ lexicographic coefficients).
 
 Most groups a scan meets are isomorphic to one that already holds a table,
 and many arrive with the very same Cayley table, so ``compute_table``, a
-memo on the group like its other facts, first looks in a pool of weak
-references to live tables, keyed on the order and the multiset of (element
-order, class size), with one dict per isomorphism type from a digest of
-each Cayley table met to the tables of the groups with it, oldest first.  A
-live table whose group has the same Cayley table, byte for byte, is served
-as it stands: the class order is a function of the table, so its rows and
-classes are the caller's too.  Otherwise an isomorphism to the group of the
-oldest live table of a type's first digest is searched for by mapping
-generators to candidate images (Miller's generator-image technique, under a
-node budget) and checked exactly in full; the table is then read off
-through it as a column gather and put in canonical order.  The rows, the
-prime (fixed by exponent and order) and the root are the ones the build
-would give, so every route gives the same bytes, and tables share their
-read-only arrays.  The pool keeps no table alive: a table is pooled while
-its group lives, so the pool needs no bound, and nothing carries over once
-the groups are gone.  Dead references are dropped when their key next meets
-a Cayley table that no live table has.  Like the group caches the pool is
-filled without a lock: concurrent first calls may build or pool the same
-type twice, which changes no result.  Only ``table_counts``, the number of
-tables built and transported (a byte-equal table served counts as
-transported), is updated under a lock.
+memo on the group like its other facts, first looks up a digest of the
+Cayley table among live tables.  A live table whose group has the same
+Cayley table, byte for byte, is served as it stands: the class order is a
+function of the table, so its rows and classes are the caller's too.
+Otherwise the group's isomorphism key (the order and the multiset of
+(element order, class size)) names the live table first built for it, and
+an isomorphism to that table's group is searched for by mapping generators
+to candidate images (Miller's generator-image technique, under a node
+budget) and checked exactly in full; the table is then read off through it
+as a column gather and put in canonical order.  The rows, the prime (fixed
+by exponent and order) and the root are the ones the build would give, so
+every route gives the same bytes, and tables share their read-only arrays.
+Both lookups are weak maps: a table is pooled while its group lives, so the
+pool needs no bound, and nothing carries over once the groups are gone.
+Like the group caches the maps are filled without a lock: concurrent first
+calls may build the same type twice, which changes no result.  Only
+``table_counts``, the number of tables built and transported (a byte-equal
+table served counts as transported), is updated under a lock.
 """
 
 from __future__ import annotations
@@ -188,57 +185,35 @@ class CharacterTable:
 def compute_table(group: Group) -> CharacterTable:
     """Exact character table of ``group``, cached on the group.
 
-    A live pooled table whose group has this Cayley table byte for byte is
-    served as it stands.  Otherwise the table is transported from a live
-    table of an isomorphic group when the pool holds one and the isomorphism
-    search finds a map within ``ISOMORPHISM_NODE_BUDGET``; otherwise it is
-    built and heads a new type in the pool.  Every route gives the same
-    bytes.
+    A live table whose group has this Cayley table byte for byte is served
+    as it stands.  Otherwise the table is transported from the live table
+    built for this isomorphism key when the search finds a map within
+    ``ISOMORPHISM_NODE_BUDGET``; otherwise it is built.  Every route gives
+    the same bytes.
     """
     n = group.order
     if n > TABLE_ORDER_BOUND:
         raise BoundExceeded("character table order", n, TABLE_ORDER_BOUND)
-    key = _isomorphism_key(group)
     digest = hashlib.blake2b(group.mul, digest_size=16).digest()
-    table, kin = _byte_equal(group, digest, _TABLE_POOL.get(key, ()))
+    source = _SAME_TABLE.get(digest)
     route = "transported"
-    if table is None:
-        types = _TABLE_POOL[key] = [kin for kin in map(_live, _TABLE_POOL.get(key, ())) if kin]
-        for kin in types:
-            source = next(iter(kin.values()))[0]()
-            phi = None if source is None else _find_isomorphism(group, source.group)
-            if phi is not None:
-                table = _transport(group, source, phi)
-                break
+    if source is not None and np.array_equal(source.group.mul, group.mul):
+        table = CharacterTable(group, group.conjugacy_classes(), source.degrees,
+                               source.conductor, source.prime, source.root,
+                               source._coeffs)
+    else:
+        key = _isomorphism_key(group)
+        source = _BUILT_TABLE.get(key)
+        phi = None if source is None else _find_isomorphism(group, source.group)
+        if phi is not None:
+            table = _transport(group, source, phi)
         else:
-            table, kin, route = _build_table(group), {}, "built"
-            types.append(kin)
-    kin.setdefault(digest, []).append(weakref.ref(table))
+            table, route = _build_table(group), "built"
+            _BUILT_TABLE.setdefault(key, table)
+    _SAME_TABLE[digest] = table
     with _COUNT_LOCK:
         table_counts[route] += 1
     return table
-
-
-def _byte_equal(group: Group, digest: bytes, types: list[dict]):
-    """(table, its type's dict) when a live pooled table's group has the
-    Cayley table of ``group``, whose blake2b digest is ``digest``: the
-    table's arrays as they stand, on group's own classes.  (None, None) when
-    no live table has that digest, or its group's bytes differ."""
-    for kin in types:
-        live = (ref() for ref in kin.get(digest, ()))
-        source = next((t for t in live if t is not None), None)
-        if source is not None and np.array_equal(source.group.mul, group.mul):
-            return CharacterTable(group, group.conjugacy_classes(), source.degrees,
-                                  source.conductor, source.prime, source.root,
-                                  source._coeffs), kin
-    return None, None
-
-
-def _live(kin: dict[bytes, list[weakref.ref]]) -> dict[bytes, list[weakref.ref]]:
-    """``kin`` without its dead references, and without the digests left
-    with none."""
-    live = {d: [ref for ref in refs if ref() is not None] for d, refs in kin.items()}
-    return {d: refs for d, refs in live.items() if refs}
 
 
 def _build_table(group: Group) -> CharacterTable:
@@ -336,14 +311,11 @@ ISOMORPHISM_NODE_BUDGET = 2000
 table_counts = {"built": 0, "transported": 0}
 _COUNT_LOCK = threading.Lock()
 
-# _isomorphism_key() -> one dict per isomorphism type met -> a blake2b
-# digest of each Cayley table met -> weak references to the tables of the
-# groups with that table, oldest first.  The digests keep the order they
-# were first met in, the built table's first.  A byte-equal group takes the
-# oldest live table of its digest.  Any other first drops the key's dead
-# references and digests, then is searched against the oldest live table
-# of each type's first digest.
-_TABLE_POOL: dict[tuple, list[dict[bytes, list[weakref.ref]]]] = {}
+# Weak maps to live tables, so a table is pooled while its group lives:
+# the blake2b digest of a Cayley table -> the newest table whose group has
+# it, and _isomorphism_key() -> the first table built for that key.
+_SAME_TABLE = weakref.WeakValueDictionary()
+_BUILT_TABLE = weakref.WeakValueDictionary()
 
 
 @_memo

@@ -8,16 +8,19 @@ records for the acceptance criteria that quantify over triples.
 These groups live for the whole session, so ``compute_table`` on any
 isomorphic group a later test builds is transported from one of them, not
 built.  A test that must exercise the split calls ``chartable._build_table``
-directly or empties the pool (``chartable._TABLE_POOL``) by monkeypatch.
+directly or takes the ``empty_table_pool`` fixture.
 The last two fixtures are groups outside the corpus with the shapes of
 residual cases ii and iii of the pair classifier.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
+from groupchar import chartable
 from groupchar.chartable import compute_table
 from groupchar.clifford import ramification_scan_pair
 from groupchar.constructors import (
@@ -35,6 +38,14 @@ from groupchar.groups import Group
 @pytest.fixture(scope="session")
 def corpus_groups():
     return {entry.name: entry.build() for entry in build_corpus()}
+
+
+@pytest.fixture
+def empty_table_pool(monkeypatch):
+    """Both of ``compute_table``'s weak maps emptied for one test, so no table
+    met before serves it; the session's maps come back afterwards."""
+    for name in ("_SAME_TABLE", "_BUILT_TABLE"):
+        monkeypatch.setattr(chartable, name, weakref.WeakValueDictionary())
 
 
 @pytest.fixture(scope="session")

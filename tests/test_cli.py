@@ -392,15 +392,14 @@ def test_violation_exits_2(capsys, monkeypatch):
     assert "violation:" in err
 
 
-def test_split_failure_exits_2(capsys, monkeypatch, q8_file):
+def test_split_failure_exits_2(capsys, monkeypatch, empty_table_pool, q8_file):
     import groupchar.chartable as chartable
 
     def broken_split(group, cc, q):
         raise SplitFailure("forced failure of the eigenspace split")
 
+    # The pool is empty: no live Q8 can hand over its table, so the split runs.
     monkeypatch.setattr(chartable, "_split_central_characters", broken_split)
-    # An empty pool: no live Q8 can hand over its table, so the split runs.
-    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
     code, out, err = run(capsys, ["table", q8_file])
     assert code == 2
     assert out == ""

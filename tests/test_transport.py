@@ -1,10 +1,11 @@
 """Tables transported along an isomorphism against tables built by the
 split, tables served to a byte-equal Cayley table, the isomorphism search
-on a key collision, the weak pool's lifetime, and the table counters."""
+on a key collision, the weak maps' lifetime, and the table counters."""
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import sys
 import threading
 
@@ -42,9 +43,10 @@ def relabel(group: Group, seed: int) -> Group:
     return Group(mul, label=f"{group.label}~{seed}")
 
 
-def route_differences(group: Group) -> list[str]:
-    """The fields on which ``compute_table`` and ``_build_table`` differ."""
-    got, want = compute_table(group), _build_table(group)
+def route_differences(group: Group, got=None) -> list[str]:
+    """The fields on which ``got`` (by default ``compute_table(group)``) and
+    ``_build_table(group)`` differ."""
+    got, want = compute_table(group) if got is None else got, _build_table(group)
     fields = ("_coeffs", "_modq", "_kernel_mask", "degrees")
     out = [f for f in fields if not np.array_equal(getattr(got, f), getattr(want, f))]
     out += [f for f in ("prime", "root", "conductor")
@@ -69,28 +71,30 @@ def type_representatives(corpus_groups, triple_records):
 
 
 def _transported_cases(groups, seed):
-    """Relabelled copies of ``groups``, each checked to take the transport."""
-    copies = [relabel(g, seed + i) for i, g in enumerate(groups)]
-    for h in copies:
-        before = chartable.table_counts["transported"]
-        compute_table(h)
-        assert chartable.table_counts["transported"] == before + 1, h.label
-    return copies
+    """(relabelled copy, its table transported from the original's table)
+    for each of ``groups``, along a map the search must find."""
+    cases = []
+    for i, g in enumerate(groups):
+        h = relabel(g, seed + i)
+        phi = chartable._find_isomorphism(h, g)
+        assert phi is not None, h.label
+        cases.append((h, chartable._transport(h, compute_table(g), phi)))
+    return cases
 
 
 def test_transport_matches_build_on_every_type(type_representatives):
     types, _ = type_representatives
     assert len(types) >= 100
-    for h in _transported_cases(types, seed=1000):
-        assert route_differences(h) == [], h.label
+    for h, table in _transported_cases(types, seed=1000):
+        assert route_differences(h, table) == [], h.label
 
 
 def test_transport_matches_build_on_sampled_tables(type_representatives):
     _, tables = type_representatives
     rng = np.random.default_rng(20221)
     sample = [tables[i] for i in sorted(rng.choice(len(tables), 60, replace=False))]
-    for h in _transported_cases(sample, seed=5000):
-        assert route_differences(h) == [], h.label
+    for h, table in _transported_cases(sample, seed=5000):
+        assert route_differences(h, table) == [], h.label
 
 
 def test_identity_gather_fails_the_two_routes(type_representatives, monkeypatch):
@@ -99,12 +103,11 @@ def test_identity_gather_fails_the_two_routes(type_representatives, monkeypatch)
     types, _ = type_representatives
     monkeypatch.setattr(chartable, "_image_classes",
                         lambda h, s, phi: np.arange(len(h.conjugacy_classes())))
-    copies = _transported_cases(types, seed=9000)
-    assert sum(bool(route_differences(h)) for h in copies) > len(copies) // 2
+    cases = _transported_cases(types, seed=9000)
+    assert sum(bool(route_differences(h, table)) for h, table in cases) > len(cases) // 2
 
 
-def test_key_collision_is_rejected_and_both_are_built(monkeypatch):
-    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
+def test_key_collision_is_rejected_and_both_are_built(empty_table_pool):
     c4 = cyclic(4)
     inversion = [[0, 1, 2, 3], [0, 3, 2, 1]] * 2
     c4_c4 = semidirect_product(c4, c4, inversion)
@@ -117,7 +120,8 @@ def test_key_collision_is_rejected_and_both_are_built(monkeypatch):
     compute_table(c4_c4)
     compute_table(c2_q8)
     assert chartable.table_counts["built"] - before == 2
-    assert len(chartable._TABLE_POOL[chartable._isomorphism_key(c4_c4)]) == 2
+    # The key's one slot keeps the first table built for it.
+    assert _pooled(c2_q8) == (compute_table(c2_q8), compute_table(c4_c4))
     for g in (c4_c4, c2_q8):
         assert route_differences(g) == []
 
@@ -161,15 +165,19 @@ def test_a_map_that_fails_the_checks_is_a_contract_violation(monkeypatch):
         compute_table(relabel(s4, 3))
 
 
-def _pooled(key) -> list[list]:
-    """The tables pooled under ``key``, one list per type in the order their
-    Cayley tables were first met, dead ones as None."""
-    return [[ref() for refs in kin.values() for ref in refs]
-            for kin in chartable._TABLE_POOL[key]]
+def _digest(group: Group) -> bytes:
+    return hashlib.blake2b(group.mul, digest_size=16).digest()
 
 
-def _no_search(h, s):
-    raise AssertionError("a byte-equal group reached the isomorphism search")
+def _pooled(group: Group) -> tuple:
+    """(the table pooled for the Cayley table of ``group``, the table pooled
+    for its isomorphism key), None where a map holds none."""
+    return (chartable._SAME_TABLE.get(_digest(group)),
+            chartable._BUILT_TABLE.get(chartable._isomorphism_key(group)))
+
+
+def _no_search(*args):
+    raise AssertionError("a byte-equal group reached the isomorphism key or search")
 
 
 def test_a_byte_equal_group_takes_the_pooled_table_without_a_search(monkeypatch):
@@ -188,12 +196,20 @@ def test_a_byte_equal_group_takes_the_pooled_table_without_a_search(monkeypatch)
         kernel = chi.kernel()
         assert kernel.parent is twin
         assert set(kernel.elements) == oracles.kernel_by_values(chi)
-    assert _pooled(chartable._isomorphism_key(g)) == [[source, table]]
+    assert _pooled(g) == (table, source)
+
+
+def test_a_byte_equal_group_needs_no_isomorphism_key(monkeypatch):
+    g = direct_product(cyclic(3), dihedral(14))  # C3 x D14: no other test builds it
+    source = compute_table(g)
+    monkeypatch.setattr(chartable, "_isomorphism_key", _no_search)
+    monkeypatch.setattr(chartable, "_find_isomorphism", _no_search)
+    table = compute_table(Group(g.mul.copy(), label="twin"))
+    assert table._coeffs is source._coeffs
 
 
 def test_a_dead_table_serves_no_byte_equal_group():
     g = direct_product(cyclic(7), cyclic(13))  # C91: no other test builds it
-    key = chartable._isomorphism_key(g)
     mul = g.mul.copy()
     compute_table(g)
     del g
@@ -202,23 +218,25 @@ def test_a_dead_table_serves_no_byte_equal_group():
     before = chartable.table_counts["built"]
     table = compute_table(twin)
     assert chartable.table_counts["built"] == before + 1
-    assert _pooled(key) == [[table]]
+    assert _pooled(twin) == (table, table)
 
 
-def test_an_emptied_pool_isolates_from_byte_equal_tables(monkeypatch):
+def test_an_emptied_pool_isolates_from_byte_equal_tables(empty_table_pool):
     g = direct_product(cyclic(5), cyclic(11))  # C55: no other test builds it
-    compute_table(g)
-    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
     before = chartable.table_counts["built"]
+    compute_table(g)
     compute_table(Group(g.mul.copy(), label="twin"))
     assert chartable.table_counts["built"] == before + 1
+    chartable._SAME_TABLE.clear()
+    chartable._BUILT_TABLE.clear()
+    compute_table(Group(g.mul.copy(), label="second twin"))
+    assert chartable.table_counts["built"] == before + 2
 
 
 def test_pool_forgets_a_dead_group():
     g = direct_product(cyclic(7), cyclic(11))  # C77: no other test builds it
     table = compute_table(g)
-    key = chartable._isomorphism_key(g)
-    assert _pooled(key) == [[table]]
+    assert _pooled(g) == (table, table)
     del table
     fresh = relabel(g, 4)
     del g
@@ -226,12 +244,27 @@ def test_pool_forgets_a_dead_group():
     before = chartable.table_counts["built"]
     compute_table(fresh)
     assert chartable.table_counts["built"] == before + 1
-    assert _pooled(key) == [[compute_table(fresh)]]
+    assert _pooled(fresh) == (compute_table(fresh), compute_table(fresh))
 
 
-def test_a_live_transported_table_serves_once_the_built_one_dies():
-    """The kin fallback: a type whose built table died is still served by a
-    table transported from it while that one lives."""
+def test_both_maps_drop_a_dead_group_at_once():
+    """A dead table leaves both maps when the collector frees it, with no
+    later miss on its key needed."""
+    g = direct_product(cyclic(3), cyclic(29))  # C87: no other test builds it
+    table = compute_table(g)
+    digest, key = _digest(g), chartable._isomorphism_key(g)
+    assert chartable._SAME_TABLE[digest] is table
+    assert chartable._BUILT_TABLE[key] is table
+    del g, table
+    gc.collect()
+    assert digest not in chartable._SAME_TABLE
+    assert key not in chartable._BUILT_TABLE
+
+
+def test_a_live_transported_table_serves_once_the_built_one_dies(monkeypatch):
+    """Once the built table of a type dies, a relabelled group of the type
+    is built again: a transported table is never searched against.  The
+    live transported table still serves a group byte-equal to its own."""
     g = direct_product(cyclic(5), cyclic(13))  # C65: no other test builds it
     key = chartable._isomorphism_key(g)
     before = dict(chartable.table_counts)
@@ -242,13 +275,16 @@ def test_a_live_transported_table_serves_once_the_built_one_dies():
     assert chartable.table_counts["transported"] == before["transported"] + 1
     del g
     gc.collect()
-    assert _pooled(key) == [[None, compute_table(first)]]
+    assert key not in chartable._BUILT_TABLE
     second = relabel(first, 7)
     compute_table(second)
-    assert chartable.table_counts["built"] == before["built"] + 1
-    assert chartable.table_counts["transported"] == before["transported"] + 2
-    assert _pooled(key) == [[compute_table(first), compute_table(second)]]
+    assert chartable.table_counts["built"] == before["built"] + 2
+    assert _pooled(second) == (compute_table(second), compute_table(second))
     assert route_differences(second) == []
+    monkeypatch.setattr(chartable, "_find_isomorphism", _no_search)
+    twin = Group(first.mul.copy(), label="twin")
+    assert compute_table(twin)._coeffs is compute_table(first)._coeffs
+    assert chartable.table_counts["transported"] == before["transported"] + 2
 
 
 def test_transported_table_belongs_to_the_caller():
@@ -309,10 +345,9 @@ def _run_threads(work, chunks):
     return errors
 
 
-def test_concurrent_first_calls_agree(monkeypatch):
+def test_concurrent_first_calls_agree(empty_table_pool):
     """Unlocked pool fills from six threads: every table equals a build,
     and every request is counted once as built or transported."""
-    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
     bases = [sym(4), dihedral(8), generalized_quaternion(16), c7_c3()]
     groups = [relabel(b, seed) for seed in range(6) for b in bases]
     before = sum(chartable.table_counts.values())
@@ -335,11 +370,10 @@ def test_concurrent_first_calls_agree(monkeypatch):
         assert route_differences(table.group) == []
 
 
-def test_counts_over_every_corpus_pair(monkeypatch):
+def test_counts_over_every_corpus_pair(monkeypatch, empty_table_pool):
     """Fresh corpus groups and all 6912 pairs, from an empty pool: every
     table requested is built or transported, no isomorphism type is built
     twice, and no Cayley table met before is searched for again."""
-    monkeypatch.setattr(chartable, "_TABLE_POOL", {})
     searches = 0
     search = chartable._find_isomorphism
 
@@ -367,6 +401,9 @@ def test_counts_over_every_corpus_pair(monkeypatch):
     # from below.
     invariants = {_order_class_size_invariant(g) for g in requested}
     assert built <= len(invariants)
+    # One table per isomorphism key: no key met here holds two types, so
+    # the key's one slot serves every later group of its type.
+    assert built == len({chartable._isomorphism_key(g) for g in requested})
     # A Cayley table met before takes the table already pooled for it, so
     # only the first request of each one that is not built may search.
     assert searches <= len({g.mul.tobytes() for g in requested}) - built
