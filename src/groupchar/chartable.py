@@ -21,9 +21,10 @@ Degrees follow from the orthogonality relation, and each value is lifted to
 an exact cyclotomic integer by extracting root-of-unity multiplicities,
 which are genuine nonnegative integers below q and therefore unambiguous
 residues.  A table stores the lifted values as one coefficient array, and
-derives its values mod q and its kernel and zero masks from it;
-``Character.values`` turns a row into ``Cyclotomic`` objects on demand,
-and ``Group._normal`` makes a character's kernel from its kernel-mask row.
+derives its values mod q and its kernel and zero masks from it; its
+``rows`` are built on first read, ``Character.values`` turns a row into
+``Cyclotomic`` objects on demand, and ``Group._normal`` makes a
+character's kernel from its kernel-mask row.
 
 The output does not depend on the weights or the probes: the eigenvectors
 are unique up to scale and normalized, the prime choice is fixed, and rows
@@ -35,7 +36,10 @@ and many arrive with the very same Cayley table, so ``compute_table``, a
 memo on the group like its other facts, first looks up a digest of the
 Cayley table among live tables.  A live table whose group has the same
 Cayley table, byte for byte, is served as it stands: the class order is a
-function of the table, so its rows and classes are the caller's too.
+function of the table, so its rows and classes are the caller's too.  The
+caller's group takes the source group's class arrays
+(``Group._adopt_classes``), and its table the source's coefficients and
+derived arrays, so nothing is recomputed.
 Otherwise the group's isomorphism key (the order and the multiset of
 (element order, class size)) names the live table first built for it, and
 an isomorphism to that table's group is searched for by mapping generators
@@ -144,7 +148,8 @@ class CharacterTable:
     exponent), ``prime`` (the working modulus).
     """
 
-    def __init__(self, group, classes, degrees, conductor, prime, root, coeffs):
+    def __init__(self, group, classes, degrees, conductor, prime, root, coeffs,
+                 derived=None):
         self.group = group
         self.classes = classes
         self.conductor = conductor
@@ -155,16 +160,23 @@ class CharacterTable:
         # Derived from the coefficients: the values mod prime (root as the
         # primitive e-th root of unity), the classes in each kernel
         # (χ(g) = χ(1) exactly), and the classes where each row vanishes.
-        self._modq = _readonly(coeffs @ powers_mod(root, coeffs.shape[2], prime) % prime)
-        self._kernel_mask = _readonly((coeffs[:, :, 0] == degrees[:, None])
-                                      & ~coeffs[:, :, 1:].any(axis=2))
-        self._zero_mask = _readonly(~coeffs.any(axis=2))
+        # A table served to a byte-equal group takes its source's as ``derived``.
+        if derived is None:
+            derived = (coeffs @ powers_mod(root, coeffs.shape[2], prime) % prime,
+                       (coeffs[:, :, 0] == degrees[:, None]) & ~coeffs[:, :, 1:].any(axis=2),
+                       ~coeffs.any(axis=2))
+        self._modq, self._kernel_mask, self._zero_mask = map(_readonly, derived)
         self.degrees = _readonly(degrees)
-        self.rows = tuple(Character(self, i, int(d)) for i, d in enumerate(degrees))
         self._cache = {}
 
+    @property
+    @_memo
+    def rows(self) -> tuple[Character, ...]:
+        """One `Character` per row, built on first read."""
+        return tuple(Character(self, i, int(d)) for i, d in enumerate(self.degrees))
+
     def __len__(self):
-        return len(self.rows)
+        return len(self.degrees)
 
     def __iter__(self):
         return iter(self.rows)
@@ -198,9 +210,11 @@ def compute_table(group: Group) -> CharacterTable:
     source = _SAME_TABLE.get(digest)
     route = "transported"
     if source is not None and np.array_equal(source.group.mul, group.mul):
+        group._adopt_classes(source.group)
         table = CharacterTable(group, group.conjugacy_classes(), source.degrees,
                                source.conductor, source.prime, source.root,
-                               source._coeffs)
+                               source._coeffs,
+                               derived=(source._modq, source._kernel_mask, source._zero_mask))
     else:
         key = _isomorphism_key(group)
         source = _BUILT_TABLE.get(key)

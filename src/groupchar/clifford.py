@@ -33,7 +33,7 @@ import numpy as np
 from ._arith import prime_factors
 from .chartable import CharacterTable, compute_table, restriction_multiplicities
 from .errors import ContractViolation, TheoremViolation
-from .groups import Group, Subgroup, _pair_witness, require_normal
+from .groups import Group, Subgroup, _orders_modulo, _pair_witness, require_normal
 
 __all__ = [
     "class_fusion",
@@ -82,7 +82,7 @@ def abelian_invariant_factors(group: Group, sub: Subgroup) -> list[int]:
     require_normal(group, sub)
     if not _abelian_over(group, sub):
         raise ValueError("invariant factors require an abelian quotient")
-    orders = group._element_orders(sub.member_mask())  # orders in G/N
+    orders = _orders_modulo(group.mul, sub.member_mask())  # orders in G/N
     factors: list[int] = []  # descending
     for p in prime_factors(group.order // sub.order):
         # The layer {a : a^(p^k) = 1} of G/N, counted as its preimage in G

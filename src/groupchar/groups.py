@@ -8,13 +8,19 @@ are read inside G.  `Group.quotient` builds the image group; its one
 caller in the library is `constructors.central_product`, and the method
 also stays because the benchmark tracer times it.  Subgroups are closed
 by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
-(`local_ids`) and its one class-space form (`class_mask`).
+(`local_ids`) and its one class-space form (`class_mask`).  A group made
+from a known one inherits its facts instead of recomputing them:
+`Subgroup.as_group` takes the parent's inverses and element orders through
+`local_ids`, and a group with a byte-equal Cayley table takes its twin's
+classes (`Group._adopt_classes`).  `as_group` and `Group.__init__`, after
+its checks, both end in one private constructor, `Group._fill`.
 Class data and subgroup elements are read-only int64 arrays, one per
 field, and sorted.  `Group._normal` makes every normal subgroup the library
 returns from a class mask, as ``np.flatnonzero(mask[class_of])`` with that
 mask seeded and ``is_normal`` true; element-born ones (closures, products)
 first pass `Group._classes_of`, which refuses a set that is not a union of
-classes.  The class atoms are kept only as a mask matrix and orders.
+classes.  Those ids skip `Subgroup`'s checks, which they pass by
+construction.  The class atoms are kept only as a mask matrix and orders.
 Reports take ints by ``.tolist()``.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
@@ -25,8 +31,8 @@ instance may compute the same value twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import wraps
+from dataclasses import dataclass, replace
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -48,6 +54,23 @@ def _ids(values, n: int, what: str) -> np.ndarray:
     if a.size and (int(a.min()) < 0 or int(a.max()) >= n):
         raise ValueError(f"{what} must be 0..{n - 1}")
     return a
+
+
+def _orders_modulo(mul: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The least t >= 1 with g^t in N, for every g of the table ``mul``, by
+    power chains; N is given by its member mask ``inside``."""
+    n = len(mul)
+    ids = np.arange(n)
+    orders = np.zeros(n, dtype=np.int64)
+    cur = ids.copy()  # g^1
+    k = 1
+    while (orders == 0).any():
+        if k > n:
+            raise ValueError("power chains do not return to the identity")
+        orders[(orders == 0) & inside[cur]] = k
+        cur = mul[cur, ids]
+        k += 1
+    return orders
 
 
 def require_normal(group: "Group", sub: "Subgroup") -> None:
@@ -112,14 +135,22 @@ class Group:
         inv = np.argmax(mul == 0, axis=1)
         if not np.array_equal(mul[inv, ids], np.zeros(n, dtype=np.int64)):
             raise ValueError("right inverses are not left inverses")
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "elt_order", self._element_orders())
+        self._fill(mul, inv, _orders_modulo(mul, ids == 0), label)
         if validate:
             self._check_associativity()
+
+    def _fill(self, mul: np.ndarray, inv: np.ndarray, elt_order: np.ndarray,
+              label: str) -> "Group":
+        """Set the slots from facts known to hold, and return the group: the
+        end of ``__init__`` after its checks, and the whole construction of a
+        group that inherits its facts from a known one (`Subgroup.as_group`)."""
+        object.__setattr__(self, "order", len(mul))
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "elt_order", elt_order)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_cache", {})
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Group is immutable")
@@ -128,24 +159,6 @@ class Group:
         return f"Group({self.label}, order={self.order})"
 
     # -- construction-time checks -------------------------------------------
-
-    def _element_orders(self, inside: np.ndarray | None = None) -> np.ndarray:
-        """The least t >= 1 with g^t in N, for every g; N is given by its
-        member mask ``inside`` and is the trivial subgroup by default."""
-        n = self.order
-        ids = np.arange(n)
-        if inside is None:
-            inside = ids == 0
-        orders = np.zeros(n, dtype=np.int64)
-        cur = ids.copy()  # g^1
-        k = 1
-        while (orders == 0).any():
-            if k > n:
-                raise ValueError("power chains do not return to the identity")
-            orders[(orders == 0) & inside[cur]] = k
-            cur = self.mul[cur, ids]
-            k += 1
-        return orders
 
     def _check_associativity(self) -> None:
         """Light's test over the greedy generating set.
@@ -195,15 +208,23 @@ class Group:
         mul, inv = self.mul, self.inv
         least = mul[mul, inv[:, None]].min(axis=0)  # least h·g·h⁻¹ over h, per g
         reps, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
-        by_class = _readonly(np.argsort(class_of, kind="stable"))
         return ConjugacyClasses(
             group=self,
             reps=_readonly(reps),
             sizes=_readonly(sizes),
-            members=tuple(np.split(by_class, np.cumsum(sizes)[:-1])),
+            by_class=_readonly(np.argsort(class_of, kind="stable")),
             class_of=_readonly(class_of),
             inverse_class=_readonly(class_of[inv[reps]]),
         )
+
+    def _adopt_classes(self, twin: "Group") -> None:
+        """Take the class arrays of ``twin``, a group with this very Cayley
+        table, unless this group's classes are already computed: they are a
+        function of the table.  ContractViolation if the tables differ."""
+        if not np.array_equal(self.mul, twin.mul):
+            raise ContractViolation("a group adopts classes only from a byte-equal table")
+        if "conjugacy_classes" not in self._cache:
+            self._cache["conjugacy_classes"] = replace(twin.conjugacy_classes(), group=self)
 
     def centralizer(self, g: int) -> "Subgroup":
         g = int(_ids(g, self.order, "element id"))
@@ -257,12 +278,19 @@ class Group:
 
     def _normal(self, mask: np.ndarray) -> "Subgroup":
         """The normal subgroup that is the union of the classes the bool
-        mask ``mask`` marks, with ``mask`` as its class mask and
-        ``is_normal`` true by construction.  The library makes every normal
-        subgroup here, from a class-space fact (a kernel, a lattice row, a
-        class radical) or from elements that passed `_classes_of`; the
-        caller vouches that the union is closed."""
-        sub = Subgroup(self, np.flatnonzero(mask[self.conjugacy_classes().class_of]))
+        mask ``mask`` marks, with ``mask`` as its class mask, its member
+        mask read off it and ``is_normal`` true by construction.  The library
+        makes every normal subgroup here, from a class-space fact (a kernel,
+        a lattice row, a class radical) or from elements that passed
+        `_classes_of`; the caller vouches that the union is closed.  The ids
+        skip `Subgroup`'s checks: the nonzero positions of a member mask are
+        sorted, distinct and in range, and hold 0 once the mask holds the
+        identity's class, which is checked."""
+        if not mask[0]:
+            raise ContractViolation("a normal subgroup's class mask lacks the identity class")
+        inside = mask[self.conjugacy_classes().class_of]
+        sub = Subgroup.__new__(Subgroup)._fill(self, np.flatnonzero(inside))
+        sub._cache["member_mask"] = _readonly(inside)
         sub._cache["class_mask"] = _readonly(mask)
         sub._cache["is_normal"] = True
         return sub
@@ -525,19 +553,26 @@ class ConjugacyClasses:
     """Conjugacy class data, one read-only int64 array per field.
 
     ``reps[c]`` is the least element of class c and increases with c, so
-    class 0 is the identity's; ``members[c]`` lists the class in increasing
-    order, and ``inverse_class[c]`` is the class of ``reps[c]``⁻¹.
+    class 0 is the identity's; ``by_class`` lists the elements class by
+    class, each class in increasing order, and ``inverse_class[c]`` is the
+    class of ``reps[c]``⁻¹.
     """
 
     group: Group
     reps: np.ndarray
     sizes: np.ndarray
-    members: tuple[np.ndarray, ...]
+    by_class: np.ndarray
     class_of: np.ndarray
     inverse_class: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reps)
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """``members[c]``: class c in increasing order, a read-only view of
+        ``by_class``, split on first read."""
+        return tuple(np.split(self.by_class, np.cumsum(self.sizes)[:-1]))
 
 
 class Subgroup:
@@ -551,9 +586,16 @@ class Subgroup:
         els = np.unique(_ids(elements, parent.order, "subgroup ids"))
         if els.size == 0 or els[0] != 0:
             raise ValueError("subgroup ids must include the identity 0")
+        self._fill(parent, els)
+
+    def _fill(self, parent: Group, els: np.ndarray) -> "Subgroup":
+        """Set the slots from sorted, distinct, in-range int64 ids that hold
+        0, and return the subgroup: the end of ``__init__`` after its checks,
+        and all of `Group._normal`, whose ids hold these by construction."""
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", _readonly(els))
         object.__setattr__(self, "_cache", {})
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Subgroup is immutable")
@@ -616,13 +658,21 @@ class Subgroup:
 
     @_memo
     def as_group(self) -> Group:
-        """Materialize with dense local ids (sorted by parent id)."""
-        els = self.elements
-        local = self.local_ids()[self.parent.mul[np.ix_(els, els)]]
+        """Materialize with dense local ids (sorted by parent id).
+
+        The group inherits its facts from the parent rather than
+        recomputing them: a closed piece of an associative table is an
+        associative table with identity 0, each element keeps its parent
+        inverse (a closed subset of a finite group holds them) and its
+        parent order, so inverses and orders are the parent's read through
+        `local_ids`.  Only closure is checked."""
+        parent, els, local_ids = self.parent, self.elements, self.local_ids()
+        local = local_ids[parent.mul[np.ix_(els, els)]]
         if local.min() < 0:
             raise ValueError("element set is not multiplicatively closed")
-        # A closed piece of an associative table is associative.
-        return Group(local, label=f"{self.parent.label}.sub{self.order}", validate=False)
+        return Group.__new__(Group)._fill(local, local_ids[parent.inv[els]],
+                                          parent.elt_order[els],
+                                          f"{parent.label}.sub{self.order}")
 
     def to_parent(self, local_id):
         """Map local (materialized) ids to parent ids; scalar or array."""

@@ -23,6 +23,7 @@ from .groups import (
     IteratedSeries,
     Subgroup,
     _memo,
+    _orders_modulo,
     _pair_witness,
     acts_fixed_point_freely,
     frobenius_complement,
@@ -389,7 +390,7 @@ def _residual_shape(j_grp: Group, series: IteratedSeries,
     k_sub, m_sub = series.o_p, series.o_p_pprime
     k_mask, m_mask = k_sub.member_mask(), m_sub.member_mask()
     middle, top = m_sub.order // k_sub.order, n // m_sub.order
-    mod_k = j_grp._element_orders(k_mask)[m_mask]  # orders in M/K
+    mod_k = _orders_modulo(mul, k_mask)[m_mask]  # orders in M/K
     if not m_mask[j_grp.derived_subgroup().elements].all():
         return None, middle, top
     if (

@@ -13,7 +13,10 @@ sha256 of the sorted per-table hex digests, joined.  A change to the build
 that keeps this line keeps the bytes of every table the pipeline can meet.
 A second line counts the split's work over these builds: its block splits
 (``_split_block`` calls) and the nullspaces taken by roots whose projected
-probes fell short (``nullspace_mod`` calls).
+probes fell short (``nullspace_mod`` calls).  Only calls made inside the
+script's own ``_build_table`` calls count, not those of the parents' tables
+that ``normal_subgroups()`` builds through the pool: how many of those are
+built depends on when the garbage collector runs.
 The file name keeps pytest from collecting it.
 """
 
@@ -29,18 +32,20 @@ from groupchar import chartable  # noqa: E402
 
 
 def _counted(name: str, counts: dict) -> None:
-    """Count the calls of ``chartable.<name>`` in ``counts[name]``."""
+    """Count the calls of ``chartable.<name>`` in ``counts[name]`` while
+    ``counts["sweep"]`` is set."""
     fn = getattr(chartable, name)
 
     def counted(*args):
-        counts[name] += 1
+        if counts["sweep"]:
+            counts[name] += 1
         return fn(*args)
     counts[name] = 0
     setattr(chartable, name, counted)
 
 
 def main() -> None:
-    counts: dict[str, int] = {}
+    counts = {"sweep": False}
     for name in ("_split_block", "nullspace_mod"):
         _counted(name, counts)
     start = time.perf_counter()
@@ -53,7 +58,9 @@ def main() -> None:
             if key in seen:
                 continue
             seen.add(key)
+            counts["sweep"] = True
             t = chartable._build_table(group)
+            counts["sweep"] = False
             tail = repr((t.prime, t.root, t._coeffs.shape)).encode()
             digests.append(hashlib.sha256(t._coeffs.tobytes() + tail).hexdigest())
     total = hashlib.sha256("".join(sorted(digests)).encode()).hexdigest()

@@ -309,6 +309,40 @@ def test_normal_lattice_matrix_matches_the_subgroups(corpus_groups):
     assert rows == 6912 + 2 * 115 + 1  # 1 and G, one row for the trivial group
 
 
+def test_normal_subgroups_match_validated_ones(corpus_groups):
+    """`Group._normal` skips `Subgroup`'s id checks; on every lattice row of
+    the corpus its subgroup equals the one `Subgroup(G, ids)` validates, with
+    the same read-only int64 ids and the same member mask."""
+    for name, g in corpus_groups.items():
+        for sub in g.normal_subgroups():
+            checked = Subgroup(g, sub.elements.tolist())
+            assert sub == checked and sub.elements.dtype == checked.elements.dtype, name
+            assert np.array_equal(sub.member_mask(), checked.member_mask()), name
+            assert not sub.elements.flags.writeable, name
+            assert not sub.member_mask().flags.writeable, name
+
+
+def test_normal_refuses_a_mask_without_the_identity_class():
+    g = POOL["S4"]
+    mask = np.ones(len(g.conjugacy_classes()), dtype=bool)
+    mask[0] = False
+    with pytest.raises(ContractViolation, match="identity class"):
+        g._normal(mask)
+
+
+def test_as_group_inherits_the_facts_a_fresh_group_computes(proper_normal_pairs):
+    """N's group takes its inverses and element orders from the parent; on
+    every corpus pair they, and its table, equal those of a group built
+    afresh from the table cut out of the parent."""
+    for name, g, sub in proper_normal_pairs:
+        els = sub.elements
+        inherited = sub.as_group()
+        fresh = Group(np.searchsorted(els, g.mul[np.ix_(els, els)]), validate=False)
+        for fact in ("mul", "inv", "elt_order"):
+            a, b = getattr(inherited, fact), getattr(fresh, fact)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, sub, fact)
+
+
 def test_normal_lattice_bounds(monkeypatch):
     # abelian([2] * 5) has 374 subgroups, all normal
     monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 100)

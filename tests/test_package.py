@@ -81,9 +81,10 @@ def test_public_names_are_pinned():
     assert sorted(_public(groupchar)) == PUBLIC
 
 
-# The only functions that write into a ``_cache`` directly: the memo route
-# and the maker of normal subgroups (which seeds the class mask).
-CACHE_WRITERS = {"groups._memo", "groups.Group._normal"}
+# The only functions that write into a ``_cache`` directly: the memo route,
+# the maker of normal subgroups (which seeds the class mask), and the class
+# sharing of a byte-equal group (which seeds the classes from its twin's).
+CACHE_WRITERS = {"groups._memo", "groups.Group._normal", "groups.Group._adopt_classes"}
 
 
 def _cache_writes(path: Path) -> set[str]:

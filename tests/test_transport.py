@@ -4,6 +4,7 @@ on a key collision, the weak maps' lifetime, and the table counters."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import sys
@@ -182,6 +183,7 @@ def _no_search(*args):
 
 def test_a_byte_equal_group_takes_the_pooled_table_without_a_search(monkeypatch):
     g = direct_product(cyclic(3), dihedral(10))  # C3 x D10: no other test builds it
+    fresh = Group(g.mul.copy()).conjugacy_classes()
     source = compute_table(g)
     twin = Group(g.mul.copy(), label="twin")
     monkeypatch.setattr(chartable, "_find_isomorphism", _no_search)
@@ -192,6 +194,19 @@ def test_a_byte_equal_group_takes_the_pooled_table_without_a_search(monkeypatch)
     assert table is not source and table._coeffs is source._coeffs
     assert route_differences(twin) == []
     assert table.group is twin and table.classes is twin.conjugacy_classes()
+    # The twin takes the source's class arrays and derived table arrays, and
+    # they equal the ones a fresh group computes.
+    for field in dataclasses.fields(fresh):
+        if field.name != "group":
+            assert np.array_equal(getattr(table.classes, field.name),
+                                  getattr(fresh, field.name)), field.name
+    assert len(table.classes.members) == len(fresh.members)
+    assert all(np.array_equal(a, b) for a, b in zip(table.classes.members, fresh.members))
+    assert table.classes.class_of is source.classes.class_of
+    for derived in ("_modq", "_kernel_mask", "_zero_mask"):
+        assert getattr(table, derived) is getattr(source, derived), derived
+    with pytest.raises(chartable.ContractViolation, match="byte-equal"):
+        twin._adopt_classes(cyclic(twin.order))
     for chi in table:
         kernel = chi.kernel()
         assert kernel.parent is twin
