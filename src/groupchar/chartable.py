@@ -631,9 +631,9 @@ def verify_table(table: CharacterTable) -> dict:
     n = table.group.order
     classes = table.classes
     k = len(classes.reps)
-    if len(table.rows) != k:
-        raise ContractViolation("row count differs from class count")
     degrees = table.degrees
+    if table._coeffs.shape[:2] != (k, k) or len(degrees) != k:
+        raise ContractViolation("row or column count differs from class count")
     if int((degrees * degrees).sum()) != n:
         raise ContractViolation("sum of degree squares is not the group order")
     for d in degrees:

@@ -1,7 +1,10 @@
 """Constructors for the standard small groups used throughout the library.
 
-A copy that only relabels a table an inner `Group` validated, and a direct
-product of two groups, skip the associativity test (``validate=False``).
+Each constructor makes its group's table once and one `Group` of it, under
+the group's own label: a finished group is never copied only to rename it.
+A direct product of two groups skips the associativity test
+(``validate=False``), and so does the renamed image of `Group.quotient`
+that `central_product` and `extraspecial_2` return.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 from ._modlinalg import vector_perms
 from .errors import BoundExceeded, InvalidAction
 from .gf import gf_field
-from .groups import Group, Subgroup
+from .groups import SUBGROUP_BOUND, Group, Subgroup
 
 
 def cyclic(n: int) -> Group:
@@ -33,15 +36,21 @@ def direct_product(a: Group, b: Group) -> Group:
 
 
 def abelian(invariants) -> Group:
-    """Direct product of cyclic groups, e.g. abelian([4, 2]) for C4 x C2."""
+    """Direct product of cyclic groups, e.g. abelian([4, 2]) for C4 x C2.
+
+    Ids are mixed-radix digits, the first factor most significant, as
+    `direct_product` numbers them.  The table takes one factor at a time,
+    so no array is larger than the final n x n.
+    """
     invs = [int(d) for d in invariants]
     if not invs or any(d < 1 for d in invs):
         raise ValueError("invariants must be positive integers")
-    g = cyclic(invs[0])
-    for d in invs[1:]:
-        g = direct_product(g, cyclic(d))
-    label = "x".join(f"C{d}" for d in invs)
-    return Group(g.mul, label=label, validate=False)
+    mul = np.zeros((1, 1), dtype=np.int64)
+    for d in invs:
+        i = np.arange(len(mul) * d)
+        hi, lo = i // d, i % d
+        mul = mul[hi[:, None], hi[None, :]] * d + (lo[:, None] + lo[None, :]) % d
+    return Group(mul, label="x".join(f"C{d}" for d in invs))
 
 
 def dihedral(n: int) -> Group:
@@ -141,7 +150,12 @@ def _check_automorphism(a: Group, perm: np.ndarray) -> bool:
 
 
 def semidirect_product(a: Group, b: Group, action) -> Group:
-    """Split extension A : B.
+    """Split extension A : B, labelled "A:B"; see `_semidirect`."""
+    return _semidirect(a, b, action, f"{a.label}:{b.label}")
+
+
+def _semidirect(a: Group, b: Group, action, label: str) -> Group:
+    """Split extension A : B under ``label``.
 
     ``action`` maps each element of B to an automorphism of A given as a
     permutation table on A's ids; it must be a homomorphism B -> Aut(A)
@@ -165,7 +179,18 @@ def semidirect_product(a: Group, b: Group, action) -> Group:
     ai, bi = i // nb, i % nb
     twisted = act[bi[:, None], ai[None, :]]  # action[b1](a2)
     mul = a.mul[ai[:, None], twisted] * nb + b.mul[bi[:, None], bi[None, :]]
-    return Group(mul, label=f"{a.label}:{b.label}")
+    return Group(mul, label=label)
+
+
+def _cyclic_extension(a: Group, m: int, auto, label: str) -> Group:
+    """A : C_m under ``label``, element k of C_m acting as the k-th power of
+    ``auto``, an automorphism of A (a permutation of its ids) whose order
+    divides m."""
+    auto = np.asarray(auto, dtype=np.int64)
+    action = [np.arange(a.order)]
+    for _ in range(m - 1):
+        action.append(auto[action[-1]])
+    return _semidirect(a, cyclic(m), action, label)
 
 
 def automorphism_from_images(g: Group, gens, images) -> tuple[int, ...]:
@@ -239,16 +264,15 @@ def extraspecial_2(m: int, sign: str) -> Group:
 def agl1(q: int) -> Group:
     """The affine group x -> a*x + b over GF(q), order q(q-1).
 
-    q must be a prime power at most 512 (the GF table ceiling).  Note the
-    group order grows like q^2, so Cayley-table memory is the practical
-    limit well before the cap.
+    q must be a prime power.  The Cayley table has (q(q-1))^2 entries, so an
+    order past ``SUBGROUP_BOUND``, the largest any command accepts, raises
+    `BoundExceeded` before the field or any array is made: q = 43 is the
+    largest prime power that passes.
     """
-    if q > 512:
-        raise BoundExceeded("agl1", q, 512)
-    field = gf_field(q)
-    if q == 2:
-        return Group(cyclic(2).mul, label="AGL1(2)", validate=False)
     n = q * (q - 1)
+    if n > SUBGROUP_BOUND:
+        raise BoundExceeded("agl1 order", n, SUBGROUP_BOUND)
+    field = gf_field(q)
     i = np.arange(n)
     a, bv = i // q + 1, i % q  # unit value a, translation b
     prod_a = field.mul[a[:, None], a[None, :]]
@@ -285,8 +309,7 @@ def frobenius72_quaternion() -> Group:
                 rep[y] = rep[x] @ mat % 3
                 queue.append(y)
     action = [_matrix_perm(3, rep[t]) for t in range(8)]
-    g = semidirect_product(v, q8, action)
-    return Group(g.mul, label="F72:Q8", validate=False)
+    return _semidirect(v, q8, action, "F72:Q8")
 
 
 # -- assorted semidirect profiles -------------------------------------------------
@@ -296,25 +319,15 @@ def sl23() -> Group:
     """A group with the SL(2,3) profile: Q8 : C3 cycling i -> j -> k."""
     q8 = generalized_quaternion(8)
     sigma = automorphism_from_images(q8, [1, 4], [4, 5])  # a -> b, b -> ab
-    identity = tuple(range(8))
-    sigma2 = tuple(sigma[sigma[x]] for x in range(8))
-    g = semidirect_product(q8, cyclic(3), [identity, sigma, sigma2])
-    return Group(g.mul, label="SL23", validate=False)
+    return _cyclic_extension(q8, 3, sigma, "SL23")
 
 
 def c7_c3() -> Group:
     """The nonabelian group of order 21, C7 : C3 via x -> 2x."""
-    phi = tuple(2 * x % 7 for x in range(7))
-    phi2 = tuple(phi[phi[x]] for x in range(7))
-    g = semidirect_product(cyclic(7), cyclic(3), [tuple(range(7)), phi, phi2])
-    return Group(g.mul, label="C7:C3", validate=False)
+    return _cyclic_extension(cyclic(7), 3, [2 * x % 7 for x in range(7)], "C7:C3")
 
 
 def c5c5_c3() -> Group:
     """(C5 x C5) : C3 with C3 acting irreducibly (companion of x^2+x+1)."""
-    v = abelian([5, 5])
-    m = np.array([[0, 4], [1, 4]])
-    p1 = _matrix_perm(5, m)
-    p2 = _matrix_perm(5, m @ m % 5)
-    g = semidirect_product(v, cyclic(3), [tuple(range(25)), p1, p2])
-    return Group(g.mul, label="C5^2:C3", validate=False)
+    companion = _matrix_perm(5, [[0, 4], [1, 4]])
+    return _cyclic_extension(abelian([5, 5]), 3, companion, "C5^2:C3")

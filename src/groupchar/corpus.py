@@ -19,17 +19,17 @@ any failed invariant raises and aborts the run.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from ._arith import factorize
+from ._arith import divisors
 from .errors import ContractViolation, UsageError
 from .groups import Group
 from .chartable import compute_table, verify_table
 from .pairs import camina_verdicts, classify_pair, distinct_nonlinear_scan
 from .constructors import (
+    _cyclic_extension,
     abelian,
     agl1,
     alt,
@@ -42,7 +42,6 @@ from .constructors import (
     extraspecial_2,
     frobenius72_quaternion,
     generalized_quaternion,
-    semidirect_product,
     sl23,
     sym,
 )
@@ -55,40 +54,14 @@ __all__ = ["CorpusEntry", "build_corpus", "run_corpus"]
 # enumerating the abelian groups of order <= 32
 
 
-def _partitions(k: int):
-    """All partitions of k with parts in non-increasing order."""
-
-    def rec(rest: int, largest: int):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, largest), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first, *tail)
-
-    yield from rec(k, k)
-
-
-def _abelian_variants(n: int) -> list[tuple[int, ...]]:
+def _abelian_variants(n: int, step: int = 1) -> list[tuple[int, ...]]:
     """Invariant-factor lists (ascending divisor chains) of all abelian
-    groups of order n, in a fixed order."""
+    groups of order n whose factors are multiples of ``step``, sorted: a
+    least factor d > 1, then the chains of n / d in multiples of d."""
     if n == 1:
         return [()]
-    per_prime = []
-    for p in sorted(factorize(n)):
-        per_prime.append([(p, part) for part in _partitions(factorize(n)[p])])
-    variants = []
-    for combo in itertools.product(*per_prime):
-        depth = max(len(part) for _, part in combo)
-        factors = []
-        for i in range(depth):
-            d = 1
-            for p, part in combo:
-                if i < len(part):
-                    d *= p ** part[i]
-            factors.append(d)
-        variants.append(tuple(reversed(factors)))
-    return sorted(variants)
+    return sorted((d, *rest) for d in divisors(n) if d > 1 and d % step == 0
+                  for rest in _abelian_variants(n // d, d))
 
 
 def _build_abelian(invariants: tuple[int, ...]) -> Group:
@@ -101,28 +74,14 @@ def _build_abelian(invariants: tuple[int, ...]) -> Group:
 # assorted semidirect products
 
 
-def _cyclic_action_tables(a: Group, order: int, auto) -> list[tuple[int, ...]]:
-    """Action tables for a cyclic group of the given order generated by one
-    automorphism of ``a`` (element k acts as the k-th power)."""
-    tables = [tuple(range(a.order))]
-    for _ in range(order - 1):
-        prev = tables[-1]
-        tables.append(tuple(auto[prev[x]] for x in range(a.order)))
-    return tables
-
-
 def dicyclic12() -> Group:
     """The dicyclic group of order 12: C3 semidirect C4, C4 inverting C3."""
-    a = cyclic(3)
-    auto = (0, 2, 1)
-    return semidirect_product(a, cyclic(4), _cyclic_action_tables(a, 4, auto))
+    return _cyclic_extension(cyclic(3), 4, (0, 2, 1), "C3:C4")
 
 
 def c5_c4() -> Group:
     """The Frobenius group of order 20: C4 acting faithfully on C5."""
-    a = cyclic(5)
-    auto = tuple((2 * x) % 5 for x in range(5))
-    return semidirect_product(a, cyclic(4), _cyclic_action_tables(a, 4, auto))
+    return _cyclic_extension(cyclic(5), 4, [2 * x % 5 for x in range(5)], "C5:C4")
 
 
 def heisenberg3() -> Group:
@@ -130,7 +89,7 @@ def heisenberg3() -> Group:
     semidirect C3 via the unipotent map (i, j) -> (i, i + j)."""
     a = abelian([3, 3])
     auto = automorphism_from_images(a, [3, 1], [4, 1])
-    return semidirect_product(a, cyclic(3), _cyclic_action_tables(a, 3, auto))
+    return _cyclic_extension(a, 3, auto, "C3xC3:C3")
 
 
 # --------------------------------------------------------------------------

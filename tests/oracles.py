@@ -653,6 +653,30 @@ def restrict(chi, sub, table_n) -> list[int]:
     return mults
 
 
+def partition_count(k: int) -> int:
+    """p(k), the number of partitions of k: ways[t] counts the partitions
+    of t into the parts taken so far."""
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            ways[total] += ways[total - part]
+    return ways[k]
+
+
+def abelian_group_count(n: int) -> int:
+    """The abelian groups of order n up to isomorphism: the product of p(e)
+    over the prime powers p^e exactly dividing n."""
+    count, p = 1, 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        count *= partition_count(e)
+        p += 1
+    return count
+
+
 def abelian_dual_rows(invariants: list[int]) -> list[tuple]:
     """The full character table of C_{d1} x ... x C_{dk} from the dual
     group, as coefficient signatures per element id (mixed radix, first

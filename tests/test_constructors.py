@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import groupchar.constructors as constructors
 from groupchar import (
+    BoundExceeded,
+    Group,
     InvalidAction,
     NotPrimePower,
     abelian,
@@ -27,6 +30,7 @@ from groupchar import (
     sl23,
     sym,
 )
+from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
 
@@ -109,6 +113,24 @@ def test_semidirect_validates_action():
         semidirect_product(c3, c2, [(0, 1, 2)])  # wrong table count
 
 
+@pytest.mark.parametrize("build, made", [
+    (lambda: abelian([2, 2, 2]), 1),  # one table, no factor groups
+    (sl23, 3),  # Q8, C3 and the product, under its own label
+])
+def test_each_group_is_built_once(monkeypatch, build, made):
+    calls = 0
+    init = Group.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "__init__", counting)
+    build()
+    assert calls == made
+
+
 def test_automorphism_from_images():
     c5 = cyclic(5)
     auto = automorphism_from_images(c5, [1], [2])
@@ -160,6 +182,18 @@ def test_agl1_profiles():
     g9 = agl1(9)
     assert g9.order == 72
     assert g9.minimal_normal_subgroups()[0].order == 9
+
+
+def test_agl1_refuses_an_order_past_the_subgroup_bound(monkeypatch):
+    """AGL1(47) has order 2162 > SUBGROUP_BOUND: refused before the field
+    tables or any array are made."""
+    def no_field(q):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(constructors, "gf_field", no_field)
+    with pytest.raises(BoundExceeded) as info:
+        agl1(47)
+    assert (info.value.size, info.value.bound) == (47 * 46, SUBGROUP_BOUND)
 
 
 def test_frobenius72():

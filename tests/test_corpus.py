@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupchar.corpus as corpus_mod
-from groupchar import ContractViolation, Subgroup, sym
+from groupchar import ContractViolation, Subgroup, abelian, cyclic, semidirect_product, sym
 from groupchar.corpus import (
     CorpusEntry,
     build_corpus,
@@ -17,31 +17,14 @@ from groupchar.corpus import (
     heisenberg3,
     run_corpus,
 )
-from groupchar.corpus import _abelian_variants, _partitions
+from groupchar.corpus import _abelian_variants
 
+import oracles
 from oracles import is_frobenius_kernel
 
 
 # --------------------------------------------------------------------------
-# partitions and abelian invariant factors
-
-
-# p(1)..p(7) from the recurrence, cross-checked by brute force below
-PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15}
-
-
-@pytest.mark.parametrize("k,count", sorted(PARTITION_COUNTS.items()))
-def test_partition_counts(k, count):
-    parts = list(_partitions(k))
-    assert len(parts) == count
-    assert len(set(parts)) == count
-
-
-@given(st.integers(min_value=1, max_value=9))
-def test_partitions_sum_and_order(k):
-    for part in _partitions(k):
-        assert sum(part) == k
-        assert all(a >= b for a, b in zip(part, part[1:]))
+# abelian invariant factors
 
 
 def test_abelian_variants_small():
@@ -59,6 +42,15 @@ def test_abelian_variants_are_divisor_chains(n):
         assert prod(invs) == n
         assert all(d > 1 for d in invs)
         assert all(b % a == 0 for a, b in zip(invs, invs[1:]))
+
+
+def test_abelian_variants_count_every_abelian_group():
+    """One invariant-factor list per abelian group of order n: as many as
+    the product of p(e) over the prime powers p^e exactly dividing n."""
+    assert [oracles.partition_count(k) for k in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
+    for n in range(1, 65):
+        variants = _abelian_variants(n)
+        assert len(set(variants)) == len(variants) == oracles.abelian_group_count(n), n
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +104,22 @@ def test_heisenberg3_is_extraspecial_exponent_3():
     z = g.center()
     assert z.order == 3
     assert np.array_equal(z.elements, g.derived_subgroup().elements)
+
+
+@pytest.mark.parametrize("build, base, m, power", [
+    (dicyclic12, lambda: cyclic(3), 4, lambda k: [(-1) ** k * x % 3 for x in range(3)]),
+    (c5_c4, lambda: cyclic(5), 4, lambda k: [2 ** k * x % 5 for x in range(5)]),
+    (heisenberg3, lambda: abelian([3, 3]), 3,  # ids 3i + j, (i, j) -> (i, j + ki)
+     lambda k: [3 * i + (j + k * i) % 3 for i in range(3) for j in range(3)]),
+])
+def test_cyclic_extensions_match_explicit_power_tables(build, base, m, power):
+    """Each corpus A : C_m is the semidirect product with the k-th power of
+    the automorphism written out for every k, label and table alike."""
+    a = base()
+    want = semidirect_product(a, cyclic(m), [power(k) for k in range(m)])
+    got = build()
+    assert got.label == want.label
+    assert np.array_equal(got.mul, want.mul)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package surface and the test configuration: every submodule
 ``__all__`` name exists, ``groupchar`` re-exports exactly those names, the
-public name list is pinned, cached facts are filled by one route, and a
-failing hypothesis test does not end the pytest session."""
+public name list is pinned, cached facts are filled by one route, no
+constructor copies a finished group only to rename it, and a failing
+hypothesis test does not end the pytest session."""
 
 from __future__ import annotations
 
@@ -87,9 +88,9 @@ def test_public_names_are_pinned():
 CACHE_WRITERS = {"groups._memo", "groups.Group._normal", "groups.Group._adopt_classes"}
 
 
-def _cache_writes(path: Path) -> set[str]:
-    """The qualified names of the functions of one module that assign into
-    ``<expr>._cache[...]``."""
+def _functions_where(path: Path, hit) -> set[str]:
+    """The qualified names of the functions of one module that hold a node
+    for which ``hit`` is true."""
     found, scope = set(), [path.stem]
 
     class Visitor(ast.NodeVisitor):
@@ -100,24 +101,56 @@ def _cache_writes(path: Path) -> set[str]:
 
         visit_FunctionDef = visit_ClassDef = visit_scope
 
-        def visit_Subscript(self, node):
-            if (isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "_cache"):
+        def generic_visit(self, node):
+            if hit(node):
                 found.add(".".join(scope))
-            self.generic_visit(node)
+            super().generic_visit(node)
 
     Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
     return found
 
 
+def _writes_cache(node) -> bool:
+    """An assignment into ``<expr>._cache[...]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "_cache")
+
+
 def test_cached_facts_are_filled_only_by_the_memo_route():
     owner = {}  # writing function -> the allowed writer it lies in, or None
     for path in sorted((ROOT / "src" / "groupchar").glob("*.py")):
-        for f in _cache_writes(path):
+        for f in _functions_where(path, _writes_cache):
             owner[f] = next((w for w in CACHE_WRITERS if f == w or f.startswith(w + ".")), None)
     outside = sorted(f for f, w in owner.items() if w is None)
     assert not outside, f"fill these through groups._memo: {outside}"
     assert set(owner.values()) == CACHE_WRITERS  # the scan still sees the allowed writes
+
+
+# The only functions that make a `Group` from another group's table, a copy
+# that renames a finished group:
+RELABEL_COPIES = {
+    # the image that `Group.quotient` builds and names, renamed "XoY";
+    # `quotient` stays, and `perfbench/tracer.py` times it
+    "constructors.central_product",
+    # the last of a chain of central products, renamed "ES<order><sign>"
+    "constructors.extraspecial_2",
+}
+
+
+def _copies_a_table(node) -> bool:
+    """A call ``Group(<expr>.mul, ...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Group"):
+        return False
+    tables = node.args[:1] + [k.value for k in node.keywords if k.arg == "mul"]
+    return any(isinstance(t, ast.Attribute) and t.attr == "mul" for t in tables)
+
+
+def test_no_group_is_copied_only_to_rename_it():
+    copies = set()
+    for path in sorted((ROOT / "src" / "groupchar").glob("*.py")):
+        copies |= _functions_where(path, _copies_a_table)
+    assert copies == RELABEL_COPIES, "build the table once, under its own label"
 
 
 PROBE = '''

@@ -40,10 +40,10 @@ from groupchar.clifford import ramification_scan_pair
 from groupchar._arith import prime_factors
 from groupchar.cli import main
 from groupchar.constructors import (
+    _cyclic_extension,
     automorphism_from_images,
     c7_c3,
     direct_product,
-    semidirect_product,
 )
 
 import helpers
@@ -369,10 +369,7 @@ def test_every_theorem_violation_replays(case, monkeypatch):
 def _by_cyclic(base, m, auto):
     """base ⋊ C_m, the generator of C_m acting by the automorphism ``auto``
     (a permutation of base's ids whose order divides m)."""
-    act = [tuple(range(base.order))]
-    for _ in range(m - 1):
-        act.append(tuple(auto[x] for x in act[-1]))
-    return semidirect_product(base, cyclic(m), act)
+    return _cyclic_extension(base, m, auto, f"{base.label}:C{m}")
 
 
 def _residual_shape_inputs(corpus_groups, f16_by_dic3, q8c7_by_c3):

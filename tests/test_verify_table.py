@@ -1,7 +1,8 @@
 """`verify_table` in evaluation form against the coefficient-space oracle:
 both accept every corpus and normal-subgroup table, both reject mutated
 tables, the check stays exact when it needs several primes, no product is
-run past the float64 bound, and a rejection names enough to replay it."""
+run past the float64 bound, a rejection names enough to replay it, and the
+shape check reads the coefficient array without building a row."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from math import gcd
 import pytest
 
 import groupchar.chartable as chartable
-from groupchar import ContractViolation, compute_table, verify_table
+from groupchar import ContractViolation, compute_table, sym, verify_table
 from groupchar._arith import is_prime
-from groupchar.chartable import CharacterTable
+from groupchar.chartable import CharacterTable, _build_table
 
 import oracles
 
@@ -203,3 +204,15 @@ def test_a_rejection_replays(agl17):
                 for col, size in enumerate(classes.sizes)) % r
     assert entry == got
     assert expected == (bad.group.order % r if a == b else 0)
+
+
+def test_verify_table_builds_no_row_characters():
+    table = _build_table(sym(3))
+    verify_table(table)
+    assert "rows" not in table._cache
+
+
+def test_a_short_coefficient_array_is_refused():
+    table = _build_table(sym(3))
+    with pytest.raises(ContractViolation, match="count differs from class count"):
+        verify_table(_with(table, coeffs=table._coeffs[:, :-1]))
