@@ -37,7 +37,7 @@ memo on the group like its other facts, first looks up a digest of the
 Cayley table among live tables.  A live table whose group has the same
 Cayley table, byte for byte, is served as it stands: the class order is a
 function of the table, so its rows and classes are the caller's too.  The
-caller's group takes the source group's class arrays
+caller's group shares the source group's classes object
 (``Group._adopt_classes``), and its table the source's coefficients and
 derived arrays, so nothing is recomputed.
 Otherwise the group's isomorphism key (the order and the multiset of
@@ -87,6 +87,7 @@ from .errors import (
 from .groups import Group, Subgroup, _memo, _readonly, require_normal
 
 TABLE_ORDER_BOUND = 512
+TABLE_CELL_BOUND = 1 << 21  # cells k²·φ(e) of the coefficient array; C127 fits
 
 _PRIME_SEARCH_CAP = 2_000_000
 _CHECK_PRIME_CEILING = 1 << 20  # largest modulus verify_table evaluates at
@@ -236,6 +237,9 @@ def _build_table(group: Group) -> CharacterTable:
     cc = group.conjugacy_classes()
     k = len(cc.reps)
     e = group.exponent
+    phi = euler_phi(e)
+    if k * k * phi > TABLE_CELL_BOUND:  # refused before any array is made
+        raise BoundExceeded("character table cells", k * k * phi, TABLE_CELL_BOUND)
     q = dixon_prime(e, n)
     z = element_of_order(e, q)
     zpow = powers_mod(z, e, q)
@@ -267,7 +271,6 @@ def _build_table(group: Group) -> CharacterTable:
     modq = degrees[:, None] * omegas % q * inv_sizes[None, :] % q
 
     # Lift every value to an exact cyclotomic integer.
-    phi = euler_phi(e)
     red = np.array(_reduction_table(e), dtype=np.int64)
     coeffs = np.zeros((k, k, phi), dtype=np.int64)
     mul = group.mul

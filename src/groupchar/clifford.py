@@ -171,28 +171,27 @@ def _check_clifford(table_g: CharacterTable, table_n: CharacterTable,
 def _assert_invariant_theorems(group: Group, sub: Subgroup, rec: dict):
     """The theorem assertions for the record of one invariant θ."""
     count, degs, qclass = rec["count_above"], rec["degrees_above"], rec["quotient_class"]
-    witness = {**_pair_witness(group, sub), "theta": rec["theta"]}
+
+    def violation(claim: str, **fields) -> TheoremViolation:
+        # The witness is built only for a failing record.
+        return TheoremViolation(
+            claim, {**_pair_witness(group, sub), "theta": rec["theta"], **fields})
+
     if (rec["distinct_degrees"] and qclass in ("supersolvable", "odd")
             and not rec["fully_ramified"]):
-        raise TheoremViolation(
+        raise violation(
             "distinct degrees above an invariant character with a "
             "supersolvable-or-odd quotient must be fully ramified",
-            {**witness, "count_above": count, "degrees_above": degs,
-             "quotient": qclass},
-        )
+            count_above=count, degrees_above=degs, quotient=qclass)
     if count == 2 and degs[0] != degs[1]:
-        raise TheoremViolation(
+        raise violation(
             "exactly two characters above an invariant character must share a degree",
-            {**witness, "degrees_above": degs},
-        )
+            degrees_above=degs)
     if rec["fully_ramified"] and rec["quotient_abelian"]:
         factors = abelian_invariant_factors(group, sub)
         if any(v % 2 for v in Counter(factors).values()):
-            raise TheoremViolation(
-                "fully ramified over an abelian quotient requires the "
-                "A x A invariant-factor shape",
-                {**witness, "invariant_factors": factors},
-            )
+            raise violation("fully ramified over an abelian quotient requires the "
+                            "A x A invariant-factor shape", invariant_factors=factors)
 
 
 def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dict]:

@@ -2,9 +2,12 @@
 
 Each constructor makes its group's table once and one `Group` of it, under
 the group's own label: a finished group is never copied only to rename it.
-A direct product of two groups skips the associativity test
-(``validate=False``), and so does the renamed image of `Group.quotient`
-that `central_product` and `extraspecial_2` return.
+Every table here is a group by construction, so none runs Light's
+associativity test (``validate=False``): a group law (`abelian`, `dihedral`,
+`generalized_quaternion`, `agl1`), composition of permutations closed by
+`_perm_group`'s per-row check, an action `_semidirect` checks is a
+homomorphism into Aut(A), a direct product, or the renamed image of
+`Group.quotient`.  Every product table comes from `_product_table`.
 """
 
 from __future__ import annotations
@@ -22,17 +25,24 @@ from .groups import SUBGROUP_BOUND, Group, Subgroup
 def cyclic(n: int) -> Group:
     if n < 1:
         raise ValueError("order must be positive")
-    ids = np.arange(n)
-    return Group((ids[:, None] + ids[None, :]) % n, label=f"C{n}")
+    return abelian([n])
+
+
+def _product_table(amul: np.ndarray, bmul: np.ndarray, act=None) -> np.ndarray:
+    """The table of the pairs (a, b), id a·|B| + b, of the groups with tables
+    ``amul`` and ``bmul``: (a1, b1)(a2, b2) = (a1·act[b1](a2), b1·b2), with
+    ``act[b]`` a permutation of A's ids, or the identity when ``act`` is None
+    (the direct product)."""
+    nb = len(bmul)
+    i = np.arange(len(amul) * nb)
+    ai, bi = i // nb, i % nb
+    right = ai[None, :] if act is None else act[bi[:, None], ai[None, :]]
+    return amul[ai[:, None], right] * nb + bmul[bi[:, None], bi[None, :]]
 
 
 def direct_product(a: Group, b: Group) -> Group:
-    na, nb = a.order, b.order
-    i = np.arange(na * nb)
-    ai, bi = i // nb, i % nb
-    mul = a.mul[ai[:, None], ai[None, :]] * nb + b.mul[bi[:, None], bi[None, :]]
-    # A product of associative tables is associative.
-    return Group(mul, label=f"{a.label}x{b.label}", validate=False)
+    return Group(_product_table(a.mul, b.mul), label=f"{a.label}x{b.label}",
+                 validate=False)
 
 
 def abelian(invariants) -> Group:
@@ -47,10 +57,9 @@ def abelian(invariants) -> Group:
         raise ValueError("invariants must be positive integers")
     mul = np.zeros((1, 1), dtype=np.int64)
     for d in invs:
-        i = np.arange(len(mul) * d)
-        hi, lo = i // d, i % d
-        mul = mul[hi[:, None], hi[None, :]] * d + (lo[:, None] + lo[None, :]) % d
-    return Group(mul, label="x".join(f"C{d}" for d in invs))
+        c = np.arange(d)
+        mul = _product_table(mul, (c[:, None] + c) % d)
+    return Group(mul, label="x".join(f"C{d}" for d in invs), validate=False)
 
 
 def dihedral(n: int) -> Group:
@@ -62,7 +71,7 @@ def dihedral(n: int) -> Group:
     sign = np.where(flip == 1, -1, 1)
     r = (rot[:, None] + sign[:, None] * rot[None, :]) % n
     f = (flip[:, None] + flip[None, :]) % 2
-    return Group(r + n * f, label=f"D{2 * n}")
+    return Group(r + n * f, label=f"D{2 * n}", validate=False)
 
 
 def generalized_quaternion(order: int) -> Group:
@@ -80,7 +89,7 @@ def generalized_quaternion(order: int) -> Group:
         (rot[:, None] - rot[None, :] + quarter * flip[None, :]) % half,
     )
     f = (flip[:, None] + flip[None, :]) % 2
-    return Group(r + half * f, label=f"Q{m}")
+    return Group(r + half * f, label=f"Q{m}", validate=False)
 
 
 def _perm_group(perms: list[tuple[int, ...]], label: str) -> Group:
@@ -104,7 +113,7 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> Group:
         if not (p[ids] == products).all():
             raise ValueError("permutations are not closed under composition")
         mul[i] = ids
-    return Group(mul, label=label)
+    return Group(mul, label=label, validate=False)
 
 
 def sym(n: int) -> Group:
@@ -115,26 +124,12 @@ def sym(n: int) -> Group:
     return _perm_group(perms, f"S{n}")
 
 
-def _parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    par = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        par ^= (length - 1) & 1
-    return par
-
-
 def alt(n: int) -> Group:
     """Alternating group on n points (n <= 5)."""
     if not 1 <= n <= 5:
         raise ValueError("supported for 1 <= n <= 5")
-    perms = [tuple(p) for p in itertools.permutations(range(n)) if _parity(tuple(p)) == 0]
+    perms = [p for p in itertools.permutations(range(n))  # even: an even inversion count
+             if sum(x > y for x, y in itertools.combinations(p, 2)) % 2 == 0]
     return _perm_group(perms, f"A{n}")
 
 
@@ -170,16 +165,9 @@ def _semidirect(a: Group, b: Group, action, label: str) -> Group:
             raise InvalidAction(f"image of element {t} is not an automorphism")
     if not np.array_equal(act[0], np.arange(a.order)):
         raise InvalidAction("identity of B must act trivially")
-    for t1 in range(b.order):
-        for t2 in range(b.order):
-            if not np.array_equal(act[b.mul[t1, t2]], act[t1][act[t2]]):
-                raise InvalidAction("action is not a homomorphism into Aut(A)")
-    na, nb = a.order, b.order
-    i = np.arange(na * nb)
-    ai, bi = i // nb, i % nb
-    twisted = act[bi[:, None], ai[None, :]]  # action[b1](a2)
-    mul = a.mul[ai[:, None], twisted] * nb + b.mul[bi[:, None], bi[None, :]]
-    return Group(mul, label=label)
+    if not np.array_equal(act[b.mul], act[np.arange(b.order)[:, None, None], act]):
+        raise InvalidAction("action is not a homomorphism into Aut(A)")
+    return Group(_product_table(a.mul, b.mul, act), label=label, validate=False)
 
 
 def _cyclic_extension(a: Group, m: int, auto, label: str) -> Group:
@@ -278,7 +266,7 @@ def agl1(q: int) -> Group:
     prod_a = field.mul[a[:, None], a[None, :]]
     prod_b = field.add[field.mul[a[:, None], bv[None, :]], bv[:, None]]
     mul = (prod_a - 1) * q + prod_b
-    return Group(mul, label=f"AGL1({q})")
+    return Group(mul, label=f"AGL1({q})", validate=False)
 
 
 def _matrix_perm(p: int, mat) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Finite groups as explicit multiplication tables on dense element ids.
 
-A group of order n lives on ids 0..n-1 with 0 the identity.  Everything
+A group of order n lives on ids 0..n-1 with 0 the identity.  `Group.__init__`
+checks the identity and inverses and, with ``validate`` (the default), runs
+Light's associativity test: kept for tables the library did not make (a
+Cayley file, a caller's own table), since its constructors, subgroups and
+quotients are groups by construction.  Everything
 downstream (conjugacy classes, subgroup lattices, series, character
 tables) is exact integer table arithmetic, mostly vectorized with numpy.
 Facts about a quotient G/N, such as its chief factors or element orders,
@@ -31,7 +35,7 @@ instance may compute the same value twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, wraps
 
 import numpy as np
@@ -209,7 +213,6 @@ class Group:
         least = mul[mul, inv[:, None]].min(axis=0)  # least h·g·h⁻¹ over h, per g
         reps, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
         return ConjugacyClasses(
-            group=self,
             reps=_readonly(reps),
             sizes=_readonly(sizes),
             by_class=_readonly(np.argsort(class_of, kind="stable")),
@@ -218,13 +221,14 @@ class Group:
         )
 
     def _adopt_classes(self, twin: "Group") -> None:
-        """Take the class arrays of ``twin``, a group with this very Cayley
+        """Share the classes of ``twin``, a group with this very Cayley
         table, unless this group's classes are already computed: they are a
-        function of the table.  ContractViolation if the tables differ."""
+        function of the table, so both groups hold one object.
+        ContractViolation if the tables differ."""
         if not np.array_equal(self.mul, twin.mul):
             raise ContractViolation("a group adopts classes only from a byte-equal table")
         if "conjugacy_classes" not in self._cache:
-            self._cache["conjugacy_classes"] = replace(twin.conjugacy_classes(), group=self)
+            self._cache["conjugacy_classes"] = twin.conjugacy_classes()
 
     def centralizer(self, g: int) -> "Subgroup":
         g = int(_ids(g, self.order, "element id"))
@@ -558,7 +562,6 @@ class ConjugacyClasses:
     class of ``reps[c]``⁻¹.
     """
 
-    group: Group
     reps: np.ndarray
     sizes: np.ndarray
     by_class: np.ndarray

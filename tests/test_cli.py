@@ -7,10 +7,12 @@ input problems, 2 for a violated assertion.
 
 import pytest
 
+import groupchar.chartable as chartable
 import groupchar.cli as cli
 from groupchar import (
     SplitFailure,
     TheoremViolation,
+    cyclic,
     dihedral,
     generalized_quaternion,
     save_group,
@@ -104,6 +106,22 @@ def test_table_is_deterministic(capsys, s4_file):
     _, first, _ = run(capsys, ["table", s4_file])
     _, second, _ = run(capsys, ["table", s4_file])
     assert first == second
+
+
+def test_table_past_the_cell_cap_exits_1_before_the_split(capsys, tmp_path, monkeypatch):
+    """C509 passes the order bound, but its coefficient array would hold
+    509²·508 int64 cells (1.05 GB): the build refuses it before the split
+    or any array, with exit 1, not a MemoryError."""
+    path = tmp_path / "c509.grp"
+    save_group(cyclic(509), path)
+
+    def split(*args):
+        raise AssertionError("the build reached the split")
+
+    monkeypatch.setattr(chartable, "_split_central_characters", split)
+    code, out, err = run(capsys, ["table", str(path)])
+    assert code == 1 and out == ""
+    assert "character table cells: size 131613148 exceeds bound 2097152" in err
 
 
 def test_classify_auto_minimal_s4(capsys, s4_file):

@@ -489,3 +489,22 @@ def test_pass_rejects_a_support_that_is_not_the_orbit(monkeypatch):
     monkeypatch.setattr(clifford, "_orbits", swapped)
     with pytest.raises(ContractViolation, match="not the orbit"):
         ramification_report(g, sub)
+
+
+def test_a_passing_scan_builds_no_witness(proper_normal_pairs, monkeypatch):
+    """A TheoremViolation witness names N by its ids; it is built only when
+    an assertion fails, not once per invariant θ."""
+    calls = 0
+    witness = clifford._pair_witness
+
+    def counting(group, sub):
+        nonlocal calls
+        calls += 1
+        return witness(group, sub)
+
+    monkeypatch.setattr(clifford, "_pair_witness", counting)
+    chosen = [(g, sub) for name, g, sub in proper_normal_pairs
+              if name in ("S4", "SL(2,3)", "ES32+", "D8xC3")]
+    records = [rec for g, sub in chosen for rec in ramification_scan_pair(g, sub)]
+    assert len(chosen) > 10 and len(records) > len(chosen)
+    assert calls == 0

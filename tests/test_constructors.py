@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from groupchar import (
     frobenius72_quaternion,
     generalized_quaternion,
     is_frobenius_with_kernel,
+    load_group,
     semidirect_product,
     sl23,
     sym,
@@ -234,3 +238,31 @@ def test_every_builder_satisfies_group_axioms():
         for x in range(0, n, max(1, n // 5)):
             assert sorted(mul[x]) == list(range(n))
             assert sorted(mul[:, x]) == list(range(n))
+
+
+def _request_inputs():
+    """``perfbench/inputs.py``, the generator of the ``requests`` workload's
+    group files, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_constructed_table_passes_lights_test(corpus_groups, tmp_path):
+    """The constructors and the permutation loader skip Light's associativity
+    test, since their tables are groups by construction; the suite runs it
+    instead, by a validating ``Group(mul)``, on every table they make for the
+    corpus, the named groups, S_n and A_n, AGL(1, q), and the ``requests``
+    inputs (the constructors' tables and the permutation files' closures)."""
+    inputs = _request_inputs()
+    inputs.write_inputs(tmp_path, 0)
+    groups = list(corpus_groups.values())
+    groups += [sl23(), c7_c3(), c5c5_c3(), frobenius72_quaternion()]
+    groups += [make(n) for make in (sym, alt) for n in range(1, 6)]
+    groups += [agl1(q) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 23)]
+    groups += [build() for build, *_ in inputs.GROUPS.values()]
+    groups += [load_group(tmp_path / f"{name}.perm.grp") for name in inputs.GROUPS]
+    for g in groups:
+        Group(g.mul)  # ValueError at a generator where associativity fails

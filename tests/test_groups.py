@@ -14,6 +14,7 @@ from groupchar import (
     acts_fixed_point_freely,
     abelian,
     alt,
+    build_corpus,
     compute_table,
     cyclic,
     dihedral,
@@ -608,8 +609,8 @@ def test_group_accepts_int_and_uint_tables(dtype):
 
 def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monkeypatch):
     """Light's test runs once on a loaded Cayley file and never on a
-    subgroup cut from, a direct product of, or a quotient of already
-    validated groups."""
+    constructed group (the whole corpus), a permutation file's closure, or
+    a subgroup cut from, a direct product of, or a quotient of groups."""
     calls = []
     check = Group._check_associativity
 
@@ -620,12 +621,16 @@ def test_associativity_is_checked_on_input_not_on_derived_groups(tmp_path, monke
     g, c2 = sym(4), cyclic(2)
     path = tmp_path / "s4.grp"
     save_group(g, path)
+    perm_path = tmp_path / "s5.perm"
+    perm_path.write_text("perm 5\n(1 2)\n(1 2 3 4 5)\n")
     monkeypatch.setattr(Group, "_check_associativity", counting)
     for sub in g.normal_subgroups():
         sub.as_group()
         g.quotient(sub)
     generated_subgroup(g, [1]).as_group()
     direct_product(g, c2)
+    [entry.build() for entry in build_corpus()]
+    assert load_group(perm_path).order == 120
     assert calls == []
     load_group(path)
     assert len(calls) == 1

@@ -1,8 +1,9 @@
 """The package surface and the test configuration: every submodule
 ``__all__`` name exists, ``groupchar`` re-exports exactly those names, the
 public name list is pinned, cached facts are filled by one route, no
-constructor copies a finished group only to rename it, and a failing
-hypothesis test does not end the pytest session."""
+constructor copies a finished group only to rename it, only a Cayley file's
+table runs the associativity test, and a failing hypothesis test does not
+end the pytest session."""
 
 from __future__ import annotations
 
@@ -151,6 +152,26 @@ def test_no_group_is_copied_only_to_rename_it():
     for path in sorted((ROOT / "src" / "groupchar").glob("*.py")):
         copies |= _functions_where(path, _copies_a_table)
     assert copies == RELABEL_COPIES, "build the table once, under its own label"
+
+
+def _validates(node) -> bool:
+    """A call ``Group(...)`` without ``validate=False``: it runs Light's
+    associativity test."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Group"
+            and not any(k.arg == "validate" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in node.keywords))
+
+
+def test_associativity_is_checked_only_on_a_table_the_library_did_not_make():
+    """Light's test guards a Cayley file; every table `src/` builds is a
+    group by construction and passes ``validate=False``."""
+    paths = sorted((ROOT / "src" / "groupchar").glob("*.py"))
+    calls = [node for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _validates(node)]
+    sites = set().union(*(_functions_where(path, _validates) for path in paths))
+    assert len(calls) == 1 and sites == {"groupio._load_cayley"}
 
 
 PROBE = '''

@@ -194,15 +194,14 @@ def test_a_byte_equal_group_takes_the_pooled_table_without_a_search(monkeypatch)
     assert table is not source and table._coeffs is source._coeffs
     assert route_differences(twin) == []
     assert table.group is twin and table.classes is twin.conjugacy_classes()
-    # The twin takes the source's class arrays and derived table arrays, and
-    # they equal the ones a fresh group computes.
+    # The twin shares the source's classes object and derived table arrays,
+    # and the classes equal the ones a fresh group computes.
+    assert table.classes is source.classes
     for field in dataclasses.fields(fresh):
-        if field.name != "group":
-            assert np.array_equal(getattr(table.classes, field.name),
-                                  getattr(fresh, field.name)), field.name
+        assert np.array_equal(getattr(table.classes, field.name),
+                              getattr(fresh, field.name)), field.name
     assert len(table.classes.members) == len(fresh.members)
     assert all(np.array_equal(a, b) for a, b in zip(table.classes.members, fresh.members))
-    assert table.classes.class_of is source.classes.class_of
     for derived in ("_modq", "_kernel_mask", "_zero_mask"):
         assert getattr(table, derived) is getattr(source, derived), derived
     with pytest.raises(chartable.ContractViolation, match="byte-equal"):
@@ -309,7 +308,7 @@ def test_transported_table_belongs_to_the_caller():
     before = chartable.table_counts["transported"]
     table = compute_table(h)
     assert chartable.table_counts["transported"] == before + 1
-    assert table.group is h and table.classes.group is h
+    assert table.group is h and table.classes is h.conjugacy_classes()
     for chi in table:
         kernel = chi.kernel()
         assert kernel.parent is h
