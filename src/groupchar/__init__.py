@@ -44,7 +44,6 @@ from .chartable import (
 )
 from .clifford import (
     abelian_invariant_factors,
-    class_fusion,
     invariant_rows,
     quotient_class,
     ramification_report,

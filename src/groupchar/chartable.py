@@ -20,7 +20,13 @@ the central characters mod q.  They are found by splitting (Schneider,
 Degrees follow from the orthogonality relation, and each value is lifted to
 an exact cyclotomic integer by extracting root-of-unity multiplicities,
 which are genuine nonnegative integers below q and therefore unambiguous
-residues.  A table stores the lifted values as one coefficient array, and
+residues.  The lift reads the group's class power map: the multiplicities
+come from one (o × o) product per rational class, at its least class x,
+and x's other classes xᵘ take them permuted (m_j moves to j·u mod o); each
+coefficient row is a sum of reduction-table rows, one per nonzero
+multiplicity.  The multiplicities must sum to the degree and the lifted
+values must agree with the values mod q, both checked exactly.  A table
+stores the lifted values as one coefficient array, and
 derives its values mod q and its kernel and zero masks from it; its
 ``rows`` are built on first read, ``Character.values`` turns a row into
 ``Cyclotomic`` objects on demand, and ``Group._normal`` makes a
@@ -92,6 +98,7 @@ TABLE_CELL_BOUND = 1 << 21  # cells k²·φ(e) of the coefficient array; C127 fi
 _PRIME_SEARCH_CAP = 2_000_000
 _CHECK_PRIME_CEILING = 1 << 20  # largest modulus verify_table evaluates at
 _FLOAT_EXACT = 1 << 53          # float64 sums of integers below this are exact
+_LIFT_CHUNK_CELLS = 1 << 18     # temporary cells per chunk of classes in the lift
 
 
 def dixon_prime(exponent: int, order: int) -> int:
@@ -270,34 +277,59 @@ def _build_table(group: Group) -> CharacterTable:
     # Character values mod q: X[r, k] = d_r * omega_{r,k} / |C_k|.
     modq = degrees[:, None] * omegas % q * inv_sizes[None, :] % q
 
-    # Lift every value to an exact cyclotomic integer.
-    red = np.array(_reduction_table(e), dtype=np.int64)
-    coeffs = np.zeros((k, k, phi), dtype=np.int64)
-    mul = group.mul
-    for c in range(k):
-        rep = int(cc.reps[c])
-        o = int(group.elt_order[rep])
-        step = e // o
-        powers = np.empty(o, dtype=np.int64)
-        powers[0] = 0
-        for t in range(1, o):
-            powers[t] = mul[powers[t - 1], rep]
-        pow_classes = cc.class_of[powers]
-        jt = np.outer(np.arange(o), np.arange(o))
-        w = zpow[(-jt % o) * step]                    # w[j, t] = z_o^{-jt}
-        inv_o = inv_mod(o, q)
-        mults = modq[:, pow_classes] @ w.T % q * inv_o % q
-        if not np.array_equal(mults.sum(axis=1), degrees):
-            raise ContractViolation("root multiplicities do not sum to degree")
-        exps = np.arange(o, dtype=np.int64) * step % e
-        coeffs[:, c, :] = mults @ red[exps]
-
+    coeffs = _lift(group, modq, degrees, zpow, q)
     order = _canonical_order(degrees, coeffs)
     table = CharacterTable(group, cc, degrees[order], e, q, z, coeffs[order])
     # Cross-check the lift against the modular table.
     if not np.array_equal(table._modq, modq[order]):
         raise ContractViolation("lifted values disagree with modular table")
     return table
+
+
+def _lift(group: Group, modq: np.ndarray, degrees: np.ndarray, zpow: np.ndarray,
+          q: int) -> np.ndarray:
+    """The exact coefficient array of the table whose values mod q are
+    ``modq``, zpow the powers of the primitive e-th root mod q.
+
+    A value at x of order o is χ(x) = Σ_j m_j ζ_o^j, with root
+    multiplicities m_j = (1/o) Σ_t χ(xᵗ) ζ_o^{-jt}: nonnegative integers
+    below q, so their residues are the integers.  They are found by one
+    (o × o) product for the head x of each rational class, the heads of
+    one order at a time; a class xᵘ (u prime to o) has m_j at j·u mod o.
+    Each coefficient row is then a sum of ``_reduction_table`` rows, one
+    per nonzero multiplicity, over classes in chunks of about
+    ``_LIFT_CHUNK_CELLS`` temporary cells.
+    """
+    cc = group.conjugacy_classes()
+    k, e = len(cc), group.exponent
+    powers, heads = group._power_classes()
+    red = np.array(_reduction_table(e), dtype=np.int64)
+    coeffs = np.empty((k, k, red.shape[1]), dtype=np.int64)
+    class_orders = group.elt_order[cc.reps]
+    for o in np.unique(class_orders).tolist():
+        step = e // o
+        jt = np.outer(np.arange(o), np.arange(o))
+        w = zpow[(-jt % o) * step]                    # w[j, t] = z_o^{-jt}
+        head_ids = np.flatnonzero((class_orders == o) & (heads == np.arange(k)))
+        mults = modq[:, powers[head_ids, :o]] @ w.T % q * inv_mod(o, q) % q
+        if not (mults.sum(axis=2) == degrees[:, None]).all():
+            raise ContractViolation("root multiplicities do not sum to degree")
+        # Each class of order o as head_ids[h]ᵘ, u the least unit that works.
+        cls = np.flatnonzero(class_orders == o)
+        h = np.searchsorted(head_ids, heads[cls])
+        units = np.gcd(np.arange(o), o) == 1
+        u = ((powers[head_ids[h], :o] == cls[:, None]) & units).argmax(axis=1)
+        # Every (row, class) has a nonzero multiplicity, as they sum to the degree.
+        per_class = max(k * o, int(np.minimum(degrees, o).sum()) * red.shape[1])
+        size = max(1, _LIFT_CHUNK_CELLS // per_class)
+        for lo in range(0, len(cls), size):
+            m = mults[:, h[lo:lo + size]]             # (k, chunk, o), head order
+            r, c, j = np.nonzero(m)
+            terms = m[r, c, j][:, None] * red[j * u[lo + c] % o * step]
+            counts = np.count_nonzero(m, axis=2).ravel()
+            sums = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=0)
+            coeffs[:, cls[lo:lo + size]] = sums.reshape(k, -1, red.shape[1])
+    return coeffs
 
 
 def _canonical_order(degrees: np.ndarray, coeffs: np.ndarray) -> list[int]:
@@ -311,10 +343,9 @@ def _canonical_order(degrees: np.ndarray, coeffs: np.ndarray) -> list[int]:
     if trivial_rows.size != 1:
         raise ContractViolation("trivial character not uniquely identified")
     triv = int(trivial_rows[0])
-    # np.lexsort takes its last key first: degree, then coefficient 0, 1, ...
-    flat = coeffs.reshape(len(degrees), -1)
-    order = np.lexsort(np.vstack([flat.T[::-1], degrees[None, :]]))
-    return [triv] + [int(r) for r in order if r != triv]
+    # The rows are distinct characters, so no two keys tie.
+    return [triv] + sorted((r for r in range(len(degrees)) if r != triv),
+                           key=lambda r: (int(degrees[r]), coeffs[r].ravel().tolist()))
 
 
 # -- transport along an isomorphism ------------------------------------------

@@ -36,23 +36,12 @@ from .errors import ContractViolation, TheoremViolation
 from .groups import Group, Subgroup, _orders_modulo, _pair_witness, require_normal
 
 __all__ = [
-    "class_fusion",
     "invariant_rows",
     "abelian_invariant_factors",
     "quotient_class",
     "ramification_report",
     "ramification_scan_pair",
 ]
-
-
-def class_fusion(group: Group, sub: Subgroup, table_n: CharacterTable):
-    """Partition of N's classes into G-conjugation blocks (list of arrays)."""
-    require_normal(group, sub)
-    members = group.conjugacy_classes().members
-    rank = sub.local_ids()
-    class_of_n = table_n.classes.class_of
-    return [np.unique(class_of_n[rank[members[c]]])
-            for c in np.flatnonzero(sub.class_mask())]
 
 
 def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:

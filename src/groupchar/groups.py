@@ -24,7 +24,11 @@ returns from a class mask, as ``np.flatnonzero(mask[class_of])`` with that
 mask seeded and ``is_normal`` true; element-born ones (closures, products)
 first pass `Group._classes_of`, which refuses a set that is not a union of
 classes.  Those ids skip `Subgroup`'s checks, which they pass by
-construction.  The class atoms are kept only as a mask matrix and orders.
+construction.  The class power map (`Group._power_classes`: the class of
+repᵗ for every class and exponent, and the rational classes read off it)
+is one memo fact, read by the class atoms and the character-table lift.
+The class atoms are kept only as a mask matrix and orders, and are closed
+once per rational class, since atom(xᵘ) = atom(x) for u prime to o(x).
 Reports take ints by ``.tolist()``.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
@@ -310,21 +314,51 @@ class Group:
         return mask
 
     @_memo
+    def _power_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class power map and the rational classes, both read-only.
+
+        ``powers[c, t]`` is the class of repᵗ, rep the representative of
+        class c, for 0 <= t < m, m the largest element order: one power
+        chain over all representatives at once, a gather per step.
+        ``heads[c]`` is the least class among ``powers[c, u]`` with u prime
+        to o(rep): classes c and d are rationally conjugate (their elements
+        generate conjugate cyclic subgroups) exactly when their heads agree,
+        and a head is the least class of its rational class.
+        """
+        cc = self.conjugacy_classes()
+        m = int(self.elt_order.max())
+        powers = np.empty((len(cc), m), dtype=np.int64)
+        cur = np.zeros(len(cc), dtype=np.int64)  # repᵗ for every class
+        for t in range(m):
+            powers[:, t] = cc.class_of[cur]
+            cur = self.mul[cur, cc.reps]
+        orders = self.elt_order[cc.reps][:, None]
+        t = np.arange(m)
+        units = (t < orders) & (np.gcd(t, orders) == 1)
+        heads = np.where(units, powers, len(cc)).min(axis=1)
+        return _readonly(powers), _readonly(heads)
+
+    @_memo
     def _class_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The class masks of the normal closures atom(c) of the nontrivial
         classes c, as one read-only (k−1)×k bool matrix, row c−1 for
         atom(c), and the read-only vector of their orders.
 
+        atom(xᵘ) = atom(x) for u prime to o(x), so one class per rational
+        class is closed, its head, and the others take its row.
         Minimal normal subgroups, radicals and every series go through
         here, so this is where ``SUBGROUP_BOUND`` caps the group order.
         """
         if self.order > SUBGROUP_BOUND:
             raise BoundExceeded("class atoms", self.order, SUBGROUP_BOUND)
         cc = self.conjugacy_classes()
-        atoms = [self._closure(m) for m in cc.members[1:]]
+        heads = self._power_classes()[1][1:]
+        closed = np.unique(heads)
+        atoms = [self._closure(cc.members[c]) for c in closed.tolist()]
         masks = np.array([self._classes_of(a) for a in atoms], dtype=bool)
         orders = np.array([len(a) for a in atoms], dtype=np.int64)
-        return _readonly(masks.reshape(-1, len(cc))), _readonly(orders)
+        row = np.searchsorted(closed, heads)
+        return _readonly(masks.reshape(-1, len(cc))[row]), _readonly(orders[row])
 
     def _join_orders(self, base: np.ndarray) -> np.ndarray:
         """|B·atom(c)| / |B| for each nontrivial class c, B the normal subgroup

@@ -10,12 +10,16 @@ isomorphic group a later test builds is transported from one of them, not
 built.  A test that must exercise the split calls ``chartable._build_table``
 directly or takes the ``empty_table_pool`` fixture.
 The last two fixtures are groups outside the corpus with the shapes of
-residual cases ii and iii of the pair classifier.
+residual cases ii and iii of the pair classifier.  ``request_inputs`` is
+``perfbench/inputs.py``, the generator of the ``requests`` workload's group
+files, loaded by path.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,15 @@ def triple_records(proper_normal_pairs):
         for rec in ramification_scan_pair(group, sub):
             records.append((name, group, sub, rec))
     return records
+
+
+@pytest.fixture(scope="session")
+def request_inputs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

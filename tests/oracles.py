@@ -22,7 +22,7 @@ element, the reference for the batched coset closure of `LinearAction`.
 `matrix_perm_big_endian` numbers vectors digit by digit, the reference for
 `constructors._matrix_perm`.
 `invariant_rows_by_fusion` compares rows over the blocks of
-`clifford.class_fusion`, one G-class's members at a time, where
+`class_fusion`, one G-class's members at a time, where
 `clifford.invariant_rows` reads the blocks off N's class representatives
 in one gather.
 `Cyclotomic` adds the ring operations to the library's value type, which
@@ -39,10 +39,9 @@ import numpy as np
 from groupchar import cyclotomic
 from groupchar._arith import euler_phi
 from groupchar.chartable import compute_table
-from groupchar.clifford import class_fusion
 from groupchar.cyclotomic import _reduction_table
 from groupchar.errors import ContractViolation
-from groupchar.groups import Subgroup
+from groupchar.groups import Subgroup, require_normal
 
 
 class Cyclotomic(cyclotomic.Cyclotomic):
@@ -369,6 +368,38 @@ def element_order(mul, x: int) -> int:
     return k
 
 
+def power_classes_by_products(G) -> tuple[list[list[int]], list[int]]:
+    """The class of repᵗ for every class representative and 0 <= t < m, m
+    the largest element order, each power one product after the last; and
+    for every class the least class of its rational class, by definition:
+    classes c and d are one rational class when their elements generate
+    conjugate cyclic subgroups.  The conjugates of ⟨x⟩ are the ⟨y⟩ for y
+    in x's class, so a class is named by the least of its members' cyclic
+    subgroups as sorted tuples.  The classes are the library's."""
+    mul = G.mul.tolist()
+    cc = G.conjugacy_classes()
+    class_of = cc.class_of.tolist()
+    m = max(element_order(mul, x) for x in range(len(mul)))
+    powers = []
+    for rep in cc.reps.tolist():
+        row, y = [], 0
+        for _ in range(m):
+            row.append(class_of[y])
+            y = mul[y][rep]
+        powers.append(row)
+
+    def cyclic(x):
+        out, y = [0], x
+        while y != 0:
+            out.append(y)
+            y = mul[y][x]
+        return tuple(sorted(out))
+
+    names = [min(cyclic(y) for y in members.tolist()) for members in cc.members]
+    heads = [names.index(name) for name in names]
+    return powers, heads
+
+
 def perm_cayley(perms) -> list[list[int]]:
     """Cayley table of a composition-closed list of permutations, one cell
     at a time: entry [i][j] is the index of s∘t, where (s∘t)[x] = s[t[x]]
@@ -619,6 +650,17 @@ def ramification_by_definition(group, sub) -> list[dict]:
             "fully_ramified": fully, "e": e if fully else None,
         })
     return out
+
+
+def class_fusion(group, sub, table_n) -> list[np.ndarray]:
+    """Partition of N's classes into G-conjugation blocks: for each G-class
+    inside N, the N-classes of its members, as a sorted array."""
+    require_normal(group, sub)
+    members = group.conjugacy_classes().members
+    rank = sub.local_ids()
+    class_of_n = table_n.classes.class_of
+    return [np.unique(class_of_n[rank[members[c]]])
+            for c in np.flatnonzero(sub.class_mask())]
 
 
 def invariant_rows_by_fusion(group, sub, table_n) -> np.ndarray:

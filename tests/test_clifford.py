@@ -22,7 +22,6 @@ from groupchar import (
     alt,
     build_corpus,
     c5c5_c3,
-    class_fusion,
     classify_pair,
     compute_table,
     cyclic,
@@ -253,7 +252,6 @@ def test_abelian_invariant_factors_trivial_and_errors():
 def _pair_entry_points(group, sub, table_n):
     """Every library call that takes a pair (G, N), by name."""
     return {
-        "class_fusion": lambda: class_fusion(group, sub, table_n),
         "invariant_rows": lambda: invariant_rows(group, sub, table_n),
         "abelian_invariant_factors": lambda: abelian_invariant_factors(group, sub),
         "quotient_class": lambda: quotient_class(group, sub),
@@ -351,7 +349,7 @@ def test_quotient_facts_match_the_quotient_group(proper_normal_pairs):
 
 def test_invariant_rows_match_the_fusion_blocks(proper_normal_pairs):
     """Two routes to the invariant rows: one gather over N's class
-    representatives, and the blocks of class_fusion; every corpus pair."""
+    representatives, and the blocks of oracles.class_fusion; every corpus pair."""
     some_not_invariant = 0
     for _, g, sub in proper_normal_pairs:
         table_n = compute_table(sub.as_group())

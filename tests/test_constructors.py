@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -240,23 +237,14 @@ def test_every_builder_satisfies_group_axioms():
             assert sorted(mul[:, x]) == list(range(n))
 
 
-def _request_inputs():
-    """``perfbench/inputs.py``, the generator of the ``requests`` workload's
-    group files, loaded by path."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_constructed_table_passes_lights_test(corpus_groups, tmp_path):
+def test_every_constructed_table_passes_lights_test(corpus_groups, request_inputs,
+                                                     tmp_path):
     """The constructors and the permutation loader skip Light's associativity
     test, since their tables are groups by construction; the suite runs it
     instead, by a validating ``Group(mul)``, on every table they make for the
     corpus, the named groups, S_n and A_n, AGL(1, q), and the ``requests``
     inputs (the constructors' tables and the permutation files' closures)."""
-    inputs = _request_inputs()
+    inputs = request_inputs
     inputs.write_inputs(tmp_path, 0)
     groups = list(corpus_groups.values())
     groups += [sl23(), c7_c3(), c5c5_c3(), frobenius72_quaternion()]

@@ -437,6 +437,55 @@ def test_class_atoms_bound():
         g.chief_series()
 
 
+def test_power_classes_match_repeated_products(corpus_groups, request_inputs):
+    """The class power map and the rational classes against powers taken
+    one product at a time and rational classes by their definition, on
+    every corpus group and every ``requests`` constructor group."""
+    groups = {**corpus_groups,
+              **{name: build() for name, (build, *_) in request_inputs.GROUPS.items()}}
+    for name, g in groups.items():
+        powers, heads = g._power_classes()
+        want_powers, want_heads = oracles.power_classes_by_products(g)
+        assert powers.tolist() == want_powers, name
+        assert heads.tolist() == want_heads, name
+
+
+def test_class_atoms_match_generated_closures(corpus_groups):
+    """Every row of the class atoms, not only those of the classes that are
+    closed: the classes and the order of the subgroup each nontrivial class
+    generates, closed one product at a time."""
+    for name, g in corpus_groups.items():
+        masks, orders = g._class_atoms()
+        cc = g.conjugacy_classes()
+        mul = g.mul.tolist()
+        for c, members in enumerate(cc.members[1:]):
+            atom = oracles.generated(mul, members.tolist())
+            assert orders[c] == len(atom), (name, c + 1)
+            assert np.flatnonzero(masks[c]).tolist() == sorted(
+                {int(cc.class_of[x]) for x in atom}), (name, c + 1)
+
+
+def test_class_atoms_close_one_class_per_rational_class(monkeypatch):
+    """`_class_atoms` closes one class per nontrivial rational class: 744 of
+    the corpus's 1617 nontrivial classes, and 4 of AGL(1, 23)'s 22."""
+    closure, calls = Group._closure, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return closure(self, *args, **kwargs)
+
+    corpus = [e.build() for e in build_corpus()]
+    agl = agl1(23)
+    monkeypatch.setattr(Group, "_closure", counted)
+    for groups, classes, closures in ((corpus, 1617, 744), ([agl], 22, 4)):
+        calls.clear()
+        for g in groups:
+            g._class_atoms()
+        assert sum(len(g.conjugacy_classes()) - 1 for g in groups) == classes
+        assert len(calls) == closures
+        assert sum(len(np.unique(g._power_classes()[1][1:])) for g in groups) == closures
+
+
 def test_normal_closure():
     s4 = POOL["S4"]
     transposition = min(

@@ -32,7 +32,7 @@ PUBLIC = [
     "QuotientMap", "SplitFailure", "Subgroup", "TheoremViolation", "UsageError",
     "abelian", "abelian_invariant_factors", "acts_fixed_point_freely", "agl1",
     "alt", "automorphism_from_images", "build_corpus", "c5c5_c3", "c7_c3",
-    "camina_pair", "camina_verdicts", "central_product", "class_fusion",
+    "camina_pair", "camina_verdicts", "central_product",
     "classify_pair", "compute_table", "cyclic", "dade_duplicate_check", "dihedral",
     "direct_product", "distinct_nonlinear_scan", "distinct_sizes_scan",
     "extraspecial_2", "frobenius72_quaternion", "frobenius_complement",
