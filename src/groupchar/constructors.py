@@ -4,10 +4,10 @@ Each constructor makes its group's table once and one `Group` of it, under
 the group's own label: a finished group is never copied only to rename it.
 Every table here is a group by construction, so none runs Light's
 associativity test (``validate=False``): a group law (`abelian`, `dihedral`,
-`generalized_quaternion`, `agl1`), composition of permutations closed by
-`_perm_group`'s per-row check, an action `_semidirect` checks is a
-homomorphism into Aut(A), a direct product, or the renamed image of
-`Group.quotient`.  Every product table comes from `_product_table`.
+`generalized_quaternion`, `agl1`), composition of permutations whose
+closure `_perm_group`'s generator walk checks, an action `_semidirect`
+checks is a homomorphism into Aut(A), a direct product, or the renamed
+image of `Group.quotient`.  Every product table comes from `_product_table`.
 """
 
 from __future__ import annotations
@@ -96,23 +96,51 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> Group:
     """The Cayley table of a list of permutations closed under composition.
 
     Element i is perms[i], and i*j is s∘t with (s∘t)[x] = s[t[x]] for
-    s = perms[i], t = perms[j].  Row i is the gather p[i][p]; each product
-    gets its id by a binary search over the byte keys of p, sorted once.
+    s = perms[i], t = perms[j]; perms[0] must be the identity and no
+    permutation may repeat (``ValueError`` otherwise).  The table is built
+    by a breadth-first walk of the Cayley graph from the identity on
+    generators taken as needed, each the least id not yet reached.  A
+    generator g's left-multiplication map L_g[x] = id(g∘x) is one gather
+    and one exact lookup per element (a miss raises ``ValueError``), and
+    each new element c = g∘a gets its row as mul[c] = L_g[mul[a]], since
+    (g∘a)∘x = g∘(a∘x).  The walk reaches every element, so the list is
+    closed exactly when every L_g is defined.
     """
     p = np.asarray(perms, dtype=np.int64)
     n = len(p)
-    key = np.dtype((np.void, p.itemsize * p.shape[1]))
-    keys = p.view(key).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    index = {images: i for i, images in enumerate(map(tuple, p.tolist()))}
+    # Both checks also end the walk: each new generator g is reached at
+    # once, as L_g[0] = g.
+    if n == 0 or not np.array_equal(p[0], np.arange(p.shape[1])):
+        raise ValueError("the first permutation must be the identity")
+    if len(index) != n:
+        raise ValueError("a permutation is repeated")
+
+    def left_map(g: int) -> np.ndarray:
+        try:
+            return np.array([index[images] for images in map(tuple, p[g][p].tolist())],
+                            dtype=np.int64)
+        except KeyError:
+            raise ValueError("permutations are not closed under composition") from None
+
     mul = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        products = p[i][p]
-        pos = np.searchsorted(sorted_keys, products.view(key).ravel())
-        ids = order[np.minimum(pos, n - 1)]
-        if not (p[ids] == products).all():
-            raise ValueError("permutations are not closed under composition")
-        mul[i] = ids
+    mul[0] = np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    maps = np.empty((0, n), dtype=np.int64)
+    frontier = np.zeros(0, dtype=np.int64)
+    while not reached.all():
+        if not frontier.size:  # closed under the generators so far
+            maps = np.vstack([maps, left_map(int(np.argmin(reached)))])
+            frontier = np.flatnonzero(reached)
+        products = maps[:, frontier].ravel()  # generator-major, one per (g, a)
+        fresh, first = np.unique(products, return_index=True)
+        keep = ~reached[fresh]
+        fresh, first = fresh[keep], first[keep]
+        gen, parent = np.divmod(first, len(frontier))
+        mul[fresh] = maps[gen[:, None], mul[frontier[parent]]]
+        reached[fresh] = True
+        frontier = fresh
     return Group(mul, label=label, validate=False)
 
 

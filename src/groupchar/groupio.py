@@ -16,7 +16,9 @@ elements, the largest order any command accepts, before its table is built):
 Blank lines and lines starting with '#' are ignored in both formats.
 Loaded permutation groups get deterministic ids: the identity is 0 and the
 remaining elements are sorted lexicographically as images tuples, so the
-same file always yields the same Cayley table.
+same file always yields the same Cayley table.  The closure grows one
+frontier at a time, composed with each generator by one gather, and its
+table is built by `constructors._perm_group`'s walk of the Cayley graph.
 """
 
 from __future__ import annotations
@@ -171,12 +173,15 @@ def _load_perm(lines, degree, name) -> Group:
     gens = [_images(cycles, rank) for cycles in parsed]
     identity = tuple(range(width))
     closure = {identity, *gens}
+    if len(closure) > SUBGROUP_BOUND:
+        raise BoundExceeded("permutation closure", len(closure), SUBGROUP_BOUND)
     frontier = sorted(closure)
     while frontier:
         fresh = []
-        for a in frontier:
-            for g in gens:
-                c = tuple(a[g[x]] for x in range(width))
+        block = np.array(frontier, dtype=np.int64)
+        for g in gens:
+            # Row a of block[:, g] is a∘g, (a∘g)[x] = a[g[x]].
+            for c in map(tuple, block[:, g].tolist()):
                 if c not in closure:
                     if len(closure) >= SUBGROUP_BOUND:
                         raise BoundExceeded("permutation closure",

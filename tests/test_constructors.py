@@ -82,6 +82,23 @@ def test_sym_alt():
         alt(6)
 
 
+@pytest.mark.parametrize("perms,message", [
+    ([(0, 1, 2), (1, 2, 0)], "not closed"),  # (1 2 0)∘(1 2 0) = (2 0 1) is missing
+    ([(0, 1, 2), (1, 0, 2), (1, 0, 2)], "repeated"),
+    ([(1, 0, 2), (0, 1, 2)], "identity"),
+])
+def test_perm_group_refuses_a_list_that_is_not_a_group(perms, message):
+    with pytest.raises(ValueError, match=message):
+        constructors._perm_group(perms, "bad")
+
+
+def test_perm_file_without_generators_is_the_trivial_group(tmp_path):
+    path = tmp_path / "trivial.perm.grp"
+    path.write_text("perm 4\n# no generator lines\n")
+    g = load_group(path)
+    assert g.order == 1 and g.mul.tolist() == [[0]]
+
+
 def test_direct_product_q8_c3():
     g = direct_product(generalized_quaternion(8), cyclic(3))
     assert g.order == 24

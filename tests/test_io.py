@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from groupchar import (
     sym,
 )
 from groupchar import cli
+from groupchar._modlinalg import vector_perms
+from groupchar.actions import gl_elements
+from groupchar.constructors import _perm_group
 from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
@@ -90,6 +94,35 @@ def test_perm_closure_bound(tmp_path):
         load_group(path)
     assert exc.value.size == SUBGROUP_BOUND + 1
     assert cli.main(["info", str(path)]) == 1
+
+
+def _cycle_notation(perm) -> str:
+    """A 0-based image list as 1-based disjoint cycles, "(1)" for the identity."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
+            seen.add(start)
+            continue
+        cyc, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x + 1)
+            x = perm[x]
+        out.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(out) or "(1)"
+
+
+def test_perm_closure_bound_counts_the_listed_generators(tmp_path):
+    """A file that lists every element of A7 (order 2520) as a generator is
+    already closed, so the closure finds no new element; the listed set
+    alone is past SUBGROUP_BOUND and is refused."""
+    lines = [_cycle_notation(p) for p in itertools.permutations(range(7))
+             if sum(p[i] > p[j] for i in range(7) for j in range(i + 1, 7)) % 2 == 0]
+    path = tmp_path / "a7.perm"
+    path.write_text("perm 7\n" + "\n".join(lines) + "\n")
+    with pytest.raises(BoundExceeded) as exc:
+        load_group(path)
+    assert exc.value.size == 2520 > SUBGROUP_BOUND
 
 
 def test_perm_ids_do_not_depend_on_unnamed_points(tmp_path):
@@ -221,20 +254,6 @@ def test_perm_loader_matches_brute_closure(perms):
     import tempfile
     from pathlib import Path
 
-    def cycles(perm):
-        seen, out = set(), []
-        for start in range(5):
-            if start in seen or perm[start] == start:
-                seen.add(start)
-                continue
-            cyc, x = [], start
-            while x not in seen:
-                seen.add(x)
-                cyc.append(x + 1)
-                x = perm[x]
-            out.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(out) or "(1)"
-
     def compose(a, b):
         return tuple(a[b[i]] for i in range(5))
 
@@ -255,7 +274,7 @@ def test_perm_loader_matches_brute_closure(perms):
 
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "p.perm"
-        path.write_text("perm 5\n" + "\n".join(cycles(p) for p in gens) + "\n")
+        path.write_text("perm 5\n" + "\n".join(map(_cycle_notation, gens)) + "\n")
         g = load_group(path)
     assert g.order == len(elements)
     assert g.mul.tolist() == oracles.perm_cayley(elements)
@@ -268,3 +287,56 @@ def test_sym_and_alt_match_cell_by_cell_composition(n):
             if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
     assert sym(n).mul.tolist() == oracles.perm_cayley(perms)
     assert alt(n).mul.tolist() == oracles.perm_cayley(even)
+
+
+def _cycle_generators(path, degree: int) -> list[list[int]]:
+    """The generator lines of a perm file as 0-based image lists."""
+    gens = []
+    for line in path.read_text().splitlines()[1:]:
+        perm = list(range(degree))
+        for body in re.findall(r"\(([^()]*)\)", line):
+            pts = [int(tok) - 1 for tok in body.split()]
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                perm[a] = b
+        gens.append(perm)
+    return gens
+
+
+def _composition_check(perms, mul) -> bool:
+    """Whether ``mul`` is the Cayley table of the list ``perms`` under
+    (s∘t)[x] = s[t[x]], in one comparison: P[mul[i, j]] == P[i][P[j]]."""
+    p = np.asarray(perms, dtype=np.int16)
+    return mul.shape == (len(p), len(p)) and bool((p[mul] == p[:, p]).all())
+
+
+def test_every_request_perm_file_loads_the_composition_of_its_closure(
+        request_inputs, tmp_path):
+    """Each ``requests`` perm file (orders 60 to 506, 2 to 8 generators)
+    loads to the table of its sorted closure over all header points,
+    closed here by the definition."""
+    inputs = request_inputs
+    inputs.write_inputs(tmp_path, 0)
+    for name, (_, _, degree, _, _) in inputs.GROUPS.items():
+        path = tmp_path / f"{name}.perm.grp"
+        gens = _cycle_generators(path, degree)
+        closure = {tuple(range(degree))}
+        frontier = list(closure)
+        while frontier:
+            fresh = {tuple(a[x] for x in g) for a in frontier for g in gens} - closure
+            closure |= fresh
+            frontier = list(fresh)
+        g = load_group(path)
+        assert _composition_check(sorted(closure), g.mul), name
+
+
+def test_perm_group_keeps_list_order_ids_on_gl23():
+    """``odd_order_subgroup_actions`` builds GL(2, 3) on its list of vector
+    permutations in ``gl_elements`` order with the identity swapped to id 0,
+    which is not sorted: element i must stay perms[i]."""
+    elements = gl_elements(3, 2)
+    i = next(i for i, m in enumerate(elements) if (m == np.eye(2)).all())
+    elements[0], elements[i] = elements[i], elements[0]
+    perms = [tuple(v.tolist()) for v in vector_perms(3, 2, elements)]
+    assert perms != sorted(perms)
+    g = _perm_group(perms, "GL(2,3)")
+    assert g.order == 48 and _composition_check(perms, g.mul)
