@@ -48,12 +48,16 @@ caller's group shares the source group's classes object
 derived arrays, so nothing is recomputed.
 Otherwise the group's isomorphism key (the order and the multiset of
 (element order, class size)) names the live table first built for it, and
-an isomorphism to that table's group is searched for by mapping generators
-to candidate images (Miller's generator-image technique, under a node
-budget) and checked exactly in full; the table is then read off through it
-as a column gather and put in canonical order.  The rows, the prime (fixed
-by exponent and order) and the root are the ones the build would give, so
-every route gives the same bytes, and tables share their read-only arrays.
+an isomorphism is searched for from that table's group s to the new group
+h: the generators of s's chain are mapped to candidate images in h
+(Miller's generator-image technique, under a node budget).  The chain is a
+memo fact of s, built on its first search, so one source serves many
+searches and h never walks its own Cayley graph.  The map found is
+inverted to h -> s and checked exactly in full; the table is then read off
+through it as a column gather and put in canonical order.  The rows, the
+prime (fixed by exponent and order) and the root are the ones the build
+would give, so every route gives the same bytes, and tables share their
+read-only arrays.
 Both lookups are weak maps: a table is pooled while its group lives, so the
 pool needs no bound, and nothing carries over once the groups are gone.
 Like the group caches the maps are filled without a lock: concurrent first
@@ -390,26 +394,27 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
     """An isomorphism h -> s as an id array, or None when none is found
     within ``ISOMORPHISM_NODE_BUDGET`` candidate images.
 
-    The generators of h are mapped one at a time, the rarest element key
-    first, to elements of s with the same key that lie outside the image of
-    the earlier ones (Miller's generator-image technique).  Each choice
+    The search runs from the pooled source s to h: the generators of s's
+    chain (`_source_chain`, built once per source) are mapped one at a time
+    to elements of h with the same element key that lie outside the image
+    of the earlier ones (Miller's generator-image technique).  Each choice
     fixes the map on the elements the new generator adds to the span, along
-    the Cayley graph, and is kept only if it is injective, keeps every
-    element key and respects every new product by a generator.
+    s's Cayley graph, and is kept only if it is injective, keeps every
+    element key and respects every new product by a generator.  The map
+    found, s -> h, is returned inverted (`_inverse_map`).
     """
     n = h.order
     key_h, key_s = _element_key(h), _element_key(s)
-    gens = sorted(h.generators(), key=lambda g: (np.count_nonzero(key_h == key_h[g]), g))
-    levels = _generator_chain(h, gens)
-    phi = np.zeros(n, dtype=np.int64)
-    phi_list = [0] * n
+    levels = _source_chain(s)
+    psi = np.zeros(n, dtype=np.int64)
+    psi_list = [0] * n
     images = np.zeros(len(levels), dtype=np.int64)  # image of each generator
-    columns: list[list[int]] = [[]] * len(levels)   # x -> x * image, in s
+    columns: list[list[int]] = [[]] * len(levels)   # x -> x * image, in h
     budget = ISOMORPHISM_NODE_BUDGET
-    # Composed with conjugation in s an isomorphism stays one, so the
+    # Composed with conjugation in h an isomorphism stays one, so the
     # first generator need only go to class representatives.
     class_reps = np.zeros(n, dtype=bool)
-    class_reps[s.conjugacy_classes().reps] = True
+    class_reps[h.conjugacy_classes().reps] = True
 
     def search(depth: int, used: np.ndarray) -> bool | None:
         """True when the map is complete, False when no choice fits, None
@@ -418,7 +423,7 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
         if depth == len(levels):
             return True
         g, fresh, parents, gen_pos, f, x, j, y = levels[depth]
-        choices = (key_s == key_h[g]) & ~used
+        choices = (key_h == key_s[g]) & ~used
         if depth == 0:
             choices &= class_reps
         for t in np.flatnonzero(choices).tolist():
@@ -426,16 +431,16 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
                 return None
             budget -= 1
             images[depth] = t
-            columns[depth] = s.mul[:, t].tolist()
+            columns[depth] = h.mul[:, t].tolist()
             for e, p, k in zip(fresh, parents, gen_pos):
-                phi_list[e] = columns[k][phi_list[p]]
-            img = np.array([phi_list[e] for e in fresh], dtype=np.int64)
-            phi[f] = img
+                psi_list[e] = columns[k][psi_list[p]]
+            img = np.array([psi_list[e] for e in fresh], dtype=np.int64)
+            psi[f] = img
             now = used.copy()
             now[img] = True
             if (np.count_nonzero(now) == np.count_nonzero(used) + img.size
-                    and np.array_equal(key_s[img], key_h[f])
-                    and np.array_equal(s.mul[phi[x], images[j]], phi[y])):
+                    and np.array_equal(key_h[img], key_s[f])
+                    and np.array_equal(h.mul[psi[x], images[j]], psi[y])):
                 found = search(depth + 1, now)
                 if found is not False:
                     return found
@@ -443,11 +448,35 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
 
     used = np.zeros(n, dtype=bool)
     used[0] = True
-    return phi if search(0, used) else None
+    return _inverse_map(psi) if search(0, used) else None
 
 
-def _generator_chain(h: Group, gens) -> list[tuple]:
-    """One level per generator outside the span of those before it:
+def _inverse_map(psi: np.ndarray) -> np.ndarray:
+    """The inverse of the id map ``psi``.  An id that psi misses maps to
+    -1, so a psi that is not a bijection has no bijection as its inverse."""
+    phi = np.full(psi.size, -1, dtype=np.int64)
+    phi[psi] = np.arange(psi.size)
+    return phi
+
+
+@_memo
+def _source_chain(s: Group) -> list[tuple]:
+    """The generator chain that searches from the pooled source s follow,
+    a fact of s built on its first search.
+
+    Its generators are taken greedily, the largest element order first,
+    then the rarest element key, then the least id: few generators with
+    few candidate images each.  (``s.generators()`` would not do: for the
+    constructed AGL(1, 16) it holds the translations 1, 2, 4 and 8, too
+    many candidate images for the node budget.)
+    """
+    _, kind, counts = np.unique(_element_key(s), return_inverse=True, return_counts=True)
+    return _generator_chain(s, np.lexsort((counts[kind], -s.elt_order)).tolist())
+
+
+def _generator_chain(s: Group, gens) -> list[tuple]:
+    """The chain of s along ``gens``, taken in order until they span s: one
+    level per generator outside the span of those before it,
     (generator, fresh, parents, gen_pos, fresh as an array, x, j, y).
 
     ``fresh`` lists the elements the generator adds to the span, in
@@ -457,17 +486,17 @@ def _generator_chain(h: Group, gens) -> list[tuple]:
     that first lie inside this level's span: fresh elements by every kept
     generator, older elements by the new one.
     """
-    inside = bytearray(h.order)
+    inside = bytearray(s.order)
     inside[0] = 1
     span = [0]
     kept: list[int] = []
-    columns: list[list[int]] = []   # x -> x * generator, in h
+    columns: list[list[int]] = []   # x -> x * generator, in s
     levels = []
     for g in gens:
         if inside[g]:
             continue
         kept.append(g)
-        columns.append(h.mul[:, g].tolist())
+        columns.append(s.mul[:, g].tolist())
         new = len(kept) - 1
         fresh, parents, gen_pos = [], [], []
         # Older elements by the new generator, then fresh ones, as they are
@@ -485,7 +514,7 @@ def _generator_chain(h: Group, gens) -> list[tuple]:
         m = len(kept)
         x = np.concatenate([np.repeat(f, m), old])
         j = np.concatenate([np.arange(f.size * m) % m, np.full(old.size, new)])
-        levels.append((g, fresh, parents, gen_pos, f, x, j, h.mul[x, np.array(kept)[j]]))
+        levels.append((g, fresh, parents, gen_pos, f, x, j, s.mul[x, np.array(kept)[j]]))
         span += fresh
     return levels
 
@@ -774,7 +803,7 @@ def restriction_multiplicities(
     theta_q = table_n._coeffs @ powers_mod(base, phi_n, q) % q   # (T, Kn)
     theta_conj = theta_q[:, table_n.classes.inverse_class]
 
-    parent_class = g.conjugacy_classes().class_of[sub.to_parent(table_n.classes.reps)]
+    parent_class = sub._parent_classes(table_n.classes)
     weighted = table_g._modq[:, parent_class] * table_n.classes.sizes[None, :] % q
     inv_n = inv_mod(sub.order, q)
     mults = weighted @ theta_conj.T % q * inv_n % q              # (R, T)

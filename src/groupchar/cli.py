@@ -32,6 +32,7 @@ from .errors import (
 from .groups import Group, Subgroup
 from .groupio import load_group
 from .chartable import compute_table, verify_table
+from .cyclotomic import _format_value
 from .clifford import ramification_report
 from .pairs import classify_pair
 from .corpus import run_corpus
@@ -114,9 +115,10 @@ def _cmd_table(args) -> str:
     reps = " ".join(str(r) for r in table.classes.reps)
     sizes = " ".join(str(s) for s in table.classes.sizes)
     rep.raw(f"classes: {reps} sizes: {sizes}")
-    for chi in table:
-        values = ", ".join(str(v) for v in chi.values)
-        rep.raw(f"deg={chi.degree} values={values}")
+    # Values straight from the coefficient array, as Cyclotomic prints them.
+    for degree, row in zip(table.degrees.tolist(), table._coeffs.tolist()):
+        values = ", ".join(_format_value(table.conductor, value) for value in row)
+        rep.raw(f"deg={degree} values={values}")
     return rep.render()
 
 

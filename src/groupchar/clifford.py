@@ -48,12 +48,14 @@ def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.n
     """Boolean mask over rows of N's table: is θ fixed by G-conjugation?
 
     θ is, exactly when it is constant on each block of N's classes that one
-    G-class holds: equal to its value on the block's first class."""
+    G-class holds: equal to its value on one class of the block, taken by
+    one scatter over the blocks."""
     require_normal(group, sub)
-    parent_class = group.conjugacy_classes().class_of[sub.to_parent(table_n.classes.reps)]
-    _, first, block = np.unique(parent_class, return_index=True, return_inverse=True)
+    parent_class = sub._parent_classes(table_n.classes)
+    member = np.empty(len(group.conjugacy_classes()), dtype=np.int64)
+    member[parent_class] = np.arange(parent_class.size)
     coeffs = table_n._coeffs
-    return np.all(coeffs == coeffs[:, first[block]], axis=(1, 2))
+    return np.all(coeffs == coeffs[:, member[parent_class]], axis=(1, 2))
 
 
 def _conjugation_profile(group: Group, sub: Subgroup,
@@ -208,19 +210,29 @@ def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dic
         orbits = np.eye(len(inv_mask), dtype=bool)[rows]  # O(θ) = {θ}
     _check_clifford(table_g, table_n, mults, rows, orbits)
     index = group.order // sub.order
+    sizes = orbits.sum(axis=1).tolist()
+    # The characters above each reported θ, from one nonzero over the
+    # reported columns: (i, chi) grouped by the row of θ in ``rows``.
+    i, chi = np.nonzero(mults[:, rows].T)
+    counts = np.bincount(i, minlength=rows.size).tolist()
+    ends = np.cumsum(counts).tolist()
+    degs_above = table_g.degrees[chi].tolist()
+    e_above = mults[chi, rows[i]].tolist()
+    theta_degs = table_n.degrees[rows].tolist()
+    invariant = inv_mask[rows].tolist()
     records = []
-    for t, size in zip(rows.tolist(), orbits.sum(axis=1).tolist()):
-        above = np.flatnonzero(mults[:, t])
-        degs = table_g.degrees[above].tolist()
-        e_val = int(mults[above[0], t]) if len(above) == 1 else None
+    for r, t in enumerate(rows.tolist()):
+        count, end = counts[r], ends[r]
+        degs = degs_above[end - count:end]
+        e_val = e_above[end - 1] if count == 1 else None
         rec = {
             "theta": t,
-            "theta_degree": int(table_n.degrees[t]),
-            "invariant": bool(inv_mask[t]),
-            "count_above": len(above),
+            "theta_degree": theta_degs[r],
+            "invariant": invariant[r],
+            "count_above": count,
             "degrees_above": degs,
-            "distinct_degrees": len(set(degs)) == len(degs),
-            "fully_ramified": e_val is not None and e_val * e_val * size == index,
+            "distinct_degrees": len(set(degs)) == count,
+            "fully_ramified": e_val is not None and e_val * e_val * sizes[r] == index,
             "e": e_val,
             "quotient_class": qclass,
             "quotient_abelian": q_abelian,

@@ -97,15 +97,21 @@ class Cyclotomic:
         return _lift(self, e) == _lift(other, e)
 
     def __str__(self):
-        if self.is_integer():
-            return str(self.coeffs[0])
-        e = self.conductor
-        terms = [str(self.coeffs[0])]
-        terms += [f"{c}*z{e}^{j}" for j, c in enumerate(self.coeffs) if j and c]
-        return " + ".join(terms)
+        return _format_value(self.conductor, self.coeffs)
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {self.coeffs})"
+
+
+def _format_value(conductor: int, coeffs) -> str:
+    """The text of the value of Z[zeta_e], e = ``conductor``, whose
+    power-basis coefficients are the ints ``coeffs``: the integer alone,
+    else the constant and each nonzero term c*ze^j."""
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
+    terms = [str(coeffs[0])]
+    terms += [f"{c}*z{conductor}^{j}" for j, c in enumerate(coeffs) if j and c]
+    return " + ".join(terms)
 
 
 def _lift(value: Cyclotomic, conductor: int) -> tuple[int, ...]:

@@ -12,7 +12,9 @@ are read inside G.  `Group.quotient` builds the image group; its one
 caller in the library is `constructors.central_product`, and the method
 also stays because the benchmark tracer times it.  Subgroups are closed
 by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
-(`local_ids`) and its one class-space form (`class_mask`).  A group made
+(`local_ids`), its one class-space form (`class_mask`) and the map of the
+classes of its own group into the parent's (`_parent_classes`, one fact
+per classes object).  A group made
 from a known one inherits its facts instead of recomputing them:
 `Subgroup.as_group` takes the parent's inverses and element orders through
 `local_ids`, and a group with a byte-equal Cayley table takes its twin's
@@ -586,9 +588,10 @@ class Group:
         return all(is_prime(k) for k in factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyClasses:
-    """Conjugacy class data, one read-only int64 array per field.
+    """Conjugacy class data, one read-only int64 array per field.  An
+    instance compares and hashes by identity, so it can key a memo.
 
     ``reps[c]`` is the least element of class c and increases with c, so
     class 0 is the identity's; ``by_class`` lists the elements class by
@@ -710,6 +713,13 @@ class Subgroup:
         return Group.__new__(Group)._fill(local, local_ids[parent.inv[els]],
                                           parent.elt_order[els],
                                           f"{parent.label}.sub{self.order}")
+
+    @_memo
+    def _parent_classes(self, classes: ConjugacyClasses) -> np.ndarray:
+        """The parent class of each class in ``classes``, the classes of a
+        group on this subgroup's local ids (``as_group()`` or a byte-equal
+        twin): one fact per classes object."""
+        return _readonly(self.parent.conjugacy_classes().class_of[self.elements[classes.reps]])
 
     def to_parent(self, local_id):
         """Map local (materialized) ids to parent ids; scalar or array."""

@@ -25,12 +25,35 @@ from groupchar import build_corpus, ramification_scan_pair, run_corpus  # noqa: 
 from groupchar import chartable  # noqa: E402
 
 
-def _pair_scan() -> None:
-    groups = [entry.build() for entry in build_corpus()]
-    for group in groups:
+def corpus_pairs():
+    """Yield (name, G, N) for each proper nontrivial normal subgroup N of
+    each corpus group G: all 116 groups are built first, and each G's
+    normal lattice when its turn comes."""
+    groups = [(entry.name, entry.build()) for entry in build_corpus()]
+    for name, group in groups:
         for sub in group.normal_subgroups():
             if 1 < sub.order < group.order:
-                ramification_scan_pair(group, sub)
+                yield name, group, sub
+
+
+def count_searches():
+    """Count the ``_find_isomorphism`` calls from now on; return a reader
+    of the count."""
+    searches = 0
+    search = chartable._find_isomorphism
+
+    def counted(h, s):
+        nonlocal searches
+        searches += 1
+        return search(h, s)
+
+    chartable._find_isomorphism = counted
+    return lambda: searches
+
+
+def _pair_scan() -> None:
+    for _, group, sub in corpus_pairs():
+        ramification_scan_pair(group, sub)
 
 
 PASSES = {"corpus": (("corpus 1", run_corpus), ("corpus 2", run_corpus)),
@@ -41,22 +64,14 @@ def _passes(collector: str, job: str) -> None:
     """Run the passes of ``job`` in this interpreter and print their counts."""
     if collector == "off":
         gc.disable()
-    searches = 0
-    search = chartable._find_isomorphism
-
-    def counted(h, s):
-        nonlocal searches
-        searches += 1
-        return search(h, s)
-
-    chartable._find_isomorphism = counted
+    searches = count_searches()
     for name, run in PASSES[job]:
-        before, searched = dict(chartable.table_counts), searches
+        before, searched = dict(chartable.table_counts), searches()
         run()
         built = chartable.table_counts["built"] - before["built"]
         moved = chartable.table_counts["transported"] - before["transported"]
         print(f"collector {collector:3}  {name:9}  {built:4} built / {moved:4} transported"
-              f"  {searches - searched:4} searches", flush=True)
+              f"  {searches() - searched:4} searches", flush=True)
 
 
 def main() -> None:

@@ -12,13 +12,17 @@ import groupchar.cli as cli
 from groupchar import (
     SplitFailure,
     TheoremViolation,
+    c7_c3,
+    compute_table,
     cyclic,
     dihedral,
     generalized_quaternion,
+    load_group,
     save_group,
     sym,
 )
 from groupchar.cli import main
+from groupchar.cyclotomic import Cyclotomic
 
 
 # --------------------------------------------------------------------------
@@ -100,6 +104,32 @@ def test_table_q8(capsys, q8_file):
     # the degree-2 row carries the exact value -2 on the central involution
     deg2 = next(r for r in rows if r.startswith("deg=2"))
     assert "-2" in deg2
+
+
+def test_table_prints_the_values_as_cyclotomic_does_without_making_one(
+        capsys, tmp_path, monkeypatch):
+    """``table`` formats the coefficient lists by the formatter that
+    ``Cyclotomic.__str__`` calls, so the text is the same and no value
+    object is made."""
+    path = tmp_path / "c7c3.grp"
+    save_group(c7_c3(), path)
+    made = []
+    init = Cyclotomic.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    code, out, _ = run(capsys, ["table", str(path)])
+    assert code == 0 and made == []
+    rows = [line for line in out.splitlines() if line.startswith("deg=")]
+    table = compute_table(load_group(path))
+    want = [f"deg={chi.degree} values=" + ", ".join(str(v) for v in chi.values)
+            for chi in table]
+    assert rows == want
+    assert any("*z" in row for row in rows)
+    assert len(made) == len(table) ** 2
 
 
 def test_table_is_deterministic(capsys, s4_file):

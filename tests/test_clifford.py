@@ -40,6 +40,8 @@ from groupchar import (
     sym,
 )
 
+from groupchar.groups import Subgroup, _memo
+
 import oracles
 from helpers import (
     conjugate_character,
@@ -358,6 +360,45 @@ def test_invariant_rows_match_the_fusion_blocks(proper_normal_pairs):
             g.label, sub.order)
         some_not_invariant += not got.all()
     assert some_not_invariant > 0
+
+
+def test_pairs_share_one_class_map(proper_normal_pairs, triple_records):
+    """N's classes go into G's by one memo fact of the subgroup, keyed to
+    the classes of N's table, which ``invariant_rows`` and
+    ``restriction_multiplicities`` both read: on every corpus pair the scan
+    left it, equal to the direct gather."""
+    for name, g, sub in proper_normal_pairs:
+        classes = compute_table(sub.as_group()).classes
+        shared = sub._cache[("_parent_classes", classes)]
+        want = g.conjugacy_classes().class_of[sub.to_parent(classes.reps)]
+        assert np.array_equal(shared, want), (name, sub.order)
+        assert sub._parent_classes(classes) is shared
+    # A byte-equal twin's own classes object takes an entry of its own.
+    name, g, sub = proper_normal_pairs[-1]
+    twin = Group(sub.as_group().mul.copy(), label="twin").conjugacy_classes()
+    assert twin is not compute_table(sub.as_group()).classes
+    assert np.array_equal(sub._parent_classes(twin),
+                          g.conjugacy_classes().class_of[sub.to_parent(twin.reps)])
+
+
+def test_a_pass_maps_the_classes_of_n_once(monkeypatch):
+    """Each pass over (G, N) reads the one class map, computed on the
+    first pass and kept for the next."""
+    fusions = []
+    fusion = Subgroup._parent_classes.__wrapped__
+
+    def counted(sub, classes):
+        fusions.append(sub)
+        return fusion(sub, classes)
+
+    counted.__name__ = fusion.__name__
+    monkeypatch.setattr(Subgroup, "_parent_classes", _memo(counted))
+    g = sym(4)
+    for sub in g.normal_subgroups():
+        if 1 < sub.order < g.order:
+            ramification_report(g, sub)
+            ramification_scan_pair(g, sub)
+            assert fusions.count(sub) == 1
 
 
 def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):

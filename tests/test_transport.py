@@ -16,6 +16,7 @@ import pytest
 from groupchar import (
     Group,
     TheoremViolation,
+    agl1,
     build_corpus,
     c7_c3,
     compute_table,
@@ -31,6 +32,7 @@ from groupchar import (
 import groupchar.chartable as chartable
 import groupchar.clifford as clifford
 from groupchar.chartable import _build_table
+from groupchar.groups import _memo
 
 import oracles
 
@@ -164,6 +166,97 @@ def test_a_map_that_fails_the_checks_is_a_contract_violation(monkeypatch):
                         lambda h, s: np.zeros(24, dtype=np.int64))
     with pytest.raises(chartable.ContractViolation, match="non-bijection"):
         compute_table(relabel(s4, 3))
+
+
+def test_the_inverse_of_a_map_that_is_no_bijection_is_refused():
+    """The search inverts its map s -> h; an id the map misses must leave a
+    mark in the inverse that ``_transport``'s bijection check sees."""
+    psi = np.array([0, 2, 3, 1])
+    assert chartable._inverse_map(psi).tolist() == [0, 3, 1, 2]
+    collapsed = chartable._inverse_map(np.array([0, 1, 1, 3]))
+    assert collapsed.tolist() == [0, 2, -1, 3]
+    s4 = sym(4)
+    compute_table(s4)
+    psi = np.arange(24)
+    psi[5] = 6  # 5 is missed, 6 is hit twice
+    phi = chartable._inverse_map(psi)
+    assert -1 in phi
+    with pytest.raises(chartable.ContractViolation, match="non-bijection"):
+        chartable._transport(relabel(s4, 8), compute_table(s4), phi)
+
+
+def test_agl1_16_transports_both_ways_within_the_budget():
+    """The constructed AGL(1, 16) has the translations 1, 2, 4 and 8 among
+    its ``generators()``, too many candidate images for the budget; its
+    source chain must still find both directions against a relabelled copy."""
+    assert chartable.ISOMORPHISM_NODE_BUDGET == 2000
+    built = agl1(16)
+    assert {1, 2, 4, 8} <= set(built.generators())
+    assert set(built.elt_order[[1, 2, 4, 8]].tolist()) == {2}
+    copy = relabel(built, 16)
+    for h, s in ((copy, built), (built, copy)):
+        phi = chartable._find_isomorphism(h, s)
+        assert phi is not None, (h.label, s.label)
+        assert route_differences(h, chartable._transport(h, _build_table(s), phi)) == []
+
+
+def test_the_pair_scan_walks_only_source_chains(monkeypatch, empty_table_pool):
+    """Fresh corpus groups and all 6912 pairs, from an empty pool: each
+    pooled source builds its generator chain at most once, no searched
+    group builds one, and no searched group calls ``generators()`` while
+    its table is computed."""
+    chains: dict[Group, int] = {}
+    source_chain = chartable._source_chain.__wrapped__
+
+    def counted_chain(s):
+        chains[s] = chains.get(s, 0) + 1
+        return source_chain(s)
+
+    counted_chain.__name__ = source_chain.__name__
+    monkeypatch.setattr(chartable, "_source_chain", _memo(counted_chain))
+    searched, sources = set(), set()
+    computing, inside = [], []  # groups whose table or search runs, innermost last
+    search = chartable._find_isomorphism
+
+    def recorded(h, s):
+        searched.add(h)
+        sources.add(s)
+        computing.append(h)
+        try:
+            return search(h, s)
+        finally:
+            computing.pop()
+
+    monkeypatch.setattr(chartable, "_find_isomorphism", recorded)
+    generators, table = Group.generators, clifford.compute_table
+
+    def watched_generators(self):
+        if computing and self is computing[-1]:
+            inside.append(self)
+        return generators(self)
+
+    def watched_table(group):
+        computing.append(group)
+        try:
+            return table(group)
+        finally:
+            computing.pop()
+
+    monkeypatch.setattr(Group, "generators", watched_generators)
+    monkeypatch.setattr(clifford, "compute_table", watched_table)
+    pairs = records = 0
+    for entry in build_corpus():
+        group = entry.build()
+        for sub in group.normal_subgroups():
+            if 1 < sub.order < group.order:
+                records += len(ramification_scan_pair(group, sub))
+                pairs += 1
+    assert (pairs, records) == (6912, 60782)
+    assert len(searched) > 1000 and len(sources) < 100
+    assert set(chains) == sources
+    assert max(chains.values()) == 1
+    assert not searched & set(chains)
+    assert not searched & set(inside)
 
 
 def _digest(group: Group) -> bytes:
