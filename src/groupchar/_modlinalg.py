@@ -120,19 +120,17 @@ def charpoly_mod(a: np.ndarray, q: int) -> np.ndarray:
     sub = np.zeros(n, dtype=np.int64)  # sub[t] = h[t, t-1]
     if n > 1:
         sub[1:] = h[np.arange(1, n), np.arange(0, n - 1)]
+    suffix = np.empty(n, dtype=np.int64)  # at step k, suffix[m] = prod(sub[m+1 .. k-1])
     for k in range(1, n + 1):
         prev = poly[k - 1, :k]
         shifted = np.zeros(k + 1, dtype=np.int64)
         shifted[1:] = prev  # x * p_{k-1}
         shifted[:k] = (shifted[:k] - int(h[k - 1, k - 1]) * prev) % q
         if k >= 2:
-            # weights w[m] = h[m, k-1] * prod(sub[m+1 .. k-1]), m = 0..k-2
-            suffix = np.empty(k - 1, dtype=np.int64)
-            acc = 1
-            for m in range(k - 2, -1, -1):
-                acc = acc * int(sub[m + 1]) % q
-                suffix[m] = acc
-            w = (h[: k - 1, k - 1] * suffix) % q
+            suffix[:k - 2] = suffix[:k - 2] * sub[k - 1] % q
+            suffix[k - 2] = sub[k - 1]
+            # weights w[m] = h[m, k-1] * suffix[m], m = 0..k-2
+            w = (h[: k - 1, k - 1] * suffix[: k - 1]) % q
             shifted[:k] = (shifted[:k] - w @ poly[: k - 1, :k]) % q
         poly[k, : k + 1] = shifted % q
     return poly[n]

@@ -402,9 +402,12 @@ class Group:
         Every normal subgroup is an intersection of kernels of irreducible
         characters (Isaacs, *Character Theory of Finite Groups*, ch. 2), so
         the lattice is the closure under intersection of the kernels in the
-        character table, taken as class bitmasks.  Building the table caps
-        the group order at ``chartable.TABLE_ORDER_BOUND``;
-        ``NORMAL_LATTICE_BOUND`` caps the number of normal subgroups.
+        character table, taken as class bitmasks, built by one sweep over
+        the distinct kernels: after kernel K the set holds every meet of K
+        with the kernels before it.  Building the table caps the group
+        order at ``chartable.TABLE_ORDER_BOUND``; ``NORMAL_LATTICE_BOUND``
+        caps the number of normal subgroups, checked after each kernel,
+        which at most doubles the set: it never exceeds 2·bound + 1 masks.
         """
         from .chartable import compute_table  # chartable imports this module
 
@@ -412,20 +415,12 @@ class Group:
         # Python ints, not int64: a group may have more than 63 classes.
         packed = np.packbits(compute_table(self)._kernel_mask, axis=1, bitorder="little")
         kernels = {int.from_bytes(row.tobytes(), "little") for row in packed}
-        found = set(kernels)
-        frontier = list(kernels)
-        while frontier:
-            fresh = []
-            for mask in frontier:
-                for ker in kernels:
-                    meet = mask & ker
-                    if meet not in found:
-                        found.add(meet)
-                        fresh.append(meet)
-                        if len(found) > NORMAL_LATTICE_BOUND:
-                            raise BoundExceeded("normal_subgroups", len(found),
-                                                NORMAL_LATTICE_BOUND)
-            frontier = fresh
+        found: set[int] = set()  # every meet of the kernels swept so far
+        for ker in kernels:
+            found |= {m & ker for m in found}
+            found.add(ker)
+            if len(found) > NORMAL_LATTICE_BOUND:
+                raise BoundExceeded("normal_subgroups", len(found), NORMAL_LATTICE_BOUND)
         width = packed.shape[1]
         rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in found), dtype=np.uint8)
         masks = np.unpackbits(rows.reshape(len(found), width), axis=1, count=len(cc),

@@ -76,7 +76,8 @@ def has_property_D(group: Group, sub: Subgroup) -> bool:
 @_memo
 def _commutator_classes(group: Group) -> np.ndarray:
     """H[c, d] = #{y : [x_c, y] ∈ class d}, x_c the representative of
-    class c; built once per group from one gather of commutators."""
+    class c; built once per group from one gather of commutators.  H is
+    zero outside the columns of the classes that hold a commutator, all in G′."""
     cc = group.conjugacy_classes()
     mul, inv, k = group.mul, group.inv, len(cc)
     comm = mul[mul[mul[cc.reps], inv[cc.reps][:, None]], inv]  # [x_c, y], row c
@@ -93,23 +94,29 @@ def _centralizer_verdicts(group: Group, masks: np.ndarray) -> np.ndarray:
     {y : [x, y] ∈ N}, a union of N-cosets, so |C_{G/N}(x_c N)|·|N| is the
     number of y whose commutator with x_c falls in a class of N: the
     commutator-class count H[c, d] summed over the classes d inside N,
-    which is H·Mᵀ for all rows at once.
+    which is H·Mᵀ for all rows at once, over the columns where H is nonzero.
     """
     sizes = group.conjugacy_classes().sizes  # |C_G(x_c)| = |G| / size
-    counts = _commutator_classes(group) @ masks.T  # |C_{G/N}(x_c N)|·|N|, (k, L)
+    h = _commutator_classes(group)
+    cols = np.flatnonzero(h.any(axis=0))
+    counts = h[:, cols] @ masks[:, cols].T  # |C_{G/N}(x_c N)|·|N|, (k, L)
     want = group.order * (masks @ sizes)  # |G|·|N| per row
     return ((counts * sizes[:, None] == want) | masks.T).all(axis=0)
 
 
 def _vanishing_verdicts(group: Group, masks: np.ndarray) -> np.ndarray:
-    """The vanishing decider on each row of ``masks``: does every character
-    over N vanish on all of G ∖ N?  A character is over N when some class
-    of N lies outside its kernel; a row passes when no character over it
-    is nonzero on a class outside it.  Both products are boolean."""
+    """The vanishing decider on each row of ``masks`` (a proper normal N
+    each): does every character over N, one with a class of N outside its
+    kernel, vanish on all of G ∖ N?  A linear character vanishes nowhere,
+    so a row outside the meet of their kernels fails at once; two boolean
+    products decide the rest."""
     table = compute_table(group)
-    over = ~table._kernel_mask @ masks.T  # (rows, L)
-    nonzero = over.T @ ~table._zero_mask  # (L, k): some character over N is nonzero
-    return ~(nonzero & ~masks).any(axis=1)
+    linear_meet = table._kernel_mask[table.degrees == 1].all(axis=0)
+    out = ~(masks & ~linear_meet).any(axis=1)  # False: a linear character is over N
+    rest = masks[out]
+    nonzero = rest @ ~table._kernel_mask.T @ ~table._zero_mask  # some χ over N is ≠ 0
+    out[out] = ~(nonzero & ~rest).any(axis=1)
+    return out
 
 
 def _proper_row(group: Group, sub: Subgroup) -> np.ndarray:

@@ -21,6 +21,8 @@ each chief step and takes the least by (order, elements), the rule that
 element, the reference for the batched coset closure of `LinearAction`.
 `matrix_perm_big_endian` numbers vectors digit by digit, the reference for
 `constructors._matrix_perm`.
+`kernel_meet_closure` meets the character kernels round by round until
+nothing new appears, where `Group._normal_lattice` sweeps them once.
 `invariant_rows_by_fusion` compares rows over the blocks of
 `class_fusion`, one G-class's members at a time, where
 `clifford.invariant_rows` reads the blocks off N's class representatives
@@ -284,6 +286,27 @@ def normal_lattice(mul) -> list[tuple[int, ...]]:
                 found.add(joined)
                 queue.append(joined)
     return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+
+
+def kernel_meet_closure(kernel_mask) -> set[frozenset]:
+    """Every intersection of the kernels given as the rows of a class-mask
+    matrix (kernel_mask[r, c]: class c lies in the kernel of row r), each a
+    frozenset of class indices: each round meets every set found in the
+    last round with every kernel, until a round finds nothing new."""
+    kernels = {frozenset(c for c, inside in enumerate(row) if inside)
+               for row in kernel_mask.tolist()}
+    found = set(kernels)
+    frontier = list(kernels)
+    while frontier:
+        fresh = []
+        for mask in frontier:
+            for ker in kernels:
+                meet = mask & ker
+                if meet not in found:
+                    found.add(meet)
+                    fresh.append(meet)
+        frontier = fresh
+    return found
 
 
 def join_orders_by_products(G, B) -> list[int]:

@@ -284,6 +284,25 @@ def test_normal_lattice_matches_atom_join_oracle(corpus_groups):
     assert checked == 108
 
 
+def test_normal_lattice_matches_the_kernel_meet_oracle(corpus_groups):
+    """Row for row on every corpus group, ES128± and their 2826 rows
+    included: the lattice is the frontier closure of the table's kernels
+    under intersection, sorted by (order, elements)."""
+    rows = 0
+    for name, g in corpus_groups.items():
+        cc = g.conjugacy_classes()
+
+        def key(classes):
+            elements = sorted(x for c in classes for x in cc.members[c].tolist())
+            return len(elements), elements
+
+        want = sorted(oracles.kernel_meet_closure(compute_table(g)._kernel_mask), key=key)
+        masks, _ = g._normal_lattice()
+        assert [set(np.flatnonzero(row).tolist()) for row in masks] == want, name
+        rows += len(want)
+    assert rows == 6912 + 2 * 115 + 1
+
+
 def test_normal_lattice_matrix_matches_the_subgroups(corpus_groups):
     """Row i of the lattice matrix is the class mask of normal_subgroups()[i]
     and orders[i] its order; the rows run from the trivial class alone up
@@ -347,8 +366,10 @@ def test_as_group_inherits_the_facts_a_fresh_group_computes(proper_normal_pairs)
 def test_normal_lattice_bounds(monkeypatch):
     # abelian([2] * 5) has 374 subgroups, all normal
     monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 100)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded) as exc:
         abelian([2] * 5).normal_subgroups()
+    # one kernel at most doubles the meets found, so the cap bounds memory
+    assert 100 < exc.value.size <= 2 * 100 + 1
     monkeypatch.setattr(groups, "NORMAL_LATTICE_BOUND", 373)
     with pytest.raises(BoundExceeded):
         abelian([2] * 5).normal_subgroups()

@@ -19,6 +19,7 @@ from groupchar import (
     camina_pair,
     camina_verdicts,
     classify_pair,
+    compute_table,
     cyclic,
     dihedral,
     distinct_nonlinear_scan,
@@ -143,6 +144,40 @@ def test_camina_centralizer_decider_needs_no_character_table(build, monkeypatch)
     expected = [oracles.camina_f2(g, sub) for sub in subs]
     assert [is_camina_centralizer(g, sub) for sub in subs] == expected
     assert pairs._centralizer_verdicts(g, masks[1:-1]).tolist() == expected
+
+
+def test_centralizer_decider_reads_only_the_commutator_classes(corpus_groups):
+    """On every proper row of every corpus lattice the decider equals the
+    verdict from the full counts H·Mᵀ, and the columns where H is nonzero,
+    the classes that hold a commutator, are classes of G′."""
+    for name, g in corpus_groups.items():
+        h = pairs._commutator_classes(g)
+        sizes = g.conjugacy_classes().sizes
+        proper = g._normal_lattice()[0][1:-1]
+        full = (h @ proper.T) * sizes[:, None] == g.order * (proper @ sizes)
+        want = (full | proper.T).all(axis=0)
+        assert pairs._centralizer_verdicts(g, proper).tolist() == want.tolist(), name
+        assert g.derived_subgroup().class_mask()[h.any(axis=0)].all(), name
+
+
+def test_vanishing_decider_fails_linear_rows_without_a_product(corpus_groups):
+    """On every proper row of every corpus lattice the decider equals both
+    boolean products taken over all rows, and each row outside G′, which
+    it fails before the products, has a degree-1 character over it."""
+    early = 0
+    for name, g in corpus_groups.items():
+        table = compute_table(g)
+        proper = g._normal_lattice()[0][1:-1]
+        over = ~table._kernel_mask @ proper.T
+        nonzero = over.T @ ~table._zero_mask
+        verdicts = pairs._vanishing_verdicts(g, proper)
+        assert verdicts.tolist() == (~(nonzero & ~proper).any(axis=1)).tolist(), name
+        outside = (proper & ~g.derived_subgroup().class_mask()).any(axis=1)
+        assert not verdicts[outside].any(), name
+        linear_over = over[table.degrees == 1].any(axis=0)
+        assert np.array_equal(linear_over, outside), name
+        early += int(outside.sum())
+    assert early > 0
 
 
 def test_classify_type1_families():
