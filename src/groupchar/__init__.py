@@ -28,7 +28,6 @@ from .cyclotomic import Cyclotomic
 from .groups import (
     ConjugacyClasses,
     Group,
-    QuotientMap,
     Subgroup,
     acts_fixed_point_freely,
     frobenius_complement,
@@ -56,7 +55,6 @@ from .pairs import (
     classify_pair,
     distinct_nonlinear_scan,
     has_property_D,
-    irr_over,
     is_camina_centralizer,
     is_camina_vanishing,
     residual_case,

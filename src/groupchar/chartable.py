@@ -142,7 +142,11 @@ class Character:
 
     def kernel(self) -> Subgroup:
         """{g : χ(g) = χ(1)}, decided via the trivial-root multiplicities."""
-        return self.table._kernel_subgroup(self.index)
+        group = self.table.group
+        sub = group._normal(self.table._kernel_mask[self.index])
+        if not np.all(sub.member_mask()[group.mul[np.ix_(sub.elements, sub.elements)]]):
+            raise ContractViolation("character kernel is not closed")
+        return sub
 
     def __call__(self, g: int) -> Cyclotomic:
         return self.values[self.table.classes.class_of[g]]
@@ -193,15 +197,8 @@ class CharacterTable:
     def __iter__(self):
         return iter(self.rows)
 
-    @_memo
-    def _kernel_subgroup(self, index: int) -> Subgroup:
-        sub = self.group._normal(self._kernel_mask[index])
-        if not np.all(sub.member_mask()[self.group.mul[np.ix_(sub.elements, sub.elements)]]):
-            raise ContractViolation("character kernel is not closed")
-        return sub
-
     def __repr__(self):
-        return (f"<CharacterTable {self.group.label}: {len(self.rows)} rows, "
+        return (f"<CharacterTable {self.group.label}: {len(self)} rows, "
                 f"conductor {self.conductor}, prime {self.prime}>")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._modlinalg import vector_perms
 from .errors import BoundExceeded, InvalidAction
 from .gf import gf_field
-from .groups import SUBGROUP_BOUND, Group, Subgroup
+from .groups import SUBGROUP_BOUND, Group, Subgroup, _ids
 
 
 def cyclic(n: int) -> Group:
@@ -185,7 +185,7 @@ def _semidirect(a: Group, b: Group, action, label: str) -> Group:
     (so action[b1 * b2] = action[b1] o action[b2]).  Multiplication is
     (a1, b1)(a2, b2) = (a1 * action[b1](a2), b1 * b2), ids a * |B| + b.
     """
-    act = np.asarray([list(row) for row in action], dtype=np.int64)
+    act = _ids([list(row) for row in action], a.order, "action entries")
     if act.shape != (b.order, a.order):
         raise InvalidAction("need one automorphism table per element of B")
     for t in range(b.order):
@@ -215,8 +215,8 @@ def automorphism_from_images(g: Group, gens, images) -> tuple[int, ...]:
     Extends multiplicatively along a breadth-first traversal and then checks
     the result really is an automorphism.
     """
-    gens = [int(x) for x in gens]
-    images = [int(x) for x in images]
+    gens = _ids(gens, g.order, "generators").tolist()
+    images = _ids(images, g.order, "images").tolist()
     if len(gens) != len(images):
         raise ValueError("need one image per generator")
     perm = np.full(g.order, -1, dtype=np.int64)
@@ -251,8 +251,7 @@ def central_product(x: Group, y: Group) -> Group:
     zx, zy = _central_involution(x), _central_involution(y)
     d = direct_product(x, y)
     k = Subgroup(d, [0, zx * y.order + zy])  # central, so normal
-    q = d.quotient(k)
-    return Group(q.image.mul, label=f"{x.label}o{y.label}", validate=False)
+    return Group(d.quotient(k).mul, label=f"{x.label}o{y.label}", validate=False)
 
 
 def extraspecial_2(m: int, sign: str) -> Group:

@@ -64,12 +64,6 @@ def _abelian_variants(n: int, step: int = 1) -> list[tuple[int, ...]]:
                   for rest in _abelian_variants(n // d, d))
 
 
-def _build_abelian(invariants: tuple[int, ...]) -> Group:
-    if not invariants:
-        return cyclic(1)
-    return abelian(list(invariants))
-
-
 # --------------------------------------------------------------------------
 # assorted semidirect products
 
@@ -121,7 +115,7 @@ def build_corpus() -> list[CorpusEntry]:
     for n in range(1, 33):
         for invs in _abelian_variants(n):
             name = "C1" if not invs else "x".join(f"C{d}" for d in invs)
-            entries.append(CorpusEntry(name, partial(_build_abelian, invs)))
+            entries.append(CorpusEntry(name, partial(abelian, invs or [1])))
 
     for n in range(3, 33):
         if n == 3:

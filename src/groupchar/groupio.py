@@ -54,8 +54,9 @@ def _content_lines(path):
                 yield lineno, line
 
 
-def load_group(path, *, label: str | None = None) -> Group:
-    """Read a group file in either format; see the module docstring."""
+def load_group(path) -> Group:
+    """Read a group file in either format, labelled by the file's name up to
+    its last dot; see the module docstring."""
     lines = list(_content_lines(path))
     if not lines:
         raise ParseError("empty group file", 0)
@@ -70,17 +71,12 @@ def load_group(path, *, label: str | None = None) -> Group:
         raise ParseError(f"header size {arg!r} is not an integer", lineno)
     if size < 1:
         raise ParseError("header size must be positive", lineno)
-    name = label if label is not None else _default_label(path)
+    name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     if kind == "cayley":
         return _load_cayley(lines[1:], size, name, lineno)
     if kind == "perm":
         return _load_perm(lines[1:], size, name)
     raise ParseError(f"unknown format {kind!r}", lineno)
-
-
-def _default_label(path) -> str:
-    stem = str(path).rsplit("/", 1)[-1]
-    return stem.rsplit(".", 1)[0] if "." in stem else stem
 
 
 def _load_cayley(lines, size, name, header_line) -> Group:

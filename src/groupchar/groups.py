@@ -236,11 +236,6 @@ class Group:
         if "conjugacy_classes" not in self._cache:
             self._cache["conjugacy_classes"] = twin.conjugacy_classes()
 
-    def centralizer(self, g: int) -> "Subgroup":
-        g = int(_ids(g, self.order, "element id"))
-        mask = self.mul[:, g] == self.mul[g, :]
-        return Subgroup(self, np.nonzero(mask)[0])
-
     def center(self) -> "Subgroup":
         return self._normal(self.conjugacy_classes().sizes == 1)
 
@@ -441,7 +436,9 @@ class Group:
 
     # -- quotients -------------------------------------------------------------
 
-    def quotient(self, normal: "Subgroup") -> "QuotientMap":
+    def quotient(self, normal: "Subgroup") -> "Group":
+        """G/N, its ids the cosets in the order of their least members, once
+        the coset map is checked to be a homomorphism with fibers of size |N|."""
         require_normal(self, normal)
         n = self.order
         els = normal.elements
@@ -460,9 +457,8 @@ class Group:
         fibers = np.bincount(projection, minlength=len(reps))
         if not np.all(fibers == normal.order):
             raise ContractViolation("quotient fibers have unequal sizes")
-        image = Group(img_mul, label=f"{self.label}/{normal.short_label()}",
-                      validate=False)
-        return QuotientMap(self, normal, image, projection)
+        return Group(img_mul, label=f"{self.label}/{normal.short_label()}",
+                     validate=False)
 
     # -- radicals and series ------------------------------------------------------
 
@@ -734,19 +730,6 @@ class Subgroup:
         if not np.array_equal(outer.to_parent(inner.elements), self.elements):
             raise ContractViolation("local ids of the inner subgroup are out of order")
         return inner
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """A surjection G -> G/N with kernel N; cosets labelled by minimal id."""
-
-    source: Group
-    kernel: Subgroup
-    image: Group
-    projection: np.ndarray  # length |G|, values are image ids
-
-    def __call__(self, g: int) -> int:
-        return int(self.projection[g])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arith import isqrt_exact, p_part, prime_power
-from .chartable import Character, CharacterTable, compute_table
+from .chartable import CharacterTable, compute_table
 from .errors import ContractViolation, TheoremViolation
 from .groups import (
     Group,
@@ -34,7 +34,6 @@ from .groups import (
 
 __all__ = [
     "PairReport",
-    "irr_over",
     "has_property_D",
     "is_camina_centralizer",
     "is_camina_vanishing",
@@ -53,13 +52,6 @@ def _rows_over(table: CharacterTable, sub: Subgroup) -> np.ndarray:
     """Row indices of the characters whose kernel does not contain N."""
     contains = table._kernel_mask[:, sub.class_mask()].all(axis=1)
     return np.nonzero(~contains)[0]
-
-
-def irr_over(group: Group, sub: Subgroup) -> list[Character]:
-    """Characters of G whose kernel does not contain N (N normal, N = G ok)."""
-    require_normal(group, sub)
-    table = compute_table(group)
-    return [table.rows[r] for r in _rows_over(table, sub)]
 
 
 def has_property_D(group: Group, sub: Subgroup) -> bool:
@@ -203,13 +195,16 @@ def _faithful_rows(table: CharacterTable) -> np.ndarray:
     return np.nonzero(~table._kernel_mask[:, 1:].any(axis=1))[0]
 
 
-def _assert_type1(group: Group, sub: Subgroup, p: int, report: PairReport):
+def _failing(group: Group, sub: Subgroup, claim: str):
+    """``fail(msg)``: raise TheoremViolation "<claim>: <msg>" with the pair's
+    witness."""
     def fail(msg):
-        raise TheoremViolation(
-            "nilpotent distinct-degree pair must be the 2-group shape: " + msg,
-            _pair_witness(group, sub),
-        )
+        raise TheoremViolation(f"{claim}: {msg}", _pair_witness(group, sub))
+    return fail
 
+
+def _assert_type1(group: Group, sub: Subgroup, p: int, report: PairReport):
+    fail = _failing(group, sub, "nilpotent distinct-degree pair must be the 2-group shape")
     order = group.order
     if p != 2:
         fail(f"kernel prime is {p}, not 2")
@@ -233,13 +228,8 @@ def _assert_type1(group: Group, sub: Subgroup, p: int, report: PairReport):
 
 def _assert_type2(group: Group, sub: Subgroup, p: int, n_exp: int,
                   report: PairReport):
-    def fail(msg):
-        raise TheoremViolation(
-            "Frobenius distinct-degree pair must be the sharply transitive "
-            "shape: " + msg,
-            _pair_witness(group, sub),
-        )
-
+    fail = _failing(group, sub, "Frobenius distinct-degree pair must be the "
+                                "sharply transitive shape")
     target = p ** n_exp - 1
     index = group.order // sub.order
     if index != target:
@@ -272,12 +262,7 @@ def _camina_inside(group: Group, j_sub: Subgroup, sub: Subgroup) -> bool | None:
 
 def _assert_type3(group: Group, sub: Subgroup, p: int, n_exp: int,
                   report: PairReport):
-    def fail(msg):
-        raise TheoremViolation(
-            "residual distinct-degree pair breaks its promised shape: " + msg,
-            _pair_witness(group, sub),
-        )
-
+    fail = _failing(group, sub, "residual distinct-degree pair breaks its promised shape")
     if group.center().order != 1:
         fail("center is nontrivial")
     # residual_case, which runs next, checks that (J, N) is a Camina pair.
@@ -342,11 +327,7 @@ def classify_pair(group: Group, sub: Subgroup) -> PairReport:
     p, n_exp = pp
     report.p, report.n_exp = p, n_exp
 
-    def fail(msg):
-        raise TheoremViolation(
-            "distinct-degree pair misses a promised conclusion: " + msg,
-            _pair_witness(group, sub),
-        )
+    fail = _failing(group, sub, "distinct-degree pair misses a promised conclusion")
 
     if not (report.camina_centralizer and report.camina_vanishing):
         fail("(G, N) is not a Camina pair")

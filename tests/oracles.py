@@ -6,7 +6,10 @@ agreement with the library is a meaningful cross-check rather than the
 same code run twice.  `residual_shape_by_quotient` is the one oracle that
 builds quotient groups: it reads the residual cases ii/iii of
 `pairs.residual_case` from J/O_p(J) and its quotient by `Group.quotient`,
-where the library reads them inside J.  Three oracles are vectorized.
+where the library reads them inside J; `coset_labels` maps J onto J/O_p(J)
+by the quotient's own numbering.  `centralizer`, C_G(g) by one vectorized
+comparison, serves the definitional cross-checks and no library code.
+Three more oracles are vectorized.
 `verify_table_by_coefficients` computes every Gram entry of both
 orthogonality relations as a cyclotomic integer in the power basis, where
 `chartable.verify_table` evaluates them mod split primes.
@@ -43,7 +46,7 @@ from groupchar._arith import euler_phi
 from groupchar.chartable import compute_table
 from groupchar.cyclotomic import _reduction_table
 from groupchar.errors import ContractViolation
-from groupchar.groups import Subgroup, require_normal
+from groupchar.groups import Subgroup, _ids, require_normal
 
 
 class Cyclotomic(cyclotomic.Cyclotomic):
@@ -200,6 +203,24 @@ class Cyclotomic(cyclotomic.Cyclotomic):
 def ring(value) -> Cyclotomic:
     """A library value, ``chi(g)`` or ``chi.values[c]``, as a ring element."""
     return Cyclotomic(value.conductor, value.coeffs)
+
+
+def centralizer(group, g: int) -> Subgroup:
+    """C_G(g) as a subgroup: the x whose row and column at g agree.  Only
+    definitional cross-checks need it; the library reads |C_G(g)| as |G|
+    over the size of g's class."""
+    g = int(_ids(g, group.order, "element id"))
+    mask = group.mul[:, g] == group.mul[g, :]
+    return Subgroup(group, np.nonzero(mask)[0])
+
+
+def coset_labels(group, normal) -> list[int]:
+    """The image of every g under G -> G/N, with the cosets numbered as
+    `Group.quotient` numbers them: in the order of their least members."""
+    mul, members = group.mul.tolist(), normal.elements.tolist()
+    least = [min(mul[g][x] for x in members) for g in range(group.order)]
+    rank = {m: i for i, m in enumerate(sorted(set(least)))}
+    return [rank[m] for m in least]
 
 
 def centralizer_order(mul, x: int) -> int:
@@ -496,12 +517,12 @@ def residual_shape_by_quotient(j_grp, p: int) -> tuple:
     p = 3, M/K ≅ Q8 × odd cyclic, J/M abelian, and the commutators [x, y]
     (x ∈ Q, y ∈ M/K) generating M/K.  Otherwise None."""
     series = j_grp.iterated_series(p)
-    qm = j_grp.quotient(series.o_p)
-    q = qm.image
+    q = j_grp.quotient(series.o_p)
     mul, inv = q.mul.tolist(), q.inv.tolist()
-    middle = sorted({qm(x) for x in series.o_p_pprime.elements})
+    label = coset_labels(j_grp, series.o_p)
+    middle = sorted({label[x] for x in series.o_p_pprime.elements.tolist()})
     mid_grp = Subgroup(q, middle).as_group()
-    top = q.quotient(Subgroup(q, middle)).image
+    top = q.quotient(Subgroup(q, middle))
     shape = (mid_grp.order, top.order)
     if not top.is_abelian:
         return (None, *shape)

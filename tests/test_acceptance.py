@@ -220,7 +220,7 @@ def test_criterion_7_fully_ramified_abelian(triple_records):
         if not (rec["fully_ramified"] and rec["quotient_abelian"]):
             continue
         witnesses += 1
-        quotient = group.quotient(sub).image
+        quotient = group.quotient(sub)
         factors = abelian_invariant_factors(quotient, quotient.trivial_subgroup())
         multiplicities = Counter(factors)
         assert all(v % 2 == 0 for v in multiplicities.values()), (

@@ -259,7 +259,6 @@ def _pair_entry_points(group, sub, table_n):
         "quotient_class": lambda: quotient_class(group, sub),
         "ramification_scan_pair": lambda: ramification_scan_pair(group, sub),
         "ramification_report": lambda: ramification_report(group, sub),
-        "irr_over": lambda: pairs.irr_over(group, sub),
         "has_property_D": lambda: pairs.has_property_D(group, sub),
         "is_camina_centralizer": lambda: pairs.is_camina_centralizer(group, sub),
         "is_camina_vanishing": lambda: pairs.is_camina_vanishing(group, sub),
@@ -327,7 +326,7 @@ def _quotient_facts(group, sub):
 
 def _image_facts(group, sub):
     """The same facts read from the quotient group G/N itself."""
-    image = group.quotient(sub).image
+    image = group.quotient(sub)
     one = image.trivial_subgroup()
     return (quotient_class(image, one), image.is_abelian, image.order % 2 == 1,
             abelian_invariant_factors(image, one) if image.is_abelian else None)

@@ -157,6 +157,22 @@ def test_automorphism_from_images():
         automorphism_from_images(c5, [1], [0])  # kills a generator
 
 
+@pytest.mark.parametrize("gens, images, message", [
+    ([-1], [1], "0..2"),  # -1 wrapped to id 2 and gave (0, 2, 1)
+    ([1], [1.7], "integers"),  # truncated to 1
+    ([5], [1], "0..2"),  # raised IndexError
+], ids=["negative", "float", "out-of-range"])
+def test_automorphism_from_images_refuses_bad_ids(gens, images, message):
+    with pytest.raises(ValueError, match=message):
+        automorphism_from_images(cyclic(3), gens, images)
+
+
+def test_semidirect_refuses_a_non_integer_action():
+    # truncated to the inversion [0, 2, 1], which built a "C3:C2" before
+    with pytest.raises(ValueError, match="integers"):
+        semidirect_product(cyclic(3), cyclic(2), [[0, 1, 2], [0, 2.7, 1.2]])
+
+
 def test_extraspecial_base_cases():
     assert _fingerprint(extraspecial_2(1, "-")) == _fingerprint(generalized_quaternion(8))
     assert _fingerprint(extraspecial_2(1, "+")) == _fingerprint(dihedral(4))
@@ -168,7 +184,7 @@ def test_extraspecial_structure(m, sign):
     assert g.order == 2 ** (2 * m + 1)
     z = g.center()
     assert z.order == 2
-    image = g.quotient(z).image
+    image = g.quotient(z)
     assert image.is_abelian and image.exponent == 2
     table = compute_table(g)
     faithful = [

@@ -173,12 +173,6 @@ def test_parse_error_carries_line_number(tmp_path):
     assert err.value.line == 4
 
 
-def test_explicit_label_override(tmp_path):
-    path = tmp_path / "whatever.grp"
-    save_group(cyclic(5), path)
-    assert load_group(path, label="C5").label == "C5"
-
-
 @pytest.mark.parametrize("text,message,line", [
     # the first bad cell of a row decides, whichever check it fails
     ("cayley 3\n0 1 2\n1 5 x\n2 0 1\n", "entry 5 out of range 0..2", 3),

@@ -1,9 +1,10 @@
 """The package surface and the test configuration: every submodule
 ``__all__`` name exists, ``groupchar`` re-exports exactly those names, the
-public name list is pinned, cached facts are filled by one route, no
-constructor copies a finished group only to rename it, only a Cayley file's
-table runs the associativity test, and a failing hypothesis test does not
-end the pytest session."""
+public name list is pinned, every export but one has a reader outside the
+tests, cached facts are filled by one route, no constructor copies a
+finished group only to rename it, only a Cayley file's table runs the
+associativity test, and a failing hypothesis test does not end the pytest
+session."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ PUBLIC = [
     "ContractViolation", "CorpusEntry", "Cyclotomic", "EvenCharacteristic",
     "EvenOrder", "Group", "GroupCharError", "InvalidAction", "LinearAction",
     "NoSuitablePrime", "NotNormal", "NotPrimePower", "PairReport", "ParseError",
-    "QuotientMap", "SplitFailure", "Subgroup", "TheoremViolation", "UsageError",
+    "SplitFailure", "Subgroup", "TheoremViolation", "UsageError",
     "abelian", "abelian_invariant_factors", "acts_fixed_point_freely", "agl1",
     "alt", "automorphism_from_images", "build_corpus", "c5c5_c3", "c7_c3",
     "camina_pair", "camina_verdicts", "central_product",
@@ -37,7 +38,7 @@ PUBLIC = [
     "direct_product", "distinct_nonlinear_scan", "distinct_sizes_scan",
     "extraspecial_2", "frobenius72_quaternion", "frobenius_complement",
     "generalized_quaternion", "gl_elements", "has_property_D", "invariant_rows",
-    "irr_over", "is_camina_centralizer", "is_camina_vanishing",
+    "is_camina_centralizer", "is_camina_vanishing",
     "is_frobenius_with_kernel", "is_transitive_nonzero", "load_group",
     "negation_pairing", "odd_order_subgroup_actions", "orbit_sizes",
     "pprime_elements_fpf", "quotient_class", "ramification_report",
@@ -81,6 +82,44 @@ def test_groupchar_reexports_exactly_the_all_names():
 
 def test_public_names_are_pinned():
     assert sorted(_public(groupchar)) == PUBLIC
+
+
+# Names groupchar exports that no code in src/, demos/ or perfbench/ reads:
+UNUSED_EXPORTS = {
+    # the public split-extension constructor; the library builds its own
+    # extensions through `constructors._semidirect`, under their own labels
+    "semidirect_product",
+}
+
+
+def _reads(path: Path, names: set[str]) -> set[str]:
+    """The names of ``names`` that one module reads, as a bare name or an
+    attribute, outside the function or class of that name; an import or an
+    ``__all__`` string is not a read."""
+    found = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in names and name not in defining:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_every_export_is_read_outside_the_tests():
+    """An export that only tests reach leaves `src/`; a check it made
+    moves to tests/oracles.py."""
+    exported, read = _public(groupchar), set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            read |= _reads(path, exported)
+    assert exported - read == UNUSED_EXPORTS
 
 
 # The only functions that write into a ``_cache`` directly: the memo route,

@@ -27,7 +27,6 @@ from groupchar import (
     frobenius72_quaternion,
     generalized_quaternion,
     has_property_D,
-    irr_over,
     is_camina_centralizer,
     is_camina_vanishing,
     residual_case,
@@ -57,13 +56,14 @@ def _a3(g):
 
 
 def test_irr_over_counts():
-    s4 = sym(4)
-    v4 = s4.subgroup([0, 7, 16, 23])
-    assert [chi.degree for chi in irr_over(s4, v4)] == [3, 3]
-    q8 = generalized_quaternion(8)
-    assert [chi.degree for chi in irr_over(q8, q8.center())] == [2]
-    a4 = alt(4)
-    assert [chi.degree for chi in irr_over(a4, a4.minimal_normal_subgroups()[0])] == [3]
+    s4, q8, a4 = sym(4), generalized_quaternion(8), alt(4)
+    for g, sub, want in ((s4, s4.subgroup([0, 7, 16, 23]), [3, 3]),
+                         (q8, q8.center(), [2]),
+                         (a4, a4.minimal_normal_subgroups()[0], [3])):
+        table = compute_table(g)
+        rows = oracles.irr_over_by_values(table, sub)
+        assert [int(table.degrees[r]) for r in rows] == want
+        assert classify_pair(g, sub).evidence["degrees_over"] == want
 
 
 def test_property_d_frozen():
@@ -323,7 +323,7 @@ def test_classifier_edge_subgroups():
     # non-normal N is a usage error
     transposition = min(
         x for x in range(24)
-        if s4.elt_order[x] == 2 and s4.centralizer(x).order == 4
+        if s4.elt_order[x] == 2 and oracles.centralizer(s4, x).order == 4
     )
     with pytest.raises(ValueError):
         classify_pair(s4, generated_subgroup(s4, [transposition]))
