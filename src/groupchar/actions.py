@@ -77,11 +77,19 @@ def _row_keys(p: int, n: int):
     return keys
 
 
+def _is_int(value) -> bool:
+    """Not a bool, float or string: none is truncated or parsed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class LinearAction:
     """A finite matrix group acting on GF(p)^n, with per-generator vector
     permutations and the orbit partition computed lazily."""
 
     def __init__(self, p: int, n: int, generators):
+        if not (_is_int(p) and _is_int(n)):
+            raise InvalidAction(f"p and n must be integers, not {p!r} and {n!r}")
+        p, n = int(p), int(n)
         if not is_prime(p):
             raise InvalidAction(f"{p} is not prime")
         if n < 1:
@@ -100,6 +108,8 @@ class LinearAction:
             m = np.asarray(g, dtype=object)  # exact for entries of any size
             if m.shape != (n, n):
                 raise InvalidAction(f"generator shape {m.shape} is not ({n}, {n})")
+            if not all(map(_is_int, m.flat)):
+                raise InvalidAction("matrix entries must be integers")
             m = (m % p).astype(np.int64)
             if len(rref_mod(m, p)[1]) != n:
                 raise InvalidAction("generator matrix is singular")

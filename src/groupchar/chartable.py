@@ -50,14 +50,15 @@ Otherwise the group's isomorphism key (the order and the multiset of
 (element order, class size)) names the live table first built for it, and
 an isomorphism is searched for from that table's group s to the new group
 h: the generators of s's chain are mapped to candidate images in h
-(Miller's generator-image technique, under a node budget).  The chain is a
-memo fact of s, built on its first search, so one source serves many
-searches and h never walks its own Cayley graph.  The map found is
-inverted to h -> s and checked exactly in full; the table is then read off
-through it as a column gather and put in canonical order.  The rows, the
-prime (fixed by exponent and order) and the root are the ones the build
-would give, so every route gives the same bytes, and tables share their
-read-only arrays.
+(Miller's generator-image technique, under a node budget).  The chain,
+`groups._generator_chain` along s's elements, the largest element order
+first, then the rarest element key, is a memo fact of s, built on its
+first search, so one source serves many searches and h never walks its
+own Cayley graph.  The map found is inverted to h -> s and checked
+exactly in full; the table is then read off through it as a column
+gather and put in canonical order.  The rows, the prime (fixed by
+exponent and order) and the root are the ones the build would give, so
+every route gives the same bytes, and tables share their read-only arrays.
 Both lookups are weak maps: a table is pooled while its group lives, so the
 pool needs no bound, and nothing carries over once the groups are gone.
 Like the group caches the maps are filled without a lock: concurrent first
@@ -94,7 +95,7 @@ from .errors import (
     NoSuitablePrime,
     SplitFailure,
 )
-from .groups import Group, Subgroup, _memo, _readonly, require_normal
+from .groups import Group, Subgroup, _generator_chain, _memo, _readonly, require_normal
 
 TABLE_ORDER_BOUND = 512
 TABLE_CELL_BOUND = 1 << 21  # cells k²·φ(e) of the coefficient array; C127 fits
@@ -471,51 +472,6 @@ def _source_chain(s: Group) -> list[tuple]:
     return _generator_chain(s, np.lexsort((counts[kind], -s.elt_order)).tolist())
 
 
-def _generator_chain(s: Group, gens) -> list[tuple]:
-    """The chain of s along ``gens``, taken in order until they span s: one
-    level per generator outside the span of those before it,
-    (generator, fresh, parents, gen_pos, fresh as an array, x, j, y).
-
-    ``fresh`` lists the elements the generator adds to the span, in
-    breadth-first order along the Cayley graph: fresh[i] = parents[i] *
-    (the gen_pos[i]-th kept generator), each parent older or earlier in
-    the list.  (x, j, y) are the products y = x * (j-th kept generator)
-    that first lie inside this level's span: fresh elements by every kept
-    generator, older elements by the new one.
-    """
-    inside = bytearray(s.order)
-    inside[0] = 1
-    span = [0]
-    kept: list[int] = []
-    columns: list[list[int]] = []   # x -> x * generator, in s
-    levels = []
-    for g in gens:
-        if inside[g]:
-            continue
-        kept.append(g)
-        columns.append(s.mul[:, g].tolist())
-        new = len(kept) - 1
-        fresh, parents, gen_pos = [], [], []
-        # Older elements by the new generator, then fresh ones, as they are
-        # reached, by every kept generator.
-        work = [(a, new) for a in span]
-        for a, k in work:  # grows as it goes
-            b = columns[k][a]
-            if not inside[b]:
-                inside[b] = 1
-                fresh.append(b)
-                parents.append(a)
-                gen_pos.append(k)
-                work.extend((b, i) for i in range(len(kept)))
-        f, old = np.array(fresh, dtype=np.int64), np.array(span, dtype=np.int64)
-        m = len(kept)
-        x = np.concatenate([np.repeat(f, m), old])
-        j = np.concatenate([np.arange(f.size * m) % m, np.full(old.size, new)])
-        levels.append((g, fresh, parents, gen_pos, f, x, j, s.mul[x, np.array(kept)[j]]))
-        span += fresh
-    return levels
-
-
 def _transport(h: Group, src: CharacterTable, phi: np.ndarray) -> CharacterTable:
     """The table of h read off the table ``src`` of s = src.group through
     the isomorphism phi: h -> s: each class of h takes the column of the
@@ -777,6 +733,15 @@ def _embedding(e: int, r: int) -> tuple[list[int], np.ndarray]:
     return zpow[units].tolist(), vand
 
 
+def _require_table_of(sub: Subgroup, table_n: CharacterTable) -> None:
+    """ValueError unless ``table_n`` is a table of N = sub: its group is
+    ``sub.as_group()`` (checked first, in O(1)) or has a byte-equal Cayley
+    table, as a pooled table served for it has."""
+    n_group, group = sub.as_group(), table_n.group
+    if group is not n_group and not np.array_equal(group.mul, n_group.mul):
+        raise ValueError("table_n is not a character table of the subgroup")
+
+
 def restriction_multiplicities(
     table_g: CharacterTable, sub: Subgroup, table_n: CharacterTable
 ) -> np.ndarray:
@@ -788,6 +753,7 @@ def restriction_multiplicities(
     """
     g = table_g.group
     require_normal(g, sub)
+    _require_table_of(sub, table_n)
     q = table_g.prime
     e_g = table_g.conductor
     e_n = table_n.conductor

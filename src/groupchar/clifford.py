@@ -31,7 +31,7 @@ from math import prod
 import numpy as np
 
 from ._arith import prime_factors
-from .chartable import CharacterTable, compute_table, restriction_multiplicities
+from .chartable import CharacterTable, _require_table_of, compute_table, restriction_multiplicities
 from .errors import ContractViolation, TheoremViolation
 from .groups import Group, Subgroup, _orders_modulo, _pair_witness, require_normal
 
@@ -51,6 +51,7 @@ def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.n
     G-class holds: equal to its value on one class of the block, taken by
     one scatter over the blocks."""
     require_normal(group, sub)
+    _require_table_of(sub, table_n)
     parent_class = sub._parent_classes(table_n.classes)
     member = np.empty(len(group.conjugacy_classes()), dtype=np.int64)
     member[parent_class] = np.arange(parent_class.size)

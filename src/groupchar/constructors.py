@@ -8,6 +8,7 @@ associativity test (``validate=False``): a group law (`abelian`, `dihedral`,
 closure `_perm_group`'s generator walk checks, an action `_semidirect`
 checks is a homomorphism into Aut(A), a direct product, or the renamed
 image of `Group.quotient`.  Every product table comes from `_product_table`.
+Maps given on generators are extended along `groups._generator_chain`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ import numpy as np
 from ._modlinalg import vector_perms
 from .errors import BoundExceeded, InvalidAction
 from .gf import gf_field
-from .groups import SUBGROUP_BOUND, Group, Subgroup, _ids
+from .groups import SUBGROUP_BOUND, Group, Subgroup, _generator_chain, _ids
 
 
 def cyclic(n: int) -> Group:
-    if n < 1:
-        raise ValueError("order must be positive")
     return abelian([n])
 
 
@@ -52,9 +51,10 @@ def abelian(invariants) -> Group:
     `direct_product` numbers them.  The table takes one factor at a time,
     so no array is larger than the final n x n.
     """
-    invs = [int(d) for d in invariants]
-    if not invs or any(d < 1 for d in invs):
+    invs = np.asarray(invariants)  # floats are not truncated, strings not parsed
+    if invs.ndim != 1 or not invs.size or invs.dtype.kind not in "iu" or invs.min() < 1:
         raise ValueError("invariants must be positive integers")
+    invs = invs.tolist()
     mul = np.zeros((1, 1), dtype=np.int64)
     for d in invs:
         c = np.arange(d)
@@ -212,26 +212,25 @@ def _cyclic_extension(a: Group, m: int, auto, label: str) -> Group:
 def automorphism_from_images(g: Group, gens, images) -> tuple[int, ...]:
     """The automorphism of g sending each generator to its image.
 
-    Extends multiplicatively along a breadth-first traversal and then checks
-    the result really is an automorphism.
+    Extends multiplicatively along g's generator chain over ``gens``, then
+    checks that every element is reached, that every listed generator (a
+    repeated one or the identity too) goes to its image, and that the
+    result is an automorphism; `InvalidAction` otherwise.
     """
     gens = _ids(gens, g.order, "generators").tolist()
     images = _ids(images, g.order, "images").tolist()
     if len(gens) != len(images):
         raise ValueError("need one image per generator")
+    levels = _generator_chain(g, gens)
+    kept = [images[gens.index(level[0])] for level in levels]
     perm = np.full(g.order, -1, dtype=np.int64)
     perm[0] = 0
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for gen, img in zip(gens, images):
-            y = int(g.mul[x, gen])
-            if perm[y] < 0:
-                perm[y] = int(g.mul[perm[x], img])
-                queue.append(y)
+    for _, fresh, parents, gen_pos, *_ in levels:
+        for e, p, k in zip(fresh, parents, gen_pos):
+            perm[e] = g.mul[perm[p], kept[k]]
     if (perm < 0).any():
         raise InvalidAction("generators do not generate the group")
-    if not _check_automorphism(g, perm):
+    if perm[gens].tolist() != images or not _check_automorphism(g, perm):
         raise InvalidAction("images do not extend to an automorphism")
     return tuple(int(x) for x in perm)
 
@@ -308,21 +307,18 @@ def frobenius72_quaternion() -> Group:
     """The Frobenius group (C3 x C3) : Q8, order 72.
 
     Q8 sits inside GL(2,3) acting without nonzero fixed vectors, generated by
-    [[0,-1],[1,0]] and [[1,1],[1,-1]].
+    [[0,-1],[1,0]] and [[1,1],[1,-1]], the images of Q8's ids 1 and 4,
+    extended along its generator chain.
     """
     v = abelian([3, 3])
     q8 = generalized_quaternion(8)
-    mat_a = np.array([[0, 2], [1, 0]])
-    mat_b = np.array([[1, 1], [1, 2]])
+    mats = {1: np.array([[0, 2], [1, 0]]), 4: np.array([[1, 1], [1, 2]])}
+    levels = _generator_chain(q8, list(mats))
+    kept = [mats[level[0]] for level in levels]
     rep = {0: np.eye(2, dtype=np.int64)}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for gen, mat in ((1, mat_a), (4, mat_b)):
-            y = int(q8.mul[x, gen])
-            if y not in rep:
-                rep[y] = rep[x] @ mat % 3
-                queue.append(y)
+    for _, fresh, parents, gen_pos, *_ in levels:
+        for e, p, k in zip(fresh, parents, gen_pos):
+            rep[e] = rep[p] @ kept[k] % 3
     action = [_matrix_perm(3, rep[t]) for t in range(8)]
     return _semidirect(v, q8, action, "F72:Q8")
 

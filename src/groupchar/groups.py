@@ -32,6 +32,9 @@ is one memo fact, read by the class atoms and the character-table lift.
 The class atoms are kept only as a mask matrix and orders, and are closed
 once per rational class, since atom(xᵘ) = atom(x) for u prime to o(x).
 Reports take ints by ``.tolist()``.
+`_generator_chain` is the one walk of a group along a list of generators:
+`Group.generators()`, `chartable`'s isomorphism search and the maps
+`constructors` extends from generator images all follow it.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
 instance's ``_cache`` under the method name plus positional arguments.
@@ -81,6 +84,54 @@ def _orders_modulo(mul: np.ndarray, inside: np.ndarray) -> np.ndarray:
         cur = mul[cur, ids]
         k += 1
     return orders
+
+
+def _generator_chain(s: Group, gens) -> list[tuple]:
+    """The chain of s along ``gens``, taken in order until they span s: one
+    level per generator outside the span of those before it,
+    (generator, fresh, parents, gen_pos, fresh as an array, x, j, y).
+
+    ``fresh`` lists the elements the generator adds to the span, in
+    breadth-first order along the Cayley graph: fresh[i] = parents[i] *
+    (the gen_pos[i]-th kept generator), each parent older or earlier in
+    the list.  (x, j, y) are the products y = x * (j-th kept generator)
+    that first lie inside this level's span: fresh elements by every kept
+    generator, older elements by the new one.
+    """
+    inside = bytearray(s.order)
+    inside[0] = 1
+    span = [0]
+    kept: list[int] = []
+    columns: list[list[int]] = []   # x -> x * generator, in s
+    levels = []
+    for g in gens:
+        if inside[g]:
+            continue
+        kept.append(g)
+        columns.append(s.mul[:, g].tolist())
+        new = len(kept) - 1
+        fresh, parents, gen_pos = [], [], []
+        # Older elements by the new generator, then fresh ones, as they are
+        # reached, by every kept generator.  The products (a, k) still to take
+        # are two int lists: a tuple per step would make the cyclic collector
+        # run more often, and so change which tables stay pooled.
+        work_a, work_k = list(span), [new] * len(span)
+        for a, k in zip(work_a, work_k):  # both grow as they go
+            b = columns[k][a]
+            if not inside[b]:
+                inside[b] = 1
+                fresh.append(b)
+                parents.append(a)
+                gen_pos.append(k)
+                work_a += [b] * len(kept)
+                work_k += range(len(kept))
+        f, old = np.array(fresh, dtype=np.int64), np.array(span, dtype=np.int64)
+        m = len(kept)
+        x = np.concatenate([np.repeat(f, m), old])
+        j = np.concatenate([np.arange(f.size * m) % m, np.full(old.size, new)])
+        levels.append((g, fresh, parents, gen_pos, f, x, j, s.mul[x, np.array(kept)[j]]))
+        span += fresh
+    return levels
 
 
 def require_normal(group: "Group", sub: "Subgroup") -> None:
@@ -185,15 +236,8 @@ class Group:
     @_memo
     def generators(self) -> tuple[int, ...]:
         """A generating set, chosen greedily: each next generator is the
-        least id outside the closure of those before it."""
-        span = np.zeros(self.order, dtype=bool)  # closure of the chosen ids
-        span[0] = True
-        gens = []
-        while not span.all():
-            s = int(span.argmin())
-            gens.append(s)
-            span[self._closure(np.append(np.flatnonzero(span), s))] = True
-        return tuple(gens)
+        least id outside the span of those before it (the chain along all ids)."""
+        return tuple(level[0] for level in _generator_chain(self, range(self.order)))
 
     # -- elementary queries ---------------------------------------------------
 

@@ -30,6 +30,8 @@ nothing new appears, where `Group._normal_lattice` sweeps them once.
 `class_fusion`, one G-class's members at a time, where
 `clifford.invariant_rows` reads the blocks off N's class representatives
 in one gather.
+`greedy_generators` closes the span anew for each generator it picks,
+where `Group.generators()` reads the picks off one generator chain.
 `Cyclotomic` adds the ring operations to the library's value type, which
 the pipeline never computes with; the exact sums here run on it.
 """
@@ -373,6 +375,20 @@ def derived_subgroup(mul) -> tuple[int, ...]:
         if grown <= span:
             return tuple(sorted(span))
         span |= grown
+
+
+def greedy_generators(group) -> tuple[int, ...]:
+    """A generating set, chosen greedily: each next generator is the least
+    id outside the closure (by the library's ``Group._closure``) of those
+    before it."""
+    span = np.zeros(group.order, dtype=bool)  # closure of the chosen ids
+    span[0] = True
+    gens = []
+    while not span.all():
+        s = int(span.argmin())
+        gens.append(s)
+        span[group._closure(np.append(np.flatnonzero(span), s))] = True
+    return tuple(gens)
 
 
 def all_subgroups(G):

@@ -102,6 +102,22 @@ def test_invalid_actions():
         LinearAction(3, 0, [])  # dimension must be positive
 
 
+@pytest.mark.parametrize("p, n, gens", [
+    (3, 1, [[[2.7]]]),  # the entry was truncated to 2
+    (3.0, 1, []),  # raised TypeError from pow
+    (3, 1.0, []),  # raised AttributeError
+], ids=["float-entry", "float-p", "float-n"])
+def test_linear_action_refuses_non_integers(p, n, gens):
+    with pytest.raises(InvalidAction, match="integers"):
+        LinearAction(p, n, gens)
+
+
+def test_linear_action_reduces_big_entries_exactly():
+    # 10^40 + 1 ≡ 2 (mod 3), the scalar of order 2; a float would lose it
+    assert LinearAction(3, 1, [[[10 ** 40 + 1]]]).group_order == 2
+    assert LinearAction(3, 1, [[[10 ** 40 + 1]]]).generators[0].tolist() == [[2]]
+
+
 def test_space_and_order_bounds(monkeypatch):
     with pytest.raises(BoundExceeded):
         LinearAction(2, 21, [])  # 2^21 vectors exceeds the space bound

@@ -40,6 +40,7 @@ from groupchar import (
     sym,
 )
 
+from groupchar.chartable import _build_table
 from groupchar.groups import Subgroup, _memo
 
 import oracles
@@ -301,6 +302,27 @@ def test_subgroup_of_another_group_is_refused():
     for name, call in calls.items():
         with pytest.raises(ValueError, match="different group"):
             call()
+
+
+def test_a_table_of_another_group_is_refused():
+    """C2×C2's table is not a table of N = ⟨r⟩ ≅ C4 in D8: read as one, it
+    gave wrong multiplicities and raised nothing.  N's own table passes, and
+    so does a table built for a byte-equal copy of N's Cayley table."""
+    d8 = dihedral(4)
+    rotations = Subgroup(d8, [0, 1, 2, 3])
+    table_g, foreign = compute_table(d8), compute_table(abelian([2, 2]))
+    with pytest.raises(ValueError, match="not a character table"):
+        restriction_multiplicities(table_g, rotations, foreign)
+    with pytest.raises(ValueError, match="not a character table"):
+        invariant_rows(d8, rotations, foreign)
+    own = compute_table(rotations.as_group())
+    twin = _build_table(Group(rotations.as_group().mul.copy()))
+    assert twin.group is not rotations.as_group()
+    for table_n in (own, twin):
+        # s inverts r, so it swaps the two faithful characters of C4
+        assert invariant_rows(d8, rotations, table_n).tolist() == [True, True, False, False]
+    assert np.array_equal(restriction_multiplicities(table_g, rotations, own),
+                          restriction_multiplicities(table_g, rotations, twin))
 
 
 def test_quotient_class_verdicts():

@@ -167,6 +167,29 @@ def test_automorphism_from_images_refuses_bad_ids(gens, images, message):
         automorphism_from_images(cyclic(3), gens, images)
 
 
+@pytest.mark.parametrize("gens, images, want", [
+    ([1, 1], [1, 2], None),  # the second image was ignored: gave (0, 1, 2)
+    ([0, 1], [1, 1], None),  # the identity's image was ignored: gave (0, 1, 2)
+    ([0, 1], [0, 2], (0, 2, 1)),  # a redundant list whose images agree
+], ids=["repeated-generator", "identity-moved", "redundant"])
+def test_automorphism_from_images_honours_every_image(gens, images, want):
+    if want is None:
+        with pytest.raises(InvalidAction):
+            automorphism_from_images(cyclic(3), gens, images)
+    else:
+        assert automorphism_from_images(cyclic(3), gens, images) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: abelian([2.5]),  # gave C2
+    lambda: cyclic(3.7),  # gave C3
+    lambda: abelian(["4"]),  # gave C4
+], ids=["float-invariant", "float-order", "string-invariant"])
+def test_orders_must_be_integers(build):
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
 def test_semidirect_refuses_a_non_integer_action():
     # truncated to the inversion [0, 2, 1], which built a "C3:C2" before
     with pytest.raises(ValueError, match="integers"):

@@ -1,6 +1,8 @@
 """Tables transported along an isomorphism against tables built by the
 split, tables served to a byte-equal Cayley table, the isomorphism search
-on a key collision, the weak maps' lifetime, and the table counters."""
+on a key collision, the weak maps' lifetime, the table counters, and the
+one generator chain that the search, ``Group.generators()`` and the
+constructors walk."""
 
 from __future__ import annotations
 
@@ -31,6 +33,8 @@ from groupchar import (
 )
 import groupchar.chartable as chartable
 import groupchar.clifford as clifford
+import groupchar.constructors as constructors
+import groupchar.groups as groups
 from groupchar.chartable import _build_table
 from groupchar.groups import _memo
 
@@ -257,6 +261,48 @@ def test_the_pair_scan_walks_only_source_chains(monkeypatch, empty_table_pool):
     assert max(chains.values()) == 1
     assert not searched & set(chains)
     assert not searched & set(inside)
+
+
+def test_generators_match_the_greedy_closures(corpus_groups, request_inputs):
+    """``generators()`` reads its picks off one generator chain along all
+    ids; closing the span anew for each pick gives the same ids, on every
+    corpus group and on a relabelled copy of every ``requests`` group."""
+    groups_ = list(corpus_groups.values())
+    groups_ += [relabel(build(), k) for k, (build, *_) in
+                enumerate(request_inputs.GROUPS.values())]
+    for group in groups_:
+        assert group.generators() == oracles.greedy_generators(group), group.label
+
+
+def test_every_walk_along_generators_is_the_one_chain(monkeypatch):
+    """``groups._generator_chain`` is the one walk of a group along a list
+    of generators: each module binds that function, and ``generators()``,
+    ``automorphism_from_images``, ``frobenius72_quaternion`` and the
+    search's ``_source_chain`` each call it once."""
+    chain = groups._generator_chain
+    modules = (groups, chartable, constructors)
+    assert all(module._generator_chain is chain for module in modules)
+    calls = []
+
+    def counted(s, gens):
+        calls.append(s.label)
+        return chain(s, gens)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_generator_chain", counted)
+    runs = {
+        "generators": lambda: sym(4).generators(),
+        "automorphism_from_images":
+            lambda: constructors.automorphism_from_images(cyclic(5), [1], [2]),
+        "frobenius72_quaternion": constructors.frobenius72_quaternion,
+        "_source_chain": lambda: chartable._source_chain(sym(4)),
+    }
+    reached = {}
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        reached[name] = len(calls) - before
+    assert reached == dict.fromkeys(runs, 1)
 
 
 def _digest(group: Group) -> bytes:
