@@ -4,15 +4,12 @@ A LinearAction is a list of invertible n×n generator matrices over GF(p).
 The action on the p^n vectors is stored as one permutation per generator
 (`_modlinalg.vector_perms`, on the little-endian vector ids of
 `_modlinalg.vectors`: id = Σ v_j p^j).  The generated matrix group is
-closed from those permutations by Dimino's coset closure: an element is
-the row of the n vector ids of its columns, the cyclic group of the first
-generator is built by doubling, and each further generator adds whole left
-cosets of the previous subgroup as one batched block, tested for
-membership by one packed uint64 key per row; only the order is kept,
-bounded by ``ORDER_BOUND``.  `odd_order_subgroup_actions` builds GL(n, p),
-its matrices read off the base-p digits of their codes, as a `Group` on
-the same permutations and closes its odd-order subgroups with the group's
-closure.
+closed from those permutations by `constructors._dimino_closure`, which
+also closes `perm` group files, an element being the row of the n vector
+ids of its columns; only the order is kept, bounded by ``ORDER_BOUND``.
+`odd_order_subgroup_actions` builds GL(n, p), its matrices read off the
+base-p digits of their codes, as a `Group` on the same permutations and
+closes its odd-order subgroups with the group's closure.
 
 The checks mirror three orbit facts: orbit sizes divide the group order
 and sum to p^n − 1 on the nonzero vectors; for odd p the orbit of −v has
@@ -28,7 +25,7 @@ import numpy as np
 
 from ._arith import is_prime, p_part
 from ._modlinalg import rref_mod, vector_perms, vectors
-from .constructors import _perm_group
+from .constructors import _dimino_closure, _perm_group
 from .errors import (
     BoundExceeded,
     EvenCharacteristic,
@@ -53,28 +50,6 @@ ORDER_BOUND = 10 ** 6
 SPACE_BOUND = 2 ** 20
 MATRIX_SPACE_BOUND = 10 ** 7  # cap on p^(n²), the matrices gl_elements scans
 GL_BOUND = 5000  # cap on |GL(n, p)| for the exhaustive subgroup scan
-
-
-def _row_keys(p: int, n: int):
-    """A function from an (m, n) array of vector ids to m hashable keys.
-
-    Each id has b bits, b the bit length of p^n − 1; the n ids are packed
-    ⌊64/b⌋ to a uint64 word, ⌈n/⌊64/b⌋⌉ words per row, read as one bytes
-    object per row through a void view."""
-    bits = (p ** n - 1).bit_length()
-    per_word = 64 // bits
-    words = -(-n // per_word)
-    shifts = np.uint64(bits) * np.arange(per_word, dtype=np.uint64)
-    key = np.dtype((np.void, 8 * words))
-
-    def keys(rows: np.ndarray) -> list[bytes]:
-        padded = np.zeros((len(rows), words * per_word), dtype=np.uint64)
-        padded[:, :n] = rows
-        packed = (padded.reshape(len(rows), words, per_word) << shifts).sum(
-            axis=2, dtype=np.uint64)
-        return packed.view(key).ravel().tolist()
-
-    return keys
 
 
 def _is_int(value) -> bool:
@@ -120,73 +95,21 @@ class LinearAction:
         self._orbit_data: tuple[np.ndarray, np.ndarray] | None = None
 
     def _close_group(self) -> int:
-        """Order of the generated group, by Dimino's coset closure.
-
-        An element is the row of the vector ids of its columns (the images
-        of the basis vectors, ids ``p**arange(n)``), so s·r for a generator
-        s is the gather ``perm_s[r]``.  The first generator not in the
-        group so far is closed cyclically by doubling: E ∪ g^k·E, cut at
-        the first row already present, which is the identity.  Each
-        further generator that is not yet in H adds left cosets x·H of the
-        previous subgroup H, one batched block each, until s·r lies in the
-        union for every generator s and coset representative r; then the
-        union is closed under left multiplication and is the group.
-
-        Membership is one set of packed keys (see `_row_keys`).
-        ``ORDER_BOUND`` is checked before each block is stored.
-        """
+        """Order of the generated group: `constructors._dimino_closure` over
+        the rows of the basis vectors' images (ids ``p**arange(n)``)."""
         p, n = self.p, self.n
         vecs = vectors(p, n)
         powers = p ** np.arange(n, dtype=np.int64)
-        keys = _row_keys(p, n)
-        identity = powers
-        rows = identity[None, :]
-        seen = set(keys(rows))
-        taken: list[np.ndarray] = []
 
-        def store(total: int, block: np.ndarray) -> None:
-            if total + len(block) > ORDER_BOUND:
-                raise BoundExceeded("matrix group order", ORDER_BOUND + 1, ORDER_BOUND)
-            seen.update(keys(block))
-
-        for perm in self._vector_perms:
-            if keys(perm[identity][None, :])[0] in seen:
-                continue
-            taken.append(perm)
-            if len(taken) == 1:
-                power = perm  # the permutation of g^k, k = len(rows)
-                while True:
-                    block = power[rows]
-                    stop = np.flatnonzero((block == identity).all(axis=1))
-                    if stop.size:
-                        block = block[:stop[0]]
-                    store(len(rows), block)
-                    rows = np.concatenate([rows, block])
-                    if stop.size:
-                        break
-                    power = power[power]
-                continue
+        def coset(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
             # A gather needs x's permutation of all p^n vectors; a matmul
             # transforms only H's |H|·n column vectors.
-            decoded = None if len(rows) * n >= p ** n else vecs[rows]
-            blocks = [rows]
-            total = len(rows)
-            reps = [identity]
-            for r in reps:  # reps grows while it is read
-                for s in taken:
-                    x = s[r]
-                    if keys(x[None, :])[0] in seen:
-                        continue
-                    if decoded is None:
-                        block = (vecs @ vecs[x] % p @ powers)[rows]
-                    else:
-                        block = decoded @ vecs[x] % p @ powers
-                    store(total, block)
-                    blocks.append(block)
-                    total += len(block)
-                    reps.append(x)
-            rows = np.concatenate(blocks)
-        return len(rows)
+            if len(rows) * n >= p ** n:
+                return (vecs @ vecs[x] % p @ powers)[rows]
+            return vecs[rows] @ vecs[x] % p @ powers
+
+        return len(_dimino_closure(self._vector_perms, powers, p ** n, ORDER_BOUND,
+                                   "matrix group order", coset))
 
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """(orbit_label per vector id, orbit sizes indexed by label).

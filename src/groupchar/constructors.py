@@ -9,6 +9,7 @@ closure `_perm_group`'s generator walk checks, an action `_semidirect`
 checks is a homomorphism into Aut(A), a direct product, or the renamed
 image of `Group.quotient`.  Every product table comes from `_product_table`.
 Maps given on generators are extended along `groups._generator_chain`.
+`_dimino_closure` closes permutation generators (`perm` files, matrix actions).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from ._modlinalg import vector_perms
 from .errors import BoundExceeded, InvalidAction
 from .gf import gf_field
 from .groups import SUBGROUP_BOUND, Group, Subgroup, _generator_chain, _ids
+
+CLOSURE_CELL_BOUND = 2 * 10 ** 7  # rows × base points a closure stores
 
 
 def cyclic(n: int) -> Group:
@@ -92,7 +95,90 @@ def generalized_quaternion(order: int) -> Group:
     return Group(r + half * f, label=f"Q{m}", validate=False)
 
 
-def _perm_group(perms: list[tuple[int, ...]], label: str) -> Group:
+def _row_keys(ids: int, width: int):
+    """A function from an (m, width) array of ids below ``ids`` to m keys.
+
+    Each id has b bits, b the bit length of ids − 1 but at least 1; the ids
+    are packed ⌊64/b⌋ to a uint64 word, ⌈width/⌊64/b⌋⌉ words per row, read as
+    one bytes object per row through a void view."""
+    bits = max((ids - 1).bit_length(), 1)
+    per_word = 64 // bits
+    words = -(-width // per_word)
+    shifts = np.uint64(bits) * np.arange(per_word, dtype=np.uint64)
+    key = np.dtype((np.void, 8 * words))
+
+    def keys(rows: np.ndarray) -> list[bytes]:
+        padded = np.zeros((len(rows), words * per_word), dtype=np.uint64)
+        padded[:, :width] = rows
+        packed = (padded.reshape(len(rows), words, per_word) << shifts).sum(
+            axis=2, dtype=np.uint64)
+        return packed.view(key).ravel().tolist()
+
+    return keys
+
+
+def _dimino_closure(perms, base, ids: int, bound: int, what: str, coset) -> np.ndarray:
+    """The rows x[base] of the group generated by ``perms``, permutations of
+    range(ids), by Dimino's coset closure.
+
+    s·x for a generator s is the gather ``s[row]``, and ``coset(x, rows)``
+    gives the rows of the left coset x·H from x's row and H's rows.  The
+    first generator not in the group so far is closed by doubling,
+    E ∪ g^k·E cut at the identity ``base``; each further one adds left
+    cosets x·H of the previous subgroup H, one block each, until s·r lies in
+    the union for every generator s and coset representative r.  Membership
+    is one set of `_row_keys`.  Before a block is stored, more than ``bound``
+    rows raise ``BoundExceeded`` named ``what``, and more than
+    ``CLOSURE_CELL_BOUND`` ids one named "closure cells": memory grows with
+    the base too."""
+    keys = _row_keys(ids, len(base))
+    rows = base[None, :]
+    seen = set(keys(rows))
+    taken: list[np.ndarray] = []
+
+    def store(total: int, block: np.ndarray) -> None:
+        size = total + len(block)
+        if size > bound:
+            raise BoundExceeded(what, bound + 1, bound)
+        if size * len(base) > CLOSURE_CELL_BOUND:
+            raise BoundExceeded("closure cells", size * len(base), CLOSURE_CELL_BOUND)
+        seen.update(keys(block))
+
+    for perm in perms:
+        if keys(perm[base][None, :])[0] in seen:
+            continue
+        taken.append(perm)
+        if len(taken) == 1:
+            power = perm  # the permutation of g^k, k = len(rows)
+            while True:
+                block = power[rows]
+                stop = np.flatnonzero((block == base).all(axis=1))
+                if stop.size:
+                    block = block[:stop[0]]
+                store(len(rows), block)
+                rows = np.concatenate([rows, block])
+                if stop.size:
+                    break
+                power = power[power]
+            continue
+        blocks = [rows]
+        total = len(rows)
+        reps = [base]
+        for r in reps:  # reps grows while it is read
+            for s in taken:
+                x = s[r]
+                if keys(x[None, :])[0] in seen:
+                    continue
+                block = coset(x, rows)
+                store(total, block)
+                blocks.append(block)
+                total += len(block)
+                reps.append(x)
+        rows = np.concatenate(blocks)
+    return rows
+
+
+def _perm_group(perms, label: str) -> Group:
     """The Cayley table of a list of permutations closed under composition.
 
     Element i is perms[i], and i*j is s∘t with (s∘t)[x] = s[t[x]] for

@@ -16,9 +16,9 @@ elements, the largest order any command accepts, before its table is built):
 Blank lines and lines starting with '#' are ignored in both formats.
 Loaded permutation groups get deterministic ids: the identity is 0 and the
 remaining elements are sorted lexicographically as images tuples, so the
-same file always yields the same Cayley table.  The closure grows one
-frontier at a time, composed with each generator by one gather, and its
-table is built by `constructors._perm_group`'s walk of the Cayley graph.
+same file always yields the same Cayley table.  The closure is the one
+`LinearAction` runs, `constructors._dimino_closure` with every named point
+as the base, and its table is built by `constructors._perm_group`'s walk.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 
 import numpy as np
 
-from .constructors import _perm_group
+from .constructors import _dimino_closure, _perm_group
 from .errors import BoundExceeded, ParseError
 from .groups import SUBGROUP_BOUND, Group
 
@@ -167,23 +167,12 @@ def _load_perm(lines, degree, name) -> Group:
     rank = {pt: i for i, pt in enumerate(named)}
     width = len(named)
     gens = [_images(cycles, rank) for cycles in parsed]
-    identity = tuple(range(width))
-    closure = {identity, *gens}
-    if len(closure) > SUBGROUP_BOUND:
-        raise BoundExceeded("permutation closure", len(closure), SUBGROUP_BOUND)
-    frontier = sorted(closure)
-    while frontier:
-        fresh = []
-        block = np.array(frontier, dtype=np.int64)
-        for g in gens:
-            # Row a of block[:, g] is a∘g, (a∘g)[x] = a[g[x]].
-            for c in map(tuple, block[:, g].tolist()):
-                if c not in closure:
-                    if len(closure) >= SUBGROUP_BOUND:
-                        raise BoundExceeded("permutation closure",
-                                            len(closure) + 1, SUBGROUP_BOUND)
-                    closure.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    ordered = [identity] + sorted(closure - {identity})
-    return _perm_group(ordered, name)
+    listed = len({tuple(range(width)), *gens})
+    if listed > SUBGROUP_BOUND:
+        raise BoundExceeded("permutation closure", listed, SUBGROUP_BOUND)
+    # The coset x·H is the gather x[rows], as (x∘h)[i] = x[h[i]].  The
+    # identity is the least row, so sorting keeps it at id 0.
+    rows = _dimino_closure([np.array(g) for g in gens], np.arange(width), width,
+                           SUBGROUP_BOUND, "permutation closure",
+                           lambda x, rows: x[rows])
+    return _perm_group(rows[np.lexsort(rows.T[::-1])], name)

@@ -1,6 +1,6 @@
 """Linear actions on finite vector spaces: group orders and their bound,
-orbits, pairing, duplicate lengths, the transitivity scan, and the
-exhaustive odd-subgroup scans."""
+orbits, pairing, duplicate lengths, the transitivity scan, the
+exhaustive odd-subgroup scans, and each violation branch fed a wrong fact."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from groupchar import (
     EvenOrder,
     InvalidAction,
     LinearAction,
+    TheoremViolation,
     dade_duplicate_check,
     distinct_sizes_scan,
     gl_elements,
@@ -250,3 +251,47 @@ def test_odd_subgroups_of_gl25():
     assert orders == [1] + [3] * 10 + [5] * 6
     for action in actions:
         assert dade_duplicate_check(action)
+
+
+def _claim(call) -> str:
+    with pytest.raises(TheoremViolation) as exc:
+        call()
+    return exc.value.claim
+
+
+@pytest.mark.parametrize("p, labels, sizes, claim", [
+    (3, [0, 0, 1], [2, 1], "the zero vector must be a fixed point"),
+    (3, [0, 1, 2], [1, 1, 5],
+     "orbit sizes do not sum to the number of nonzero vectors"),
+    (5, [0, 1, 1, 2, 2], [1, 2, 2],
+     "an orbit size does not divide the group order"),
+], ids=["zero-moved", "wrong-sum", "size-not-dividing"])
+def test_orbit_sizes_refuses_a_wrong_partition(monkeypatch, p, labels, sizes, claim):
+    action = LinearAction(p, 1, [])  # the trivial group, of order 1
+    partition = (np.array(labels), np.array(sizes))
+    monkeypatch.setattr(action, "orbits", lambda: partition)
+    assert _claim(lambda: orbit_sizes(action)) == claim
+
+
+@pytest.mark.parametrize("sizes, call, claim", [
+    ([2, 4], dade_duplicate_check,
+     "odd-order action with pairwise distinct orbit sizes"),
+    ([2, 4], distinct_sizes_scan,
+     "odd-order irreducible action with distinct orbit sizes must be "
+     "transitive on nonzero vectors"),
+    ([6], distinct_sizes_scan,
+     "transitive action order not divisible by the orbit length"),
+], ids=["dade-distinct", "scan-intransitive", "scan-order"])
+def test_orbit_facts_refuse_wrong_orbit_sizes(monkeypatch, sizes, call, claim):
+    # <2> in GF(7)^* has order 3 and orbits [3, 3]
+    action = LinearAction(7, 1, [[[2]]])
+    monkeypatch.setattr(actions, "orbit_sizes", lambda _: sizes)
+    assert _claim(lambda: call(action)) == claim
+
+
+def test_odd_subgroup_scan_catches_a_closure_that_drops_a_row(monkeypatch):
+    """The shared Dimino closure is checked against ``Group._closure``."""
+    closure = actions._dimino_closure
+    monkeypatch.setattr(actions, "_dimino_closure", lambda *a: closure(*a)[:-1])
+    assert (_claim(lambda: odd_order_subgroup_actions(7, 1))
+            == "subgroup closure and action closure disagree")

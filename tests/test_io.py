@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +23,11 @@ from groupchar import (
     save_group,
     sym,
 )
-from groupchar import cli
+import groupchar
+from groupchar import actions, cli
 from groupchar._modlinalg import vector_perms
 from groupchar.actions import gl_elements
-from groupchar.constructors import _perm_group
+from groupchar.constructors import CLOSURE_CELL_BOUND, _perm_group
 from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
@@ -94,6 +99,43 @@ def test_perm_closure_bound(tmp_path):
         load_group(path)
     assert exc.value.size == SUBGROUP_BOUND + 1
     assert cli.main(["info", str(path)]) == 1
+
+
+_CYCLE_OF_A_MILLION_POINTS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import sys
+from groupchar import BoundExceeded, load_group
+path = sys.argv[1]
+with open(path, "w") as fh:
+    fh.write("perm 1000000\\n(" + " ".join(map(str, range(1, 1000001))) + ")\\n")
+try:
+    load_group(path)
+except BoundExceeded as exc:
+    print(exc)
+"""
+
+
+def test_perm_closure_memory_is_bounded_by_its_cells(tmp_path):
+    """One cycle on 10^6 points is a 6.9 MB file whose closure up to the
+    order cap of 2000 would store 2·10^9 ids.  The closure's cell cap
+    refuses it well inside a 1 GB address space that the subprocess sets
+    for itself, so a regression fails here and does not exhaust the
+    machine."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(groupchar.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _CYCLE_OF_A_MILLION_POINTS,
+                          str(tmp_path / "c.perm")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("closure cells: size 32000000 exceeds bound "
+                          f"{CLOSURE_CELL_BOUND}\n")
+
+
+def test_cell_cap_admits_every_matrix_group_order_bound_admits():
+    """An action on at most 2^20 vectors has dimension at most 20."""
+    dims = actions.SPACE_BOUND.bit_length() - 1
+    assert actions.ORDER_BOUND * dims <= CLOSURE_CELL_BOUND
 
 
 def _cycle_notation(perm) -> str:
