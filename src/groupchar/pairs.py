@@ -504,8 +504,6 @@ def _bucket_frobenius(group: Group):
     fit = group._fitting()
     if fit.order in (1, group.order):
         return None
-    if not is_frobenius_with_kernel(group, fit):
-        return None
     if np.count_nonzero(fit.class_mask()) != 2:
         return None  # not transitive on kernel-minus-identity
     comp = frobenius_complement(group, fit)

@@ -3,8 +3,8 @@
 public name list is pinned, every export but one has a reader outside the
 tests, cached facts are filled by one route, no constructor copies a
 finished group only to rename it, only a Cayley file's table runs the
-associativity test, and a failing hypothesis test does not end the pytest
-session."""
+associativity test, a failing hypothesis test does not end the pytest
+session, and the hand-run probes of ``tests/probes.py`` still run."""
 
 from __future__ import annotations
 
@@ -254,3 +254,15 @@ def test_a_failing_given_test_does_not_end_the_session(tmp_path):
     assert "FAILED test_probe.py::test_given_fails" in out
     assert "FAILED test_probe.py::test_other_deprecation_still_fails" in out
     assert "2 failed, 1 passed" in out
+
+
+def test_the_hand_run_probes_still_run():
+    """Nothing else runs ``tests/probes.py``, so a renamed internal that the
+    probes wrap or call would break them silently.  One quick probe, run as
+    by hand, goes through the shared harness and prints its frozen counts."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "probes.py"), "lattice", "C2^5"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "374 normals  meets    6531 (frontier   11968)" in run.stdout
