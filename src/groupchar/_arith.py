@@ -94,13 +94,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 def isqrt_exact(n: int) -> int | None:
     """Integer square root if n is a perfect square, else None."""
     if n < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._arith import prime_factors
 from .errors import ContractViolation
 
 
@@ -174,8 +175,6 @@ def element_of_order(e: int, q: int) -> int:
     """
     if (q - 1) % e != 0:
         raise ContractViolation(f"order {e} does not divide {q} - 1")
-    from ._arith import prime_factors
-
     ps = prime_factors(q - 1)
     g = 2
     while True:

@@ -7,6 +7,8 @@ The action on the p^n vectors is stored as one permutation per generator
 closed from those permutations by `constructors._dimino_closure`, which
 also closes `perm` group files, an element being the row of the n vector
 ids of its columns; only the order is kept, bounded by ``ORDER_BOUND``.
+The orbits are labelled by `constructors._orbit_labels` over the same
+permutations, the labelling `clifford` runs on Irr(N).
 `odd_order_subgroup_actions` builds GL(n, p), its matrices read off the
 base-p digits of their codes, as a `Group` on the same permutations and
 closes its odd-order subgroups with the group's closure.
@@ -25,7 +27,7 @@ import numpy as np
 
 from ._arith import is_prime, p_part
 from ._modlinalg import rref_mod, vector_perms, vectors
-from .constructors import _dimino_closure, _perm_group
+from .constructors import _dimino_closure, _orbit_labels, _perm_group
 from .errors import (
     BoundExceeded,
     EvenCharacteristic,
@@ -115,31 +117,15 @@ class LinearAction:
         """(orbit_label per vector id, orbit sizes indexed by label).
 
         Labels are dense, assigned in increasing order of the orbit's
-        minimal vector id; {0} is always orbit 0.  Breadth-first search
-        over generator images suffices: in a finite group every inverse is
-        a positive power, so forward reachability is the full orbit.
+        minimal vector id; {0} is always orbit 0.  The minimal ids are
+        `constructors._orbit_labels` over the generator permutations: in a
+        finite group every inverse is a positive power, so the generators'
+        cycles join exactly the orbits.
         """
         if self._orbit_data is None:
-            size = self.p ** self.n
-            labels = np.full(size, -1, dtype=np.int64)
-            current = 0
-            for start in range(size):
-                if labels[start] >= 0:
-                    continue
-                labels[start] = current
-                frontier = np.array([start], dtype=np.int64)
-                while frontier.size and self._vector_perms:
-                    images = np.unique(
-                        np.concatenate(
-                            [perm[frontier] for perm in self._vector_perms]
-                        )
-                    )
-                    fresh = images[labels[images] < 0]
-                    labels[fresh] = current
-                    frontier = fresh
-                current += 1
-            sizes = np.bincount(labels, minlength=current)
-            self._orbit_data = (labels, sizes.astype(np.int64))
+            least = _orbit_labels(self._vector_perms, self.p ** self.n)
+            _, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
+            self._orbit_data = (labels, sizes)
         return self._orbit_data
 
     def __repr__(self):
@@ -218,12 +204,14 @@ def dade_duplicate_check(action: LinearAction) -> bool:
 
 def _is_irreducible(action: LinearAction) -> bool:
     """No proper nonzero invariant subspace: the orbit of every nonzero
-    vector (one representative per orbit suffices) spans the whole space."""
+    vector (one representative per orbit suffices) spans the whole space.
+    The orbits' members come from one stable sort of the labels."""
     labels, sizes = action.orbits()
     vecs = vectors(action.p, action.n)
-    ids = np.arange(action.p ** action.n, dtype=np.int64)
-    for lab in range(len(sizes)):
-        members = ids[labels == lab]
+    by_label = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    for start, end in zip((ends - sizes).tolist(), ends.tolist()):
+        members = by_label[start:end]
         if len(members) == 1 and members[0] == 0:
             continue
         rank = len(rref_mod(vecs[members], action.p)[1])

@@ -20,7 +20,9 @@ about G/N are read inside G: its order |G:N|, G/N abelian as G′ ≤ N, its
 chief factors as those of G above N, and its invariant factors from orders
 modulo N, so no quotient group is built.  Full ramification is read from
 G through the Clifford correspondence, so no stabilizer group is built
-either; the route through G(θ) and its own table is the test oracle.
+either; the route through G(θ) and its own table is the test oracle.  The
+G-orbits on Irr(N) are labelled by `constructors._orbit_labels` over the
+row permutations that the generators of G induce.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from ._arith import prime_factors
 from .chartable import CharacterTable, _require_table_of, compute_table, restriction_multiplicities
+from .constructors import _orbit_labels
 from .errors import ContractViolation, TheoremViolation
 from .groups import Group, Subgroup, _orders_modulo, _pair_witness, require_normal
 
@@ -114,9 +117,10 @@ def quotient_class(group: Group, sub: Subgroup) -> str:
 
 
 def _orbits(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:
-    """Row masks of the G-orbits on Irr(N), closed under the row permutations
-    that the generators of G induce.  Asserts |G(θ)|·|O(θ)| = |G|, counting
-    G(θ) over the class permutations of all of G."""
+    """Row masks of the G-orbits on Irr(N), labelled by `_orbit_labels` over
+    the row permutations that the generators of G induce.  Asserts
+    |G(θ)|·|O(θ)| = |G|, counting G(θ) over the class permutations of all
+    of G."""
     coeffs = table_n._coeffs
     profile = _conjugation_profile(group, sub, table_n)
     lut = {row.tobytes(): r for r, row in enumerate(coeffs)}
@@ -127,11 +131,7 @@ def _orbits(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:
     ]
     if any((perm < 0).any() for perm in perms):
         raise ContractViolation("conjugate character left the table")
-    label, prev = np.arange(len(coeffs)), None  # label: least row of the orbit
-    while not np.array_equal(label, prev):
-        prev = label.copy()
-        for perm in perms:
-            np.minimum(label, label[perm], out=label)
+    label = _orbit_labels(perms, len(coeffs))  # the least row of each orbit
     orbits = label[:, None] == label[None, :]
     sigmas, counts = np.unique(profile, axis=0, return_counts=True)
     stab = sum(c * np.all(coeffs[:, s] == coeffs, axis=(1, 2))

@@ -9,7 +9,8 @@ closure `_perm_group`'s generator walk checks, an action `_semidirect`
 checks is a homomorphism into Aut(A), a direct product, or the renamed
 image of `Group.quotient`.  Every product table comes from `_product_table`.
 Maps given on generators are extended along `groups._generator_chain`.
-`_dimino_closure` closes permutation generators (`perm` files, matrix actions).
+`_dimino_closure` closes permutation generators (`perm` files, matrix actions),
+and `_orbit_labels` labels their orbits (matrix actions, G on Irr(N)).
 """
 
 from __future__ import annotations
@@ -178,6 +179,29 @@ def _dimino_closure(perms, base, ids: int, bound: int, what: str, coset) -> np.n
     return rows
 
 
+def _orbit_labels(perms, size: int) -> np.ndarray:
+    """Each point's least orbit-mate under the group that ``perms``,
+    permutations of range(size), generate.
+
+    A pass gives every point the least label on its cycle under each
+    permutation in turn: with ``step`` that permutation's 2^k-th power, a
+    label takes the least of itself and its image's label and ``step``
+    squares, until no label moves; then every point takes the label of its
+    label.  A label is always a point of the same orbit and never larger, so
+    when a pass changes nothing the labels are constant on orbits and each
+    is its orbit's least point."""
+    label = np.arange(size)
+    while True:
+        start = label
+        for perm in perms:
+            step = perm
+            while not np.array_equal(low := np.minimum(label, label[step]), label):
+                label, step = low, step[step]
+            label = label[label]
+        if np.array_equal(label, start):
+            return label
+
+
 def _perm_group(perms, label: str) -> Group:
     """The Cayley table of a list of permutations closed under composition.
 
@@ -187,25 +211,25 @@ def _perm_group(perms, label: str) -> Group:
     by a breadth-first walk of the Cayley graph from the identity on
     generators taken as needed, each the least id not yet reached.  A
     generator g's left-multiplication map L_g[x] = id(g∘x) is one gather
-    and one exact lookup per element (a miss raises ``ValueError``), and
-    each new element c = g∘a gets its row as mul[c] = L_g[mul[a]], since
-    (g∘a)∘x = g∘(a∘x).  The walk reaches every element, so the list is
-    closed exactly when every L_g is defined.
+    and one exact lookup of a `_row_keys` key per element (a miss raises
+    ``ValueError``), and each new element c = g∘a gets its row as
+    mul[c] = L_g[mul[a]], since (g∘a)∘x = g∘(a∘x).  The walk reaches every
+    element, so the list is closed exactly when every L_g is defined.
     """
     p = np.asarray(perms, dtype=np.int64)
     n = len(p)
-    index = {images: i for i, images in enumerate(map(tuple, p.tolist()))}
     # Both checks also end the walk: each new generator g is reached at
     # once, as L_g[0] = g.
     if n == 0 or not np.array_equal(p[0], np.arange(p.shape[1])):
         raise ValueError("the first permutation must be the identity")
+    keys = _row_keys(p.shape[1], p.shape[1])
+    index = {key: i for i, key in enumerate(keys(p))}
     if len(index) != n:
         raise ValueError("a permutation is repeated")
 
     def left_map(g: int) -> np.ndarray:
         try:
-            return np.array([index[images] for images in map(tuple, p[g][p].tolist())],
-                            dtype=np.int64)
+            return np.array([index[key] for key in keys(p[g][p])], dtype=np.int64)
         except KeyError:
             raise ValueError("permutations are not closed under composition") from None
 

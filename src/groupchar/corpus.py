@@ -153,32 +153,13 @@ def build_corpus() -> list[CorpusEntry]:
         )
     )
 
-    entries.append(CorpusEntry("S3", partial(sym, 3), dict(_TYPE2)))
-    entries.append(
-        CorpusEntry(
-            "S4", partial(sym, 4), {"types": ["NotD"], "bucket": "none", "distinct": False}
-        )
-    )
-    entries.append(CorpusEntry("A4", partial(alt, 4), dict(_TYPE2)))
-    entries.append(
-        CorpusEntry(
-            "SL(2,3)", sl23, {"types": ["NotD"], "bucket": "none", "distinct": False}
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "C7:C3", c7_c3, {"types": ["NotD"], "bucket": "none", "distinct": False}
-        )
-    )
-    entries.append(
-        CorpusEntry(
-            "(C5xC5):C3",
-            c5c5_c3,
-            {"types": ["NotD"], "bucket": "none", "distinct": False},
-        )
-    )
-
     not_d = {"types": ["NotD"], "bucket": "none", "distinct": False}
+    entries.append(CorpusEntry("S3", partial(sym, 3), dict(_TYPE2)))
+    entries.append(CorpusEntry("S4", partial(sym, 4), dict(not_d)))
+    entries.append(CorpusEntry("A4", partial(alt, 4), dict(_TYPE2)))
+    entries.append(CorpusEntry("SL(2,3)", sl23, dict(not_d)))
+    entries.append(CorpusEntry("C7:C3", c7_c3, dict(not_d)))
+    entries.append(CorpusEntry("(C5xC5):C3", c5c5_c3, dict(not_d)))
     entries.append(
         CorpusEntry(
             "Q8xC3",

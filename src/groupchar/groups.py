@@ -46,10 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from math import lcm
 
 import numpy as np
 
-from ._arith import factorize, is_prime, lcm, p_part, prime_power
+from ._arith import factorize, is_prime, p_part, prime_power
 from .errors import BoundExceeded, ContractViolation, NotNormal
 
 SUBGROUP_BOUND = 2000  # group-order cap on the class atoms, which every series uses
@@ -249,7 +250,7 @@ class Group:
     @property
     @_memo
     def exponent(self) -> int:
-        return lcm(int(o) for o in self.elt_order)
+        return lcm(*self.elt_order.tolist())
 
     @property
     def is_cyclic(self) -> bool:

@@ -25,7 +25,7 @@ from groupchar import (
     regular_orbit_count,
 )
 
-from groupchar import actions
+from groupchar import actions, clifford, constructors, ramification_report, sym
 
 import oracles
 
@@ -156,6 +156,64 @@ def test_orbits_match_brute_force(data):
     assert action.group_order == len(oracles.matrix_group_by_products(p, n, mats))
     assert orbit_sizes(action) == oracles.orbits_brute(p, n, mats)
     assert negation_pairing(action)
+
+
+def _jordan(n):
+    return (np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int)).tolist()
+
+
+@pytest.mark.parametrize("p, n, mats", [
+    (31, 2, [_jordan(2)]),  # 31 cycles of length 31 on the vectors off the axis
+    (5, 3, [_jordan(3)]),
+    (3, 4, [_jordan(4)]),
+    (5, 3, [np.eye(3, dtype=int).tolist()]),
+    (3, 4, [np.eye(4, dtype=int).tolist()]),
+    (3, 4, []),
+    # pairs of transvections, whose orbits no single pass over the
+    # generators joins
+    (3, 2, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]),
+    (3, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]),
+])
+def test_orbit_labels_match_brute_force_on_unipotent_and_identity_actions(p, n, mats):
+    """Jordan blocks, identities and transvections: each label is constant
+    under every generator and the orbit sizes are the brute-force ones, so
+    the label classes are exactly the orbits."""
+    action = LinearAction(p, n, mats)
+    labels, sizes = action.orbits()
+    assert all(np.array_equal(labels[perm], labels) for perm in action._vector_perms)
+    assert orbit_sizes(action) == oracles.orbits_brute(p, n, mats)
+    assert sizes.sum() == p ** n
+
+
+def test_orbit_labels_are_dense_in_order_of_least_vector():
+    """diag(1, 2) on GF(3)^2, ids v_0 + 3·v_1: it fixes the first axis and
+    pairs (v_0, 1) with (v_0, 2)."""
+    labels, sizes = LinearAction(3, 2, [[[1, 0], [0, 2]]]).orbits()
+    assert labels.tolist() == [0, 1, 2, 3, 4, 5, 3, 4, 5]
+    assert sizes.tolist() == [1, 1, 1, 2, 2, 2]
+    assert labels.dtype == sizes.dtype == np.int64
+
+
+def test_every_orbit_labelling_is_the_one_closure(monkeypatch):
+    """``constructors._orbit_labels`` is the one orbit labelling of a group
+    given by generator permutations: ``actions`` and ``clifford`` bind it,
+    and ``LinearAction.orbits`` (on the 9 vectors of GF(3)^2) and
+    ``ramification_report`` (on the 4 characters of V4 in S4) each call it
+    once."""
+    labelling = constructors._orbit_labels
+    assert actions._orbit_labels is labelling and clifford._orbit_labels is labelling
+    calls = []
+
+    def counted(perms, size):
+        calls.append(size)
+        return labelling(perms, size)
+
+    for module in (actions, clifford):
+        monkeypatch.setattr(module, "_orbit_labels", counted)
+    LinearAction(3, 2, [[[1, 0], [0, 2]]]).orbits()
+    s4 = sym(4)
+    ramification_report(s4, s4.subgroup([0, 7, 16, 23]))
+    assert calls == [9, 4]
 
 
 def _companion(coeffs, p):

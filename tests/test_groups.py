@@ -659,6 +659,11 @@ def test_group_constructor_validation():
         Group(np.array([[0, 1], [1, 1]]))  # not a Latin square
     with pytest.raises(ValueError):
         Group(np.array([[1, 0], [0, 1]]))  # identity not id 0
+    # a two-sided identity and unique inverses, but not a Latin square: the
+    # powers of element 1 run 1, 2, 3, 2, 3, ... and never reach 0
+    with pytest.raises(ValueError, match="power chains do not return to the identity"):
+        Group([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 0, 1, 1], [3, 2, 1, 0, 1],
+               [4, 0, 1, 2, 3]])
     mul = np.zeros((1, 1), dtype=np.int64)
     assert Group(mul).order == 1
 

@@ -185,6 +185,7 @@ def test_perm_ids_do_not_depend_on_unnamed_points(tmp_path):
     "text,fragment",
     [
         ("sudoku 3\n", "unknown format"),
+        ("cayley 0\n", "header size must be positive"),
         ("cayley 2\n0 1\n", "rows"),
         ("cayley 2\n0 1\n1 0\n0 1\n", "rows"),
         ("cayley 2\n0 1 0\n1 0\n", "entries"),

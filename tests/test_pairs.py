@@ -3,6 +3,7 @@ residual structure, the degree scan, and monotonicity."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -399,6 +400,65 @@ def test_every_theorem_violation_replays(case, monkeypatch):
     with pytest.raises(TheoremViolation) as again:
         entry(g, rebuilt)
     assert again.value.claim == err.value.claim
+
+
+_TYPE1_CLAIM = "nilpotent distinct-degree pair must be the 2-group shape"
+_TYPE2_CLAIM = "Frobenius distinct-degree pair must be the sharply transitive shape"
+
+
+def _wrong_fact_cases():
+    """(G, N, call, forced faithful rows or None, claim) per claim branch
+    of `pairs._assert_type1` and `_assert_type2` but the missing
+    complement, which the replay cases above force: a wrong prime or
+    exponent, a pair of the wrong shape, or a forced faithful-row set."""
+    es32, d8, d10, d16, d32, f20 = (extraspecial_2(2, "+"), dihedral(4), dihedral(5),
+                                    dihedral(8), dihedral(16), agl1(5))
+    translations = f20.minimal_normal_subgroups()[0]
+
+    def type1(p):
+        return functools.partial(pairs._assert_type1, p=p)
+
+    def type2(p, n_exp):
+        return functools.partial(pairs._assert_type2, p=p, n_exp=n_exp)
+
+    return {
+        "type1-prime": (es32, es32.center(), type1(3), None,
+                        f"{_TYPE1_CLAIM}: kernel prime is 3, not 2"),
+        "type1-order": (d16, d16.center(), type1(2), None,
+                        f"{_TYPE1_CLAIM}: |G| = 16 is not an odd power 2^(2m+1) with m >= 1"),
+        "type1-center": (d8, d8.subgroup([0, 1, 2, 3]), type1(2), None,
+                         f"{_TYPE1_CLAIM}: N must equal the center, of order 2"),
+        "type1-faithful": (d32, d32.center(), type1(2), None,  # the four ρ_j, j odd
+                           f"{_TYPE1_CLAIM}: 4 faithful characters, expected exactly 1"),
+        "type1-degree": (es32, es32.center(), type1(2), [0],
+                         f"{_TYPE1_CLAIM}: faithful degree 1 differs from 2^2"),
+        "type2-index": (f20, translations, type2(5, 2), None,
+                        f"{_TYPE2_CLAIM}: complement order 4 differs from 24"),
+        "type2-transitive": (d10, d10.subgroup(range(5)), type2(3, 1), None,
+                             f"{_TYPE2_CLAIM}: G is not transitive on the nonidentity "
+                             "elements of N"),
+        "type2-faithful": (f20, translations, type2(5, 1), [1, 2],
+                           f"{_TYPE2_CLAIM}: 2 faithful characters, expected exactly 1"),
+        "type2-degree": (f20, translations, type2(5, 1), [0],
+                         f"{_TYPE2_CLAIM}: faithful degree 1 differs from 4"),
+    }
+
+
+@pytest.mark.parametrize("case", ["type1-prime", "type1-order", "type1-center",
+                                  "type1-faithful", "type1-degree", "type2-index",
+                                  "type2-transitive", "type2-faithful", "type2-degree"])
+def test_type_assertions_fail_each_claim_on_a_wrong_fact(case, monkeypatch):
+    """Each claim branch of the two type assertions raises its own text,
+    and ``Subgroup(G, witness["n_elements"])`` is N again."""
+    g, n, call, rows, claim = _wrong_fact_cases()[case]
+    if rows is not None:
+        monkeypatch.setattr(pairs, "_faithful_rows",
+                            lambda table: np.array(rows, dtype=np.int64))
+    report = pairs.PairReport(g.label, g.order, tuple(n.elements.tolist()), n.order)
+    with pytest.raises(TheoremViolation) as err:
+        call(g, n, report=report)
+    assert err.value.claim == claim
+    assert Subgroup(g, err.value.witness["n_elements"]) == n
 
 
 def _by_cyclic(base, m, auto):
