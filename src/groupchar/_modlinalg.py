@@ -14,16 +14,24 @@ from ._arith import prime_factors
 from .errors import ContractViolation
 
 
-def vectors(p: int, n: int) -> np.ndarray:
-    """Every vector of F_p^n as a row; row id = Σ v_j p^j (little-endian)."""
-    return np.arange(p ** n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+_PERM_BLOCK = 1 << 16  # vector ids per block of vector_perms
+
+
+def digits(ids, p: int, n: int) -> np.ndarray:
+    """The vectors of F_p^n with the given ids, one more trailing axis of
+    length n; id = Σ v_j p^j (little-endian)."""
+    return np.asarray(ids, dtype=np.int64)[..., None] // p ** np.arange(n) % p
 
 
 def vector_perms(p: int, n: int, matrices) -> list[np.ndarray]:
-    """The map v -> m·v on the vector ids, for each matrix m."""
-    vecs = vectors(p, n)
-    ids = p ** np.arange(n, dtype=np.int64)
-    return [vecs @ m.T % p @ ids for m in matrices]
+    """The map v -> m·v on the vector ids, for each matrix m, by blocks of ids."""
+    size, place = p ** n, p ** np.arange(n, dtype=np.int64)
+    perms = [np.empty(size, dtype=np.int64) for _ in matrices]
+    for lo in range(0, size, _PERM_BLOCK):
+        vecs = digits(np.arange(lo, min(size, lo + _PERM_BLOCK)), p, n)
+        for perm, m in zip(perms, matrices):
+            perm[lo:lo + len(vecs)] = vecs @ m.T % p @ place
+    return perms
 
 
 def powers_mod(z: int, count: int, q: int) -> np.ndarray:

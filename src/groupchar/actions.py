@@ -2,8 +2,9 @@
 
 A LinearAction is a list of invertible n×n generator matrices over GF(p).
 The action on the p^n vectors is stored as one permutation per generator
-(`_modlinalg.vector_perms`, on the little-endian vector ids of
-`_modlinalg.vectors`: id = Σ v_j p^j).  The generated matrix group is
+(`_modlinalg.vector_perms`, on the little-endian vector ids that
+`_modlinalg.digits` reads: id = Σ v_j p^j; no array of all p^n vectors is
+held).  The generated matrix group is
 closed from those permutations by `constructors._dimino_closure`, which
 also closes `perm` group files, an element being the row of the n vector
 ids of its columns; only the order is kept, bounded by ``ORDER_BOUND``.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._arith import is_prime, p_part
-from ._modlinalg import rref_mod, vector_perms, vectors
+from ._modlinalg import digits, rref_mod, vector_perms
 from .constructors import _dimino_closure, _orbit_labels, _perm_group
 from .errors import (
     BoundExceeded,
@@ -35,6 +36,7 @@ from .errors import (
     InvalidAction,
     TheoremViolation,
 )
+from .groups import _memo
 
 __all__ = [
     "LinearAction",
@@ -92,27 +94,28 @@ class LinearAction:
                 raise InvalidAction("generator matrix is singular")
             gens.append(m)
         self.generators = gens
+        self._cache = {}
         self._vector_perms = vector_perms(p, n, gens)
         self.group_order = self._close_group()
-        self._orbit_data: tuple[np.ndarray, np.ndarray] | None = None
 
     def _close_group(self) -> int:
         """Order of the generated group: `constructors._dimino_closure` over
         the rows of the basis vectors' images (ids ``p**arange(n)``)."""
         p, n = self.p, self.n
-        vecs = vectors(p, n)
         powers = p ** np.arange(n, dtype=np.int64)
 
         def coset(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
             # A gather needs x's permutation of all p^n vectors; a matmul
             # transforms only H's |H|·n column vectors.
+            images = digits(x, p, n)
             if len(rows) * n >= p ** n:
-                return (vecs @ vecs[x] % p @ powers)[rows]
-            return vecs[rows] @ vecs[x] % p @ powers
+                return vector_perms(p, n, [images.T])[0][rows]
+            return digits(rows, p, n) @ images % p @ powers
 
         return len(_dimino_closure(self._vector_perms, powers, p ** n, ORDER_BOUND,
                                    "matrix group order", coset))
 
+    @_memo
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """(orbit_label per vector id, orbit sizes indexed by label).
 
@@ -122,11 +125,9 @@ class LinearAction:
         finite group every inverse is a positive power, so the generators'
         cycles join exactly the orbits.
         """
-        if self._orbit_data is None:
-            least = _orbit_labels(self._vector_perms, self.p ** self.n)
-            _, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
-            self._orbit_data = (labels, sizes)
-        return self._orbit_data
+        least = _orbit_labels(self._vector_perms, self.p ** self.n)
+        _, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
+        return labels, sizes
 
     def __repr__(self):
         return (f"LinearAction(p={self.p}, n={self.n}, "
@@ -207,14 +208,13 @@ def _is_irreducible(action: LinearAction) -> bool:
     vector (one representative per orbit suffices) spans the whole space.
     The orbits' members come from one stable sort of the labels."""
     labels, sizes = action.orbits()
-    vecs = vectors(action.p, action.n)
     by_label = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
     for start, end in zip((ends - sizes).tolist(), ends.tolist()):
         members = by_label[start:end]
         if len(members) == 1 and members[0] == 0:
             continue
-        rank = len(rref_mod(vecs[members], action.p)[1])
+        rank = len(rref_mod(digits(members, action.p, action.n), action.p)[1])
         if rank != action.n:
             return False
     return True
@@ -259,13 +259,22 @@ def distinct_sizes_scan(action: LinearAction) -> dict:
 
 
 def gl_elements(p: int, n: int) -> list[np.ndarray]:
-    """Every invertible n×n matrix over GF(p), lexicographically ordered."""
-    # p^(n²) >= 2^(n²) and p^(n²) >= p: both are checked before it is built.
+    """Every invertible n×n matrix over GF(p), lexicographically ordered;
+    bad input raises InvalidAction, as in `LinearAction`."""
+    if not (_is_int(p) and _is_int(n)):
+        raise InvalidAction(f"p and n must be integers, not {p!r} and {n!r}")
+    p, n = int(p), int(n)
+    if n < 1:
+        raise InvalidAction("dimension must be at least 1")
+    # p^(n²) >= 2^(n²) and p^(n²) >= p: both are checked before p's
+    # primality test and before p^(n²) is built.
     bits = MATRIX_SPACE_BOUND.bit_length()
     if n * n >= bits:
         raise BoundExceeded("matrix space dimension", n * n, bits - 1)
     if p.bit_length() > bits:
         raise BoundExceeded("field size in bits", p.bit_length(), bits)
+    if not is_prime(p):
+        raise InvalidAction(f"{p} is not prime")
     count = p ** (n * n)
     if count > MATRIX_SPACE_BOUND:
         raise BoundExceeded("matrix space", count, MATRIX_SPACE_BOUND)

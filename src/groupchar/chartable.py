@@ -56,9 +56,10 @@ first, then the rarest element key, is a memo fact of s, built on its
 first search, so one source serves many searches and h never walks its
 own Cayley graph.  The map found is inverted to h -> s and checked
 exactly in full; the table is then read off through it as a column
-gather and put in canonical order.  The rows, the prime (fixed by
-exponent and order) and the root are the ones the build would give, so
-every route gives the same bytes, and tables share their read-only arrays.
+gather and put in canonical order.  The rows are the ones the build would
+give, and a table reads its conductor, prime and root off its own group
+(`_field`), so every route gives the same bytes by construction, and
+tables share their read-only arrays.
 Both lookups are weak maps: a table is pooled while its group lives, so the
 pool needs no bound, and nothing carries over once the groups are gone.
 Like the group caches the maps are filled without a lock: concurrent first
@@ -118,6 +119,14 @@ def dixon_prime(exponent: int, order: int) -> int:
     raise NoSuitablePrime(f"no prime q = 1 mod {e} with q > {2 * order} below cap")
 
 
+@lru_cache(maxsize=None)
+def _field(exponent: int, order: int) -> tuple[int, int]:
+    """The working modulus q = ``dixon_prime(exponent, order)`` and the
+    primitive e-th root of unity mod q that a table of such a group uses."""
+    q = dixon_prime(exponent, order)
+    return q, element_of_order(exponent, q)
+
+
 class Character:
     """One row of a character table.
 
@@ -126,20 +135,18 @@ class Character:
     access and cached; the library's own checks read the arrays only.
     """
 
-    __slots__ = ("table", "index", "degree", "_values")
+    __slots__ = ("table", "index", "degree", "_cache")
 
     def __init__(self, table: "CharacterTable", index: int, degree: int):
         self.table = table
         self.index = index
         self.degree = degree
-        self._values: tuple[Cyclotomic, ...] | None = None
+        self._cache = {}
 
     @property
+    @_memo
     def values(self) -> tuple[Cyclotomic, ...]:
-        if self._values is None:
-            e = self.table.conductor
-            self._values = tuple(Cyclotomic(e, c) for c in self.table._coeffs[self.index])
-        return self._values
+        return tuple(Cyclotomic(self.table.conductor, c) for c in self.table._coeffs[self.index])
 
     def kernel(self) -> Subgroup:
         """{g : χ(g) = χ(1)}, decided via the trivial-root multiplicities."""
@@ -162,16 +169,15 @@ class CharacterTable:
     Public fields: ``group``, ``classes``, ``rows`` (trivial character
     first, then sorted by degree and lexicographic coefficient vectors),
     ``degrees`` (an int64 array in row order), ``conductor`` (= group
-    exponent), ``prime`` (the working modulus).
+    exponent), ``prime`` (the working modulus).  Those two and ``root`` are
+    read off the group's exponent and order (`_field`); no caller passes them.
     """
 
-    def __init__(self, group, classes, degrees, conductor, prime, root, coeffs,
-                 derived=None):
+    def __init__(self, group, classes, degrees, coeffs, derived=None):
         self.group = group
         self.classes = classes
-        self.conductor = conductor
-        self.prime = prime
-        self.root = root
+        self.conductor = group.exponent
+        self.prime, self.root = _field(self.conductor, group.order)
         # Read-only, as class data is: tables of byte-equal groups share them.
         self._coeffs = _readonly(coeffs)  # (rows, classes, phi(e)) exact ints
         # Derived from the coefficients: the values mod prime (root as the
@@ -179,7 +185,8 @@ class CharacterTable:
         # (χ(g) = χ(1) exactly), and the classes where each row vanishes.
         # A table served to a byte-equal group takes its source's as ``derived``.
         if derived is None:
-            derived = (coeffs @ powers_mod(root, coeffs.shape[2], prime) % prime,
+            q = self.prime
+            derived = (coeffs @ powers_mod(self.root, coeffs.shape[2], q) % q,
                        (coeffs[:, :, 0] == degrees[:, None]) & ~coeffs[:, :, 1:].any(axis=2),
                        ~coeffs.any(axis=2))
         self._modq, self._kernel_mask, self._zero_mask = map(_readonly, derived)
@@ -222,7 +229,6 @@ def compute_table(group: Group) -> CharacterTable:
     if source is not None and np.array_equal(source.group.mul, group.mul):
         group._adopt_classes(source.group)
         table = CharacterTable(group, group.conjugacy_classes(), source.degrees,
-                               source.conductor, source.prime, source.root,
                                source._coeffs,
                                derived=(source._modq, source._kernel_mask, source._zero_mask))
     else:
@@ -249,8 +255,7 @@ def _build_table(group: Group) -> CharacterTable:
     phi = euler_phi(e)
     if k * k * phi > TABLE_CELL_BOUND:  # refused before any array is made
         raise BoundExceeded("character table cells", k * k * phi, TABLE_CELL_BOUND)
-    q = dixon_prime(e, n)
-    z = element_of_order(e, q)
+    q, z = _field(e, n)
     zpow = powers_mod(z, e, q)
 
     inv_sizes = np.array([inv_mod(s, q) for s in cc.sizes.tolist()], dtype=np.int64)
@@ -281,7 +286,7 @@ def _build_table(group: Group) -> CharacterTable:
 
     coeffs = _lift(group, modq, degrees, zpow, q)
     order = _canonical_order(degrees, coeffs)
-    table = CharacterTable(group, cc, degrees[order], e, q, z, coeffs[order])
+    table = CharacterTable(group, cc, degrees[order], coeffs[order])
     # Cross-check the lift against the modular table.
     if not np.array_equal(table._modq, modq[order]):
         raise ContractViolation("lifted values disagree with modular table")
@@ -485,8 +490,7 @@ def _transport(h: Group, src: CharacterTable, phi: np.ndarray) -> CharacterTable
     cols = _image_classes(h, s, phi)
     coeffs = src._coeffs[:, cols]
     order = _canonical_order(src.degrees, coeffs)
-    return CharacterTable(h, cc, src.degrees[order], src.conductor, src.prime,
-                          src.root, coeffs[order])
+    return CharacterTable(h, cc, src.degrees[order], coeffs[order])
 
 
 def _image_classes(h: Group, s: Group, phi: np.ndarray) -> np.ndarray:
@@ -733,45 +737,25 @@ def _embedding(e: int, r: int) -> tuple[list[int], np.ndarray]:
     return zpow[units].tolist(), vand
 
 
-def _require_table_of(sub: Subgroup, table_n: CharacterTable) -> None:
-    """ValueError unless ``table_n`` is a table of N = sub: its group is
-    ``sub.as_group()`` (checked first, in O(1)) or has a byte-equal Cayley
-    table, as a pooled table served for it has."""
-    n_group, group = sub.as_group(), table_n.group
-    if group is not n_group and not np.array_equal(group.mul, n_group.mul):
-        raise ValueError("table_n is not a character table of the subgroup")
-
-
-def restriction_multiplicities(
-    table_g: CharacterTable, sub: Subgroup, table_n: CharacterTable
-) -> np.ndarray:
+def restriction_multiplicities(group: Group, sub: Subgroup) -> np.ndarray:
     """Multiplicities ⟨χ_r|_N, θ_t⟩ for all rows at once (exact integers),
-    N a normal subgroup of the table's group.
+    N a normal subgroup of ``group``, χ over G's table and θ over N's, both
+    looked up by `compute_table`.
 
     Works in F_q of the parent table: multiplicities are nonnegative integers
     bounded by the largest degree (< q), so the residues determine them.
     """
-    g = table_g.group
-    require_normal(g, sub)
-    _require_table_of(sub, table_n)
-    q = table_g.prime
-    e_g = table_g.conductor
-    e_n = table_n.conductor
-    if e_g % e_n:
-        raise ContractViolation("subgroup exponent does not divide group exponent")
-    step = e_g // e_n
-    phi_n = euler_phi(e_n)
-    # zeta_{e_n} -> root^step in F_q.
-    base = pow(int(table_g.root), step, q)
-    theta_q = table_n._coeffs @ powers_mod(base, phi_n, q) % q   # (T, Kn)
-    theta_conj = theta_q[:, table_n.classes.inverse_class]
-
-    parent_class = sub._parent_classes(table_n.classes)
-    weighted = table_g._modq[:, parent_class] * table_n.classes.sizes[None, :] % q
-    inv_n = inv_mod(sub.order, q)
-    mults = weighted @ theta_conj.T % q * inv_n % q              # (R, T)
-    max_deg = int(table_g.degrees.max())
-    if int(mults.max(initial=0)) > max_deg:
+    require_normal(group, sub)
+    table_g, table_n = compute_table(group), compute_table(sub.as_group())
+    q, coeffs_n, classes_n = table_g.prime, table_n._coeffs, table_n.classes
+    # zeta_{e_n} -> root^(e_g / e_n) in F_q; e_n divides e_g, as N's
+    # elements keep their orders in G.
+    base = pow(int(table_g.root), table_g.conductor // table_n.conductor, q)
+    theta_q = coeffs_n @ powers_mod(base, coeffs_n.shape[2], q) % q   # (T, Kn)
+    theta_conj = theta_q[:, classes_n.inverse_class]
+    weighted = table_g._modq[:, sub._parent_classes()] * classes_n.sizes[None, :] % q
+    mults = weighted @ theta_conj.T % q * inv_mod(sub.order, q) % q     # (R, T)
+    if int(mults.max(initial=0)) > int(table_g.degrees.max()):
         raise ContractViolation("restriction multiplicity exceeds degree bound")
     if not np.array_equal(mults @ table_n.degrees, table_g.degrees):
         raise ContractViolation("bulk restriction degrees do not add up")

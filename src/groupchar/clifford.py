@@ -2,7 +2,8 @@
 
 All operations work on exact character tables over a normal subgroup N of
 G; one that is not normal raises NotNormal, and a subgroup of another group
-ValueError.  Characters of N live on its materialized standalone group
+ValueError.  Every entry point takes the pair alone and looks up the tables
+itself.  Characters of N live on its materialized standalone group
 (`Subgroup.as_group()`), whose local ids are the parent ids in sorted
 order; `local_ids` and `to_parent` map ids each way.
 
@@ -33,7 +34,7 @@ from math import prod
 import numpy as np
 
 from ._arith import prime_factors
-from .chartable import CharacterTable, _require_table_of, compute_table, restriction_multiplicities
+from .chartable import CharacterTable, compute_table, restriction_multiplicities
 from .constructors import _orbit_labels
 from .errors import ContractViolation, TheoremViolation
 from .groups import Group, Subgroup, _orders_modulo, _pair_witness, require_normal
@@ -47,18 +48,17 @@ __all__ = [
 ]
 
 
-def invariant_rows(group: Group, sub: Subgroup, table_n: CharacterTable) -> np.ndarray:
+def invariant_rows(group: Group, sub: Subgroup) -> np.ndarray:
     """Boolean mask over rows of N's table: is θ fixed by G-conjugation?
 
     θ is, exactly when it is constant on each block of N's classes that one
     G-class holds: equal to its value on one class of the block, taken by
     one scatter over the blocks."""
     require_normal(group, sub)
-    _require_table_of(sub, table_n)
-    parent_class = sub._parent_classes(table_n.classes)
+    parent_class = sub._parent_classes()
     member = np.empty(len(group.conjugacy_classes()), dtype=np.int64)
     member[parent_class] = np.arange(parent_class.size)
-    coeffs = table_n._coeffs
+    coeffs = compute_table(sub.as_group())._coeffs
     return np.all(coeffs == coeffs[:, member[parent_class]], axis=(1, 2))
 
 
@@ -197,8 +197,8 @@ def _ramification_pass(group: Group, sub: Subgroup, every_row: bool) -> list[dic
     require_normal(group, sub)
     table_g = compute_table(group)
     table_n = compute_table(sub.as_group())
-    inv_mask = invariant_rows(group, sub, table_n)
-    mults = restriction_multiplicities(table_g, sub, table_n)
+    inv_mask = invariant_rows(group, sub)
+    mults = restriction_multiplicities(group, sub)
     qclass = quotient_class(group, sub)
     q_abelian = _abelian_over(group, sub)
     if every_row:

@@ -1,7 +1,7 @@
 """Dense GF(q) arithmetic tables for small prime powers, q = p^n.
 
 Field elements are the vectors of GF(p)^n numbered as in
-`_modlinalg.vectors`: c_0 + c_1 x + ... + c_{n-1} x^{n-1} has id
+`_modlinalg.digits`: c_0 + c_1 x + ... + c_{n-1} x^{n-1} has id
 Σ c_i p^i.  Multiplication by x is the companion matrix C of the modulus,
 so a·b = Σ_i b_i C^i a.  The modulus is the least monic polynomial of
 degree n, ordered by its coefficient vector (c_0, ..., c_{n-1}), whose
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._arith import prime_power
-from ._modlinalg import vectors
+from ._modlinalg import digits
 from .errors import NotPrimePower
 
 
@@ -49,7 +49,7 @@ def gf_field(q: int) -> GF:
     if pp is None:
         raise NotPrimePower(f"{q} is not a prime power")
     p, n = pp
-    vecs = vectors(p, n)
+    vecs = digits(np.arange(p ** n), p, n)
     add = (vecs[:, None] + vecs[None, :]) % p @ p ** np.arange(n)
     # A tail with c_0 = 0 makes x a zero divisor, unless the modulus is x.
     for tail in itertools.product(range(p), repeat=n):

@@ -13,8 +13,7 @@ caller in the library is `constructors.central_product`, and the method
 also stays because the benchmark tracer times it.  Subgroups are closed
 by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
 (`local_ids`), its one class-space form (`class_mask`) and the map of the
-classes of its own group into the parent's (`_parent_classes`, one fact
-per classes object).  A group made
+classes of `as_group()` into the parent's (`_parent_classes`).  A group made
 from a known one inherits its facts instead of recomputing them:
 `Subgroup.as_group` takes the parent's inverses and element orders through
 `local_ids`, and a group with a byte-equal Cayley table takes its twin's
@@ -37,7 +36,8 @@ Reports take ints by ``.tolist()``.
 `constructors` extends from generator images all follow it.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
-instance's ``_cache`` under the method name plus positional arguments.
+instance's ``_cache`` under the method name plus positional arguments; a
+character's values and a linear action's orbits take the same route.
 Filling is idempotent but unlocked, so concurrent first calls on a shared
 instance may compute the same value twice.
 """
@@ -627,7 +627,7 @@ class Group:
 @dataclass(frozen=True, eq=False)
 class ConjugacyClasses:
     """Conjugacy class data, one read-only int64 array per field.  An
-    instance compares and hashes by identity, so it can key a memo.
+    instance compares and hashes by identity.
 
     ``reps[c]`` is the least element of class c and increases with c, so
     class 0 is the identity's; ``by_class`` lists the elements class by
@@ -751,11 +751,11 @@ class Subgroup:
                                           f"{parent.label}.sub{self.order}")
 
     @_memo
-    def _parent_classes(self, classes: ConjugacyClasses) -> np.ndarray:
-        """The parent class of each class in ``classes``, the classes of a
-        group on this subgroup's local ids (``as_group()`` or a byte-equal
-        twin): one fact per classes object."""
-        return _readonly(self.parent.conjugacy_classes().class_of[self.elements[classes.reps]])
+    def _parent_classes(self) -> np.ndarray:
+        """The parent class of each class of ``as_group()``, whose classes
+        its character table holds."""
+        reps = self.as_group().conjugacy_classes().reps
+        return _readonly(self.parent.conjugacy_classes().class_of[self.elements[reps]])
 
     def to_parent(self, local_id):
         """Map local (materialized) ids to parent ids; scalar or array."""

@@ -268,8 +268,6 @@ def _assert_type3(group: Group, sub: Subgroup, p: int, n_exp: int,
     # residual_case, which runs next, checks that (J, N) is a Camina pair.
     j_sub = group.radicals(p).p_residual
     report.evidence["j_order"] = j_sub.order
-    if j_sub.order == sub.order:
-        report.evidence["j_equals_n"] = True
     # When J is a Sylow p-subgroup the unique character over N has the
     # predicted degree (p^n - 1) * sqrt(|J| / p^n).
     if j_sub.order == p_part(group.order, p):

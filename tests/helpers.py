@@ -53,10 +53,9 @@ def extensions_of(theta: Character, sub_n: Subgroup, sub_m: Subgroup):
     n_in_m = sub_n.within(sub_m)  # ValueError unless N ≤ M
     m_group = n_in_m.parent
     table_m = compute_table(m_group)
-    table_n = theta.table
-    if not bool(invariant_rows(m_group, n_in_m, table_n)[theta.index]):
+    if not bool(invariant_rows(m_group, n_in_m)[theta.index]):
         raise ValueError("character is not invariant in M")
-    mults = restriction_multiplicities(table_m, n_in_m, table_n)
+    mults = restriction_multiplicities(m_group, n_in_m)
     exts = [
         table_m.rows[r]
         for r in np.nonzero(mults[:, theta.index])[0]
@@ -93,9 +92,7 @@ def extension_alternative(group: Group, sub_n: Subgroup, sub_m: Subgroup,
     exts = extensions_of(theta, sub_n, sub_m)
     if not exts:
         return {"extendible": False, "invariant_extension": None, "transitive": None}
-    m_group = sub_m.as_group()
-    table_m = compute_table(m_group)
-    inv_m = invariant_rows(group, sub_m, table_m)
+    inv_m = invariant_rows(group, sub_m)
     ext_rows = {phi.index for phi in exts}
     if any(inv_m[i] for i in ext_rows):
         return {"extendible": True, "invariant_extension": True, "transitive": None}

@@ -282,6 +282,20 @@ def test_gl_elements_refuses_before_building_the_count():
         gl_elements(3, 4)  # 3^16 is small enough to build and name
 
 
+@pytest.mark.parametrize("p, n, claim", [
+    (4, 2, "4 is not prime"),  # raised ValueError: base is not invertible
+    (6, 1, "6 is not prime"),
+    (2.0, 2, "integers"),  # raised AttributeError
+    (2, 1.0, "integers"),
+    (2, -1, "at least 1"),  # raised a numpy reshape error
+    (2, 0, "at least 1"),  # returned one matrix
+], ids=["p-4", "p-6", "float-p", "float-n", "n-negative", "n-zero"])
+def test_gl_scans_refuse_bad_input(p, n, claim):
+    for call in (gl_elements, odd_order_subgroup_actions):
+        with pytest.raises(InvalidAction, match=claim):
+            call(p, n)
+
+
 def test_odd_subgroups_of_gl1_small():
     # GF(7)^* is cyclic of order 6; in GF(19)^*, of order 18, the subgroup
     # of order 3 is found from a generator inside the one of order 9.

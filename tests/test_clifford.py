@@ -40,7 +40,6 @@ from groupchar import (
     sym,
 )
 
-from groupchar.chartable import _build_table
 from groupchar.groups import Subgroup, _memo
 
 import oracles
@@ -93,7 +92,7 @@ def _record(group, sub, row):
 
 def test_invariant_rows_and_stabilizers():
     g, sub, table_n = _s3_with_a3()
-    inv = invariant_rows(g, sub, table_n)
+    inv = invariant_rows(g, sub)
     assert list(inv) == [True, False, False]
     orbits = _orbit_rows(g, sub, table_n)
     oracle = oracles.ramification_by_definition(g, sub)
@@ -252,10 +251,10 @@ def test_abelian_invariant_factors_trivial_and_errors():
         abelian_invariant_factors(s4, s4.subgroup([0, 7, 16, 23]))
 
 
-def _pair_entry_points(group, sub, table_n):
+def _pair_entry_points(group, sub):
     """Every library call that takes a pair (G, N), by name."""
     return {
-        "invariant_rows": lambda: invariant_rows(group, sub, table_n),
+        "invariant_rows": lambda: invariant_rows(group, sub),
         "abelian_invariant_factors": lambda: abelian_invariant_factors(group, sub),
         "quotient_class": lambda: quotient_class(group, sub),
         "ramification_scan_pair": lambda: ramification_scan_pair(group, sub),
@@ -265,8 +264,7 @@ def _pair_entry_points(group, sub, table_n):
         "is_camina_vanishing": lambda: pairs.is_camina_vanishing(group, sub),
         "camina_pair": lambda: pairs.camina_pair(group, sub),
         "classify_pair": lambda: classify_pair(group, sub),
-        "restriction_multiplicities":
-            lambda: restriction_multiplicities(compute_table(group), sub, table_n),
+        "restriction_multiplicities": lambda: restriction_multiplicities(group, sub),
         "is_supersolvable": lambda: group.is_supersolvable(sub),
     }
 
@@ -279,8 +277,7 @@ def test_non_normal_subgroup_is_refused():
     s3 = sym(3)
     sub = s3.subgroup([0, min(x for x in range(6) if s3.elt_order[x] == 2)])
     assert not sub.is_normal
-    table_n = compute_table(sub.as_group())
-    for name, call in _pair_entry_points(s3, sub, table_n).items():
+    for name, call in _pair_entry_points(s3, sub).items():
         with pytest.raises(NotNormal):
             call()
     assert issubclass(NotNormal, ValueError)
@@ -295,34 +292,12 @@ def test_subgroup_of_another_group_is_refused():
     s4, a4 = sym(4), alt(4)
     v4 = a4.minimal_normal_subgroups()[0]
     assert v4.elements.tolist() == [0, 3, 8, 11]
-    table_n = compute_table(v4.as_group())
-    calls = _pair_entry_points(s4, v4, table_n)
+    calls = _pair_entry_points(s4, v4)
     calls["residual_case"] = lambda: pairs.residual_case(s4, v4)
     calls["is_frobenius_with_kernel"] = lambda: is_frobenius_with_kernel(s4, v4)
     for name, call in calls.items():
         with pytest.raises(ValueError, match="different group"):
             call()
-
-
-def test_a_table_of_another_group_is_refused():
-    """C2×C2's table is not a table of N = ⟨r⟩ ≅ C4 in D8: read as one, it
-    gave wrong multiplicities and raised nothing.  N's own table passes, and
-    so does a table built for a byte-equal copy of N's Cayley table."""
-    d8 = dihedral(4)
-    rotations = Subgroup(d8, [0, 1, 2, 3])
-    table_g, foreign = compute_table(d8), compute_table(abelian([2, 2]))
-    with pytest.raises(ValueError, match="not a character table"):
-        restriction_multiplicities(table_g, rotations, foreign)
-    with pytest.raises(ValueError, match="not a character table"):
-        invariant_rows(d8, rotations, foreign)
-    own = compute_table(rotations.as_group())
-    twin = _build_table(Group(rotations.as_group().mul.copy()))
-    assert twin.group is not rotations.as_group()
-    for table_n in (own, twin):
-        # s inverts r, so it swaps the two faithful characters of C4
-        assert invariant_rows(d8, rotations, table_n).tolist() == [True, True, False, False]
-    assert np.array_equal(restriction_multiplicities(table_g, rotations, own),
-                          restriction_multiplicities(table_g, rotations, twin))
 
 
 def test_quotient_class_verdicts():
@@ -376,7 +351,7 @@ def test_invariant_rows_match_the_fusion_blocks(proper_normal_pairs):
     some_not_invariant = 0
     for _, g, sub in proper_normal_pairs:
         table_n = compute_table(sub.as_group())
-        got = invariant_rows(g, sub, table_n)
+        got = invariant_rows(g, sub)
         assert np.array_equal(got, oracles.invariant_rows_by_fusion(g, sub, table_n)), (
             g.label, sub.order)
         some_not_invariant += not got.all()
@@ -384,22 +359,16 @@ def test_invariant_rows_match_the_fusion_blocks(proper_normal_pairs):
 
 
 def test_pairs_share_one_class_map(proper_normal_pairs, triple_records):
-    """N's classes go into G's by one memo fact of the subgroup, keyed to
-    the classes of N's table, which ``invariant_rows`` and
+    """N's classes go into G's by one memo fact of the subgroup, the classes
+    of ``as_group()``, which ``invariant_rows`` and
     ``restriction_multiplicities`` both read: on every corpus pair the scan
-    left it, equal to the direct gather."""
+    left it, equal to the direct gather over the classes of N's table."""
     for name, g, sub in proper_normal_pairs:
         classes = compute_table(sub.as_group()).classes
-        shared = sub._cache[("_parent_classes", classes)]
+        shared = sub._cache["_parent_classes"]
         want = g.conjugacy_classes().class_of[sub.to_parent(classes.reps)]
         assert np.array_equal(shared, want), (name, sub.order)
-        assert sub._parent_classes(classes) is shared
-    # A byte-equal twin's own classes object takes an entry of its own.
-    name, g, sub = proper_normal_pairs[-1]
-    twin = Group(sub.as_group().mul.copy(), label="twin").conjugacy_classes()
-    assert twin is not compute_table(sub.as_group()).classes
-    assert np.array_equal(sub._parent_classes(twin),
-                          g.conjugacy_classes().class_of[sub.to_parent(twin.reps)])
+        assert sub._parent_classes() is shared
 
 
 def test_a_pass_maps_the_classes_of_n_once(monkeypatch):
@@ -408,9 +377,9 @@ def test_a_pass_maps_the_classes_of_n_once(monkeypatch):
     fusions = []
     fusion = Subgroup._parent_classes.__wrapped__
 
-    def counted(sub, classes):
+    def counted(sub):
         fusions.append(sub)
-        return fusion(sub, classes)
+        return fusion(sub)
 
     counted.__name__ = fusion.__name__
     monkeypatch.setattr(Subgroup, "_parent_classes", _memo(counted))

@@ -28,9 +28,6 @@ def _with(table, coeffs=None, classes=None):
         table.group,
         table.classes if classes is None else classes,
         table.degrees,
-        table.conductor,
-        table.prime,
-        table.root,
         table._coeffs.copy() if coeffs is None else coeffs,
     )
 
