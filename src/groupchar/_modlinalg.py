@@ -120,8 +120,6 @@ def charpoly_mod(a: np.ndarray, q: int) -> np.ndarray:
     recurrence (cofactor expansion along the last column).
     """
     n = a.shape[0]
-    if n == 0:
-        return np.array([1], dtype=np.int64)
     h = hessenberg_mod(a, q)
     # poly[m, :m+1] holds p_m, the charpoly of the leading m x m block.
     poly = np.zeros((n + 1, n + 1), dtype=np.int64)

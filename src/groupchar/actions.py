@@ -11,8 +11,11 @@ ids of its columns; only the order is kept, bounded by ``ORDER_BOUND``.
 The orbits are labelled by `constructors._orbit_labels` over the same
 permutations, the labelling `clifford` runs on Irr(N).
 `odd_order_subgroup_actions` builds GL(n, p), its matrices read off the
-base-p digits of their codes, as a `Group` on the same permutations and
-closes its odd-order subgroups with the group's closure.
+base-p digits of their codes by `_modlinalg.digits`, as a `Group` on the
+same permutations and closes its odd-order subgroups with the group's
+closure.  `LinearAction` and `gl_elements` check (p, n) by one guard,
+`_field_and_dimension`: types, then the bounds on the dimension, on p's
+bit length and on the space size, and p's primality last.
 
 The checks mirror three orbit facts: orbit sizes divide the group order
 and sum to p^n − 1 on the nonzero vectors; for odd p the orbit of −v has
@@ -61,25 +64,35 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _field_and_dimension(p, n, power: int, bound: int, space: str) -> tuple[int, int]:
+    """(p, n) as ints, for a scan of GF(p)^dim with dim = n^power, checked
+    in one order: integer types and n >= 1 (InvalidAction); then dim, p's
+    bit length and p^dim against `bound` (BoundExceeded), where p^dim >= 2^dim
+    and p^dim >= p, so no huge power is built; and p's primality last
+    (InvalidAction), so no p that a bound refuses is tested."""
+    if not (_is_int(p) and _is_int(n)):
+        raise InvalidAction(f"p and n must be integers, not {p!r} and {n!r}")
+    p, n = int(p), int(n)
+    if n < 1:
+        raise InvalidAction("dimension must be at least 1")
+    dim, bits = n ** power, bound.bit_length()
+    if dim >= bits:
+        raise BoundExceeded(f"{space} dimension", dim, bits - 1)
+    if p.bit_length() > bits:
+        raise BoundExceeded("field size in bits", p.bit_length(), bits)
+    if p ** dim > bound:
+        raise BoundExceeded(space, p ** dim, bound)
+    if not is_prime(p):
+        raise InvalidAction(f"{p} is not prime")
+    return p, n
+
+
 class LinearAction:
     """A finite matrix group acting on GF(p)^n, with per-generator vector
     permutations and the orbit partition computed lazily."""
 
     def __init__(self, p: int, n: int, generators):
-        if not (_is_int(p) and _is_int(n)):
-            raise InvalidAction(f"p and n must be integers, not {p!r} and {n!r}")
-        p, n = int(p), int(n)
-        if not is_prime(p):
-            raise InvalidAction(f"{p} is not prime")
-        if n < 1:
-            raise InvalidAction("dimension must be at least 1")
-        # p^n >= 2^n and p^n >= p: both are checked before p^n is built.
-        if n >= SPACE_BOUND.bit_length():
-            raise BoundExceeded("vector space dimension", n, SPACE_BOUND.bit_length() - 1)
-        if p > SPACE_BOUND:
-            raise BoundExceeded("field size", p, SPACE_BOUND)
-        if p ** n > SPACE_BOUND:
-            raise BoundExceeded("vector space size", p ** n, SPACE_BOUND)
+        p, n = _field_and_dimension(p, n, 1, SPACE_BOUND, "vector space")
         self.p = p
         self.n = n
         gens = []
@@ -259,29 +272,13 @@ def distinct_sizes_scan(action: LinearAction) -> dict:
 
 
 def gl_elements(p: int, n: int) -> list[np.ndarray]:
-    """Every invertible n×n matrix over GF(p), lexicographically ordered;
-    bad input raises InvalidAction, as in `LinearAction`."""
-    if not (_is_int(p) and _is_int(n)):
-        raise InvalidAction(f"p and n must be integers, not {p!r} and {n!r}")
-    p, n = int(p), int(n)
-    if n < 1:
-        raise InvalidAction("dimension must be at least 1")
-    # p^(n²) >= 2^(n²) and p^(n²) >= p: both are checked before p's
-    # primality test and before p^(n²) is built.
-    bits = MATRIX_SPACE_BOUND.bit_length()
-    if n * n >= bits:
-        raise BoundExceeded("matrix space dimension", n * n, bits - 1)
-    if p.bit_length() > bits:
-        raise BoundExceeded("field size in bits", p.bit_length(), bits)
-    if not is_prime(p):
-        raise InvalidAction(f"{p} is not prime")
-    count = p ** (n * n)
-    if count > MATRIX_SPACE_BOUND:
-        raise BoundExceeded("matrix space", count, MATRIX_SPACE_BOUND)
-    place = p ** np.arange(n * n, dtype=np.int64)
+    """Every invertible n×n matrix over GF(p), in the order of its code,
+    the id of its n² entries (row-major) as `_modlinalg.digits` reads it;
+    (p, n) is checked as in `LinearAction`, by `_field_and_dimension`."""
+    p, n = _field_and_dimension(p, n, 2, MATRIX_SPACE_BOUND, "matrix space")
     out = []
-    for code in range(count):
-        m = (code // place % p).reshape(n, n)
+    for code in range(p ** (n * n)):
+        m = digits(code, p, n * n).reshape(n, n)
         if len(rref_mod(m, p)[1]) == n:
             out.append(m)
             if len(out) > GL_BOUND:

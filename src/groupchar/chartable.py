@@ -623,9 +623,7 @@ def _split_block(basis: np.ndarray, pivots: list[int], mat_t: np.ndarray, q: int
             short.append(roots[j])
     for lam in short:
         shifted = (a.T - int(lam) * np.eye(d, dtype=np.int64)) % q
-        null = nullspace_mod(shifted, q)
-        if null.shape[0] == 0:
-            continue
+        null = nullspace_mod(shifted, q)  # λ is a root: never empty
         found += null.shape[0]
         span = null @ basis % q
         out.append(_line(span[0]) if null.shape[0] == 1 else rref_mod(span, q))

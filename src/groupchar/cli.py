@@ -3,7 +3,9 @@
 Subcommands: ``info`` and ``table`` inspect a group file, ``analyze`` walks
 Irr(N) for a normal subgroup, ``classify`` runs the pair classifier,
 ``corpus`` runs the shipped verification corpus (the CI entry point), and
-``orbits`` checks a matrix action on a finite vector space.
+``orbits`` checks a matrix action on a finite vector space.  Every input
+file, group or generator matrices, is read by `groupio`; this module holds
+no file parsing.
 
 All reports are line-oriented ``key = value`` text with a
 ``report-version = 1`` first line.  Exit codes: 0 all assertions passed,
@@ -19,18 +21,16 @@ import argparse
 import functools
 import re
 import sys
-from pathlib import Path
 
 from .errors import (
     ContractViolation,
     GroupCharError,
-    ParseError,
     SplitFailure,
     TheoremViolation,
     UsageError,
 )
 from .groups import Group, Subgroup
-from .groupio import load_group
+from .groupio import _read_matrices, load_group
 from .chartable import compute_table, verify_table
 from .cyclotomic import _format_value
 from .clifford import ramification_report
@@ -171,24 +171,6 @@ def _cmd_classify(args) -> str:
 
 def _cmd_corpus(args) -> str:
     return run_corpus(args.filter)
-
-
-def _read_matrices(path: str, n: int) -> list[list[list[int]]]:
-    mats = []
-    text = Path(path).read_text(encoding="ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            entries = [int(t) for t in stripped.split()]
-        except ValueError:
-            raise ParseError(f"non-integer matrix entry in {stripped!r}", lineno) from None
-        if len(entries) != n * n:
-            raise ParseError(f"expected {n * n} entries for a {n}x{n} matrix, "
-                             f"got {len(entries)}", lineno)
-        mats.append([entries[i * n:(i + 1) * n] for i in range(n)])
-    return mats
 
 
 def _cmd_orbits(args) -> str:

@@ -19,6 +19,7 @@ any failed invariant raises and aborts the run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -183,13 +184,6 @@ def build_corpus() -> list[CorpusEntry]:
 # the batch runner
 
 
-def _degree_multiset(table) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for d in table.degrees:
-        counts[int(d)] = counts.get(int(d), 0) + 1
-    return counts
-
-
 def _check_expected(entry: CorpusEntry, computed: dict) -> None:
     for key, want in sorted(entry.expected.items()):
         got = computed.get(key)
@@ -227,7 +221,7 @@ def run_corpus(name_filter: str | None = None) -> str:
         rep.add("order", group.order)
         rep.add("exponent", group.exponent)
         rep.add("classes", len(table))
-        rep.add("degrees", _degree_multiset(table))
+        rep.add("degrees", Counter(table.degrees.tolist()))
         rep.add("table-ok", True)
 
         _, orders = group._normal_lattice()

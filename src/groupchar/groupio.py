@@ -1,4 +1,6 @@
-"""Group files: a dense Cayley format and a permutation-generator format.
+"""Input files: two group formats, a dense Cayley format and a
+permutation-generator format, and the generator matrices of `groupchar
+orbits`.
 
 Cayley format (written by save_group, read back verbatim):
 
@@ -13,7 +15,15 @@ elements, the largest order any command accepts, before its table is built):
     (1 2 3)(4 5)        # one generator per line, 1-based disjoint cycles
     (2 4)
 
-Blank lines and lines starting with '#' are ignored in both formats.
+Generator-matrix format (`_read_matrices`, for a given dimension n; the
+entries of one n×n matrix per line, row-major, any integers):
+
+    0 1 1 1             # n = 2: the matrix [[0, 1], [1, 1]]
+
+All three formats are read line by line by `_content_lines`, which skips
+blank lines and lines starting with '#', so they share one comment rule
+and one line numbering for `ParseError`.
+
 Loaded permutation groups get deterministic ids: the identity is 0 and the
 remaining elements are sorted lexicographically as images tuples, so the
 same file always yields the same Cayley table.  The closure is the one
@@ -52,6 +62,21 @@ def _content_lines(path):
             line = raw.strip()
             if line and not line.startswith("#"):
                 yield lineno, line
+
+
+def _read_matrices(path, n: int) -> list[list[list[int]]]:
+    """The n×n matrices of a generator file, one per line, row-major."""
+    mats = []
+    for lineno, line in _content_lines(path):
+        try:
+            entries = [int(t) for t in line.split()]
+        except ValueError:
+            raise ParseError(f"non-integer matrix entry in {line!r}", lineno) from None
+        if len(entries) != n * n:
+            raise ParseError(f"expected {n * n} entries for a {n}x{n} matrix, "
+                             f"got {len(entries)}", lineno)
+        mats.append([entries[i * n:(i + 1) * n] for i in range(n)])
+    return mats
 
 
 def load_group(path) -> Group:

@@ -35,17 +35,14 @@ class Report:
     def __init__(self):
         self._lines: list[str] = ["report-version = 1"]
 
-    def add(self, key: str, value) -> "Report":
+    def add(self, key: str, value) -> None:
         self._lines.append(f"{key} = {format_value(value)}")
-        return self
 
-    def raw(self, line: str) -> "Report":
+    def raw(self, line: str) -> None:
         self._lines.append(line)
-        return self
 
-    def blank(self) -> "Report":
+    def blank(self) -> None:
         self._lines.append("")
-        return self
 
     def render(self) -> str:
         return "\n".join(self._lines) + "\n"

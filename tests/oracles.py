@@ -864,6 +864,8 @@ def charpoly_laplace(a, p: int) -> list[int]:
         return [(x + sign * y) % p for x, y in zip(f, g)]
 
     def det(m):
+        if not m:
+            return [1]  # the empty product
         if len(m) == 1:
             return m[0][0]
         total = [0]

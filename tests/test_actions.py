@@ -291,9 +291,28 @@ def test_gl_elements_refuses_before_building_the_count():
     (2, 0, "at least 1"),  # returned one matrix
 ], ids=["p-4", "p-6", "float-p", "float-n", "n-negative", "n-zero"])
 def test_gl_scans_refuse_bad_input(p, n, claim):
-    for call in (gl_elements, odd_order_subgroup_actions):
+    for call in (gl_elements, odd_order_subgroup_actions,
+                 lambda p, n: LinearAction(p, n, [])):
         with pytest.raises(InvalidAction, match=claim):
             call(p, n)
+
+
+def test_bounds_refuse_before_the_primality_test(monkeypatch):
+    def tested(p):
+        raise AssertionError(f"primality test on a {p.bit_length()}-bit p")
+    monkeypatch.setattr(actions, "is_prime", tested)
+    # a 14281-bit p: the test on it takes seconds, and its 4300 digits
+    # are not named
+    with pytest.raises(BoundExceeded,
+                       match="^field size in bits: size 14281 exceeds bound 21$"):
+        LinearAction(10 ** 4299 + 7, 1, [])
+    # each input is refused by a bound, and is no prime either
+    with pytest.raises(BoundExceeded, match="^vector space dimension"):
+        LinearAction(4, 30, [])
+    with pytest.raises(BoundExceeded, match="^vector space: size 2097150 exceeds"):
+        LinearAction(2 ** 21 - 2, 1, [])
+    with pytest.raises(BoundExceeded, match="^matrix space: size 281474976710656 exceeds"):
+        gl_elements(2 ** 12, 2)
 
 
 def test_odd_subgroups_of_gl1_small():

@@ -349,6 +349,20 @@ def test_orbits_wrong_entry_count(capsys, tmp_path):
     assert "expected 4 entries" in err
 
 
+def test_orbits_gens_lines_end_as_group_file_lines_end(capsys, tmp_path):
+    # A form feed does not end a line, in a group file or a .gens file, and
+    # a ParseError counts lines the same way in both.
+    gens = tmp_path / "g.gens"
+    gens.write_text("# the identity\n1 0\f0 1\n\n1 0 0\n")
+    argv = ["orbits", "--prime", "3", "--dim", "2", "--gens", str(gens)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: line 4: expected 4 entries for a 2x2 matrix, got 3\n"
+    gens.write_text("# the identity\n1 0\f0 1\n")
+    code, out, err = run(capsys, argv)
+    assert code == 0 and "generators = 1\n" in out
+
+
 @pytest.mark.parametrize("spec,message", [
     ("0,100", "--normal '0,100' is not a list of element ids 0..23"),
     ("0,-1", "--normal '0,-1' is not a list of element ids 0..23"),

@@ -70,6 +70,8 @@ def test_dihedral_and_quaternion():
     assert q32.order == 32 and q32.exponent == 16
     with pytest.raises(ValueError):
         generalized_quaternion(12)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        dihedral(0)
 
 
 def test_sym_alt():
@@ -199,6 +201,10 @@ def test_semidirect_refuses_a_non_integer_action():
 def test_extraspecial_base_cases():
     assert _fingerprint(extraspecial_2(1, "-")) == _fingerprint(generalized_quaternion(8))
     assert _fingerprint(extraspecial_2(1, "+")) == _fingerprint(dihedral(4))
+    with pytest.raises(ValueError, match="need m >= 1"):
+        extraspecial_2(0, "+")
+    with pytest.raises(ValueError, match="sign must be"):
+        extraspecial_2(1, "*")
 
 
 @pytest.mark.parametrize("m,sign", [(2, "+"), (2, "-"), (3, "+"), (3, "-")])

@@ -22,7 +22,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from groupchar import GroupCharError, cyclic, generalized_quaternion, load_group, sym
-from groupchar.cli import _read_matrices, main
+from groupchar.cli import main
+from groupchar.groupio import _read_matrices
 
 _CAYLEY = [
     "cayley 1\n0\n",

@@ -664,6 +664,8 @@ def test_group_constructor_validation():
     with pytest.raises(ValueError, match="power chains do not return to the identity"):
         Group([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 0, 1, 1], [3, 2, 1, 0, 1],
                [4, 0, 1, 2, 3]])
+    with pytest.raises(ValueError, match="nonempty square"):
+        Group(np.zeros((2, 3), dtype=np.int64))
     mul = np.zeros((1, 1), dtype=np.int64)
     assert Group(mul).order == 1
 

@@ -69,7 +69,7 @@ def test_perm_single_cycle(tmp_path):
 
 def test_perm_s3_and_commas(tmp_path):
     path = tmp_path / "s3.perm"
-    path.write_text("perm 3\n(1 2)\n(1, 2, 3)\n")
+    path.write_text("perm 3\n(1 2)\n(1, 2, 3)()\n")  # () is empty: no cycle
     g = load_group(path)
     assert g.order == 6 and not g.is_abelian
 

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from groupchar._modlinalg import (
     charpoly_mod,
+    element_of_order,
     nullspace_mod,
     poly_roots_mod,
     root_multiplicities,
@@ -61,6 +62,7 @@ def test_nullspace_rows_are_independent_solutions(case):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_rows=4, square=True))
+@example((np.zeros((0, 0), dtype=np.int64), 5))  # det of the empty matrix: 1
 def test_charpoly_matches_laplace_determinant(case):
     a, p = case
     poly = charpoly_mod(a, p)
@@ -119,3 +121,10 @@ def test_root_multiplicities_refuse_a_multiplicity_of_p():
     # x^5 over F_5: every derivative vanishes at 0
     with pytest.raises(ContractViolation):
         root_multiplicities(np.array([0] * 5 + [1]), np.array([0]), 5)
+
+
+def test_element_of_order_needs_a_divisor_of_q_minus_1():
+    # 3 generates F_7^*, so the element of order 3 is 3^2 = 2
+    assert element_of_order(3, 7) == 2 and pow(2, 3, 7) == 1
+    with pytest.raises(ContractViolation, match="order 4 does not divide 7 - 1"):
+        element_of_order(4, 7)
