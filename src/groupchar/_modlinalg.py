@@ -182,11 +182,9 @@ def element_of_order(e: int, q: int) -> int:
     if (q - 1) % e != 0:
         raise ContractViolation(f"order {e} does not divide {q} - 1")
     ps = prime_factors(q - 1)
+    # Ends below q: at a primitive root if q is prime, else at q's least
+    # prime factor at the latest, since no power of it is 1 mod q.
     g = 2
-    while True:
-        if all(pow(g, (q - 1) // p, q) != 1 for p in ps):
-            break
+    while any(pow(g, (q - 1) // p, q) == 1 for p in ps):
         g += 1
-        if g >= q:
-            raise ContractViolation(f"no primitive root found mod {q}")
     return pow(g, (q - 1) // e, q)

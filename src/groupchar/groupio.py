@@ -2,7 +2,8 @@
 permutation-generator format, and the generator matrices of `groupchar
 orbits`.
 
-Cayley format (written by save_group, read back verbatim):
+Cayley format (written by save_group, read back verbatim; an order past
+`groups.SUBGROUP_BOUND` is refused with BoundExceeded before any row is read):
 
     cayley <n>
     <n rows of n space-separated ids>     # row g lists g*h for h = 0..n-1
@@ -33,6 +34,7 @@ as the base, and its table is built by `constructors._perm_group`'s walk.
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 import numpy as np
@@ -82,26 +84,28 @@ def _read_matrices(path, n: int) -> list[list[list[int]]]:
 def load_group(path) -> Group:
     """Read a group file in either format, labelled by the file's name up to
     its last dot; see the module docstring."""
-    lines = list(_content_lines(path))
-    if not lines:
-        raise ParseError("empty group file", 0)
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"malformed header {header!r}", lineno)
-    kind, arg = parts
-    try:
-        size = int(arg)
-    except ValueError:
-        raise ParseError(f"header size {arg!r} is not an integer", lineno)
-    if size < 1:
-        raise ParseError("header size must be positive", lineno)
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    if kind == "cayley":
-        return _load_cayley(lines[1:], size, name, lineno)
-    if kind == "perm":
-        return _load_perm(lines[1:], size, name)
-    raise ParseError(f"unknown format {kind!r}", lineno)
+    with contextlib.closing(_content_lines(path)) as lines:
+        lineno, header = next(lines, (0, None))
+        if header is None:
+            raise ParseError("empty group file", 0)
+        parts = header.split()
+        if len(parts) != 2:
+            raise ParseError(f"malformed header {header!r}", lineno)
+        kind, arg = parts
+        try:
+            size = int(arg)
+        except ValueError:
+            raise ParseError(f"header size {arg!r} is not an integer", lineno)
+        if size < 1:
+            raise ParseError("header size must be positive", lineno)
+        if kind == "cayley":
+            if size > SUBGROUP_BOUND:
+                raise BoundExceeded("cayley order", size, SUBGROUP_BOUND)
+            return _load_cayley(list(lines), size, name, lineno)
+        if kind == "perm":
+            return _load_perm(list(lines), size, name)
+        raise ParseError(f"unknown format {kind!r}", lineno)
 
 
 def _load_cayley(lines, size, name, header_line) -> Group:

@@ -22,12 +22,15 @@ its checks, both end in one private constructor, `Group._fill`.
 Class data and subgroup elements are read-only int64 arrays, one per
 field, and sorted.  `Group._normal` makes every normal subgroup the library
 returns from a class mask, as ``np.flatnonzero(mask[class_of])`` with that
-mask seeded and ``is_normal`` true; element-born ones (closures, products)
-first pass `Group._classes_of`, which refuses a set that is not a union of
-classes.  Those ids skip `Subgroup`'s checks, which they pass by
-construction.  The class power map (`Group._power_classes`: the class of
-repᵗ for every class and exponent, and the rational classes read off it)
-is one memo fact, read by the class atoms and the character-table lift.
+mask seeded and ``is_normal`` true.  Element-born ones (normal closures,
+class atoms, the p-residual, and the joins of the Fitting subgroup and of
+each chief step) take their mask from `Group._normal_closure`, which closes
+the members of the classes a mask marks and refuses a result that is not a
+union of classes.  Those ids skip `Subgroup`'s checks, which they pass by
+construction; `Subgroup.is_normal` asks whether a subgroup is the union of
+the classes it meets.  The class power map (`Group._power_classes`: the
+class of repᵗ for every class and exponent, and the rational classes read
+off it) is one memo fact, read by the class atoms and the character-table lift.
 The class atoms are kept only as a mask matrix and orders, and are closed
 once per rational class, since atom(xᵘ) = atom(x) for u prime to o(x).
 Reports take ints by ``.tolist()``.
@@ -322,20 +325,19 @@ class Group:
 
     def normal_closure(self, seed) -> "Subgroup":
         """Smallest normal subgroup containing the seed elements."""
-        seed = np.unique(np.append(_ids(list(seed), self.order, "seed ids"), 0))
-        conj = np.unique(self.mul[self.mul[:, seed], self.inv[:, None]])
-        return self._normal(self._classes_of(self._closure(conj)))
+        cc = self.conjugacy_classes()
+        seed = cc.class_of[_ids(list(seed), self.order, "seed ids")]
+        return self._normal(self._normal_closure(np.isin(np.arange(len(cc)), seed)))
 
     def _normal(self, mask: np.ndarray) -> "Subgroup":
         """The normal subgroup that is the union of the classes the bool
         mask ``mask`` marks, with ``mask`` as its class mask, its member
         mask read off it and ``is_normal`` true by construction.  The library
         makes every normal subgroup here, from a class-space fact (a kernel,
-        a lattice row, a class radical) or from elements that passed
-        `_classes_of`; the caller vouches that the union is closed.  The ids
-        skip `Subgroup`'s checks: the nonzero positions of a member mask are
-        sorted, distinct and in range, and hold 0 once the mask holds the
-        identity's class, which is checked."""
+        a lattice row, a class radical) or from `_normal_closure`; the caller
+        vouches that the union is closed.  The ids skip `Subgroup`'s checks: a
+        member mask's nonzero positions are sorted, distinct and in range, and
+        hold 0 once the mask holds the identity's class, which is checked."""
         if not mask[0]:
             raise ContractViolation("a normal subgroup's class mask lacks the identity class")
         inside = mask[self.conjugacy_classes().class_of]
@@ -345,10 +347,12 @@ class Group:
         sub._cache["is_normal"] = True
         return sub
 
-    def _classes_of(self, elements: np.ndarray) -> np.ndarray:
-        """The class mask of the sorted distinct ids ``elements``;
-        ContractViolation unless they are a union of conjugacy classes."""
+    def _normal_closure(self, classes: np.ndarray) -> np.ndarray:
+        """The class mask of the subgroup generated by the members of the
+        classes the bool mask ``classes`` marks, which is normal as they are;
+        ContractViolation unless that closure is a union of classes."""
         cc = self.conjugacy_classes()
+        elements = self._closure(np.flatnonzero(classes[cc.class_of]))
         mask = np.zeros(len(cc), dtype=bool)
         mask[cc.class_of[elements]] = True
         if cc.sizes[mask].sum() != len(elements):
@@ -396,11 +400,10 @@ class Group:
         cc = self.conjugacy_classes()
         heads = self._power_classes()[1][1:]
         closed = np.unique(heads)
-        atoms = [self._closure(cc.members[c]) for c in closed.tolist()]
-        masks = np.array([self._classes_of(a) for a in atoms], dtype=bool)
-        orders = np.array([len(a) for a in atoms], dtype=np.int64)
+        masks = np.array([self._normal_closure(np.arange(len(cc)) == c) for c in closed],
+                         dtype=bool).reshape(-1, len(cc))
         row = np.searchsorted(closed, heads)
-        return _readonly(masks.reshape(-1, len(cc))[row]), _readonly(orders[row])
+        return _readonly(masks[row]), _readonly((masks @ cc.sizes)[row])
 
     def _join_orders(self, base: np.ndarray) -> np.ndarray:
         """|B·atom(c)| / |B| for each nontrivial class c, B the normal subgroup
@@ -528,15 +531,14 @@ class Group:
         modulo B, the join B·atom(x), has p-power (or p'-) index over B: one of
         the `_join_orders` that divides the p-part of |G| (or is prime to p).
         The union of those classes is the preimage itself, which we re-verify
-        to be closed.  B is the trivial subgroup unless ``base`` says otherwise.
+        to be its own normal closure; B is trivial unless ``base`` is given.
         """
         k = len(self.conjugacy_classes())
         m = self._join_orders(np.arange(k) == 0 if base is None else base.class_mask())
         kept = np.append(True, p_part(self.order, p) % m == 0 if mode == "p" else m % p != 0)
-        sub = self._normal(kept)
-        if len(self._closure(sub.elements)) != sub.order:
+        if not np.array_equal(self._normal_closure(kept), kept):
             raise ContractViolation("radical element set is not closed")
-        return sub
+        return self._normal(kept)
 
     def _p_residual(self, p: int) -> "Subgroup":
         """O^{p'}(G): the subgroup generated by all p-elements.
@@ -544,16 +546,16 @@ class Group:
         The set of p-elements is conjugation-closed, so the closure is the
         smallest normal subgroup with a p'-quotient.
         """
-        seed = np.flatnonzero(p_part(self.order, p) % self.elt_order == 0)  # p-power orders
-        return self._normal(self._classes_of(self._closure(seed)))
+        p_power = p_part(self.order, p) % self.elt_order[self.conjugacy_classes().reps] == 0
+        return self._normal(self._normal_closure(p_power))
 
     @_memo
     def _fitting(self) -> "Subgroup":
-        cur = np.array([0], dtype=np.int64)
-        for p in sorted(factorize(self.order)):
-            op = self._class_radical(p, mode="p").elements
-            cur = np.unique(self.mul[np.ix_(cur, op)])  # join of normals
-        return self._normal(self._classes_of(cur))
+        """The join of the O_p(G) over the primes p dividing |G|."""
+        joined = self.trivial_subgroup().class_mask()
+        for p in factorize(self.order):
+            joined = joined | self._class_radical(p, mode="p").class_mask()
+        return self._normal(self._normal_closure(joined))
 
     def iterated_series(self, p: int) -> "IteratedSeries":
         """O_p(G) <= O_{p,p'}(G) <= O_{p,p',p}(G), each step a class radical
@@ -564,8 +566,8 @@ class Group:
         return IteratedSeries(p=p, o_p=o1, o_p_pprime=o2, o_p_pprime_p=o3)
 
     def _chief_steps(self, below: np.ndarray):
-        """(B, M) for each step of a chief series of G from the normal
-        subgroup B = ``below`` (sorted ids) up to G.
+        """(M, |M/B|) for each step B < M of a chief series of G from the
+        normal subgroup with class mask ``below`` up to G, M a class mask.
 
         Each step from B forms one join, B·atom(c), c the least class among
         the least join orders above B.  It is minimal normal over B: any
@@ -574,14 +576,14 @@ class Group:
         least such join by (order, elements).
         """
         masks = self._class_atoms()[0]
-        class_of = self.conjugacy_classes().class_of
-        while len(below) < self.order:
-            m = self._join_orders(np.bincount(class_of[below], minlength=len(masks) + 1) > 0)
+        sizes = self.conjugacy_classes().sizes
+        while not below.all():
+            m = self._join_orders(below)
             c = int(np.argmax(m == m[m > 1].min()))
-            above = np.unique(self.mul[np.ix_(below, np.flatnonzero(masks[c][class_of]))])
-            if len(above) != len(below) * m[c]:
+            above = self._normal_closure(below | masks[c])
+            if sizes[above].sum() != sizes[below].sum() * m[c]:
                 raise ContractViolation("chief step join differs from its class-space order")
-            yield below, above
+            yield above, int(m[c])
             below = above
 
     @_memo
@@ -589,9 +591,9 @@ class Group:
         """A chief series, built inside G from the class atoms; each factor's
         ``above`` is the next one's ``below``."""
         factors, below = [], self.trivial_subgroup()
-        for _, els in self._chief_steps(below.elements):
-            above = self._normal(self._classes_of(els))
-            factors.append(ChiefFactor(below=below, above=above, order=above.order // below.order))
+        for mask, order in self._chief_steps(below.class_mask()):
+            above = self._normal(mask)
+            factors.append(ChiefFactor(below=below, above=above, order=order))
             below = above
         return factors
 
@@ -612,14 +614,13 @@ class Group:
         order?  By Jordan–Hölder any chief series gives the same orders."""
         if base is not None:
             require_normal(self, base)
-        below = np.array([0], dtype=np.int64) if base is None else base.elements
-        index = self.order // len(below)
+        index = self.order if base is None else self.order // base.order
         # p-groups: every chief factor is central of order p.
         if index == 1 or prime_power(index) is not None:
             return True
         factors = (
             (f.order for f in self.chief_series()) if base is None
-            else (len(above) // len(b) for b, above in self._chief_steps(below))
+            else (order for _, order in self._chief_steps(base.class_mask()))
         )
         return all(is_prime(k) for k in factors)
 
@@ -696,18 +697,12 @@ class Subgroup:
         mask[cc.class_of[self.elements]] = True
         return _readonly(mask)
 
-    def __contains__(self, g: int) -> bool:
-        return bool(self.member_mask()[g])
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.parent is other.parent
             and np.array_equal(self.elements, other.elements)
         )
-
-    def __hash__(self):
-        return hash((id(self.parent), self.elements.tobytes()))
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -718,9 +713,9 @@ class Subgroup:
     @property
     @_memo
     def is_normal(self) -> bool:
-        G = self.parent
-        conj = G.mul[G.mul[:, self.elements], G.inv[:, None]]
-        return bool(self.member_mask()[conj].all())
+        """Is this subgroup the union of the classes it meets?"""
+        sizes = self.parent.conjugacy_classes().sizes
+        return int(sizes[self.class_mask()].sum()) == self.order
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return bool(other.member_mask()[self.elements].all())

@@ -147,9 +147,10 @@ def test_subgroup_validation_and_masks():
 
 
 def test_normality_matches_brute_force_on_full_lattice():
-    g = POOL["D12"]
-    for sub in oracles.all_subgroups(g):
-        assert sub.is_normal == oracles.is_normal(g.mul, sub.elements)
+    for name in ("D12", "S4", "A4", "Q16"):
+        g = POOL[name]
+        for sub in oracles.all_subgroups(g):
+            assert sub.is_normal == oracles.is_normal(g.mul, sub.elements), (name, sub)
 
 
 def test_subgroup_round_trip_local_ids():
@@ -425,6 +426,28 @@ def test_join_orders_match_products(corpus_groups):
             assert got == oracles.join_orders_by_products(g, base), (name, base.order)
 
 
+def test_radical_closedness_check_refuses_a_wrong_join_order(monkeypatch):
+    """A join order that puts the transpositions of S3 in O_2 keeps a class
+    set that is not its own normal closure, and the radical refuses it."""
+    s3 = sym(3)
+    involution = s3.elt_order[s3.conjugacy_classes().reps[1:]] == 2
+    monkeypatch.setattr(Group, "_join_orders",
+                        lambda self, base: np.where(involution, 1, 3))
+    with pytest.raises(ContractViolation, match="^radical element set is not closed$"):
+        s3.radicals(2)
+
+
+def test_chief_step_refuses_a_join_of_another_order(monkeypatch):
+    """Doubled join orders pick the same atom, whose join with B then
+    falls short of |B|·m, and the chief step refuses it."""
+    s4 = sym(4)
+    join_orders = Group._join_orders
+    monkeypatch.setattr(Group, "_join_orders", lambda self, base: 2 * join_orders(self, base))
+    with pytest.raises(ContractViolation,
+                       match="^chief step join differs from its class-space order$"):
+        s4.chief_series()
+
+
 def test_chief_series_tie_break(corpus_groups):
     """Each chief step is the least join above B by (order, elements)."""
     extra = {"C2^8": abelian([2] * 8), "AGL1(23)": agl1(23),
@@ -543,13 +566,15 @@ def test_every_normal_subgroup_comes_from_its_class_mask(name):
         assert oracles.is_normal(g.mul.tolist(), sub.elements.tolist()), (name, sub)
 
 
-def test_classes_of_refuses_a_set_that_is_not_a_union_of_classes():
+def test_normal_closure_refuses_a_set_that_is_not_a_union_of_classes(monkeypatch):
     s3 = sym(3)
     t = next(x for x in range(s3.order) if s3.elt_order[x] == 2)
+    three = s3.conjugacy_classes().class_of[s3.derived_subgroup().elements]
+    assert s3._normal_closure(np.isin(np.arange(3), three)).tolist() == [True, False, True]
     sub = generated_subgroup(s3, [t])  # <(1 2)>, not normal
-    with pytest.raises(ContractViolation, match="union of conjugacy classes"):
-        s3._classes_of(sub.elements)
-    assert s3._classes_of(s3.derived_subgroup().elements).tolist() == [True, False, True]
+    monkeypatch.setattr(Group, "_closure", lambda self, seed, cap=None: sub.elements)
+    with pytest.raises(ContractViolation, match="element set is not a union of conjugacy classes"):
+        s3.normal_closure([t])
 
 
 def test_subgroup_takes_no_normality_hint():

@@ -101,6 +101,18 @@ def test_perm_closure_bound(tmp_path):
     assert cli.main(["info", str(path)]) == 1
 
 
+def test_cayley_order_bound_is_read_off_the_header(tmp_path):
+    """A Cayley header past SUBGROUP_BOUND is refused before any row is
+    read, so the junk row after it is never parsed."""
+    path = tmp_path / "big.grp"
+    path.write_text(f"cayley {SUBGROUP_BOUND + 1}\nnot a row\n")
+    with pytest.raises(BoundExceeded) as exc:
+        load_group(path)
+    assert str(exc.value) == (f"cayley order: size {SUBGROUP_BOUND + 1} "
+                              f"exceeds bound {SUBGROUP_BOUND}")
+    assert cli.main(["info", str(path)]) == 1
+
+
 _CYCLE_OF_A_MILLION_POINTS = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
