@@ -4,10 +4,11 @@ A LinearAction is a list of invertible n×n generator matrices over GF(p).
 The action on the p^n vectors is stored as one permutation per generator
 (`_modlinalg.vector_perms`, on the little-endian vector ids that
 `_modlinalg.digits` reads: id = Σ v_j p^j; no array of all p^n vectors is
-held).  The generated matrix group is
-closed from those permutations by `constructors._dimino_closure`, which
-also closes `perm` group files, an element being the row of the n vector
-ids of its columns; only the order is kept, bounded by ``ORDER_BOUND``.
+held), and more than `constructors.CLOSURE_CELL_BOUND` such ids in all
+(generators × p^n) are refused before any is made.  The generated matrix
+group is closed from those permutations by `constructors._dimino_closure`,
+which also closes `perm` group files, an element being the row of the n
+vector ids of its columns; only the order is kept, bounded by ``ORDER_BOUND``.
 The orbits are labelled by `constructors._orbit_labels` over the same
 permutations, the labelling `clifford` runs on Irr(N).
 `odd_order_subgroup_actions` builds GL(n, p), its matrices read off the
@@ -31,7 +32,7 @@ import numpy as np
 
 from ._arith import is_prime, p_part
 from ._modlinalg import digits, rref_mod, vector_perms
-from .constructors import _dimino_closure, _orbit_labels, _perm_group
+from .constructors import CLOSURE_CELL_BOUND, _dimino_closure, _orbit_labels, _perm_group
 from .errors import (
     BoundExceeded,
     EvenCharacteristic,
@@ -95,6 +96,10 @@ class LinearAction:
         p, n = _field_and_dimension(p, n, 1, SPACE_BOUND, "vector space")
         self.p = p
         self.n = n
+        # One p^n-id permutation per listed generator, redundant ones too.
+        generators = list(generators)
+        if len(generators) * p ** n > CLOSURE_CELL_BOUND:
+            raise BoundExceeded("generator cells", len(generators) * p ** n, CLOSURE_CELL_BOUND)
         gens = []
         for g in generators:
             m = np.asarray(g, dtype=object)  # exact for entries of any size

@@ -52,11 +52,12 @@ an isomorphism is searched for from that table's group s to the new group
 h: the generators of s's chain are mapped to candidate images in h
 (Miller's generator-image technique, under a node budget).  The chain,
 `groups._generator_chain` along s's elements, the largest element order
-first, then the rarest element key, is a memo fact of s, built on its
-first search, so one source serves many searches and h never walks its
-own Cayley graph.  The map found is inverted to h -> s and checked
-exactly in full; the table is then read off through it as a column
-gather and put in canonical order.  The rows are the ones the build would
+first, then the rarest element key, with the products each level checks
+added by `_source_chain`, is a memo fact of s, built on its first search,
+so one source serves many searches and h never walks its own Cayley
+graph.  The map found is inverted to h -> s and checked exactly in full;
+the table is then read off through it as a column gather and put in
+canonical order.  The rows are the ones the build would
 give, and a table reads its conductor, prime and root off its own group
 (`_field`), so every route gives the same bytes by construction, and
 tables share their read-only arrays.
@@ -464,8 +465,11 @@ def _inverse_map(psi: np.ndarray) -> np.ndarray:
 
 @_memo
 def _source_chain(s: Group) -> list[tuple]:
-    """The generator chain that searches from the pooled source s follow,
-    a fact of s built on its first search.
+    """The generator chain that searches from the pooled source s follow, a
+    fact of s built on its first search: each `groups._generator_chain` level
+    with (fresh as an array, x, j, y) appended, the products y = x * (j-th
+    kept generator) that first lie inside the level's span: fresh elements
+    by every kept generator, older elements by the new one.
 
     Its generators are taken greedily, the largest element order first,
     then the rarest element key, then the least id: few generators with
@@ -474,7 +478,15 @@ def _source_chain(s: Group) -> list[tuple]:
     many candidate images for the node budget.)
     """
     _, kind, counts = np.unique(_element_key(s), return_inverse=True, return_counts=True)
-    return _generator_chain(s, np.lexsort((counts[kind], -s.elt_order)).tolist())
+    levels = _generator_chain(s, np.lexsort((counts[kind], -s.elt_order)).tolist())
+    kept, span = np.array([level[0] for level in levels]), [0]
+    for new, level in enumerate(levels):
+        f = np.array(level[1], dtype=np.int64)
+        x = np.concatenate([np.repeat(f, new + 1), span])
+        j = np.concatenate([np.tile(np.arange(new + 1), f.size), np.full(len(span), new)])
+        levels[new] = (*level, f, x, j, s.mul[x, kept[j]])
+        span += level[1]
+    return levels
 
 
 def _transport(h: Group, src: CharacterTable, phi: np.ndarray) -> CharacterTable:

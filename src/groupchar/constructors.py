@@ -8,7 +8,8 @@ associativity test (``validate=False``): a group law (`abelian`, `dihedral`,
 closure `_perm_group`'s generator walk checks, an action `_semidirect`
 checks is a homomorphism into Aut(A), a direct product, or the renamed
 image of `Group.quotient`.  Every product table comes from `_product_table`.
-Maps given on generators are extended along `groups._generator_chain`.
+Maps given on generators are extended along `groups._generator_chain`, the
+walk `Group._closure` and `Group.generators` take too.
 `_dimino_closure` closes permutation generators (`perm` files, matrix actions),
 and `_orbit_labels` labels their orbits (matrix actions, G on Irr(N)).
 """
@@ -335,7 +336,7 @@ def automorphism_from_images(g: Group, gens, images) -> tuple[int, ...]:
     kept = [images[gens.index(level[0])] for level in levels]
     perm = np.full(g.order, -1, dtype=np.int64)
     perm[0] = 0
-    for _, fresh, parents, gen_pos, *_ in levels:
+    for _, fresh, parents, gen_pos in levels:
         for e, p, k in zip(fresh, parents, gen_pos):
             perm[e] = g.mul[perm[p], kept[k]]
     if (perm < 0).any():
@@ -426,7 +427,7 @@ def frobenius72_quaternion() -> Group:
     levels = _generator_chain(q8, list(mats))
     kept = [mats[level[0]] for level in levels]
     rep = {0: np.eye(2, dtype=np.int64)}
-    for _, fresh, parents, gen_pos, *_ in levels:
+    for _, fresh, parents, gen_pos in levels:
         for e, p, k in zip(fresh, parents, gen_pos):
             rep[e] = rep[p] @ kept[k] % 3
     action = [_matrix_perm(3, rep[t]) for t in range(8)]

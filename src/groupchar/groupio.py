@@ -10,7 +10,9 @@ Cayley format (written by save_group, read back verbatim; an order past
 
 Permutation format (read-only; the group is the closure of the listed
 generators, refused with BoundExceeded past `groups.SUBGROUP_BOUND`
-elements, the largest order any command accepts, before its table is built):
+elements, the largest order any command accepts, before its table is built;
+a cycle or a generator orbit longer than that is refused before any
+closure, as the group's order is a multiple of either):
 
     perm <degree>
     (1 2 3)(4 5)        # one generator per line, 1-based disjoint cycles
@@ -39,7 +41,7 @@ import re
 
 import numpy as np
 
-from .constructors import _dimino_closure, _perm_group
+from .constructors import _dimino_closure, _orbit_labels, _perm_group
 from .errors import BoundExceeded, ParseError
 from .groups import SUBGROUP_BOUND, Group
 
@@ -162,6 +164,9 @@ def _parse_cycles(line: str, degree: int, lineno: int) -> list[list[int]]:
         entries = body.replace(",", " ").split()
         if not entries:
             continue
+        # An element's order is a multiple of each of its cycle lengths.
+        if len(entries) > SUBGROUP_BOUND:
+            raise BoundExceeded("permutation cycle", len(entries), SUBGROUP_BOUND)
         pts = []
         for tok in entries:
             try:
@@ -199,9 +204,14 @@ def _load_perm(lines, degree, name) -> Group:
     listed = len({tuple(range(width)), *gens})
     if listed > SUBGROUP_BOUND:
         raise BoundExceeded("permutation closure", listed, SUBGROUP_BOUND)
+    perms = [np.array(g) for g in gens]
+    # An orbit's size divides the group's order.
+    orbit = int(np.bincount(_orbit_labels(perms, width)).max())
+    if orbit > SUBGROUP_BOUND:
+        raise BoundExceeded("permutation orbit", orbit, SUBGROUP_BOUND)
     # The coset x·H is the gather x[rows], as (x∘h)[i] = x[h[i]].  The
     # identity is the least row, so sorting keeps it at id 0.
-    rows = _dimino_closure([np.array(g) for g in gens], np.arange(width), width,
+    rows = _dimino_closure(perms, np.arange(width), width,
                            SUBGROUP_BOUND, "permutation closure",
                            lambda x, rows: x[rows])
     return _perm_group(rows[np.lexsort(rows.T[::-1])], name)

@@ -11,7 +11,9 @@ Facts about a quotient G/N, such as its chief factors or element orders,
 are read inside G.  `Group.quotient` builds the image group; its one
 caller in the library is `constructors.central_product`, and the method
 also stays because the benchmark tracer times it.  Subgroups are closed
-by `Group._closure`; a `Subgroup` carries the one parent-to-local id map
+by `Group._closure`, the span of `_generator_chain` along the seed, and
+`Group.subgroup` checks a given set by `Subgroup.as_group`'s closedness
+test alone; a `Subgroup` carries the one parent-to-local id map
 (`local_ids`), its one class-space form (`class_mask`) and the map of the
 classes of `as_group()` into the parent's (`_parent_classes`).  A group made
 from a known one inherits its facts instead of recomputing them:
@@ -34,9 +36,11 @@ off it) is one memo fact, read by the class atoms and the character-table lift.
 The class atoms are kept only as a mask matrix and orders, and are closed
 once per rational class, since atom(xᵘ) = atom(x) for u prime to o(x).
 Reports take ints by ``.tolist()``.
-`_generator_chain` is the one walk of a group along a list of generators:
-`Group.generators()`, `chartable`'s isomorphism search and the maps
-`constructors` extends from generator images all follow it.
+`_generator_chain` is the one walk of a group along a list of generators,
+the orbit of 1 under right multiplication by them: `Group.generators()`,
+`Group._closure`, `chartable`'s isomorphism search (which adds the
+products it checks) and the maps `constructors` extends from generator
+images all follow it.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
 instance's ``_cache`` under the method name plus positional arguments; a
@@ -90,50 +94,44 @@ def _orders_modulo(mul: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return orders
 
 
-def _generator_chain(s: Group, gens) -> list[tuple]:
+def _generator_chain(s: Group, gens, cap: int | None = None) -> list[tuple] | None:
     """The chain of s along ``gens``, taken in order until they span s: one
     level per generator outside the span of those before it,
-    (generator, fresh, parents, gen_pos, fresh as an array, x, j, y).
+    (generator, fresh, parents, gen_pos); None once the span passes ``cap``.
 
     ``fresh`` lists the elements the generator adds to the span, in
     breadth-first order along the Cayley graph: fresh[i] = parents[i] *
     (the gen_pos[i]-th kept generator), each parent older or earlier in
-    the list.  (x, j, y) are the products y = x * (j-th kept generator)
-    that first lie inside this level's span: fresh elements by every kept
-    generator, older elements by the new one.
+    the list.
     """
     inside = bytearray(s.order)
     inside[0] = 1
     span = [0]
-    kept: list[int] = []
-    columns: list[list[int]] = []   # x -> x * generator, in s
+    columns = []  # x -> x * generator, a view of its column: no n-long list
     levels = []
     for g in gens:
         if inside[g]:
             continue
-        kept.append(g)
-        columns.append(s.mul[:, g].tolist())
-        new = len(kept) - 1
+        columns.append(memoryview(s.mul[:, g]))
+        room = (s.order if cap is None else cap) - len(span)
         fresh, parents, gen_pos = [], [], []
         # Older elements by the new generator, then fresh ones, as they are
         # reached, by every kept generator.  The products (a, k) still to take
         # are two int lists: a tuple per step would make the cyclic collector
         # run more often, and so change which tables stay pooled.
-        work_a, work_k = list(span), [new] * len(span)
+        work_a, work_k = list(span), [len(columns) - 1] * len(span)
         for a, k in zip(work_a, work_k):  # both grow as they go
             b = columns[k][a]
             if not inside[b]:
+                if len(fresh) == room:
+                    return None
                 inside[b] = 1
                 fresh.append(b)
                 parents.append(a)
                 gen_pos.append(k)
-                work_a += [b] * len(kept)
-                work_k += range(len(kept))
-        f, old = np.array(fresh, dtype=np.int64), np.array(span, dtype=np.int64)
-        m = len(kept)
-        x = np.concatenate([np.repeat(f, m), old])
-        j = np.concatenate([np.arange(f.size * m) % m, np.full(old.size, new)])
-        levels.append((g, fresh, parents, gen_pos, f, x, j, s.mul[x, np.array(kept)[j]]))
+                work_a += [b] * len(columns)
+                work_k += range(len(columns))
+        levels.append((g, fresh, parents, gen_pos))
         span += fresh
     return levels
 
@@ -299,25 +297,17 @@ class Group:
     # -- subgroup plumbing ---------------------------------------------------------
 
     def _closure(self, seed, cap: int | None = None) -> np.ndarray | None:
-        """Multiplicative closure of seed (plus identity); None if cap exceeded."""
-        inside = np.zeros(self.order, dtype=bool)
-        inside[0] = True
-        inside[np.asarray(seed, dtype=np.int64)] = True
-        cur = np.flatnonzero(inside)
-        while True:
-            inside[self.mul[cur[:, None], cur]] = True
-            nxt = np.flatnonzero(inside)
-            if cap is not None and len(nxt) > cap:
-                return None
-            if len(nxt) in (len(cur), self.order):
-                return nxt
-            cur = nxt
+        """The sorted ids of the subgroup the seed ids generate, the span of
+        `_generator_chain` along them; None once it passes ``cap`` elements."""
+        levels = _generator_chain(self, np.asarray(seed, dtype=np.int64).tolist(), cap)
+        if levels is None:
+            return None
+        return np.sort(np.array(sum((level[1] for level in levels), [0])))
 
     def subgroup(self, elements) -> "Subgroup":
-        """Wrap an element set after verifying it is a subgroup."""
+        """Wrap an element set after verifying it is a subgroup (closed, by `as_group`)."""
         sub = Subgroup(self, list(elements))
-        if len(self._closure(sub.elements)) != sub.order:
-            raise ValueError("element set is not multiplicatively closed")
+        sub.as_group()
         return sub
 
     def trivial_subgroup(self) -> "Subgroup":

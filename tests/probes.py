@@ -2,10 +2,12 @@
 and the lines Tier-1 never runs.
 
     python3 tests/probes.py {table,load,lattice,scan,sweep,pools,coverage} [ARG]
+    python3 tests/probes.py ab PARENT CHANGE LABEL [PAIRS [SEED]]
 
 ``load`` takes a seed (7 by default), ``scan`` a number of runs (1) and
 ``lattice`` one group to probe in this process; each probe's docstring says
-what it prints.  Every probe runs with native thread pools pinned to one
+what it prints.  ``ab`` compares two checkouts by the benchmark and writes
+``BENCH_<LABEL>.json``.  Every probe runs with native thread pools pinned to one
 thread, and imports what it needs inside itself, so that a fresh child holds
 only its own probe's modules.  Times are wall seconds, so compare two
 revisions run one after the other on one machine.  The file name keeps
@@ -278,6 +280,90 @@ def pools(collector: str = "", job: str = "") -> None:
               f"  {searches() - searched:4} searches", flush=True)
 
 
+def _tree_digest(root: Path, pattern: str) -> str:
+    """The first 16 hex digits of the sha256 of the files under ``root``
+    that match ``pattern``, names and bytes, in name order."""
+    import hashlib
+    digest = hashlib.sha256()
+    for path in sorted(root.glob(pattern)):
+        digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def ab(parent: str, change: str, label: str, pairs: str = "6", seed: str = "1") -> None:
+    """Compare two checkouts, PARENT and CHANGE, by ``perfbench/run.py
+    --trace 0`` on ``corpus``, ``triples`` and ``requests``: PAIRS pairs (6)
+    at one SEED (1), each run as long as ``BENCHMARK.json``'s
+    ``run_seconds``, the side that runs first alternating from pair to
+    pair, and every workload run once per side in each pair.  Each side runs
+    its own ``perfbench``; the digests of both sides' ``src`` and
+    ``perfbench`` files are recorded.  Write ``BENCH_<LABEL>.json`` at the
+    root of this checkout: per workload and end-to-end metric of this
+    checkout's ``BENCHMARK.json``, each side's values, median, quartiles and
+    n; the change's wins and the parent's, ties counting for neither; the
+    change's relative worsening of the median and the metric's bound, with
+    pass or fail; and every run that exited nonzero, was not ``correct`` or
+    had failed ops.  Print one line per workload and metric."""
+    import json
+    import statistics
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
+    runs = {side: {w: [] for w in workloads} for side in sides}
+    for i in range(int(pairs)):
+        for w in workloads:
+            for side in (sides if i % 2 == 0 else reversed(sides)):
+                out = subprocess.run(
+                    [sys.executable, "perfbench/run.py", "--workload", w, "--seed", seed,
+                     "--seconds", str(spec["run_seconds"]), "--trace", "0"],
+                    cwd=sides[side], capture_output=True, text=True)
+                result = (json.loads(out.stdout.splitlines()[-1]) if out.returncode == 0
+                          else {"correct": False, "exit": out.returncode,
+                                "stderr": out.stderr.strip().splitlines()[-1:]})
+                runs[side][w].append(result)
+                print(f"pair {i + 1} {w:8s} {side:6s} correct={result['correct']}", flush=True)
+
+    def summary(values):
+        q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                     if len(values) > 1 else values * 3)
+        return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3,
+                "n": len(values)}
+
+    report = {"label": label, "command": spec["command"] + ["--trace", "0"],
+              "run_seconds": spec["run_seconds"], "seed": int(seed), "pairs": int(pairs),
+              "sides": {side: {"src": _tree_digest(path, "src/groupchar/*.py"),
+                               "perfbench": _tree_digest(path, "perfbench/*.py")}
+                        for side, path in sides.items()},
+              "workloads": {}}
+    for w in workloads:
+        bad = [{"side": side, "pair": i + 1, **{k: v for k, v in run.items() if k != "metrics"}}
+               for side in sides for i, run in enumerate(runs[side][w])
+               if not run["correct"] or run.get("failed", 0)]
+        metrics = {}
+        for m in spec["end_to_end"]:
+            value = {side: [run["metrics"][m["name"]]["value"] if "metrics" in run else None
+                            for run in runs[side][w]] for side in sides}
+            kept = [(p, c) for p, c in zip(value["parent"], value["change"])
+                    if p is not None and c is not None]
+            if not kept:
+                continue
+            sign = 1 if m["better"] == "lower" else -1
+            par, chg = summary([p for p, _ in kept]), summary([c for _, c in kept])
+            worse = sign * (chg["median"] - par["median"]) / par["median"]
+            metrics[m["name"]] = {
+                "unit": m["unit"], "better": m["better"], "parent": par, "change": chg,
+                "change_wins": sum(sign * (c - p) < 0 for p, c in kept),
+                "parent_wins": sum(sign * (c - p) > 0 for p, c in kept),
+                "worsening": worse, "bound": m["bound"], "within_bound": worse <= m["bound"]}
+            print(f"{w:8s} {m['name']:11s} {par['median']:10.4g} [{par['q1']:.4g}-{par['q3']:.4g}]"
+                  f" -> {chg['median']:10.4g}  wins {metrics[m['name']]['change_wins']}/{len(kept)}"
+                  f"  {worse:+7.1%} (bound {m['bound']:.0%})"
+                  f"  {'pass' if worse <= m['bound'] else 'FAIL'}")
+        report["workloads"][w] = {"metrics": metrics, "bad_runs": bad}
+        print(f"{w:8s} {len(bad)} bad runs")
+    (ROOT / f"BENCH_{label}.json").write_text(json.dumps(report, indent=1) + "\n")
+
+
 # Lines that cannot run under the trace, keyed by file name and stripped
 # source text, each with the reason.
 NEVER_TRACED = {
@@ -318,7 +404,7 @@ def coverage() -> None:
 
 
 PROBES = {probe.__name__: probe
-          for probe in (table, load, lattice, scan, sweep, pools, coverage)}
+          for probe in (table, load, lattice, scan, sweep, pools, coverage, ab)}
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from groupchar import (
 )
 from groupchar._arith import p_part, prime_factors, prime_power
 from groupchar import groups
+from groupchar.corpus import heisenberg3
 from groupchar.groups import SUBGROUP_BOUND
 
 import oracles
@@ -106,6 +107,29 @@ def test_inverse_and_conjugation_laws(name, i, j):
     assert g.elt_order[conj] == g.elt_order[x]
 
 
+CLOSURE_POOL = {"S4": sym(4), "Q16": generalized_quaternion(16), "AGL1(8)": agl1(8),
+                "He3": heisenberg3()}
+
+
+@given(
+    st.sampled_from(sorted(CLOSURE_POOL)),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+    st.integers(0, 10 ** 6),
+)
+def test_closure_is_the_generated_subgroup(name, picks, c):
+    """`Group._closure` walks the generator chain to the subgroup that the
+    seed generates, closed one product at a time by the oracle, and gives
+    None exactly when that subgroup has more than ``cap`` elements."""
+    g = CLOSURE_POOL[name]
+    seed = [i % g.order for i in picks]
+    want = sorted(oracles.generated(g.mul.tolist(), seed))
+    assert g._closure(seed).tolist() == want
+    cap = c % g.order + 1
+    got = g._closure(np.array(seed), cap)
+    assert (got is None) == (len(want) > cap)
+    assert got is None or got.tolist() == want
+
+
 def test_centralizer_and_center():
     g = POOL["S4"]
     for x in (0, 3, 9):
@@ -122,7 +146,7 @@ def test_subgroup_validation_and_masks():
     assert oracles.is_subgroup(g.mul, rot.elements)
     mask = rot.member_mask()
     assert mask.sum() == 6 and all(mask[list(rot.elements)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element set is not multiplicatively closed"):
         g.subgroup([0, 1, 2, 3, 4])  # not closed in general
     with pytest.raises(ValueError):
         g.subgroup([1] if g.elt_order[1] > 1 else [2])  # missing identity
@@ -647,6 +671,24 @@ def test_frobenius_complement_is_among_all_complements(corpus_groups):
         assert any(np.array_equal(comp, h) for h in complements), name
         checked += 1
     assert checked == 27
+
+
+def test_frobenius_complement_refuses_a_grown_set_that_is_no_complement(monkeypatch):
+    """A closure that never grows leaves the complement at the trivial
+    subgroup, of the wrong order, and the final check refuses it."""
+    f20 = agl1(5)
+    kernel = f20.subgroup([x for x in range(20) if f20.elt_order[x] in (1, 5)])
+    monkeypatch.setattr(Group, "_closure",
+                        lambda self, seed, cap=None: np.zeros(1, dtype=np.int64))
+    with pytest.raises(ContractViolation, match="the grown subgroup is not a complement to N"):
+        frobenius_complement(f20, kernel)
+
+
+def test_pprime_elements_fpf_refuses_a_subgroup_of_another_group():
+    s3 = sym(3)
+    a3 = sym(3).derived_subgroup()
+    with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+        pprime_elements_fpf(s3, a3, 3)
 
 
 def test_pprime_elements_fixed_point_free():

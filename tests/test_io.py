@@ -24,7 +24,7 @@ from groupchar import (
     sym,
 )
 import groupchar
-from groupchar import actions, cli
+from groupchar import actions, cli, groupio
 from groupchar._modlinalg import vector_perms
 from groupchar.actions import gl_elements
 from groupchar.constructors import CLOSURE_CELL_BOUND, _perm_group
@@ -113,34 +113,95 @@ def test_cayley_order_bound_is_read_off_the_header(tmp_path):
     assert cli.main(["info", str(path)]) == 1
 
 
-_CYCLE_OF_A_MILLION_POINTS = """
+_MILLION_POINT_FILES = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import sys
 from groupchar import BoundExceeded, load_group
-path = sys.argv[1]
-with open(path, "w") as fh:
-    fh.write("perm 1000000\\n(" + " ".join(map(str, range(1, 1000001))) + ")\\n")
-try:
-    load_group(path)
-except BoundExceeded as exc:
-    print(exc)
+one_cycle = "(" + " ".join(map(str, range(1, 1000001))) + ")"
+threes = "".join(f"({x} {x + 1} {x + 2})" for x in range(1, 300001, 3))
+sevens = "".join("(" + " ".join(map(str, range(x, x + 7))) + ")"
+                 for x in range(300001, 1000001, 7))
+for name, lines in (("c.perm", [one_cycle]), ("c21.perm", [threes, sevens])):
+    path = sys.argv[1] + "/" + name
+    with open(path, "w") as fh:
+        fh.write("perm 1000000\\n" + "\\n".join(lines) + "\\n")
+    try:
+        load_group(path)
+    except BoundExceeded as exc:
+        print(exc)
 """
 
 
 def test_perm_closure_memory_is_bounded_by_its_cells(tmp_path):
-    """One cycle on 10^6 points is a 6.9 MB file whose closure up to the
-    order cap of 2000 would store 2·10^9 ids.  The closure's cell cap
-    refuses it well inside a 1 GB address space that the subprocess sets
-    for itself, so a regression fails here and does not exhaust the
-    machine."""
+    """Two files on 10^6 points, refused well inside a 1 GB address space
+    that the subprocess sets for itself, so a regression fails here and does
+    not exhaust the machine.  One cycle on every point (6.9 MB) is refused
+    while it is parsed, as the cycle is longer than any admitted group.
+    C3 × C7, as 3-cycles and 7-cycles on disjoint points, has short orbits,
+    and its closure stops at the cell cap: 21 rows of 10^6 ids."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(groupchar.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", _CYCLE_OF_A_MILLION_POINTS,
-                          str(tmp_path / "c.perm")],
+    out = subprocess.run([sys.executable, "-c", _MILLION_POINT_FILES, str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == ("closure cells: size 32000000 exceeds bound "
+    assert out.stdout == (f"permutation cycle: size 1000000 exceeds bound {SUBGROUP_BOUND}\n"
+                          f"closure cells: size 21000000 exceeds bound {CLOSURE_CELL_BOUND}\n")
+
+
+def test_perm_cycle_or_orbit_past_the_bound_is_refused_before_any_closure(
+        tmp_path, monkeypatch):
+    """An element's order is a multiple of each of its cycle lengths, and an
+    orbit's size divides the group's order: either past SUBGROUP_BOUND
+    refuses the file before the closure runs.  The orbit case is D6000 on a
+    path of 3000 points, generated by two involutions."""
+    def closure(*args):
+        raise AssertionError("the closure ran")
+    monkeypatch.setattr(groupio, "_dimino_closure", closure)
+    long_cycle = "(" + " ".join(map(str, range(1, SUBGROUP_BOUND + 2))) + ")"
+    odd = "".join(f"({x} {x + 1})" for x in range(1, 3000, 2))
+    even = "".join(f"({x} {x + 1})" for x in range(2, 3000, 2))
+    for lines, message in (
+            ([long_cycle], f"permutation cycle: size {SUBGROUP_BOUND + 1}"),
+            ([odd, even], "permutation orbit: size 3000")):
+        path = tmp_path / "big.perm"
+        path.write_text("perm 3000\n" + "\n".join(lines) + "\n")
+        with pytest.raises(BoundExceeded, match=f"{message} exceeds bound {SUBGROUP_BOUND}"):
+            load_group(path)
+        assert cli.main(["info", str(path)]) == 1
+
+
+_MANY_IDENTITIES_ON_A_MILLION_VECTORS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+import sys
+from groupchar.cli import main
+identity = " ".join("1" if i % 21 == 0 else "0" for i in range(400))
+with open(sys.argv[1], "w") as fh:
+    fh.write((identity + "\\n") * 300)
+sys.exit(main(["orbits", "--prime", "2", "--dim", "20", "--gens", sys.argv[1]]))
+"""
+
+
+def test_generator_cells_are_refused_before_any_permutation(tmp_path, monkeypatch):
+    """300 identity matrices on GF(2)^20 would be 300 permutations of 2^20
+    ids, 2.5 GB.  `LinearAction` refuses generators × p^n past the cell cap
+    before it makes one, here from 20 generators on, and `groupchar orbits`
+    does so inside a 1.5 GB address space that the subprocess sets for
+    itself: exit 1 with one error line and no traceback."""
+    def perms(*args):
+        raise AssertionError("a permutation was made")
+    monkeypatch.setattr(actions, "vector_perms", perms)
+    with pytest.raises(BoundExceeded, match=f"generator cells: size {20 * 2 ** 20} "
+                                            f"exceeds bound {CLOSURE_CELL_BOUND}"):
+        actions.LinearAction(2, 20, [np.eye(20, dtype=np.int64)] * 20)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(groupchar.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _MANY_IDENTITIES_ON_A_MILLION_VECTORS,
+                          str(tmp_path / "ids.gens")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == (f"error: generator cells: size {300 * 2 ** 20} exceeds bound "
                           f"{CLOSURE_CELL_BOUND}\n")
 
 

@@ -277,21 +277,23 @@ def test_generators_match_the_greedy_closures(corpus_groups, request_inputs):
 def test_every_walk_along_generators_is_the_one_chain(monkeypatch):
     """``groups._generator_chain`` is the one walk of a group along a list
     of generators: each module binds that function, and ``generators()``,
-    ``automorphism_from_images``, ``frobenius72_quaternion`` and the
-    search's ``_source_chain`` each call it once."""
+    ``Group._closure``, ``automorphism_from_images``,
+    ``frobenius72_quaternion`` and the search's ``_source_chain`` each call
+    it once."""
     chain = groups._generator_chain
     modules = (groups, chartable, constructors)
     assert all(module._generator_chain is chain for module in modules)
     calls = []
 
-    def counted(s, gens):
+    def counted(s, gens, cap=None):
         calls.append(s.label)
-        return chain(s, gens)
+        return chain(s, gens, cap)
 
     for module in modules:
         monkeypatch.setattr(module, "_generator_chain", counted)
     runs = {
         "generators": lambda: sym(4).generators(),
+        "_closure": lambda: sym(4)._closure([1, 2]),
         "automorphism_from_images":
             lambda: constructors.automorphism_from_images(cyclic(5), [1], [2]),
         "frobenius72_quaternion": constructors.frobenius72_quaternion,
