@@ -55,7 +55,7 @@ h: the generators of s's chain are mapped to candidate images in h
 first, then the rarest element key, with the products each level checks
 added by `_source_chain`, is a memo fact of s, built on its first search,
 so one source serves many searches and h never walks its own Cayley
-graph.  The map found is inverted to h -> s and checked exactly in full;
+graph.  The map found, s -> h, is checked exactly in full as it stands;
 the table is then read off through it as a column gather and put in
 canonical order.  The rows are the ones the build would
 give, and a table reads its conductor, prime and root off its own group
@@ -395,7 +395,7 @@ def _isomorphism_key(group: Group) -> tuple[int, bytes]:
 
 
 def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
-    """An isomorphism h -> s as an id array, or None when none is found
+    """An isomorphism s -> h as an id array, or None when none is found
     within ``ISOMORPHISM_NODE_BUDGET`` candidate images.
 
     The search runs from the pooled source s to h: the generators of s's
@@ -404,8 +404,7 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
     of the earlier ones (Miller's generator-image technique).  Each choice
     fixes the map on the elements the new generator adds to the span, along
     s's Cayley graph, and is kept only if it is injective, keeps every
-    element key and respects every new product by a generator.  The map
-    found, s -> h, is returned inverted (`_inverse_map`).
+    element key and respects every product the level lists.
     """
     n = h.order
     key_h, key_s = _element_key(h), _element_key(s)
@@ -413,7 +412,7 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
     psi = np.zeros(n, dtype=np.int64)
     psi_list = [0] * n
     images = np.zeros(len(levels), dtype=np.int64)  # image of each generator
-    columns: list[list[int]] = [[]] * len(levels)   # x -> x * image, in h
+    columns = [None] * len(levels)  # x -> x * image in h, a view of its column
     budget = ISOMORPHISM_NODE_BUDGET
     # Composed with conjugation in h an isomorphism stays one, so the
     # first generator need only go to class representatives.
@@ -435,7 +434,7 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
                 return None
             budget -= 1
             images[depth] = t
-            columns[depth] = h.mul[:, t].tolist()
+            columns[depth] = memoryview(h.mul[:, t])
             for e, p, k in zip(fresh, parents, gen_pos):
                 psi_list[e] = columns[k][psi_list[p]]
             img = np.array([psi_list[e] for e in fresh], dtype=np.int64)
@@ -452,15 +451,7 @@ def _find_isomorphism(h: Group, s: Group) -> np.ndarray | None:
 
     used = np.zeros(n, dtype=bool)
     used[0] = True
-    return _inverse_map(psi) if search(0, used) else None
-
-
-def _inverse_map(psi: np.ndarray) -> np.ndarray:
-    """The inverse of the id map ``psi``.  An id that psi misses maps to
-    -1, so a psi that is not a bijection has no bijection as its inverse."""
-    phi = np.full(psi.size, -1, dtype=np.int64)
-    phi[psi] = np.arange(psi.size)
-    return phi
+    return psi if search(0, used) else None
 
 
 @_memo
@@ -468,8 +459,10 @@ def _source_chain(s: Group) -> list[tuple]:
     """The generator chain that searches from the pooled source s follow, a
     fact of s built on its first search: each `groups._generator_chain` level
     with (fresh as an array, x, j, y) appended, the products y = x * (j-th
-    kept generator) that first lie inside the level's span: fresh elements
-    by every kept generator, older elements by the new one.
+    kept generator) of each fresh element x by every kept generator.  The
+    older elements by the new generator are the level's first fresh
+    elements, whose images the search defines as those products, so they
+    are not listed.
 
     Its generators are taken greedily, the largest element order first,
     then the rarest element key, then the least id: few generators with
@@ -479,35 +472,34 @@ def _source_chain(s: Group) -> list[tuple]:
     """
     _, kind, counts = np.unique(_element_key(s), return_inverse=True, return_counts=True)
     levels = _generator_chain(s, np.lexsort((counts[kind], -s.elt_order)).tolist())
-    kept, span = np.array([level[0] for level in levels]), [0]
+    kept = np.array([level[0] for level in levels])
     for new, level in enumerate(levels):
         f = np.array(level[1], dtype=np.int64)
-        x = np.concatenate([np.repeat(f, new + 1), span])
-        j = np.concatenate([np.tile(np.arange(new + 1), f.size), np.full(len(span), new)])
+        x, j = np.repeat(f, new + 1), np.tile(np.arange(new + 1), f.size)
         levels[new] = (*level, f, x, j, s.mul[x, kept[j]])
-        span += level[1]
     return levels
 
 
-def _transport(h: Group, src: CharacterTable, phi: np.ndarray) -> CharacterTable:
+def _transport(h: Group, src: CharacterTable, psi: np.ndarray) -> CharacterTable:
     """The table of h read off the table ``src`` of s = src.group through
-    the isomorphism phi: h -> s: each class of h takes the column of the
-    class of phi(rep), and the rows are put in canonical order."""
+    the isomorphism psi: s -> h: each class of h takes the column of the
+    class of s that psi maps onto it, and the rows are put in canonical
+    order."""
     n, s = h.order, src.group
-    if not np.array_equal(np.sort(phi), np.arange(n)):
+    if not np.array_equal(np.sort(psi), np.arange(n)):
         raise ContractViolation("isomorphism search returned a non-bijection")
-    if not np.array_equal(phi[h.mul], s.mul[phi[:, None], phi[None, :]]):
+    if not np.array_equal(psi[s.mul], h.mul[psi[:, None], psi[None, :]]):
         raise ContractViolation("isomorphism search returned a non-homomorphism")
     cc = h.conjugacy_classes()
-    cols = _image_classes(h, s, phi)
+    cols = _image_classes(h, s, psi)
     coeffs = src._coeffs[:, cols]
     order = _canonical_order(src.degrees, coeffs)
     return CharacterTable(h, cc, src.degrees[order], coeffs[order])
 
 
-def _image_classes(h: Group, s: Group, phi: np.ndarray) -> np.ndarray:
-    """The class of s that holds phi(rep), for each class of h."""
-    return s.conjugacy_classes().class_of[phi[h.conjugacy_classes().reps]]
+def _image_classes(h: Group, s: Group, psi: np.ndarray) -> np.ndarray:
+    """The class of s that psi maps onto each class of h."""
+    return np.argsort(h.conjugacy_classes().class_of[psi[s.conjugacy_classes().reps]])
 
 
 # Seed of the generator behind the combination weights and the probe

@@ -1,7 +1,10 @@
 """Constructors for the standard small groups used throughout the library.
 
 Each constructor makes its group's table once and one `Group` of it, under
-the group's own label: a finished group is never copied only to rename it.
+the group's own label, with two exceptions that copy a finished group only
+to rename it: `central_product` rebuilds its quotient's table through
+`Group.__init__` under the product's label, and `extraspecial_2` rebuilds
+its last central product's table under the label ES<order><sign>.
 Every table here is a group by construction, so none runs Light's
 associativity test (``validate=False``): a group law (`abelian`, `dihedral`,
 `generalized_quaternion`, `agl1`), composition of permutations whose

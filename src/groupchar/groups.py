@@ -38,9 +38,9 @@ once per rational class, since atom(xᵘ) = atom(x) for u prime to o(x).
 Reports take ints by ``.tolist()``.
 `_generator_chain` is the one walk of a group along a list of generators,
 the orbit of 1 under right multiplication by them: `Group.generators()`,
-`Group._closure`, `chartable`'s isomorphism search (which adds the
-products it checks) and the maps `constructors` extends from generator
-images all follow it.
+`Group._closure`, `chartable`'s isomorphism search s -> h (which adds
+the products of each level's fresh elements that it checks) and the maps
+`constructors` extends from generator images all follow it.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
 instance's ``_cache`` under the method name plus positional arguments; a

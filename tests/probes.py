@@ -6,12 +6,12 @@ and the lines Tier-1 never runs.
 
 ``load`` takes a seed (7 by default), ``scan`` a number of runs (1) and
 ``lattice`` one group to probe in this process; each probe's docstring says
-what it prints.  ``ab`` compares two checkouts by the benchmark and writes
-``BENCH_<LABEL>.json``.  Every probe runs with native thread pools pinned to one
-thread, and imports what it needs inside itself, so that a fresh child holds
-only its own probe's modules.  Times are wall seconds, so compare two
-revisions run one after the other on one machine.  The file name keeps
-pytest from collecting it.
+what it prints.  ``ab`` compares two checkouts by the benchmark and by their
+``pools`` and ``sweep`` lines, and writes ``BENCH_<LABEL>.json``.  Every
+probe runs with native thread pools pinned to one thread, and imports what
+it needs inside itself, so that a fresh child holds only its own probe's
+modules.  Times are wall seconds, so compare two revisions run one after
+the other on one machine.  The file name keeps pytest from collecting it.
 """
 
 import os
@@ -303,12 +303,30 @@ def ab(parent: str, change: str, label: str, pairs: str = "6", seed: str = "1") 
     n; the change's wins and the parent's, ties counting for neither; the
     change's relative worsening of the median and the metric's bound, with
     pass or fail; and every run that exited nonzero, was not ``correct`` or
-    had failed ops.  Print one line per workload and metric."""
+    had failed ops.  Print one line per workload and metric.  First each
+    side's own ``pools`` and ``sweep`` probes run once; their lines go under
+    ``"probes"``, and whether the two sides' lines agree, timings aside, is
+    printed."""
     import json
+    import re
     import statistics
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
+    probes = {}
+    for probe in ("pools", "sweep"):
+        lines = {}
+        for side, path in sides.items():
+            out = subprocess.run([sys.executable, "tests/probes.py", probe],
+                                 cwd=path, capture_output=True, text=True)
+            lines[side] = out.stdout.splitlines()
+            if out.returncode:
+                lines[side] += [f"exit {out.returncode}"] + out.stderr.splitlines()[-1:]
+        untimed = [[re.sub(r"\s*\([\d.]+ s\)$", "", line) for line in lines[side]]
+                   for side in sides]
+        agree = untimed[0] == untimed[1]
+        probes[probe] = {**lines, "agree": agree}
+        print(f"probe {probe}: lines {'agree' if agree else 'DIFFER'}", flush=True)
     runs = {side: {w: [] for w in workloads} for side in sides}
     for i in range(int(pairs)):
         for w in workloads:
@@ -334,7 +352,7 @@ def ab(parent: str, change: str, label: str, pairs: str = "6", seed: str = "1") 
               "sides": {side: {"src": _tree_digest(path, "src/groupchar/*.py"),
                                "perfbench": _tree_digest(path, "perfbench/*.py")}
                         for side, path in sides.items()},
-              "workloads": {}}
+              "probes": probes, "workloads": {}}
     for w in workloads:
         bad = [{"side": side, "pair": i + 1, **{k: v for k, v in run.items() if k != "metrics"}}
                for side in sides for i, run in enumerate(runs[side][w])

@@ -10,6 +10,7 @@ import pytest
 
 from groupchar import (
     BoundExceeded,
+    NoSuitablePrime,
     SplitFailure,
     abelian,
     agl1,
@@ -97,6 +98,18 @@ def test_dixon_prime_choice():
     assert dixon_prime(6, 6) % 6 == 1 and dixon_prime(6, 6) > 12
     q = dixon_prime(12, 128)
     assert q % 12 == 1 and q > 256
+
+
+def test_dixon_prime_has_headroom_below_its_search_cap():
+    """Every exponent e dividing an order n within ``TABLE_ORDER_BOUND``
+    finds its prime far below the cap; past the cap the search refuses."""
+    primes = [dixon_prime(e, n) for n in range(1, chartable.TABLE_ORDER_BOUND + 1)
+              for e in range(1, n + 1) if n % e == 0]
+    assert (len(primes), max(primes)) == (3280, 13711)
+    assert max(primes) < chartable._PRIME_SEARCH_CAP // 100
+    with pytest.raises(NoSuitablePrime,
+                       match="no prime q = 1 mod 2 with q > 2000000 below cap"):
+        dixon_prime(2, 10 ** 6)
 
 
 @pytest.mark.parametrize(
@@ -224,6 +237,29 @@ def test_restriction_degree_bookkeeping():
     table_n = compute_table(sub.as_group())
     mults = restriction_multiplicities(g, sub)
     assert list(mults @ table_n.degrees) == [int(d) for d in table_g.degrees]
+
+
+@pytest.mark.parametrize("row,message", [
+    (0, "restriction multiplicity exceeds degree bound"),
+    (1, "bulk restriction degrees do not add up"),
+])
+def test_restriction_refuses_a_scaled_row_of_the_subgroup_table(monkeypatch, row, message):
+    """Fault injection on S4 over V4: doubling N's trivial row makes the
+    degree-2 character's multiplicity 4, above every degree of S4; doubling
+    a nontrivial row keeps every multiplicity within 2, but the degree-3
+    characters' restrictions no longer add up to 3."""
+    g = sym(4)
+    sub = g.subgroup([0, 7, 16, 23])
+    n = sub.as_group()
+    table_n = compute_table(n)
+    coeffs = table_n._coeffs.copy()
+    coeffs[row] *= 2
+    scaled = chartable.CharacterTable(n, table_n.classes, table_n.degrees, coeffs)
+    table = chartable.compute_table
+    monkeypatch.setattr(chartable, "compute_table",
+                        lambda group: scaled if group is n else table(group))
+    with pytest.raises(chartable.ContractViolation, match=message):
+        restriction_multiplicities(g, sub)
 
 
 SPLIT_CASES = {

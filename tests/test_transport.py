@@ -83,9 +83,9 @@ def _transported_cases(groups, seed):
     cases = []
     for i, g in enumerate(groups):
         h = relabel(g, seed + i)
-        phi = chartable._find_isomorphism(h, g)
-        assert phi is not None, h.label
-        cases.append((h, chartable._transport(h, compute_table(g), phi)))
+        psi = chartable._find_isomorphism(h, g)
+        assert psi is not None, h.label
+        cases.append((h, chartable._transport(h, compute_table(g), psi)))
     return cases
 
 
@@ -109,7 +109,7 @@ def test_identity_gather_fails_the_two_routes(type_representatives, monkeypatch)
     through the isomorphism, must be caught by the comparison above."""
     types, _ = type_representatives
     monkeypatch.setattr(chartable, "_image_classes",
-                        lambda h, s, phi: np.arange(len(h.conjugacy_classes())))
+                        lambda h, s, psi: np.arange(len(h.conjugacy_classes())))
     cases = _transported_cases(types, seed=9000)
     assert sum(bool(route_differences(h, table)) for h, table in cases) > len(cases) // 2
 
@@ -172,21 +172,27 @@ def test_a_map_that_fails_the_checks_is_a_contract_violation(monkeypatch):
         compute_table(relabel(s4, 3))
 
 
-def test_the_inverse_of_a_map_that_is_no_bijection_is_refused():
-    """The search inverts its map s -> h; an id the map misses must leave a
-    mark in the inverse that ``_transport``'s bijection check sees."""
-    psi = np.array([0, 2, 3, 1])
-    assert chartable._inverse_map(psi).tolist() == [0, 3, 1, 2]
-    collapsed = chartable._inverse_map(np.array([0, 1, 1, 3]))
-    assert collapsed.tolist() == [0, 2, -1, 3]
-    s4 = sym(4)
-    compute_table(s4)
-    psi = np.arange(24)
-    psi[5] = 6  # 5 is missed, 6 is hit twice
-    phi = chartable._inverse_map(psi)
-    assert -1 in phi
-    with pytest.raises(chartable.ContractViolation, match="non-bijection"):
-        chartable._transport(relabel(s4, 8), compute_table(s4), phi)
+def test_the_search_returns_an_isomorphism_from_the_source(type_representatives):
+    """The search's map runs s -> h and is a bijective homomorphism, on a
+    relabelled copy h of every type.  Each level of its source chain lists
+    products of that level's fresh elements only: the older elements by the
+    new generator are the level's first fresh elements, in order, and their
+    images are defined by those products."""
+    types, _ = type_representatives
+    assert len(types) >= 20
+    for i, s in enumerate(types):
+        h = relabel(s, 3000 + i)
+        psi = chartable._find_isomorphism(h, s)
+        assert psi is not None, h.label
+        assert np.array_equal(np.sort(psi), np.arange(s.order)), h.label
+        assert np.array_equal(psi[s.mul], h.mul[psi[:, None], psi[None, :]]), h.label
+        span = [0]
+        for g, fresh, parents, gen_pos, f, x, j, y in chartable._source_chain(s):
+            assert set(x.tolist()) <= set(fresh), s.label
+            older = len(span)
+            assert fresh[:older] == s.mul[span, g].tolist(), s.label
+            assert parents[:older] == span, s.label
+            span += fresh
 
 
 def test_agl1_16_transports_both_ways_within_the_budget():
@@ -199,9 +205,9 @@ def test_agl1_16_transports_both_ways_within_the_budget():
     assert set(built.elt_order[[1, 2, 4, 8]].tolist()) == {2}
     copy = relabel(built, 16)
     for h, s in ((copy, built), (built, copy)):
-        phi = chartable._find_isomorphism(h, s)
-        assert phi is not None, (h.label, s.label)
-        assert route_differences(h, chartable._transport(h, _build_table(s), phi)) == []
+        psi = chartable._find_isomorphism(h, s)
+        assert psi is not None, (h.label, s.label)
+        assert route_differences(h, chartable._transport(h, _build_table(s), psi)) == []
 
 
 def test_the_pair_scan_walks_only_source_chains(monkeypatch, empty_table_pool):
