@@ -1,10 +1,17 @@
 """Exact irreducible character tables of small finite groups.
 
-The pipeline is the classical class-algebra method: the class-multiplication
-matrices commute and have a common eigenbasis over a prime field F_q chosen
-with q ≡ 1 (mod e) and q > 2|G| (e the group exponent), whose vectors are
-the central characters mod q.  They are found by splitting (Schneider,
-"Dixon's character table algorithm revisited", 1990):
+The m = |G:G′| linear rows are read off G/G′ directly (`_linear_exponents`):
+each is ζ_e^f for an exponent map f: G -> Z/e (e the group exponent),
+extended one level of the quotient's generator chain at a time and checked
+to be a homomorphism, and its coefficients are rows of the reduction table
+at f(rep_K).  Only the k - m nonlinear rows are split and lifted, by the
+classical class-algebra method: the class-multiplication matrices commute
+and have a common eigenbasis over a prime field F_q chosen with q ≡ 1
+(mod e) and q > 2|G|, whose vectors are the central characters mod q.  The
+nonlinear ones span W, the vectors orthogonal to every conj(λ), λ linear,
+which the class matrices preserve; W is found by one projection through the
+linear rows (`_nonlinear_space`), and the split starts from it as its one
+block (Schneider, "Dixon's character table algorithm revisited", 1990):
 
 * each pass splits every block above dimension one by a combination
   sum c_i * C_i of the non-identity class matrices, with fresh weights
@@ -17,25 +24,27 @@ the central characters mod q.  They are found by splitting (Schneider,
 * passes go on until every block is one-dimensional, at most one per
   class.
 
-Degrees follow from the orthogonality relation, and each value is lifted to
-an exact cyclotomic integer by extracting root-of-unity multiplicities,
+An abelian group has no nonlinear row, so neither the split nor the lift
+runs.  Degrees follow from the orthogonality relation (their squares are
+checked over all rows), and each nonlinear value is lifted to an exact
+cyclotomic integer by extracting root-of-unity multiplicities,
 which are genuine nonnegative integers below q and therefore unambiguous
 residues.  The lift reads the group's class power map: the multiplicities
 come from one (o × o) product per rational class, at its least class x,
 and x's other classes xᵘ take them permuted (m_j moves to j·u mod o); each
 coefficient row is a sum of reduction-table rows, one per nonzero
 multiplicity.  The multiplicities must sum to the degree and the lifted
-values must agree with the values mod q, both checked exactly.  A table
-stores the lifted values as one coefficient array, and
+rows must agree with their values mod q, both checked exactly.  A table
+stores its exact values as one coefficient array, and
 derives its values mod q and its kernel and zero masks from it; its
 ``rows`` are built on first read, ``Character.values`` turns a row into
 ``Cyclotomic`` objects on demand, and ``Group._normal`` makes a
 character's kernel from its kernel-mask row.
 
-The output does not depend on the weights or the probes: the eigenvectors
-are unique up to scale and normalized, the prime choice is fixed, and rows
-are put in canonical order (trivial character first, then by degree and
-lexicographic coefficients).
+The output does not depend on the weights, the probes or which route a
+row took: the eigenvectors are unique up to scale and normalized, the prime
+choice is fixed, and rows are put in canonical order (trivial character
+first, then by degree and lexicographic coefficients).
 
 Most groups a scan meets are isomorphic to one that already holds a table,
 and many arrive with the very same Cayley table, so ``compute_table``, a
@@ -248,7 +257,8 @@ def compute_table(group: Group) -> CharacterTable:
 
 
 def _build_table(group: Group) -> CharacterTable:
-    """The table by the class-algebra split; neither cached nor pooled."""
+    """The table, its linear rows read off G/G′ and the others by the
+    class-algebra split of their space; neither cached nor pooled."""
     n = group.order
     cc = group.conjugacy_classes()
     k = len(cc.reps)
@@ -259,60 +269,123 @@ def _build_table(group: Group) -> CharacterTable:
     q, z = _field(e, n)
     zpow = powers_mod(z, e, q)
 
-    inv_sizes = np.array([inv_mod(s, q) for s in cc.sizes.tolist()], dtype=np.int64)
-    omegas = _split_central_characters(group, cc, q)
-
-    # Degrees from first orthogonality: d^2 = |G| / sum_k w_k w_{k*} / |C_k|.
-    # Since q > 2|G| >= 2d^2, the residue of d^2 mod q is d^2 itself.
-    invcls = cc.inverse_class
-    t_sums = (omegas * omegas[:, invcls] % q * inv_sizes[None, :] % q).sum(axis=1) % q
-    degrees = np.empty(k, dtype=np.int64)
-    for r in range(k):
-        ts = int(t_sums[r])
-        if ts == 0:
-            raise ContractViolation("degenerate degree sum in table recovery")
-        dsq = n * inv_mod(ts, q) % q
-        d = isqrt_exact(dsq)
-        if d is None or not 1 <= dsq <= n:
-            raise ContractViolation("degree square is not a square in [1, |G|]")
-        degrees[r] = d
+    # The m linear rows are ζ_e^f for the exponent maps f at the class
+    # representatives; only the k - m nonlinear rows are split and lifted.
+    expo = _linear_exponents(group)
+    m = len(expo)
+    red = np.array(_reduction_table(e), dtype=np.int64)  # row j: ζ_e^j
+    degrees, coeffs = np.ones(k, dtype=np.int64), red[expo]
+    if m < k:
+        inv_sizes = np.array([inv_mod(s, q) for s in cc.sizes.tolist()], dtype=np.int64)
+        omegas = _split_central_characters(group, cc, q, _nonlinear_space(group, expo, zpow, q))
+        # Degrees from first orthogonality: d^2 = |G| / sum_k w_k w_{k*} / |C_k|.
+        # Since q > 2|G| >= 2d^2, the residue of d^2 mod q is d^2 itself.
+        invcls = cc.inverse_class
+        t_sums = (omegas * omegas[:, invcls] % q * inv_sizes[None, :] % q).sum(axis=1) % q
+        for r, ts in enumerate(t_sums.tolist(), start=m):
+            if ts == 0:
+                raise ContractViolation("degenerate degree sum in table recovery")
+            dsq = n * inv_mod(ts, q) % q
+            d = isqrt_exact(dsq)
+            if d is None or not 1 <= dsq <= n:
+                raise ContractViolation("degree square is not a square in [1, |G|]")
+            degrees[r] = d
+        # Character values mod q: X[r, k] = d_r * omega_{r,k} / |C_k|.
+        modq = degrees[m:, None] * omegas % q * inv_sizes[None, :] % q
+        coeffs = np.concatenate((coeffs, _lift(group, modq, degrees[m:], red, zpow, q)))
     if int((degrees * degrees).sum()) != n:
         raise ContractViolation("degree squares do not sum to group order")
     for d in degrees:
         if n % int(d):
             raise ContractViolation("character degree does not divide group order")
 
-    # Character values mod q: X[r, k] = d_r * omega_{r,k} / |C_k|.
-    modq = degrees[:, None] * omegas % q * inv_sizes[None, :] % q
-
-    coeffs = _lift(group, modq, degrees, zpow, q)
     order = _canonical_order(degrees, coeffs)
     table = CharacterTable(group, cc, degrees[order], coeffs[order])
-    # Cross-check the lift against the modular table.
-    if not np.array_equal(table._modq, modq[order]):
+    # Cross-check the lifted rows against the modular table.
+    if m < k and not np.array_equal(table._modq[np.argsort(order)[m:]], modq):
         raise ContractViolation("lifted values disagree with modular table")
     return table
 
 
-def _lift(group: Group, modq: np.ndarray, degrees: np.ndarray, zpow: np.ndarray,
-          q: int) -> np.ndarray:
-    """The exact coefficient array of the table whose values mod q are
-    ``modq``, zpow the powers of the primitive e-th root mod q.
+def _linear_exponents(group: Group) -> np.ndarray:
+    """The linear characters as exponent maps f: G -> Z/e, λ = ζ_e^f (e the
+    exponent), one row per character, at the class representatives.
+
+    They are the maps of Q = G/G′ (an abelian G is its own Q), extended one
+    level of Q's chain (`groups._generator_chain` along all ids) at a time:
+    for a new generator s, j the least power with s^j in the span so far,
+    each map takes the j values f(s) = f(s^j)/j + t·e/j (t < j), and each
+    fresh element f(parent) + f(generator).  Every map is then checked to
+    be a homomorphism on every kept generator.
+    """
+    e = group.exponent
+    if group.is_abelian:
+        quo, cosets = group, group.conjugacy_classes().reps
+    else:
+        derived = group.derived_subgroup()
+        quo = group.quotient(derived)
+        cosets = group._projection(derived)[group.conjugacy_classes().reps]
+    levels = _generator_chain(quo, range(quo.order))
+    maps = np.zeros((quo.order, 1), dtype=np.int64)  # maps[x, i] = f_i(x)
+    at_gens: list[np.ndarray] = []                   # f_i(kept generator)
+    inside = np.zeros(quo.order, dtype=bool)
+    inside[0] = True
+    for s, fresh, parents, gen_pos in levels:
+        power, j = s, 1
+        while not inside[power]:
+            power, j = quo.mul[power, s], j + 1
+        if (maps[power] % j).any():
+            raise ContractViolation(f"a linear exponent map's f(s^{j}) is not divisible by {j}")
+        maps = np.repeat(maps, j, axis=1)
+        at_gens = [np.repeat(v, j) for v in at_gens]
+        at_gens.append(maps[power] // j + np.arange(maps.shape[1]) % j * (e // j))
+        for x, p, g in zip(fresh, parents, gen_pos):
+            maps[x] = (maps[p] + at_gens[g]) % e
+        inside[fresh] = True
+    for level in levels:
+        g = level[0]
+        if not np.array_equal(maps[quo.mul[:, g]], (maps + maps[g]) % e):
+            raise ContractViolation("a linear exponent map is not a homomorphism")
+    return maps[cosets].T
+
+
+def _nonlinear_space(group: Group, expo: np.ndarray, zpow: np.ndarray,
+                     q: int) -> tuple[np.ndarray, list[int]]:
+    """W, the span of the nonlinear central characters, as (basis, pivots)
+    in RREF: the vectors orthogonal to every conj(λ), λ over the linear rows
+    with exponent maps ``expo``.  The class matrices preserve it.  It is
+    the row space of I - L̄ᵀ·Ω/|G| mod q, L̄[λ, K] = conj(λ(g_K)) and
+    Ω[λ, K] = |K|·λ(g_K), a projection since L̄·Ωᵀ = |G|·I."""
+    cc = group.conjugacy_classes()
+    k, m, e = len(cc), len(expo), group.exponent
+    conj, omega = zpow[-expo % e], zpow[expo] * cc.sizes % q
+    proj = (np.eye(k, dtype=np.int64) - conj.T @ omega % q * inv_mod(group.order, q)) % q
+    basis, pivots = rref_mod(proj, q)
+    if len(pivots) != k - m:
+        raise ContractViolation(
+            f"nonlinear space has dimension {len(pivots)}, not k - m = {k - m}")
+    return basis, pivots
+
+
+def _lift(group: Group, modq: np.ndarray, degrees: np.ndarray, red: np.ndarray,
+          zpow: np.ndarray, q: int) -> np.ndarray:
+    """The exact coefficient array of the rows whose values mod q are
+    ``modq``, red the reduction table as an array and zpow the powers of the
+    primitive e-th root mod q.
 
     A value at x of order o is χ(x) = Σ_j m_j ζ_o^j, with root
     multiplicities m_j = (1/o) Σ_t χ(xᵗ) ζ_o^{-jt}: nonnegative integers
     below q, so their residues are the integers.  They are found by one
     (o × o) product for the head x of each rational class, the heads of
     one order at a time; a class xᵘ (u prime to o) has m_j at j·u mod o.
-    Each coefficient row is then a sum of ``_reduction_table`` rows, one
+    Each coefficient row is then a sum of ``red`` rows, one
     per nonzero multiplicity, over classes in chunks of about
     ``_LIFT_CHUNK_CELLS`` temporary cells.
     """
     cc = group.conjugacy_classes()
-    k, e = len(cc), group.exponent
+    rows, k, e = len(modq), len(cc), group.exponent
     powers, heads = group._power_classes()
-    red = np.array(_reduction_table(e), dtype=np.int64)
-    coeffs = np.empty((k, k, red.shape[1]), dtype=np.int64)
+    coeffs = np.empty((rows, k, red.shape[1]), dtype=np.int64)
     class_orders = group.elt_order[cc.reps]
     for o in np.unique(class_orders).tolist():
         step = e // o
@@ -328,15 +401,15 @@ def _lift(group: Group, modq: np.ndarray, degrees: np.ndarray, zpow: np.ndarray,
         units = np.gcd(np.arange(o), o) == 1
         u = ((powers[head_ids[h], :o] == cls[:, None]) & units).argmax(axis=1)
         # Every (row, class) has a nonzero multiplicity, as they sum to the degree.
-        per_class = max(k * o, int(np.minimum(degrees, o).sum()) * red.shape[1])
+        per_class = max(rows * o, int(np.minimum(degrees, o).sum()) * red.shape[1])
         size = max(1, _LIFT_CHUNK_CELLS // per_class)
         for lo in range(0, len(cls), size):
-            m = mults[:, h[lo:lo + size]]             # (k, chunk, o), head order
+            m = mults[:, h[lo:lo + size]]             # (rows, chunk, o), head order
             r, c, j = np.nonzero(m)
             terms = m[r, c, j][:, None] * red[j * u[lo + c] % o * step]
             counts = np.count_nonzero(m, axis=2).ravel()
             sums = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=0)
-            coeffs[:, cls[lo:lo + size]] = sums.reshape(k, -1, red.shape[1])
+            coeffs[:, cls[lo:lo + size]] = sums.reshape(rows, -1, red.shape[1])
     return coeffs
 
 
@@ -459,10 +532,11 @@ def _source_chain(s: Group) -> list[tuple]:
     """The generator chain that searches from the pooled source s follow, a
     fact of s built on its first search: each `groups._generator_chain` level
     with (fresh as an array, x, j, y) appended, the products y = x * (j-th
-    kept generator) of each fresh element x by every kept generator.  The
-    older elements by the new generator are the level's first fresh
-    elements, whose images the search defines as those products, so they
-    are not listed.
+    kept generator) of the level's fresh elements x that close a cycle.  A
+    product that defines a fresh element (its parent times its generator)
+    holds by construction, as the search sets the image of y to that very
+    product, so it is not listed; nor are the older elements by the new
+    generator, which define the level's first fresh elements.
 
     Its generators are taken greedily, the largest element order first,
     then the rarest element key, then the least id: few generators with
@@ -473,10 +547,17 @@ def _source_chain(s: Group) -> list[tuple]:
     _, kind, counts = np.unique(_element_key(s), return_inverse=True, return_counts=True)
     levels = _generator_chain(s, np.lexsort((counts[kind], -s.elt_order)).tolist())
     kept = np.array([level[0] for level in levels])
-    for new, level in enumerate(levels):
-        f = np.array(level[1], dtype=np.int64)
-        x, j = np.repeat(f, new + 1), np.tile(np.arange(new + 1), f.size)
-        levels[new] = (*level, f, x, j, s.mul[x, kept[j]])
+    place = np.empty(s.order, dtype=np.int64)  # x -> its place among its level's fresh
+    span = 1
+    for new, (g, fresh, parents, gen_pos) in enumerate(levels):
+        f = np.array(fresh, dtype=np.int64)
+        place[f] = np.arange(f.size)
+        # The fresh elements after the first |span| have fresh parents.
+        closing = np.ones((f.size, new + 1), dtype=bool)
+        closing[place[parents[span:]], gen_pos[span:]] = False
+        at, j = np.nonzero(closing)
+        levels[new] = (g, fresh, parents, gen_pos, f, f[at], j, s.mul[f[at], kept[j]])
+        span += f.size
     return levels
 
 
@@ -519,9 +600,12 @@ def _probe_vector(rng: np.random.Generator, count: int, d: int, q: int) -> np.nd
     return rng.integers(0, q, size=(count, d))
 
 
-def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
-    """Common eigenbasis of the class matrices over F_q, one row per character,
-    normalized so the identity-class coordinate is 1.
+def _split_central_characters(group: Group, cc, q: int,
+                              start: tuple[np.ndarray, list[int]]) -> np.ndarray:
+    """Common eigenbasis of the class matrices over F_q on the invariant
+    space ``start`` (basis in RREF, pivots), one row per character there,
+    normalized so the identity-class coordinate is 1.  The build starts it
+    from the nonlinear space (`_nonlinear_space`).
 
     Each pass draws fresh seeded weights c_i and splits every block above
     dimension one into eigenspaces of sum c_i * C_i over the non-identity
@@ -537,9 +621,7 @@ def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
     cells = (cc.class_of[group.mul[np.ix_(group.inv[others], cc.reps)]].ravel(),
              np.tile(np.arange(k), others.size))
     owners = np.repeat(cc.class_of[others], k)
-    blocks: list[tuple[np.ndarray, list[int]]] = [
-        (np.eye(k, dtype=np.int64), list(range(k)))
-    ]
+    blocks: list[tuple[np.ndarray, list[int]]] = [start]
     for _ in range(k):
         if all(b.shape[0] == 1 for b, _ in blocks):
             break
@@ -558,7 +640,7 @@ def _split_central_characters(group: Group, cc, q: int) -> np.ndarray:
 
     if any(b.shape[0] != 1 for b, _ in blocks):
         raise SplitFailure(f"no one-dimensional split after {k} seeded combinations")
-    omegas = np.zeros((k, k), dtype=np.int64)
+    omegas = np.zeros((len(blocks), k), dtype=np.int64)
     for r, (basis, _) in enumerate(blocks):
         v = basis[0]
         if int(v[0]) == 0:

@@ -8,9 +8,10 @@ quotients are groups by construction.  Everything
 downstream (conjugacy classes, subgroup lattices, series, character
 tables) is exact integer table arithmetic, mostly vectorized with numpy.
 Facts about a quotient G/N, such as its chief factors or element orders,
-are read inside G.  `Group.quotient` builds the image group; its one
-caller in the library is `constructors.central_product`, and the method
-also stays because the benchmark tracer times it.  Subgroups are closed
+are read inside G.  `Group.quotient` builds the image group, its ids the
+cosets as `Group._projection` numbers them; its callers in the library are
+`constructors.central_product` and `chartable`'s linear characters, read
+off G/G′, and the benchmark tracer times it.  Subgroups are closed
 by `Group._closure`, the span of `_generator_chain` along the seed, and
 `Group.subgroup` checks a given set by `Subgroup.as_group`'s closedness
 test alone; a `Subgroup` carries the one parent-to-local id map
@@ -39,8 +40,9 @@ Reports take ints by ``.tolist()``.
 `_generator_chain` is the one walk of a group along a list of generators,
 the orbit of 1 under right multiplication by them: `Group.generators()`,
 `Group._closure`, `chartable`'s isomorphism search s -> h (which adds
-the products of each level's fresh elements that it checks) and the maps
-`constructors` extends from generator images all follow it.
+the products of each level's fresh elements that close a cycle), its
+linear characters' walk of G/G′ and the maps `constructors` extends from
+generator images all follow it.
 Groups are immutable once built; derived data (classes, the normal lattice,
 the character table) is filled on first use by one route, `_memo`, into the
 instance's ``_cache`` under the method name plus positional arguments; a
@@ -474,17 +476,17 @@ class Group:
 
     # -- quotients -------------------------------------------------------------
 
+    def _projection(self, normal: "Subgroup") -> np.ndarray:
+        """The id in G/N of every element, the cosets numbered in the order of
+        their least members, as `quotient` numbers them."""
+        return np.unique(self.mul[:, normal.elements].min(axis=1), return_inverse=True)[1]
+
     def quotient(self, normal: "Subgroup") -> "Group":
         """G/N, its ids the cosets in the order of their least members, once
         the coset map is checked to be a homomorphism with fibers of size |N|."""
         require_normal(self, normal)
-        n = self.order
-        els = normal.elements
-        coset_min = self.mul[:, els].min(axis=1)
-        reps = np.unique(coset_min)  # sorted; coset of 0 has min 0
-        rank = np.full(n, -1, dtype=np.int64)
-        rank[reps] = np.arange(len(reps))
-        projection = rank[coset_min]
+        projection = self._projection(normal)
+        reps = np.unique(projection, return_index=True)[1]  # least members; 0 first
         img_mul = projection[self.mul[np.ix_(reps, reps)]]
         # Full homomorphism check, plus fiber sizes.  The image of an
         # associative table under a homomorphism is associative.

@@ -782,10 +782,64 @@ def abelian_group_count(n: int) -> int:
 def abelian_dual_rows(invariants: list[int]) -> list[tuple]:
     """The full character table of C_{d1} x ... x C_{dk} from the dual
     group, as coefficient signatures per element id (mixed radix, first
-    factor most significant) — independent of the eigenvector pipeline."""
+    factor most significant): ζ_e^s in the power basis of Z[x]/Φ_e, Φ_e as
+    the product of (x^d - 1)^μ(e/d) and x^s reduced by long division.  It
+    shares no code with the library, whose cyclotomic polynomials divide
+    x^e - 1 by Φ_d recursively and whose build reads the rows off exponent
+    maps along a generator chain."""
     exponent = 1
     for d in invariants:
         exponent = exponent * d // gcd(exponent, d)
+
+    def mobius(n: int) -> int:
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def over(a: list[int], b: list[int]) -> list[int]:
+        """a / b for monic b, the quotient exact."""
+        a, out = list(a), [0] * (len(a) - len(b) + 1)
+        for i in range(len(out) - 1, -1, -1):
+            out[i] = a[i + len(b) - 1]
+            for j, y in enumerate(b):
+                a[i + j] -= out[i] * y
+        assert not any(a), "inexact division"
+        return out
+
+    num, den = [1], [1]
+    for d in range(1, exponent + 1):
+        if exponent % d == 0 and mobius(exponent // d):
+            factor = [-1] + [0] * (d - 1) + [1]
+            if mobius(exponent // d) == 1:
+                num = times(num, factor)
+            else:
+                den = times(den, factor)
+    phi_e = over(num, den)  # ascending, monic
+    degree = len(phi_e) - 1
+
+    def power(s: int) -> tuple[int, ...]:
+        """x^s reduced mod Φ_e by long division."""
+        rem = [0] * s + [1]
+        for i in range(len(rem) - 1, degree - 1, -1):
+            c = rem[i]
+            for j, y in enumerate(phi_e):
+                rem[i - degree + j] -= c * y
+        return tuple((rem + [0] * degree)[:degree])
+
+    zeta = [power(s) for s in range(exponent)]
 
     def digits(x: int) -> list[int]:
         out = []
@@ -806,7 +860,7 @@ def abelian_dual_rows(invariants: list[int]) -> list[tuple]:
             s = sum(
                 ai * xi * (exponent // d) for ai, xi, d in zip(av, xv, invariants)
             )
-            row.append(Cyclotomic.zeta(exponent, s % exponent).coeffs)
+            row.append(zeta[s % exponent])
         rows.append(tuple(row))
     return rows
 

@@ -28,6 +28,9 @@ from groupchar import (
     verify_table,
 )
 import groupchar.chartable as chartable
+from groupchar.corpus import build_corpus
+from groupchar.errors import ContractViolation
+from groupchar.groups import Group
 from groupchar.chartable import dixon_prime
 
 import oracles
@@ -297,15 +300,36 @@ def _split_calls(monkeypatch):
     return calls
 
 
+def _whole_space(group):
+    """The block (basis, pivots) of the whole class space F_q^k."""
+    k = len(group.conjugacy_classes())
+    return np.eye(k, dtype=np.int64), list(range(k))
+
+
+def _split_rows(group):
+    """The rows of ``_split_central_characters`` on the whole space, sorted."""
+    q = chartable._field(group.exponent, group.order)[0]
+    omegas = chartable._split_central_characters(
+        group, group.conjugacy_classes(), q, _whole_space(group))
+    return sorted(map(tuple, omegas.tolist()))
+
+
+def _central_characters(table):
+    """ω_χ(K) = |K|·χ(g_K)/χ(1) mod q for every row of the table, sorted."""
+    q = table.prime
+    inv_degrees = np.array([pow(int(d), -1, q) for d in table.degrees], dtype=np.int64)
+    omegas = table._modq * table.classes.sizes % q * inv_degrees[:, None] % q
+    return sorted(map(tuple, omegas.tolist()))
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
 def test_split_does_not_depend_on_the_combination(name, monkeypatch):
+    """The split on the whole space, which the build never starts from,
+    gives the table's central characters whatever the weights and probes."""
     build = SPLIT_CASES[name]
 
-    def table_bytes():
-        # _build_table, not compute_table: a live isomorphic group would
-        # hand over its table and the patched split would never run.
-        table = chartable._build_table(build())
-        return table._coeffs.tobytes(), table._kernel_mask.tobytes(), len(table)
+    def split_rows():
+        return _split_rows(build())
 
     def zero_weights(passes, zero_passes):
         """Weights that are zero on the first ``zero_passes`` passes and
@@ -319,15 +343,16 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
             return seeded(rng, count, q)
         return weights
 
-    seeded = table_bytes()
-    k = seeded[2]
+    seeded = split_rows()
+    assert seeded == _central_characters(chartable._build_table(build()))
+    k = len(seeded)
     with monkeypatch.context() as m:
         # zero weights on the first pass: the combined matrix is scalar and
         # splits nothing, so the second pass starts from the whole space
         passes = []
         m.setattr(chartable, "_combination_weights", zero_weights(passes, 1))
         calls = _split_calls(m)
-        assert table_bytes() == seeded
+        assert split_rows() == seeded
         assert len(passes) >= 2
         assert calls["charpoly"][:2] == [k, k]
     with monkeypatch.context() as m:
@@ -336,7 +361,7 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         m.setattr(chartable, "_probe_vector",
                   lambda rng, count, d, q: np.zeros((count, d), dtype=np.int64))
         calls = _split_calls(m)
-        assert table_bytes() == seeded
+        assert split_rows() == seeded
         assert calls["nullspace"][:1] == [k]
     with monkeypatch.context() as m:
         # probes that are all one row project to one line in each
@@ -346,39 +371,132 @@ def test_split_does_not_depend_on_the_combination(name, monkeypatch):
         m.setattr(chartable, "_probe_vector",
                   lambda rng, count, d, q: np.repeat(probe(rng, 1, d, q), count, axis=0))
         calls = _split_calls(m)
-        assert table_bytes() == seeded
+        assert split_rows() == seeded
         first = calls["mults"][0]
         assert first.sum() == k
         whole = [dim for size, dim in zip(calls["nullspace"], calls["nullity"])
                  if size == k and dim > 1]
         assert sorted(whole) == sorted(first[first > 1].tolist())
     with monkeypatch.context() as m:
-        # another seed draws other weights and probes: the same table
+        # another seed draws other weights and probes: the same rows
         m.setattr(chartable, "_SPLIT_SEED", chartable._SPLIT_SEED + 1)
-        assert table_bytes() == seeded
+        assert split_rows() == seeded
     with monkeypatch.context() as m:
         # weights that are always zero split nothing: the split gives up
         # after k passes instead of looping
         passes = []
         m.setattr(chartable, "_combination_weights", zero_weights(passes, 2 * k))
         with pytest.raises(SplitFailure):
-            table_bytes()
+            split_rows()
         assert len(passes) == k
 
 
 def test_repeated_roots_split_without_a_nullspace(monkeypatch):
     # 256 characters in F_521: every combination repeats eigenvalues, and
-    # each repeated root is split by its projected probes alone
+    # each repeated root is split by its projected probes alone.  The build
+    # of an abelian group splits nothing, so the split runs on the whole space.
     g = abelian([2] * 8)
     calls = _split_calls(monkeypatch)
-    table = chartable._build_table(g)
-    assert (len(table), table.prime) == (256, 521)
+    rows = _split_rows(g)
     assert calls["nullspace"] == []
     assert max(int(mults.max()) for mults in calls["mults"]) > 1
+    calls["mults"].clear()
+    table = chartable._build_table(g)
+    assert calls["mults"] == []
+    assert (len(table), table.prime) == (256, 521)
+    assert rows == _central_characters(table)
     verify_table(table)
     assert list(table.classes.reps) == list(range(g.order))
     ours = sorted(tuple(v.coeffs for v in chi.values) for chi in table)
     assert ours == sorted(oracles.abelian_dual_rows([2] * 8))
+
+
+def _linear_rows_by_the_split(group):
+    """The degree-1 rows of the whole-space split, lifted, as sorted bytes:
+    the route the build took for every row before it read the linear ones
+    off G/G′."""
+    cc = group.conjugacy_classes()
+    e, n = group.exponent, group.order
+    q, z = chartable._field(e, n)
+    omegas = np.array(_split_rows(group), dtype=np.int64)
+    inv_sizes = np.array([pow(int(s), -1, q) for s in cc.sizes], dtype=np.int64)
+    # A row is linear iff sum_K ω(K) ω(K*) / |K| = |G|, i.e. d^2 = 1.
+    t_sums = (omegas * omegas[:, cc.inverse_class] % q * inv_sizes % q).sum(axis=1) % q
+    linear = omegas[t_sums == n % q] * inv_sizes % q
+    red = np.array(chartable._reduction_table(e), dtype=np.int64)
+    coeffs = chartable._lift(group, linear, np.ones(len(linear), dtype=np.int64), red,
+                             chartable.powers_mod(z, e, q), q)
+    return sorted(row.tobytes() for row in coeffs)
+
+
+def test_linear_rows_are_the_degree_one_rows_of_the_whole_space_split(corpus_groups):
+    """Two routes to the linear rows, on every corpus group and each of its
+    normal subgroups, one per Cayley table: read off G/G′ by the build, and
+    split from the whole space and lifted.  Byte for byte."""
+    seen = set()
+    for group in corpus_groups.values():
+        for sub in group.normal_subgroups():
+            h = sub.as_group()
+            if h.mul.tobytes() in seen:
+                continue
+            seen.add(h.mul.tobytes())
+            table = compute_table(h)
+            ours = sorted(row.tobytes() for row in table._coeffs[table.degrees == 1])
+            assert ours == _linear_rows_by_the_split(h), h.label
+    assert len(seen) == 1726
+
+
+def test_abelian_corpus_tables_match_the_dual_group_oracle(corpus_groups):
+    """Every abelian corpus group, built as ``abelian(invariants)``: the
+    table the exponent maps give is the dual group's."""
+    checked = 0
+    for entry in build_corpus():
+        group = corpus_groups[entry.name]
+        if not group.is_abelian:
+            continue
+        table = compute_table(group)
+        assert list(table.classes.reps) == list(range(group.order))
+        ours = sorted(tuple(map(tuple, row.tolist())) for row in table._coeffs)
+        assert ours == sorted(oracles.abelian_dual_rows(list(entry.build.args[0]))), entry.name
+        checked += 1
+    assert checked == sum(1 for g in corpus_groups.values() if g.is_abelian) > 0
+
+
+def test_a_linear_exponent_that_j_does_not_divide_is_refused():
+    """C4 relabelled so that its chain starts at the involution s²: the next
+    generator s has j = 2.  With the exponent taken as 2 instead of 4, f(s²)
+    = 1 on one map, which 2 does not divide."""
+    perm = [0, 2, 1, 3]  # id -> residue mod 4
+    mul = np.array([[perm.index((perm[a] + perm[b]) % 4) for b in range(4)]
+                    for a in range(4)])
+    g = Group(mul, label="C4'")
+    assert g.exponent == 4 and g.elt_order[1] == 2
+    g._cache["exponent"] = 2
+    with pytest.raises(ContractViolation,
+                       match=r"a linear exponent map's f\(s\^2\) is not divisible by 2"):
+        chartable._linear_exponents(g)
+
+
+def test_linear_exponent_maps_on_a_nonabelian_quotient_are_refused(monkeypatch):
+    """With G′ taken as trivial, S3 is its own "abelian" quotient: the maps
+    walked along its chain are no homomorphisms."""
+    monkeypatch.setattr(Group, "derived_subgroup", lambda self: self.trivial_subgroup())
+    with pytest.raises(ContractViolation, match="a linear exponent map is not a homomorphism"):
+        chartable._build_table(sym(3))
+
+
+def test_a_nonlinear_space_of_the_wrong_dimension_is_refused(monkeypatch):
+    """S4 with its sign character's exponent map replaced by the trivial
+    one: the projection through the rows keeps k - m + 2 dimensions."""
+    linear = chartable._linear_exponents
+
+    def doubled(group):
+        expo = linear(group).copy()
+        expo[expo.any(axis=1)] = 0
+        return expo
+    monkeypatch.setattr(chartable, "_linear_exponents", doubled)
+    with pytest.raises(ContractViolation, match=r"nonlinear space has dimension 5, not k - m = 3"):
+        chartable._build_table(sym(4))
 
 
 def test_table_order_bound(monkeypatch):

@@ -457,7 +457,7 @@ def test_violation_exits_2(capsys, monkeypatch):
 def test_split_failure_exits_2(capsys, monkeypatch, empty_table_pool, q8_file):
     import groupchar.chartable as chartable
 
-    def broken_split(group, cc, q):
+    def broken_split(group, cc, q, start):
         raise SplitFailure("forced failure of the eigenspace split")
 
     # The pool is empty: no live Q8 can hand over its table, so the split runs.

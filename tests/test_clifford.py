@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import groupchar.chartable as chartable
 import groupchar.clifford as clifford
 from groupchar import pairs
 from groupchar import (
@@ -393,7 +394,9 @@ def test_a_pass_maps_the_classes_of_n_once(monkeypatch):
 
 def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):
     """The ramification pass, the extraspecial bucket, extensions_of, the
-    classifier and the residual shape read every fact about G/N inside G."""
+    classifier and the residual shape read every fact about G/N inside G.
+    The one quotient built is G/G′, inside a table build, whose linear rows
+    are read off it."""
     s4 = sym(4)
     v4 = s4.subgroup([0, 7, 16, 23])
     es32 = extraspecial_2(2, "+")  # a central product: built by a quotient
@@ -402,9 +405,22 @@ def test_pass_builds_no_quotient_group(monkeypatch, f16_by_dic3, q8c7_by_c3):
     c4 = generated_subgroup(q8, [min(x for x in range(8) if q8.elt_order[x] == 4)])
     theta = compute_table(z.as_group()).rows[1]
 
-    def refuse(self, normal):
-        raise AssertionError("a quotient group was built")
+    quotient, linear = Group.quotient, chartable._linear_exponents
+    building = []
 
+    def linear_exponents(group):
+        building.append(group)
+        try:
+            return linear(group)
+        finally:
+            building.pop()
+
+    def refuse(self, normal):
+        if not (building and building[-1] is self and normal == self.derived_subgroup()):
+            raise AssertionError("a quotient group was built")
+        return quotient(self, normal)
+
+    monkeypatch.setattr(chartable, "_linear_exponents", linear_exponents)
     monkeypatch.setattr(Group, "quotient", refuse)
     for g, sub in ((s4, v4), (es32, es32.center())):
         assert ramification_scan_pair(g, sub)

@@ -195,6 +195,24 @@ def test_the_search_returns_an_isomorphism_from_the_source(type_representatives)
             span += fresh
 
 
+def test_the_source_chain_lists_no_defining_product(type_representatives):
+    """Each level lists exactly the products x * (j-th kept generator) of
+    its fresh elements x that close a cycle: none is the parent and
+    generator that define a fresh element, whose image the search sets to
+    that very product, and every other one is there."""
+    types, _ = type_representatives
+    for s in types:
+        chain = chartable._source_chain(s)
+        kept = [level[0] for level in chain]
+        for new, (g, fresh, parents, gen_pos, f, x, j, y) in enumerate(chain):
+            listed = list(zip(x.tolist(), j.tolist()))
+            defining = set(zip(parents, gen_pos))
+            assert not defining & set(listed), s.label
+            everything = {(a, b) for a in fresh for b in range(new + 1)}
+            assert sorted(listed) == sorted(everything - defining), s.label
+            assert y.tolist() == [int(s.mul[a, kept[b]]) for a, b in listed], s.label
+
+
 def test_agl1_16_transports_both_ways_within_the_budget():
     """The constructed AGL(1, 16) has the translations 1, 2, 4 and 8 among
     its ``generators()``, too many candidate images for the budget; its
@@ -284,8 +302,9 @@ def test_every_walk_along_generators_is_the_one_chain(monkeypatch):
     """``groups._generator_chain`` is the one walk of a group along a list
     of generators: each module binds that function, and ``generators()``,
     ``Group._closure``, ``automorphism_from_images``,
-    ``frobenius72_quaternion`` and the search's ``_source_chain`` each call
-    it once."""
+    ``frobenius72_quaternion``, the search's ``_source_chain`` and the
+    linear characters' walk of G/G′ (``_linear_exponents``) each call it
+    once."""
     chain = groups._generator_chain
     modules = (groups, chartable, constructors)
     assert all(module._generator_chain is chain for module in modules)
@@ -295,6 +314,8 @@ def test_every_walk_along_generators_is_the_one_chain(monkeypatch):
         calls.append(s.label)
         return chain(s, gens, cap)
 
+    s4 = sym(4)
+    s4.derived_subgroup()  # its own walks come before the count
     for module in modules:
         monkeypatch.setattr(module, "_generator_chain", counted)
     runs = {
@@ -304,6 +325,7 @@ def test_every_walk_along_generators_is_the_one_chain(monkeypatch):
             lambda: constructors.automorphism_from_images(cyclic(5), [1], [2]),
         "frobenius72_quaternion": constructors.frobenius72_quaternion,
         "_source_chain": lambda: chartable._source_chain(sym(4)),
+        "_linear_exponents": lambda: chartable._linear_exponents(s4),
     }
     reached = {}
     for name, run in runs.items():
